@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Reproduce the full reference-figure dataset and print the scalar summary.
 
-Usage: python scripts/run_figure_suite.py [OUT_DIR] [--threads K]
+Usage: python scripts/run_figure_suite.py [OUT_DIR]
 """
 
 import argparse
@@ -18,13 +18,12 @@ from plasmon_cqed.tasks import run_scenario
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("out_dir", nargs="?", default="out/figure_suite")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     config = os.path.join(os.path.dirname(__file__), "..", "configs",
                           "figure_suite.json")
     scenario = load_scenario(config)
-    writer = run_scenario(scenario, out_dir=args.out_dir, threads=args.threads)
+    writer = run_scenario(scenario, out_dir=args.out_dir)
     with open(writer.path("summary.json"), encoding="utf-8") as fh:
         summary = json.load(fh)
     for key, entry in sorted(summary.items()):

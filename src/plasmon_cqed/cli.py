@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    plasmon-cqed run <config.json> [--out DIR] [--threads K] [--verify]
+    plasmon-cqed run <config.json> [--out DIR] [--verify]
 
 Exit codes: 0 success, 2 configuration/schema violation (message names the
 field path), 3 numerical failure (message names the failing stage).
@@ -31,8 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute a scenario configuration")
     run.add_argument("config", help="path to the scenario JSON file")
     run.add_argument("--out", default=None, help="output directory override")
-    run.add_argument("--threads", type=int, default=1,
-                     help="worker threads for independent sweeps")
     run.add_argument("--verify", action="store_true",
                      help="run the independent-oracle check suite first")
     return parser
@@ -56,11 +54,8 @@ def main(argv=None) -> int:
             print("verification suite failed", file=sys.stderr)
             return EXIT_NUMERICAL
 
-    if args.threads < 1:
-        print("configuration error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_SCHEMA
     try:
-        writer = run_scenario(scenario, out_dir=args.out, threads=args.threads)
+        writer = run_scenario(scenario, out_dir=args.out)
     except SchemaError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -19,7 +19,9 @@ from .constants import DIPOLE_SQ_OVER_EPS0, HBAR_C_EV_NM
 from .errors import FitFailureError, InvalidArgumentError
 from .fitting import levenberg_marquardt
 from .medium import EmitterSpec, Geometry, MaterialModel, radiative_rate
-from .mie import green_rr_scattered, qs_mode_params, radial_mode_fractions
+from .mie import green_rr_terms, qs_mode_params, radial_mode_fractions
+# re-exported: callers, and the tracer tests in perfbench/, look it up here
+from .mie import green_rr_scattered  # noqa: F401
 
 MIN_GRID_POINTS = 50
 
@@ -78,15 +80,14 @@ def kappa_spectrum(n: int, grid, geometry: Geometry, material: MaterialModel,
                    emitter: EmitterSpec) -> CouplingSpectrum:
     """|kappa_wn|^2 = (k0^2 d^2/ pi eps0) Im G_n^rr(r_d, r_d) on the grid.
 
-    The multipole terms are independent, so only the n-th one is evaluated.
+    The multipole terms are independent, so only orders up to n are
+    evaluated, in one array call over the whole grid.
     """
     grid = np.asarray(grid, dtype=float)
     u = emitter.d_eg**2 * DIPOLE_SQ_OVER_EPS0
-    values = np.empty_like(grid)
-    for i, w in enumerate(grid):
-        k0 = w / HBAR_C_EV_NM
-        term = green_rr_scattered(w, geometry, material, n).per_mode[n - 1]
-        values[i] = k0**2 * u / math.pi * term.imag
+    k0 = grid / HBAR_C_EV_NM
+    term = green_rr_terms(grid, geometry, material, n)[..., n - 1]
+    values = k0**2 * u / math.pi * term.imag
     return CouplingSpectrum(n=n, grid=grid, values=values)
 
 
@@ -179,23 +180,17 @@ def rate_spectrum_lsp(n: int, grid, geometry: Geometry, material: MaterialModel,
     the total rate keeps the sum positive).
     """
     grid = np.asarray(grid, dtype=float)
-    out = np.empty_like(grid)
-    for i, w in enumerate(grid):
-        kb = geometry.n_b * w / HBAR_C_EV_NM
-        term = green_rr_scattered(w, geometry, material, n).per_mode[n - 1]
-        out[i] = eta * 6 * math.pi / kb * term.imag
-    return out
+    kb = geometry.n_b * grid / HBAR_C_EV_NM
+    term = green_rr_terms(grid, geometry, material, n)[..., n - 1]
+    return eta * 6 * math.pi / kb * term.imag
 
 
 def _free_space_rate_arrays(grid, n, geometry, emitter):
     """gamma0(w) and its LSP_n multipole share gamma0n_rad(w) on the grid."""
-    g0_rad = np.array([radiative_rate(w, emitter.d_eg, geometry.n_b)
-                       for w in grid])
-    fractions = np.array([
-        radial_mode_fractions(n, geometry.n_b * w / HBAR_C_EV_NM
-                              * geometry.r_d)[n - 1]
-        for w in grid
-    ])
+    grid = np.asarray(grid, dtype=float)
+    g0_rad = radiative_rate(grid, emitter.d_eg, geometry.n_b)
+    fractions = radial_mode_fractions(
+        n, geometry.n_b * grid / HBAR_C_EV_NM * geometry.r_d)[..., n - 1]
     return g0_rad / emitter.eta, g0_rad * fractions
 
 

@@ -289,11 +289,9 @@ def radiated_spectrum(h: EffectiveHamiltonian, grid, geometry: Geometry,
     grid = np.asarray(grid, dtype=float)
     amps = amplitude_response(h, grid)
     p_of_w = np.abs(amps[:, 0]) ** 2
-    g_rad = np.empty_like(grid)
-    for i, w in enumerate(grid):
-        _, alpha_eff = qs_polarizability(1, w, geometry, material)
-        g_rad[i] = radiative_rate(w, h.emitter.d_eg, geometry.n_b) \
-            * (1.0 + 4.0 * abs(alpha_eff) ** 2 / geometry.r_d**6)
+    _, alpha_eff = qs_polarizability(1, grid, geometry, material)
+    g_rad = radiative_rate(grid, h.emitter.d_eg, geometry.n_b) \
+        * (1.0 + 4.0 * np.abs(alpha_eff) ** 2 / geometry.r_d**6)
     p_rad = g_rad * p_of_w / (2.0 * math.pi)
     lsp1 = np.abs(amps[:, 1]) ** 2 if h.n_modes >= 1 else np.zeros_like(grid)
     return RadiatedSpectrum(grid=grid, p_rad=p_rad, lsp1_population=lsp1,

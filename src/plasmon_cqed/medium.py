@@ -105,7 +105,8 @@ class Geometry:
 
 
 def radiative_rate(omega: float, d_eg: float, n_b: float = 1.0) -> float:
-    """Free-space radiative rate n_b d^2 w^3/(3 pi eps0 hbar c^3) as hbar*rate in eV.
+    """Free-space radiative rate n_b d^2 w^3/(3 pi eps0 hbar c^3) as hbar*rate in eV,
+    element-wise over an array of omega.
 
     omega is hbar*omega in eV, d_eg in Debye.
     """
@@ -181,38 +182,49 @@ class EmitterSpec:
         return HBAR_EV_S / self.gamma0 / 1e-9
 
 
-def permittivity(material: MaterialModel, omega: float) -> complex:
-    """Complex eps_m at hbar*omega (eV); errors outside a tabulated grid."""
-    if not omega > 0:
+def permittivity(material: MaterialModel, omega):
+    """Complex eps_m at hbar*omega (eV), element-wise over arrays.
+
+    Every omega must be > 0; a tabulated model raises TableRangeError if any
+    omega falls outside its grid.  A scalar omega gives a scalar.
+    """
+    w = np.asarray(omega, dtype=float)
+    if not np.all(w > 0):
         raise InvalidArgumentError("omega must be > 0")
     if material.kind == "drude":
-        return material.eps_inf - material.omega_p**2 / (
-            omega**2 + 1j * material.gamma_p * omega
+        eps = material.eps_inf - material.omega_p**2 / (
+            w**2 + 1j * material.gamma_p * w
         )
+        return eps[()]
     t = material.table
-    if omega < t[0, 0] or omega > t[-1, 0]:
+    outside = (w < t[0, 0]) | (w > t[-1, 0])
+    if np.any(outside):
         raise TableRangeError(
-            f"omega={omega} eV outside table range [{t[0, 0]}, {t[-1, 0]}]"
+            f"omega={np.extract(outside, w)[0]} eV outside table range "
+            f"[{t[0, 0]}, {t[-1, 0]}]"
         )
-    re = np.interp(omega, t[:, 0], t[:, 1])
-    im = np.interp(omega, t[:, 0], t[:, 2])
-    return complex(re, im)
+    re = np.interp(w, t[:, 0], t[:, 1])
+    im = np.interp(w, t[:, 0], t[:, 2])
+    return (re + 1j * im)[()]
 
 
 @dataclass(frozen=True)
 class Wavenumbers:
-    k0: float
-    kb: float
-    km: complex
+    """k0, k_b (real) and k_m (complex) in 1/nm; scalars or arrays shaped
+    like the frequencies they were evaluated at."""
+
+    k0: float | np.ndarray
+    kb: float | np.ndarray
+    km: complex | np.ndarray
 
 
-def wavenumbers(geometry: Geometry, material: MaterialModel, omega: float) -> Wavenumbers:
-    """k0, background k_b and metal k_m (branch Im k_m >= 0), in 1/nm."""
-    k0 = omega / HBAR_C_EV_NM
+def wavenumbers(geometry: Geometry, material: MaterialModel, omega) -> Wavenumbers:
+    """k0, background k_b and metal k_m (branch Im k_m >= 0), in 1/nm,
+    element-wise over omega."""
+    k0 = np.asarray(omega, dtype=float)[()] / HBAR_C_EV_NM
     kb = geometry.n_b * k0
-    km = np.sqrt(complex(permittivity(material, omega))) * k0
-    if km.imag < 0:
-        km = -km
+    km = np.sqrt(permittivity(material, omega)) * k0
+    km = np.where(km.imag < 0, -km, km)[()]
     return Wavenumbers(k0=k0, kb=kb, km=km)
 
 

@@ -25,6 +25,7 @@ from .medium import (
     EmitterSpec,
     Geometry,
     MaterialModel,
+    Wavenumbers,
     permittivity,
     radiative_rate,
     wavenumbers,
@@ -48,15 +49,18 @@ class MieCoefficients:
     omega: float
 
 
-def _mie_ab_ladders(n_max: int, omega: float, geometry: Geometry,
-                    material: MaterialModel):
-    """A_n, B_n for n = 1..n_max at a single frequency."""
-    wn = wavenumbers(geometry, material, omega)
-    kb, km = complex(wn.kb), complex(wn.km)
-    zb = kb * geometry.radius
-    zm = km * geometry.radius
+def _column(a) -> np.ndarray:
+    """Per-point values shaped to broadcast against (..., orders) ladders."""
+    return np.asarray(a)[..., None]
+
+
+def _mie_ab_ladders(n_max: int, wn: Wavenumbers, radius: float):
+    """A_n, B_n for n = 1..n_max at each frequency of wn, shape (..., n_max)."""
+    zb = wn.kb * radius
+    zm = wn.km * radius
     psi_b, psip_b, zeta_b, zetap_b = riccati_ladders(n_max, zb)
     psi_m, psip_m, _, _ = riccati_ladders(n_max, zm)
+    kb, km, zb, zm = (_column(v) for v in (wn.kb, wn.km, zb, zm))
     j_b = psi_b / zb
     h_b = zeta_b / zb
     j_m = psi_m / zm
@@ -64,7 +68,7 @@ def _mie_ab_ladders(n_max: int, omega: float, geometry: Geometry,
     b = (kb**2 * j_b * psip_m - km**2 * j_m * psip_b) / (
         km**2 * j_m * zetap_b - kb**2 * h_b * psip_m
     )
-    return a[1:], b[1:]  # orders 1..n_max
+    return a[..., 1:], b[..., 1:]  # orders 1..n_max
 
 
 def mie_coefficients(n: int, omega: float, geometry: Geometry,
@@ -72,7 +76,8 @@ def mie_coefficients(n: int, omega: float, geometry: Geometry,
     """Exact Mie coefficients A_n, B_n of the scattered-field expansion."""
     if n < 1:
         raise InvalidArgumentError("Mie order starts at n=1")
-    a, b = _mie_ab_ladders(n, omega, geometry, material)
+    a, b = _mie_ab_ladders(n, wavenumbers(geometry, material, omega),
+                           geometry.radius)
     return MieCoefficients(n=n, a=complex(a[n - 1]), b=complex(b[n - 1]), omega=omega)
 
 
@@ -88,8 +93,9 @@ class GreenExpansion:
 
 def _green_term_quasistatic(n, omega, geometry, material):
     """Closed-form high-order term (n+1)^2 alpha_n / (4 pi k_b^2 r_d^(2n+4)),
-    arranged so no intermediate over/underflows: the size ratio (R/r_d)^(2n+1)
-    is bounded by one."""
+    element-wise over matching arrays of orders and frequencies, arranged so
+    no intermediate over/underflows: the size ratio (R/r_d)^(2n+1) is
+    bounded by one."""
     eps_m = permittivity(material, omega)
     eps_b = geometry.eps_b
     kb = geometry.n_b * omega / HBAR_C_EV_NM
@@ -99,49 +105,75 @@ def _green_term_quasistatic(n, omega, geometry, material):
         4 * math.pi * kb**2 * geometry.r_d**3)
 
 
-def green_rr_scattered(omega: float, geometry: Geometry, material: MaterialModel,
-                       n_max: int = DEFAULT_N_MAX) -> GreenExpansion:
-    """G_S^rr(r_d, r_d) = (i k_b/4pi) sum_n n(n+1)(2n+1) B_n [h_n(k_b r_d)/(k_b r_d)]^2.
+def green_rr_terms(omega, geometry: Geometry, material: MaterialModel,
+                   n_max: int = DEFAULT_N_MAX) -> np.ndarray:
+    """Per-multipole terms of G_S^rr(r_d, r_d) at every frequency of omega.
 
-    Orders whose Hankel factors overflow the double range (deep quasi-static
-    territory: tiny k_b r_d, large n) fall back to the closed-form
-    polarizability term, which is exact there to the size of the retardation
-    corrections already far below the geometric decay of the series.
+    Term n is (i k_b/4pi) n(n+1)(2n+1) B_n [h_n(k_b r_d)/(k_b r_d)]^2, in 1/nm;
+    the result has shape omega.shape + (n_max,), column n-1 holding order n.
+    All frequencies share one ladder evaluation per argument kind (k_b R,
+    k_m R, k_b r_d), with the specfun rules applied per element.
+
+    Terms whose Hankel factors overflow the double range (deep quasi-static
+    territory: tiny k_b r_d, large n) are replaced element by element by the
+    closed-form polarizability term, which is exact there to the size of the
+    retardation corrections already far below the geometric decay of the
+    series.
     """
     if n_max < 1:
         raise InvalidArgumentError("n_max must be >= 1")
+    omega = np.asarray(omega, dtype=float)
     wn = wavenumbers(geometry, material, omega)
-    kb = wn.kb
-    x = kb * geometry.r_d
+    x = wn.kb * geometry.r_d
+    orders = np.arange(1, n_max + 1, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, b = _mie_ab_ladders(n_max, omega, geometry, material)
+        _, b = _mie_ab_ladders(n_max, wn, geometry.radius)
         j = spherical_jn_ladder(n_max, x)
         y = spherical_yn_ladder(n_max, x)
-        h = (j + 1j * y)[1:]
-        orders = np.arange(1, n_max + 1, dtype=float)
-        terms = (1j * kb / (4 * math.pi)) * orders * (orders + 1) \
-            * (2 * orders + 1) * b * (h / x) ** 2
+        h = (j + 1j * y)[..., 1:]
+        terms = (1j * _column(wn.kb) / (4 * math.pi)) * orders * (orders + 1) \
+            * (2 * orders + 1) * b * (h / _column(x)) ** 2
     bad = ~np.isfinite(terms)
-    for idx in np.nonzero(bad)[0]:
-        terms[idx] = _green_term_quasistatic(int(idx) + 1, omega, geometry,
-                                             material)
+    if np.any(bad):
+        terms[bad] = _green_term_quasistatic(
+            np.broadcast_to(orders, terms.shape)[bad],
+            np.broadcast_to(_column(omega), terms.shape)[bad],
+            geometry, material)
+    return terms
+
+
+def green_rr_scattered(omega: float, geometry: Geometry, material: MaterialModel,
+                       n_max: int = DEFAULT_N_MAX) -> GreenExpansion:
+    """G_S^rr(r_d, r_d) = (i k_b/4pi) sum_n n(n+1)(2n+1) B_n [h_n(k_b r_d)/(k_b r_d)]^2
+    at one scalar frequency.
+
+    A thin wrapper: per_mode is the single row of green_rr_terms at omega,
+    so it follows the same per-element rules (series or Miller ladder,
+    rescaling, quasi-static fallback for orders whose Hankel factors
+    overflow).  Spectra on a grid call green_rr_terms once per grid instead
+    of this once per point.
+    """
+    terms = green_rr_terms(float(omega), geometry, material, n_max)
     total = complex(np.sum(terms))
     converged = abs(terms[-1]) <= CONVERGENCE_RATIO * max(abs(total), 1e-300)
     return GreenExpansion(omega=omega, per_mode=terms, total=total, converged=converged)
 
 
-def radial_mode_fractions(n_max: int, x: float) -> np.ndarray:
-    """Fractions gamma0n_rad/gamma0_rad = (3/2) n(n+1)(2n+1) [j_n(x)/x]^2.
+def radial_mode_fractions(n_max: int, x) -> np.ndarray:
+    """Fractions gamma0n_rad/gamma0_rad = (3/2) n(n+1)(2n+1) [j_n(x)/x]^2,
+    element-wise over x, shape x.shape + (n_max,).
 
     Radial contraction of the free-space Green expansion; the n-sum equals 1
     for every x (free-space LDOS is position independent), which is the sum
     rule the decomposition is validated against.
     """
-    if x <= 0:
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0):
         raise InvalidArgumentError("k_b r_d must be > 0")
-    j = spherical_jn_ladder(n_max, x)[1:]
+    j = spherical_jn_ladder(n_max, x)[..., 1:]
     orders = np.arange(1, n_max + 1, dtype=float)
-    return 1.5 * orders * (orders + 1) * (2 * orders + 1) * np.abs(j / x) ** 2
+    return 1.5 * orders * (orders + 1) * (2 * orders + 1) \
+        * np.abs(j / _column(x)) ** 2
 
 
 def gamma0n_radial_decomposition(omega: float, geometry: Geometry,
@@ -165,22 +197,26 @@ def gamma0n_radial_decomposition(omega: float, geometry: Geometry,
     return out
 
 
-def qs_polarizability(n: int, omega: float, geometry: Geometry,
+def qs_polarizability(n: int, omega, geometry: Geometry,
                       material: MaterialModel,
                       radiation_correction: bool = True):
-    """Quasi-static and effective (radiation-corrected) polarizabilities, nm^(2n+1).
+    """Quasi-static and effective (radiation-corrected) polarizabilities, nm^(2n+1),
+    element-wise over omega.
 
     With radiation_correction=False the k_b-dependent correction is switched
-    off and alpha_eff == alpha_qs exactly.
+    off and alpha_eff == alpha_qs exactly.  Any frequency on the pole
+    |n eps_m + (n+1) eps_b| < 1e-12 raises SingularDenominatorError.
     """
     if n < 1:
         raise InvalidArgumentError("multipole order starts at n=1")
     eps_m = permittivity(material, omega)
     eps_b = geometry.eps_b
     den = n * eps_m + (n + 1) * eps_b
-    if abs(den) < 1e-12:
+    on_pole = np.abs(den) < 1e-12
+    if np.any(on_pole):
         raise SingularDenominatorError(
-            f"quasi-static pole at n={n}, omega={omega} eV (lossless on-resonance)"
+            f"quasi-static pole at n={n}, omega={np.extract(on_pole, omega)[0]} eV "
+            "(lossless on-resonance)"
         )
     alpha_qs = n * (eps_m - eps_b) * geometry.radius ** (2 * n + 1) / den
     if not radiation_correction:

@@ -9,7 +9,6 @@ outputs and the manifest can checksum everything that was kept.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -69,13 +68,6 @@ REFERENCE_VALUES = {
 }
 
 
-def _parallel(fn, items, threads):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _mode_row(mode, emitter):
     return {
         "n": mode.n,
@@ -103,11 +95,10 @@ def _emitter_payload(emitter: EmitterSpec, geometry: Geometry):
     }
 
 
-def task_spectra(sc: Scenario, writer: RunWriter, threads: int = 1):
+def task_spectra(sc: Scenario, writer: RunWriter):
     grid = sc.omega_grid.build()
-    spectra = _parallel(
-        lambda n: kappa_spectrum(n, grid, sc.geometry, sc.material, sc.emitter),
-        range(1, sc.n_modes + 1), threads)
+    spectra = [kappa_spectrum(n, grid, sc.geometry, sc.material, sc.emitter)
+               for n in range(1, sc.n_modes + 1)]
     columns = ["omega_ev"] + [f"kappa2_lsp{n}_ev" for n in range(1, sc.n_modes + 1)]
     rows = [[w] + [s.values[i] for s in spectra] for i, w in enumerate(grid)]
     writer.csv("spectra.csv", columns, rows,
@@ -115,13 +106,12 @@ def task_spectra(sc: Scenario, writer: RunWriter, threads: int = 1):
                          f"R={sc.geometry.radius} nm, h={sc.geometry.h} nm"])
 
 
-def _fit_modes(sc: Scenario, threads: int = 1):
-    del threads  # per-mode fits are cheap; sequential keeps failures ordered
+def _fit_modes(sc: Scenario):
     return extract_modes(sc.n_modes, sc.geometry, sc.material, sc.emitter)
 
 
-def task_fit(sc: Scenario, writer: RunWriter, threads: int = 1):
-    modes = _fit_modes(sc, threads)
+def task_fit(sc: Scenario, writer: RunWriter):
+    modes = _fit_modes(sc)
     writer.json("modes.json", {
         "emitter": _emitter_payload(sc.emitter, sc.geometry),
         "modes": [_mode_row(m, sc.emitter) for m in modes],
@@ -147,8 +137,8 @@ def _spectrum_peaks(grid, values):
     return sorted(peaks, key=lambda i: -values[i])
 
 
-def task_dressed(sc: Scenario, writer: RunWriter, threads: int = 1):
-    modes = task_fit(sc, writer, threads)
+def task_dressed(sc: Scenario, writer: RunWriter):
+    modes = task_fit(sc, writer)
     ham = build_standard(modes, sc.emitter)
     dressed = eigendecompose(ham)
     weight_table = dressed.weight_table()
@@ -188,8 +178,8 @@ def task_dressed(sc: Scenario, writer: RunWriter, threads: int = 1):
     return payload
 
 
-def task_dynamics(sc: Scenario, writer: RunWriter, threads: int = 1):
-    modes = _fit_modes(sc, threads)
+def task_dynamics(sc: Scenario, writer: RunWriter):
+    modes = _fit_modes(sc)
     ham = build_standard(modes, sc.emitter)
     times_fs = sc.time_grid.build()
     psi0 = np.zeros(sc.n_modes + 1, dtype=complex)
@@ -202,8 +192,8 @@ def task_dynamics(sc: Scenario, writer: RunWriter, threads: int = 1):
                comments=["single-excitation amplitudes |C|^2 vs time"])
 
 
-def task_rates(sc: Scenario, writer: RunWriter, threads: int = 1):
-    modes = _fit_modes(sc, threads)
+def task_rates(sc: Scenario, writer: RunWriter):
+    modes = _fit_modes(sc)
     adiab = adiabatic_rates(modes, sc.emitter)
     fermi = fermi_rate(sc.emitter.omega0, sc.geometry, sc.material, sc.emitter,
                        n_max=max(60, sc.n_modes))
@@ -266,8 +256,7 @@ def _fano_scalars(geometry, emitter, mode_free, mode_lossy):
     }
 
 
-def task_fano(sc: Scenario, writer: RunWriter, threads: int = 1):
-    del threads
+def task_fano(sc: Scenario, writer: RunWriter):
     grid = sc.omega_grid.build()
     emitter, (data_f, mode_f), (data_l, mode_l) = _fano_pair(sc, sc.geometry, grid)
     sign = 1.0 if (mode_f.alpha or 0) >= 0 else -1.0
@@ -287,7 +276,7 @@ def task_fano(sc: Scenario, writer: RunWriter, threads: int = 1):
     return payload
 
 
-def task_lindblad(sc: Scenario, writer: RunWriter, threads: int = 1):
+def task_lindblad(sc: Scenario, writer: RunWriter):
     import time
 
     n_modes = min(sc.n_modes, 8)  # Liouvillian is (N+2)^2; keep the run light
@@ -353,7 +342,7 @@ def _check(value, key):
     return {"value": value, "reference": ref, "tolerance": tol, "pass": bool(ok)}
 
 
-def figure_suite(sc: Scenario, writer: RunWriter, threads: int = 1):
+def figure_suite(sc: Scenario, writer: RunWriter):
     """Reproduce the data behind the figure set and compare the extracted
     scalars against their reference values."""
     material = silver()
@@ -365,9 +354,8 @@ def figure_suite(sc: Scenario, writer: RunWriter, threads: int = 1):
     # -- coupling spectra, small particle (R=8, h=2), n = 1..6
     geometry, sc_emitter = _strong_coupling_inputs()
     grid = np.linspace(2.4, 3.2, 401)
-    spectra = _parallel(
-        lambda n: kappa_spectrum(n, grid, geometry, material, sc_emitter),
-        range(1, 7), threads)
+    spectra = [kappa_spectrum(n, grid, geometry, material, sc_emitter)
+               for n in range(1, 7)]
     writer.csv("fig2.csv",
                ["omega_ev"] + [f"kappa2_lsp{n}_ev" for n in range(1, 7)],
                [[w] + [s.values[i] for s in spectra] for i, w in enumerate(grid)],
@@ -380,7 +368,7 @@ def figure_suite(sc: Scenario, writer: RunWriter, threads: int = 1):
         geo = Geometry.from_surface_distance(8.0, h)
         return extract_modes(4, geo, material, sc_emitter)
 
-    per_h = _parallel(modes_at, h_values, threads)
+    per_h = [modes_at(h) for h in h_values]
     writer.csv(
         "fig3.csv",
         ["h_nm"] + [f"two_g_lsp{n}_mev" for n in range(1, 5)]
@@ -440,17 +428,15 @@ def figure_suite(sc: Scenario, writer: RunWriter, threads: int = 1):
                               wk_emitter).enhancement
         return [h, adi, fermi]
 
-    sweep = _parallel(ratios_at, [2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 14.0, 20.0],
-                      threads)
+    sweep = [ratios_at(h) for h in (2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 14.0, 20.0)]
     writer.csv("fig6b.csv", ["h_nm", "gamma_ratio_adiabatic", "gamma_ratio_fermi"],
                sweep, comments=["normalized decay rate vs surface distance"])
 
     # -- large particle: leaky coupling spectra (R=50, h=5)
     geo50 = Geometry.from_surface_distance(50.0, 5.0)
     grid50 = np.linspace(2.0, 3.2, 401)
-    spectra50 = _parallel(
-        lambda n: kappa_spectrum(n, grid50, geo50, material, sc_emitter),
-        range(1, 7), threads)
+    spectra50 = [kappa_spectrum(n, grid50, geo50, material, sc_emitter)
+                 for n in range(1, 7)]
     writer.csv("fig8.csv",
                ["omega_ev"] + [f"kappa2_lsp{n}_ev" for n in range(1, 7)],
                [[w] + [s.values[i] for s in spectra50]
@@ -520,7 +506,7 @@ TASK_RUNNERS = {
 }
 
 
-def run_scenario(sc: Scenario, out_dir: str | None = None, threads: int = 1):
+def run_scenario(sc: Scenario, out_dir: str | None = None):
     """Execute the scenario task, manifest everything written, and return the
     manifest path.  Partial outputs are removed on failure."""
     import time
@@ -532,7 +518,7 @@ def run_scenario(sc: Scenario, out_dir: str | None = None, threads: int = 1):
         raise SchemaError("run.task", f"unknown task {sc.task!r}")
     start = time.perf_counter()
     try:
-        runner(sc, writer, threads)
+        runner(sc, writer)
     except Exception:
         writer.discard_all()
         raise

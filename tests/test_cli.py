@@ -122,17 +122,6 @@ class TestDeterminism:
         data2 = open(os.path.join(out2, "spectra.csv"), "rb").read()
         assert data1 == data2
 
-    def test_threads_do_not_change_outputs(self, tmp_path):
-        cfg = base_config(task="spectra")
-        out1 = str(tmp_path / "a")
-        out2 = str(tmp_path / "b")
-        assert main(["run", write_config(tmp_path, cfg), "--out", out1]) == 0
-        assert main(["run", write_config(tmp_path, cfg), "--out", out2,
-                     "--threads", "4"]) == 0
-        data1 = open(os.path.join(out1, "spectra.csv"), "rb").read()
-        data2 = open(os.path.join(out2, "spectra.csv"), "rb").read()
-        assert data1 == data2
-
 
 class TestTasks:
     def test_dynamics_task_traces(self, tmp_path):

@@ -256,6 +256,34 @@ class TestSpectra:
             / ((grid - em.omega0) ** 2 + em.gamma0**2 / 4)
         np.testing.assert_allclose(rad.p_rad, ref, rtol=1e-9)
 
+    def test_radiated_rate_matches_per_point_evaluation(self, ag, small_geometry,
+                                                        strong_emitter):
+        from plasmon_cqed.medium import radiative_rate
+        from plasmon_cqed.mie import qs_polarizability
+
+        ham = build_standard([single_mode(omega_n=2.8, gamma=0.06, g=0.04)],
+                             strong_emitter)
+        grid = np.linspace(2.4, 3.4, 201)
+        rad = radiated_spectrum(ham, grid, small_geometry, ag)
+        loop = []
+        for w in grid:
+            _, alpha_eff = qs_polarizability(1, float(w), small_geometry, ag)
+            loop.append(radiative_rate(float(w), strong_emitter.d_eg)
+                        * (1.0 + 4.0 * abs(alpha_eff) ** 2
+                           / small_geometry.r_d**6))
+        np.testing.assert_allclose(rad.gamma_rad, loop, rtol=1e-13)
+
+    def test_radiated_spectrum_rejects_a_pole_on_the_grid(self, small_geometry):
+        # lossless Drude, eps_inf = 1: the dipolar pole sits at omega_p/sqrt(3)
+        from plasmon_cqed.errors import SingularDenominatorError
+        from plasmon_cqed.medium import MaterialModel
+
+        metal = MaterialModel.drude(1.0, 5.0, 0.0)
+        ham = build_standard([single_mode()], EmitterSpec(2.8, 1.0, 1.0, 0.01))
+        grid = np.append(np.linspace(2.5, 2.8, 60), 5.0 / math.sqrt(3.0))
+        with pytest.raises(SingularDenominatorError):
+            radiated_spectrum(ham, grid, small_geometry, metal)
+
 
 class TestFanoContinuity:
     def test_eigenvalues_converge_linearly_in_alpha(self, emitter):

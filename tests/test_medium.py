@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +40,32 @@ class TestPermittivity:
         mat = MaterialModel.tabulated([(2.0, -5.0, 0.3), (3.0, -1.0, 0.5)])
         with pytest.raises(TableRangeError):
             permittivity(mat, 3.5)
+
+    def test_tabulated_grid_leaving_the_table(self):
+        from plasmon_cqed.mie import green_rr_terms
+
+        mat = MaterialModel.tabulated([(2.0, -5.0, 0.3), (3.0, -1.0, 0.5)])
+        geo = Geometry.from_surface_distance(8.0, 2.0)
+        inside = np.linspace(2.0, 3.0, 11)
+        np.testing.assert_array_equal(permittivity(mat, inside),
+                                      [permittivity(mat, w) for w in inside])
+        leaving = np.linspace(2.5, 3.5, 11)
+        with pytest.raises(TableRangeError):
+            permittivity(mat, leaving)
+        with pytest.raises(TableRangeError):
+            green_rr_terms(leaving, geo, mat, 3)
+
+    def test_array_omega_must_be_positive(self):
+        with pytest.raises(InvalidArgumentError):
+            permittivity(silver(), np.array([2.0, 0.0, 3.0]))
+
+    def test_array_matches_scalar_drude(self, ag):
+        grid = np.linspace(0.5, 4.0, 50)
+        np.testing.assert_allclose(permittivity(ag, grid),
+                                   [permittivity(ag, w) for w in grid],
+                                   rtol=1e-15)
+        wn = wavenumbers(Geometry(radius=5.0, eps_b=2.0, r_d=10.0), ag, grid)
+        assert wn.km.shape == grid.shape and np.all(wn.km.imag >= 0)
 
     def test_table_file_ingestion(self, tmp_path):
         path = tmp_path / "eps.dat"
