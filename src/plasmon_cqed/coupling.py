@@ -20,7 +20,8 @@ from .errors import FitFailureError, InvalidArgumentError
 from .fitting import levenberg_marquardt
 from .medium import EmitterSpec, Geometry, MaterialModel, radiative_rate
 from .mie import green_rr_terms, qs_mode_params, radial_mode_fractions
-# re-exported: callers, and the tracer tests in perfbench/, look it up here
+# unused here; perfbench/tests/test_bench_tracing.py asserts that the tracer
+# swaps this binding, so it goes when that assertion does
 from .mie import green_rr_scattered  # noqa: F401
 
 MIN_GRID_POINTS = 50
