@@ -54,10 +54,6 @@ class ContractViolationError(PlasmonCqedError, ValueError):
     """Internal precondition broken (e.g. non-hermitian system Hamiltonian)."""
 
 
-class StiffnessError(PlasmonCqedError, RuntimeError):
-    """Adaptive integrator step-size underflow; use the spectral path."""
-
-
 class NumericalFailureError(PlasmonCqedError, RuntimeError):
     """Dense eigensolver or linear solve failed to converge."""
 

@@ -361,7 +361,7 @@ def check_lindblad_equivalence() -> CheckResult:
         for kind in ("standard", "fano_radiative", "fano_full"):
             dis = build_dissipators(kind, modes, em, space)
             liou = build_liouvillian(h_s, dis, space)
-            states = evolve_master(liou, pure_state(space, 1), times, method="eig")
+            states = evolve_master(liou, pure_state(space, 1), times)
             amps = evolve(effective_hamiltonian_from_lindblad(h_s, dis),
                           psi0, times)
             for s, a in zip(states, amps):

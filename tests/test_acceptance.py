@@ -241,8 +241,7 @@ def criterion_7_route_equivalence():
         for kind in ("standard", "fano_radiative", "fano_full"):
             dis = build_dissipators(kind, modes, emitter, space)
             liou = build_liouvillian(h_s, dis, space)
-            states = evolve_master(liou, pure_state(space, 1), times,
-                                   method="eig")
+            states = evolve_master(liou, pure_state(space, 1), times)
             ham = effective_hamiltonian_from_lindblad(h_s, dis)
             amps = evolve(ham, psi0, times)
             for s, a in zip(states, amps):

@@ -182,3 +182,25 @@ class TestTasks:
         with open(os.path.join(out, "lindblad.json")) as fh:
             payload = json.load(fh)
         assert payload["max_population_deviation"] < 1e-6
+
+    def test_weak_coupling_lindblad_passes(self, tmp_path):
+        # weakly coupled emitter over a window long after its decay: an
+        # adaptive stepper let rho drift past the hermiticity check (exit 3)
+        cfg = {
+            "material": {"kind": "drude", "eps_inf": 6.0, "omega_p_ev": 7.9,
+                         "gamma_p_ev": 0.051},
+            "geometry": {"radius_nm": 8.7, "eps_b": 1.74, "h_nm": 8.0},
+            "emitter": {"omega0_ev": 2.7, "tau0_ns": 20.0, "eta": 0.7},
+            "run": {
+                "task": "lindblad",
+                "n_modes": 4,
+                "omega_grid": {"min_ev": 2.3, "max_ev": 3.6, "points": 201},
+                "time_grid": {"min_fs": 0.0, "max_fs": 700.0, "points": 400},
+                "out_dir": "out",
+            },
+        }
+        out = str(tmp_path / "out")
+        assert main(["run", write_config(tmp_path, cfg), "--out", out]) == 0
+        with open(os.path.join(out, "lindblad.json")) as fh:
+            payload = json.load(fh)
+        assert payload["max_population_deviation"] <= 1e-6

@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import synthetic_modes
+from slow_oracle import resolvent_loop
 from plasmon_cqed.coupling import ModeParams
-from plasmon_cqed.errors import IncompleteModesError
+from plasmon_cqed.errors import IncompleteModesError, SingularityError
 from plasmon_cqed.heff import (
+    RESOLVENT_BLOCK,
+    EffectiveHamiltonian,
     amplitude_response,
     build_fano,
     build_standard,
@@ -283,6 +286,32 @@ class TestSpectra:
         grid = np.append(np.linspace(2.5, 2.8, 60), 5.0 / math.sqrt(3.0))
         with pytest.raises(SingularDenominatorError):
             radiated_spectrum(ham, grid, small_geometry, metal)
+
+    @pytest.mark.parametrize("n_modes", [1, 25])
+    @pytest.mark.parametrize("points", [1, RESOLVENT_BLOCK - 1,
+                                        RESOLVENT_BLOCK + 1, 300])
+    def test_amplitude_response_equals_per_point_solve(self, emitter, n_modes,
+                                                       points):
+        rng = np.random.default_rng(53 + n_modes)
+        ham = build_standard(synthetic_modes(rng, n_modes), emitter)
+        grid = np.linspace(2.0, 3.4, points)
+        np.testing.assert_array_equal(amplitude_response(ham, grid),
+                                      resolvent_loop(ham, grid))
+
+    @pytest.mark.parametrize("where", [0, 200])
+    def test_amplitude_response_names_a_singular_frequency(self, emitter,
+                                                           where):
+        # a lossless mode 0.5 eV above the emitter: u I - H is singular at
+        # hbar*omega = omega0 + 0.5 exactly
+        ham = EffectiveHamiltonian(
+            kind="standard", matrix=np.diag([0.0, 0.5]).astype(complex),
+            modes=(), emitter=emitter)
+        grid = np.linspace(2.0, 2.5, 300)
+        grid[where] = emitter.omega0 + 0.5
+        with pytest.raises(SingularityError, match=f"={grid[where]} eV"):
+            amplitude_response(ham, grid)
+        with pytest.raises(SingularityError, match=f"={grid[where]} eV"):
+            resolvent_loop(ham, grid)
 
 
 class TestFanoContinuity:

@@ -6,8 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import synthetic_modes
+from slow_oracle import rk45_master
 from plasmon_cqed.coupling import ModeParams
-from plasmon_cqed.errors import ContractViolationError, InvalidRateError
+from plasmon_cqed.errors import (
+    ContractViolationError,
+    InvalidArgumentError,
+    InvalidRateError,
+)
 from plasmon_cqed.heff import build_fano, build_standard, evolve
 from plasmon_cqed.lindblad import (
     DensityMatrix,
@@ -198,18 +203,70 @@ class TestEvolveMaster:
         ground = [s.population(0) for s in states]
         assert all(b >= a - 1e-9 for a, b in zip(ground, ground[1:]))
 
-    def test_rk_matches_eig_path(self, emitter):
+    @pytest.mark.parametrize("times", [
+        np.linspace(0, 100, 11),
+        np.array([0.0, 0.3, 1.0, 7.5, 40.0, 41.0, 100.0]),
+        np.linspace(5.0, 120.0, 17),
+    ], ids=["uniform", "nonuniform", "offset"])
+    def test_matches_rk45_reference(self, emitter, times):
         rng = np.random.default_rng(29)
         space = build_state_space(2)
         modes = synthetic_modes(rng, 2)
         dis = build_dissipators("standard", modes, emitter, space)
         h_s = build_system_hamiltonian(modes, emitter, space)
         liou = build_liouvillian(h_s, dis, space)
-        times = np.linspace(0, 100, 11)
-        rk = evolve_master(liou, pure_state(space, 1), times, method="rk45")
-        eig = evolve_master(liou, pure_state(space, 1), times, method="eig")
-        for a, b in zip(rk, eig):
-            np.testing.assert_allclose(a.rho, b.rho, atol=1e-7)
+        states = evolve_master(liou, pure_state(space, 1), times)
+        ref = rk45_master(liou, pure_state(space, 1).rho, times)
+        assert [s.t for s in states] == list(times)
+        for s, r in zip(states, ref):
+            np.testing.assert_allclose(s.rho, r, atol=1e-7)
+
+    @pytest.mark.parametrize("factor", [1.0, 1.0 + 1e-6])
+    def test_exceptional_point(self, factor):
+        # g = (Gamma - gamma0)/4 at zero detuning makes H_eff (and the
+        # Liouvillian) defective; the propagation must not care
+        emitter = EmitterSpec(omega0=2.5, d_eg=8.0, eta=0.7, gamma0=0.01)
+        gamma = 0.1
+        modes = [ModeParams(n=1, omega_n=2.5, gamma_n=gamma,
+                            g=factor * (gamma - emitter.gamma0) / 4)]
+        space = build_state_space(1)
+        dis = build_dissipators("standard", modes, emitter, space)
+        h_s = build_system_hamiltonian(modes, emitter, space)
+        liou = build_liouvillian(h_s, dis, space)
+        times = np.linspace(0.0, 200.0, 400)
+        states = evolve_master(liou, pure_state(space, 1), times)
+        ref = rk45_master(liou, pure_state(space, 1).rho, times)
+        for s, r in zip(states, ref):
+            s.validate()
+            np.testing.assert_allclose(s.rho, r, atol=1e-7)
+
+    @pytest.mark.parametrize("times", [
+        np.array([0.0, 2.0, 1.0]), np.array([-1.0, 0.0]),
+        np.array([0.0, np.nan]), np.zeros((2, 2)),
+    ], ids=["decreasing", "negative", "nan", "2d"])
+    def test_rejects_bad_time_grid(self, emitter, times):
+        space = build_state_space(1)
+        modes = [ModeParams(n=1, omega_n=2.5, gamma_n=0.04, g=0.01)]
+        dis = build_dissipators("standard", modes, emitter, space)
+        liou = build_liouvillian(
+            build_system_hamiltonian(modes, emitter, space), dis, space)
+        with pytest.raises(InvalidArgumentError):
+            evolve_master(liou, pure_state(space, 1), times)
+
+    @pytest.mark.parametrize("scale, message", [
+        (1j, "not hermitian"),
+        (-1.0, "not positive semidefinite"),
+        (3.0, "outside"),
+    ])
+    def test_stacked_validation_names_the_failure(self, scale, message):
+        # bare jump term c rho c+ (no anticommutator) with c = sigma_ge:
+        # scaled by i it makes rho anti-hermitian, by -1 a negative ground
+        # population, by 3 a trace above 1
+        space = build_state_space(0)
+        c = space.sigma_ge
+        liou = scale * np.kron(c.conj(), c)
+        with pytest.raises(ContractViolationError, match=message):
+            evolve_master(liou, pure_state(space, 1), [0.0, 0.5])
 
 
 class TestEquivalence:
@@ -227,7 +284,7 @@ class TestEquivalence:
         dis = build_dissipators(kind, modes, emitter, space)
         liou = build_liouvillian(h_s, dis, space)
         times = np.linspace(0.0, 120.0, 13)
-        states = evolve_master(liou, pure_state(space, 1), times, method="eig")
+        states = evolve_master(liou, pure_state(space, 1), times)
         psi0 = np.zeros(n_modes + 1, complex)
         psi0[0] = 1
         amps = evolve(effective_hamiltonian_from_lindblad(h_s, dis), psi0, times)
