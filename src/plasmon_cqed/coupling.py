@@ -305,19 +305,3 @@ def with_fano_split(mode: ModeParams, geometry: Geometry, emitter: EmitterSpec,
     alpha = math.sqrt(g0n * gamma_rad) / mode.g if mode.g > 0 else 0.0
     return replace(mode, gamma_rad=gamma_rad, gamma_nr=nr, alpha=alpha)
 
-
-def save_spectrum(path, spectrum: CouplingSpectrum, comment: str = "") -> None:
-    """Write a 2-column (eV, value) text file with '#' comment headers."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# LSP_{spectrum.n} coupling spectrum |kappa|^2\n")
-        fh.write("# columns: hbar_omega_eV  value_eV\n")
-        if comment:
-            fh.write(f"# {comment}\n")
-        for w, v in zip(spectrum.grid, spectrum.values):
-            fh.write(f"{w:.12g} {v:.12g}\n")
-
-
-def load_spectrum(path, n: int = 1) -> CouplingSpectrum:
-    """Read a 2-column (eV, value) text file written by save_spectrum."""
-    data = np.loadtxt(path, comments="#", ndmin=2)
-    return CouplingSpectrum(n=n, grid=data[:, 0], values=data[:, 1])

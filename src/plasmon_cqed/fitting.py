@@ -1,10 +1,9 @@
-"""Levenberg-Marquardt least squares with numeric Jacobians.
+"""Least squares for the mode fits: MINPACK's lmdif (Levenberg-Marquardt with
+a forward-difference Jacobian; More, LNM 630, 1978) through
+scipy.optimize.leastsq.
 
-Damping starts at 1e-3 and adapts by factors of 10 (divide on an accepted
-step, multiply on a rejected one).  Convergence when the relative cost change
-drops below 1e-12 or the gradient infinity-norm below 1e-10.  Positive
-quantities are handled by the callers through log parametrization, so this
-core never needs bounds.
+Positive quantities are handled by the callers through log parametrization,
+so the fits never need bounds.
 """
 
 from __future__ import annotations
@@ -15,73 +14,38 @@ import numpy as np
 
 from .errors import FitFailureError
 
-LAMBDA0 = 1e-3
-COST_TOL = 1e-12
-GRAD_TOL = 1e-10
-MAX_ITER = 200
+FTOL = 1e-12
+XTOL = 1e-12
+GTOL = 1e-10
+SUCCESS_STATUSES = (1, 2, 3, 4)  # one of the three tolerances was met
 
 
 @dataclass
 class FitResult:
     params: np.ndarray
     cost: float
-    n_iter: int
-    converged: bool
+    n_iter: int  # residual evaluations
 
 
-def _jacobian(residual, x, r0):
-    m, n = r0.size, x.size
-    jac = np.empty((m, n))
-    for k in range(n):
-        step = 1e-7 * max(abs(x[k]), 1e-4)
-        xp = x.copy()
-        xp[k] += step
-        jac[:, k] = (residual(xp) - r0) / step
-    return jac
-
-
-def levenberg_marquardt(residual, x0, max_iter: int = MAX_ITER) -> FitResult:
+def levenberg_marquardt(residual, x0) -> FitResult:
     """Minimize 0.5*||residual(x)||^2 starting from x0.
 
-    Raises FitFailureError carrying the best iterate if max_iter is exhausted
-    without meeting either convergence criterion.
+    Any MINPACK status other than a met tolerance (the evaluation cap, or
+    tolerances too small to make further progress), and a non-finite cost,
+    which MINPACK reports as status 4, raise FitFailureError carrying the
+    best iterate and its cost.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    r = np.asarray(residual(x), dtype=float)
-    cost = 0.5 * float(r @ r)
-    lam = LAMBDA0
-    for it in range(1, max_iter + 1):
-        jac = _jacobian(residual, x, r)
-        grad = jac.T @ r
-        if np.max(np.abs(grad)) < GRAD_TOL:
-            return FitResult(params=x, cost=cost, n_iter=it, converged=True)
-        jtj = jac.T @ jac
-        diag = np.diag(jtj).copy()
-        diag[diag <= 0] = 1.0
-        accepted = False
-        for _ in range(60):
-            try:
-                step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            x_new = x + step
-            r_new = np.asarray(residual(x_new), dtype=float)
-            cost_new = 0.5 * float(r_new @ r_new)
-            if np.isfinite(cost_new) and cost_new < cost:
-                rel_drop = (cost - cost_new) / max(cost, 1e-300)
-                x, r, cost = x_new, r_new, cost_new
-                lam = max(lam / 10.0, 1e-14)
-                accepted = True
-                if rel_drop < COST_TOL:
-                    return FitResult(params=x, cost=cost, n_iter=it, converged=True)
-                break
-            lam *= 10.0
-        if not accepted:
-            # damping saturated: local minimum to solver precision
-            return FitResult(params=x, cost=cost, n_iter=it, converged=True)
-    raise FitFailureError(
-        f"Levenberg-Marquardt did not converge in {max_iter} iterations",
-        best_params=x,
-        best_cost=cost,
-    )
+    from scipy.optimize import leastsq
+
+    params, _, info, message, status = leastsq(
+        residual, np.asarray(x0, dtype=float), full_output=True,
+        ftol=FTOL, xtol=XTOL, gtol=GTOL)
+    cost = 0.5 * float(info["fvec"] @ info["fvec"])
+    if status not in SUCCESS_STATUSES or not np.isfinite(cost):
+        raise FitFailureError(
+            f"Levenberg-Marquardt stopped with MINPACK status {status}, "
+            f"cost {cost}: {' '.join(message.split())}",
+            best_params=params,
+            best_cost=cost,
+        )
+    return FitResult(params=params, cost=cost, n_iter=int(info["nfev"]))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, InvalidArgumentError, InvalidRateError
-from .heff import EffectiveHamiltonian
+from .heff import EffectiveHamiltonian, _propagate
 from .medium import EmitterSpec
 
 HERMITICITY_TOL = 1e-12
@@ -220,37 +220,15 @@ def evolve_master(liouvillian: np.ndarray, rho0: DensityMatrix,
                   times) -> list[DensityMatrix]:
     """Propagate the vectorized master equation exactly to the requested times.
 
-    L is constant, so v_k = expm(L dt_k) v_{k-1} with dt_k = t_k - t_{k-1} and
-    t_{-1} = 0: no time-stepping error, also where L is defective (exceptional
-    points).  One expm per distinct step; steps within a few ulp of the largest
-    time (the rounding of an evenly spaced grid) share their group's mean.
-    Every returned state is validated, in one stacked pass.
+    Exact expm steps of L (heff._propagate): no time-stepping error, also
+    where L is defective (exceptional points).  Every returned state is
+    validated, in one stacked pass.
     """
-    from scipy.linalg import expm
-
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or not np.all(np.isfinite(times)) \
-            or np.any(np.diff(times, prepend=0.0) < 0):
-        raise InvalidArgumentError(
-            "times must be a finite, nonnegative, nondecreasing 1-D grid")
     rho0.validate()
     dim = rho0.rho.shape[0]
-    steps = np.diff(times, prepend=0.0)
-    # Each group spans at most tol from its smallest step.
-    tol = 4.0 * np.spacing(np.max(times, initial=0.0))
-    group = np.empty(steps.size, dtype=int)
-    members = []
-    for i in np.argsort(steps, kind="stable"):
-        if not members or steps[i] - members[-1][0] > tol:
-            members.append([])
-        members[-1].append(steps[i])
-        group[i] = len(members) - 1
-    propagators = [expm(liouvillian * np.mean(m)) for m in members]
-    rhos = np.empty((times.size, dim, dim), dtype=complex)
-    vec = rho0.rho.flatten(order="F")
-    for k, g in enumerate(group):
-        vec = propagators[g] @ vec
-        rhos[k] = vec.reshape((dim, dim), order="F")
+    vecs = _propagate(liouvillian, rho0.rho.flatten(order="F"), times)
+    # column-stacked vectors back to matrices
+    rhos = vecs.reshape(-1, dim, dim).transpose(0, 2, 1)
     _validate_states(rhos)
     return [DensityMatrix(rho=rho, t=float(t)) for rho, t in zip(rhos, times)]
 

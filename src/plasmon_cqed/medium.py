@@ -230,15 +230,11 @@ def wavenumbers(geometry: Geometry, material: MaterialModel, omega) -> Wavenumbe
 
 @dataclass(frozen=True)
 class FreeSpaceRates:
-    """Eq.-evaluated free-space rates (eV) plus 1/s conversions."""
+    """Eq.-evaluated free-space rates (eV)."""
 
     gamma0_rad: float
     gamma0: float
     gamma0_nr: float
-
-    @property
-    def per_second(self):
-        return tuple(g / HBAR_EV_S for g in (self.gamma0_rad, self.gamma0, self.gamma0_nr))
 
 
 def free_space_rates(emitter: EmitterSpec, geometry: Geometry) -> FreeSpaceRates:
@@ -252,10 +248,3 @@ def free_space_rates(emitter: EmitterSpec, geometry: Geometry) -> FreeSpaceRates
     gamma0 = g_rad / emitter.eta
     return FreeSpaceRates(gamma0_rad=g_rad, gamma0=gamma0, gamma0_nr=gamma0 - g_rad)
 
-
-def rate_ev_to_per_s(gamma_ev: float) -> float:
-    return gamma_ev / HBAR_EV_S
-
-
-def rate_per_s_to_ev(gamma_per_s: float) -> float:
-    return gamma_per_s * HBAR_EV_S

@@ -22,7 +22,6 @@ scenario here needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,27 +171,6 @@ def spherical_yn_ladder(n_max: int, z) -> np.ndarray:
     return _order_major(y, z.shape)
 
 
-def spherical_bessel_j(n: int, z: complex) -> complex:
-    """Spherical Bessel function of the first kind, complex argument."""
-    return complex(spherical_jn_ladder(n, complex(z))[n])
-
-
-def spherical_hankel1(n: int, z: complex) -> complex:
-    """Spherical Hankel function of the first kind, h_n = j_n + i y_n."""
-    z = complex(z)
-    return complex(spherical_jn_ladder(n, z)[n] + 1j * spherical_yn_ladder(n, z)[n])
-
-
-@dataclass(frozen=True)
-class RiccatiBundle:
-    """psi_n, zeta_n and their derivatives at a single (n, z)."""
-
-    psi: complex
-    psi_prime: complex
-    zeta: complex
-    zeta_prime: complex
-
-
 def riccati_ladders(n_max: int, z):
     """(psi, psi', zeta, zeta') for orders 0..n_max at every element of z,
     each of shape z.shape + (n_max + 1,).
@@ -214,14 +192,3 @@ def riccati_ladders(n_max: int, z):
     psi_prime = z * j_lower - orders * j
     zeta_prime = z * h_lower - orders * h
     return psi, psi_prime, zeta, zeta_prime
-
-
-def riccati_bundle(n: int, z: complex) -> RiccatiBundle:
-    """Riccati-Bessel bundle {psi_n, psi'_n, zeta_n, zeta'_n} at z."""
-    psi, psip, zeta, zetap = riccati_ladders(n, complex(z))
-    return RiccatiBundle(
-        psi=complex(psi[n]),
-        psi_prime=complex(psip[n]),
-        zeta=complex(zeta[n]),
-        zeta_prime=complex(zetap[n]),
-    )

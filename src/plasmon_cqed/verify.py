@@ -53,7 +53,7 @@ from .mie import (
 )
 from .specfun import (
     double_factorial,
-    riccati_bundle,
+    riccati_ladders,
     spherical_jn_ladder,
     spherical_yn_ladder,
 )
@@ -109,14 +109,15 @@ def check_riccati_derivatives() -> CheckResult:
     # central finite differences on psi, zeta with step 1e-6
     step = 1e-6
     worst = 0.0
-    for n, z in [(2, 1.0 + 1.0j), (1, 0.4 + 0.1j), (6, 3.0 - 0.8j)]:
-        b = riccati_bundle(n, z)
-        fd_psi = (riccati_bundle(n, z + step).psi
-                  - riccati_bundle(n, z - step).psi) / (2 * step)
-        fd_zeta = (riccati_bundle(n, z + step).zeta
-                   - riccati_bundle(n, z - step).zeta) / (2 * step)
-        worst = max(worst, abs(b.psi_prime - fd_psi) / max(abs(fd_psi), 1e-30),
-                    abs(b.zeta_prime - fd_zeta) / max(abs(fd_zeta), 1e-30))
+    for n, z in [(2, 1.0 + 1.0j), (1, 0.4 + 0.1j), (6, 3.0 - 0.8j),
+                 (4, 2.5 - 0.5j)]:
+        psi, psi_prime, zeta, zeta_prime = riccati_ladders(
+            n, np.array([z, z + step, z - step]))
+        fd_psi = (psi[1, n] - psi[2, n]) / (2 * step)
+        fd_zeta = (zeta[1, n] - zeta[2, n]) / (2 * step)
+        worst = max(worst,
+                    float(abs(psi_prime[0, n] - fd_psi) / max(abs(fd_psi), 1e-30)),
+                    float(abs(zeta_prime[0, n] - fd_zeta) / max(abs(fd_zeta), 1e-30)))
     return CheckResult("riccati-derivatives", worst < 1e-8,
                        f"max rel err {worst:.2e}")
 

@@ -12,10 +12,8 @@ from plasmon_cqed.coupling import (
     fit_fano_rate,
     fit_lorentzian,
     kappa_spectrum,
-    load_spectrum,
     lorentzian_kappa2,
     rate_spectrum_lsp,
-    save_spectrum,
 )
 from plasmon_cqed.errors import FitFailureError, InvalidArgumentError
 from plasmon_cqed.medium import EmitterSpec, Geometry
@@ -199,16 +197,6 @@ class TestFanoSplit:
 
 
 class TestSpectrumIO:
-    def test_roundtrip(self, tmp_path):
-        grid = np.linspace(2.4, 3.0, 61)
-        spec = CouplingSpectrum(n=2, grid=grid,
-                                values=lorentzian_kappa2(grid, 2.7, 0.05, 0.01))
-        path = tmp_path / "spec.dat"
-        save_spectrum(path, spec, comment="test")
-        loaded = load_spectrum(path, n=2)
-        np.testing.assert_allclose(loaded.grid, spec.grid, rtol=1e-10)
-        np.testing.assert_allclose(loaded.values, spec.values, rtol=1e-10)
-
     def test_fit_failure_carries_best_iterate(self):
         grid = np.linspace(2.0, 3.0, 60)
         with pytest.raises(FitFailureError):

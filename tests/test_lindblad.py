@@ -12,8 +12,15 @@ from plasmon_cqed.errors import (
     ContractViolationError,
     InvalidArgumentError,
     InvalidRateError,
+    NearDefectiveError,
 )
-from plasmon_cqed.heff import build_fano, build_standard, evolve
+from plasmon_cqed.heff import (
+    EXPANSION_TOL,
+    build_fano,
+    build_standard,
+    evolve,
+    polarization_spectrum,
+)
 from plasmon_cqed.lindblad import (
     DensityMatrix,
     build_dissipators,
@@ -225,6 +232,8 @@ class TestEvolveMaster:
     def test_exceptional_point(self, factor):
         # g = (Gamma - gamma0)/4 at zero detuning makes H_eff (and the
         # Liouvillian) defective; the propagation must not care
+        from scipy.linalg import expm
+
         emitter = EmitterSpec(omega0=2.5, d_eg=8.0, eta=0.7, gamma0=0.01)
         gamma = 0.1
         modes = [ModeParams(n=1, omega_n=2.5, gamma_n=gamma,
@@ -239,6 +248,22 @@ class TestEvolveMaster:
         for s, r in zip(states, ref):
             s.validate()
             np.testing.assert_allclose(s.rho, r, atol=1e-7)
+        # H_eff route: exact expm steps at the point itself, the
+        # eigen-expansion (within its EXPANSION_TOL) just off it
+        h_eff = effective_hamiltonian_from_lindblad(h_s, dis)
+        psi0 = np.array([1.0, 0.0], dtype=complex)
+        amps = evolve(h_eff, psi0, times)
+        tol = 1e-12 if factor == 1.0 else EXPANSION_TOL
+        for t, a, s in zip(times, amps, states):
+            psi = np.array([a.c_e, *a.c_n])
+            np.testing.assert_allclose(
+                psi, expm(-1j * h_eff.matrix * t) @ psi0, rtol=0, atol=tol)
+            np.testing.assert_allclose(
+                single_excitation_projection(s), np.outer(psi, psi.conj()),
+                rtol=0, atol=1e-6)
+        if factor == 1.0:
+            with pytest.raises(NearDefectiveError):
+                polarization_spectrum(h_eff, np.linspace(2.3, 2.7, 101))
 
     @pytest.mark.parametrize("times", [
         np.array([0.0, 2.0, 1.0]), np.array([-1.0, 0.0]),

