@@ -199,12 +199,14 @@ def evolve(h: EffectiveHamiltonian, psi0, times) -> list[AmplitudeState]:
 
 
 def _propagate(generator: np.ndarray, v0: np.ndarray, times) -> np.ndarray:
-    """v(t_k) of dv/dt = G v with v(0) = v0, shape (len(times), v0.size).
+    """v(t_k) of dv/dt = G v with v(0) = v0, shape (len(times),) + v0.shape.
 
-    G is constant, so v_k = expm(G dt_k) v_{k-1} with dt_k = t_k - t_{k-1} and
-    t_{-1} = 0: no time-stepping error, also where G is defective (exceptional
-    points).  One expm per distinct step; steps within a few ulp of the largest
-    time (the rounding of an evenly spaced grid) share their group's mean.
+    v0 is a vector or a matrix whose columns evolve alone (v0 = I gives the
+    propagators expm(G t_k) themselves).  G is constant, so
+    v_k = expm(G dt_k) v_{k-1} with dt_k = t_k - t_{k-1} and t_{-1} = 0: no
+    time-stepping error, also where G is defective (exceptional points).  One
+    expm per distinct step; steps within a few ulp of the largest time (the
+    rounding of an evenly spaced grid) share their group's mean.
     """
     from scipy.linalg import expm
 
@@ -224,11 +226,10 @@ def _propagate(generator: np.ndarray, v0: np.ndarray, times) -> np.ndarray:
         members[-1].append(steps[i])
         group[i] = len(members) - 1
     propagators = [expm(generator * np.mean(m)) for m in members]
-    out = np.empty((times.size, v0.size), dtype=complex)
+    out = np.empty((times.size,) + v0.shape, dtype=complex)
     vec = v0
     for k, g in enumerate(group):
-        vec = propagators[g] @ vec
-        out[k] = vec
+        vec = np.matmul(propagators[g], vec, out=out[k])
     return out
 
 

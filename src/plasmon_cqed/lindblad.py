@@ -8,6 +8,18 @@ excitation downward, so the ground population only grows.
 The paper-style dissipators carry the 1/2 convention folded in; they equal
 the standard Lindblad form D[c]rho = c rho c+ - {c+c, rho}/2 with c = sqrt(rate)*op,
 which is what is assembled below.
+
+Propagation works on the sectors of the Liouvillian, not on the whole
+(N+2)^2 matrix.  Every collapse operator maps the single-excitation block
+onto |g,0>, so the jump terms c rho c+ only feed |g,0><g,0|, and the rest
+evolves under A = -i H_eff alone:
+
+    rho_1(t)  = U rho_1(0) U+        (single-excitation block)
+    rho_k0(t) = U rho_k0(0)          (coherences with |g,0>; rho_0k conjugate)
+    rho_00(t) = tr rho(0) - tr rho_1(t)
+
+with U = expm(-i H_eff t), of side N+1.  evolve_master reads -i H_eff off the
+assembled Liouvillian and checks that the Liouvillian has this form.
 """
 
 from __future__ import annotations
@@ -24,6 +36,7 @@ from .medium import EmitterSpec
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-9
 POSITIVITY_FLOOR = -1e-9
+GENERATOR_TOL = 1e-12  # sector-form residual of a Liouvillian, relative to max|L|
 
 
 @dataclass(frozen=True)
@@ -164,17 +177,25 @@ def dissipator_action(channel: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def build_liouvillian(h_s: np.ndarray, dissipators: DissipatorSpec,
                       space: StateSpace) -> np.ndarray:
-    """Column-stacked superoperator: d vec(rho)/dt = L vec(rho)."""
+    """Column-stacked superoperator: d vec(rho)/dt = L vec(rho).
+
+    L = I (x) A + conj(A) (x) I + sum_c conj(c) (x) c with A = -i H_S - K/2 and
+    K = sum_c c+c, since vec(X rho Y) = (Y^T (x) X) vec(rho).  Both channel
+    sums are single contractions over the stacked channels.
+    """
     h_s = np.asarray(h_s, dtype=complex)
     if np.max(np.abs(h_s - h_s.conj().T)) > HERMITICITY_TOL:
         raise ContractViolationError("system Hamiltonian must be hermitian")
     dim = space.dim
     eye = np.eye(dim)
-    liou = -1j * (np.kron(eye, h_s) - np.kron(h_s.T, eye))
-    for _, c in dissipators.channels:
-        cdc = c.conj().T @ c
-        liou += np.kron(c.conj(), c) \
-            - 0.5 * (np.kron(eye, cdc) + np.kron(cdc.T, eye))
+    chans = np.array([c for _, c in dissipators.channels],
+                     dtype=complex).reshape(-1, dim, dim)
+    a = -1j * h_s - 0.5 * np.tensordot(chans.conj(), chans, axes=([0, 1], [0, 1]))
+    # [j, l, i, k] = sum_c conj(c_jl) c_ik -> kron row j*d + i, column l*d + k
+    jumps = np.tensordot(chans.conj(), chans, axes=(0, 0))
+    liou = np.kron(eye, a)
+    liou += np.kron(a.conj(), eye)
+    liou += jumps.transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
     return liou
 
 
@@ -216,21 +237,65 @@ def _validate_states(rhos: np.ndarray) -> None:
         raise ContractViolationError("density matrix not positive semidefinite")
 
 
+def _sector_generator(liouvillian: np.ndarray, dim: int) -> np.ndarray:
+    """-i H_eff = L[1:d, 1:d], the block acting on the coherences rho_k0.
+
+    Raises ContractViolationError unless L = I (x) A + conj(A) (x) I off row 0
+    (A is that block padded by a zero row and column; row 0 is the jump feed
+    into |g,0><g,0|) and vec(I)^T L = 0: the form the sector propagation of
+    evolve_master is exact for.
+    """
+    if liouvillian.shape != (dim * dim, dim * dim):
+        raise ContractViolationError(
+            f"Liouvillian of shape {liouvillian.shape} for a {dim}x{dim} state")
+    gen = liouvillian[1:dim, 1:dim]
+    a = np.zeros((dim, dim), dtype=complex)
+    a[1:, 1:] = gen
+    eye = np.eye(dim)
+    off = np.kron(eye, a)
+    off += np.kron(a.conj(), eye)
+    off -= liouvillian
+    off[0] = 0.0
+    tol = GENERATOR_TOL * np.max(np.abs(liouvillian), initial=0.0)
+    if np.max(np.abs(off)) > tol:
+        raise ContractViolationError(
+            "Liouvillian couples |g,0> to the single-excitation sector")
+    # the rows of the diagonal entries rho_ii sum to vec(I)^T L
+    if np.max(np.abs(liouvillian[::dim + 1].sum(axis=0))) > tol:
+        raise ContractViolationError("Liouvillian does not preserve the trace")
+    return gen
+
+
+def _sector_states(props: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """(k, d, d) states from rho at t = 0 and the stacked sector propagators
+    U(t_k), by the block formulas of the module docstring."""
+    dim = rho.shape[0]
+    out = np.empty((props.shape[0], dim, dim), dtype=complex)
+    # a contiguous adjoint stack multiplies about twice as fast
+    adjoints = np.ascontiguousarray(props.conj().transpose(0, 2, 1))
+    np.matmul(props @ rho[1:, 1:], adjoints, out=out[:, 1:, 1:])
+    out[:, 1:, 0] = props @ rho[1:, 0]
+    out[:, 0, 1:] = out[:, 1:, 0].conj()
+    out[:, 0, 0] = np.trace(rho) - np.trace(out[:, 1:, 1:], axis1=1, axis2=2)
+    return out
+
+
 def evolve_master(liouvillian: np.ndarray, rho0: DensityMatrix,
                   times) -> list[DensityMatrix]:
     """Propagate the vectorized master equation exactly to the requested times.
 
-    Exact expm steps of L (heff._propagate): no time-stepping error, also
-    where L is defective (exceptional points).  Every returned state is
-    validated, in one stacked pass.
+    By sectors (module docstring): the propagators U(t_k) = expm(-i H_eff t_k)
+    of side N+1 come from exact expm steps (heff._propagate), so there is no
+    time-stepping error, also where H_eff is defective (exceptional points).
+    Every returned state is validated, in one stacked pass.
     """
     rho0.validate()
     dim = rho0.rho.shape[0]
-    vecs = _propagate(liouvillian, rho0.rho.flatten(order="F"), times)
-    # column-stacked vectors back to matrices
-    rhos = vecs.reshape(-1, dim, dim).transpose(0, 2, 1)
+    gen = _sector_generator(np.asarray(liouvillian), dim)
+    # the propagator stack is freed before the validation pass
+    rhos = _sector_states(_propagate(gen, np.eye(dim - 1), times), rho0.rho)
     _validate_states(rhos)
-    return [DensityMatrix(rho=rho, t=float(t)) for rho, t in zip(rhos, times)]
+    return [DensityMatrix(rho=r, t=float(t)) for r, t in zip(rhos, times)]
 
 
 def effective_hamiltonian_from_lindblad(h_s: np.ndarray,

@@ -33,6 +33,7 @@ from .medium import (
 from .specfun import (
     double_factorial,
     riccati_ladders,
+    riccati_psi,
     spherical_jn_ladder,
     spherical_yn_ladder,
 )
@@ -59,7 +60,7 @@ def _mie_ab_ladders(n_max: int, wn: Wavenumbers, radius: float):
     zb = wn.kb * radius
     zm = wn.km * radius
     psi_b, psip_b, zeta_b, zetap_b = riccati_ladders(n_max, zb)
-    psi_m, psip_m, _, _ = riccati_ladders(n_max, zm)
+    psi_m, psip_m = riccati_psi(n_max, zm)  # A_n, B_n need no y_n at k_m R
     kb, km, zb, zm = (_column(v) for v in (wn.kb, wn.km, zb, zm))
     j_b = psi_b / zb
     h_b = zeta_b / zb
@@ -229,29 +230,21 @@ def qs_polarizability(n: int, omega, geometry: Geometry,
     return alpha_qs, alpha_eff
 
 
-def qs_resonance_frequency(n: int, material: MaterialModel, eps_b: float,
-                           tol: float = 1e-6) -> float:
-    """Root of Re(n eps_m(w) + (n+1) eps_b) = 0 by bisection over (0.1, omega_p).
+def qs_resonance_frequency(n: int, material: MaterialModel, eps_b: float) -> float:
+    """Root of Re(n eps_m(w) + (n+1) eps_b) = 0 in (0.1, omega_p).
 
-    This is the denominator-zero condition of the multipolar polarizability;
-    for a lossless eps_inf=1 Drude metal it gives omega_p*sqrt(n/(2n+1)).
+    This is the denominator-zero condition of the multipolar polarizability.
+    For a Drude metal Re eps_m = eps_inf - omega_p^2/(w^2 + gamma^2), so
+    w^2 = n omega_p^2/(n eps_inf + (n+1) eps_b) - gamma^2; for a lossless
+    eps_inf=1 metal that is omega_p*sqrt(n/(2n+1)).
     """
     if material.kind != "drude":
         raise InvalidArgumentError("quasi-static closed forms assume a Drude metal")
-
-    def f(w):
-        return n * permittivity(material, w).real + (n + 1) * eps_b
-
-    lo, hi = 0.1, material.omega_p
-    if not (f(lo) < 0 < f(hi)):
+    denom = n * material.eps_inf + (n + 1) * eps_b
+    w_sq = n * material.omega_p**2 / denom - material.gamma_p**2 if denom > 0 else 0.0
+    if not 0.1**2 < w_sq < material.omega_p**2:
         raise NoResonanceError(f"no quasi-static resonance for n={n} in (0.1, omega_p)")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return math.sqrt(w_sq)
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,23 @@ def spherical_yn_ladder(n_max: int, z) -> np.ndarray:
     return _order_major(y, z.shape)
 
 
+def _riccati_pair(f: np.ndarray, f_minus1: np.ndarray, z: np.ndarray):
+    """(z f_n, z f_{n-1} - n f_n) over the orders of the ladder f, given
+    f_{-1} at each element of z."""
+    orders = np.arange(f.shape[-1])
+    z = z[..., None]
+    lower = np.concatenate((f_minus1[..., None], f[..., :-1]), axis=-1)
+    return z * f, z * lower - orders * f
+
+
+def riccati_psi(n_max: int, z):
+    """(psi, psi') for orders 0..n_max at every element of z, each of shape
+    z.shape + (n_max + 1,); the regular half of riccati_ladders, with no y_n
+    ladder."""
+    z = _check_arguments(z)
+    return _riccati_pair(spherical_jn_ladder(n_max, z), np.cos(z) / z, z)
+
+
 def riccati_ladders(n_max: int, z):
     """(psi, psi', zeta, zeta') for orders 0..n_max at every element of z,
     each of shape z.shape + (n_max + 1,).
@@ -181,14 +198,6 @@ def riccati_ladders(n_max: int, z):
     """
     z = _check_arguments(z)
     j = spherical_jn_ladder(n_max, z)
-    y = spherical_yn_ladder(n_max, z)
-    h = j + 1j * y
-    orders = np.arange(n_max + 1)
-    z = z[..., None]
-    j_lower = np.concatenate((np.cos(z) / z, j[..., :-1]), axis=-1)
-    h_lower = np.concatenate((np.exp(1j * z) / z, h[..., :-1]), axis=-1)
-    psi = z * j
-    zeta = z * h
-    psi_prime = z * j_lower - orders * j
-    zeta_prime = z * h_lower - orders * h
-    return psi, psi_prime, zeta, zeta_prime
+    h = j + 1j * spherical_yn_ladder(n_max, z)
+    return _riccati_pair(j, np.cos(z) / z, z) \
+        + _riccati_pair(h, np.exp(1j * z) / z, z)

@@ -148,7 +148,15 @@ def check_qs_resonance() -> CheckResult:
         ref = 5.0 * math.sqrt(n / (2 * n + 1))
         ours = qs_resonance_frequency(n, metal, 1.0)
         worst = max(worst, abs(ours - ref) / ref)
-    return CheckResult("qs-resonance", worst < 1e-6, f"max rel err {worst:.2e}")
+    # the closed form against the permittivity it solves, lossy metals included
+    residual = 0.0
+    for material, eps_b in ((metal, 1.0), (silver(), 1.0), (silver(), 1.77)):
+        for n in range(1, 7):
+            eps_m = permittivity(material, qs_resonance_frequency(n, material, eps_b))
+            scale = n * abs(eps_m.real) + (n + 1) * eps_b
+            residual = max(residual, abs(n * eps_m.real + (n + 1) * eps_b) / scale)
+    return CheckResult("qs-resonance", worst < 1e-6 and residual <= 1e-12,
+                       f"max rel err {worst:.2e}, residual {residual:.2e}")
 
 
 def check_qs_mie_agreement() -> CheckResult:

@@ -2,8 +2,11 @@
 
 rk45_master     the master equation integrated by adaptive Runge-Kutta 5(4)
                 (scipy solve_ivp), tolerances an order below the state
-                validation floors; checks the expm propagator of
-                lindblad.evolve_master.
+                validation floors; checks lindblad.evolve_master.
+expm_master     the master equation propagated by expm(L dt) of the full
+                (N+2)^2 Liouvillian on vec(rho), one step per grid interval;
+                checks the sector propagation of lindblad.evolve_master to
+                rounding.
 resolvent_loop  one np.linalg.solve per grid point; checks the stacked
                 solves of heff.amplitude_response, which must equal it
                 exactly.
@@ -11,6 +14,7 @@ resolvent_loop  one np.linalg.solve per grid point; checks the stacked
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from plasmon_cqed.errors import SingularityError
 
@@ -31,6 +35,23 @@ def rk45_master(liouvillian, rho0, times):
     if not sol.success:
         raise RuntimeError(f"RK45 failed: {sol.message}")
     return sol.y.T.reshape(-1, dim, dim).transpose(0, 2, 1)
+
+
+def expm_master(liouvillian, rho0, times):
+    """(len(times), d, d) states vec(rho_k) = expm(L (t_k - t_{k-1})) vec(rho_{k-1})
+    from rho0 at t = 0, column-stacked vectorization; not validated."""
+    times = np.asarray(times, dtype=float)
+    rho0 = np.asarray(rho0, dtype=complex)
+    dim = rho0.shape[0]
+    steps = {}
+    vec = rho0.flatten(order="F")
+    out = np.empty((times.size, dim * dim), dtype=complex)
+    for k, dt in enumerate(np.diff(times, prepend=0.0)):
+        if dt not in steps:
+            steps[dt] = expm(liouvillian * dt)
+        vec = steps[dt] @ vec
+        out[k] = vec
+    return out.reshape(-1, dim, dim).transpose(0, 2, 1)
 
 
 def resolvent_loop(h, grid):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import synthetic_modes
-from slow_oracle import rk45_master
+from slow_oracle import expm_master, rk45_master
 from plasmon_cqed.coupling import ModeParams
 from plasmon_cqed.errors import (
     ContractViolationError,
@@ -23,6 +23,7 @@ from plasmon_cqed.heff import (
 )
 from plasmon_cqed.lindblad import (
     DensityMatrix,
+    _validate_states,
     build_dissipators,
     build_liouvillian,
     build_state_space,
@@ -41,8 +42,32 @@ def emitter():
     return EmitterSpec(omega0=2.5, d_eg=8.0, eta=0.7, gamma0=0.01)
 
 
+KINDS = ("standard", "fano_radiative", "fano_full")
+GRIDS = {
+    "uniform": np.linspace(0, 100, 11),
+    "nonuniform": np.array([0.0, 0.3, 1.0, 7.5, 40.0, 41.0, 100.0]),
+    "offset": np.linspace(5.0, 120.0, 17),
+}
+
+
 def fano_modes(rng, n_modes, emitter):
     return synthetic_modes(rng, n_modes, fano=True, emitter=emitter)
+
+
+def mixed_state(rng, dim):
+    """Full-rank rho: ground population and |g,0>-sector coherences nonzero."""
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = m @ m.conj().T
+    return DensityMatrix(rho=rho / np.trace(rho).real)
+
+
+def liouvillian_for(kind, n_modes, emitter, seed):
+    rng = np.random.default_rng(seed)
+    modes = fano_modes(rng, n_modes, emitter)
+    space = build_state_space(n_modes)
+    h_s = build_system_hamiltonian(modes, emitter, space)
+    dis = build_dissipators(kind, modes, emitter, space)
+    return h_s, dis, space, build_liouvillian(h_s, dis, space)
 
 
 class TestStateSpace:
@@ -174,6 +199,21 @@ class TestLiouvillian:
         vec_id = np.eye(space.dim).flatten(order="F")
         assert float(np.max(np.abs(vec_id @ liou))) < 1e-12
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n_modes", [0, 1, 5])
+    def test_matches_dissipator_action(self, emitter, kind, n_modes):
+        # L vec(rho) = vec(-i[H_S, rho] + sum D[c] rho), channel by channel
+        h_s, dis, space, liou = liouvillian_for(kind, n_modes, emitter,
+                                                [n_modes, KINDS.index(kind)])
+        rng = np.random.default_rng(43)
+        rho = rng.standard_normal((space.dim,) * 2) \
+            + 1j * rng.standard_normal((space.dim,) * 2)
+        rho = 0.5 * (rho + rho.conj().T)
+        expect = -1j * (h_s @ rho - rho @ h_s) \
+            + sum(dissipator_action(c, rho) for _, c in dis.channels)
+        np.testing.assert_allclose(liou @ rho.flatten(order="F"),
+                                   expect.flatten(order="F"), rtol=0, atol=1e-14)
+
     def test_dark_steady_state(self, emitter):
         rng = np.random.default_rng(19)
         space = build_state_space(2)
@@ -210,11 +250,7 @@ class TestEvolveMaster:
         ground = [s.population(0) for s in states]
         assert all(b >= a - 1e-9 for a, b in zip(ground, ground[1:]))
 
-    @pytest.mark.parametrize("times", [
-        np.linspace(0, 100, 11),
-        np.array([0.0, 0.3, 1.0, 7.5, 40.0, 41.0, 100.0]),
-        np.linspace(5.0, 120.0, 17),
-    ], ids=["uniform", "nonuniform", "offset"])
+    @pytest.mark.parametrize("times", GRIDS.values(), ids=GRIDS.keys())
     def test_matches_rk45_reference(self, emitter, times):
         rng = np.random.default_rng(29)
         space = build_state_space(2)
@@ -227,6 +263,20 @@ class TestEvolveMaster:
         assert [s.t for s in states] == list(times)
         for s, r in zip(states, ref):
             np.testing.assert_allclose(s.rho, r, atol=1e-7)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("n_modes", [0, 1, 5, 12])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_full_matrix_expm(self, emitter, kind, n_modes, grid):
+        _, _, space, liou = liouvillian_for(kind, n_modes, emitter,
+                                            [n_modes, KINDS.index(kind)])
+        times = GRIDS[grid]
+        rng = np.random.default_rng([n_modes, 99])
+        for rho0 in (pure_state(space, 1), mixed_state(rng, space.dim)):
+            states = evolve_master(liou, rho0, times)
+            np.testing.assert_allclose(np.array([s.rho for s in states]),
+                                       expm_master(liou, rho0.rho, times),
+                                       rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("factor", [1.0, 1.0 + 1e-6])
     def test_exceptional_point(self, factor):
@@ -248,6 +298,11 @@ class TestEvolveMaster:
         for s, r in zip(states, ref):
             s.validate()
             np.testing.assert_allclose(s.rho, r, atol=1e-7)
+        mixed = mixed_state(np.random.default_rng(47), space.dim)
+        for rho0 in (pure_state(space, 1), mixed):
+            np.testing.assert_allclose(
+                np.array([s.rho for s in evolve_master(liou, rho0, times)]),
+                expm_master(liou, rho0.rho, times), rtol=0, atol=1e-12)
         # H_eff route: exact expm steps at the point itself, the
         # eigen-expansion (within its EXPANSION_TOL) just off it
         h_eff = effective_hamiltonian_from_lindblad(h_s, dis)
@@ -278,20 +333,37 @@ class TestEvolveMaster:
         with pytest.raises(InvalidArgumentError):
             evolve_master(liou, pure_state(space, 1), times)
 
+    def test_rejects_trace_loss(self, emitter):
+        # without its jump feed into |g,0><g,0| (row 0) the decay loses trace
+        _, _, space, liou = liouvillian_for("standard", 2, emitter, 53)
+        no_feed = liou.copy()
+        no_feed[0] = 0.0
+        with pytest.raises(ContractViolationError, match="trace"):
+            evolve_master(no_feed, pure_state(space, 1), [0.0, 1.0])
+
+    def test_rejects_ground_sector_coupling(self, emitter):
+        # a coherent drive between |g,0> and |e,0> is hermitian and keeps the
+        # trace, but mixes the ground state into the sector dynamics
+        h_s, dis, space, _ = liouvillian_for("fano_full", 2, emitter, 59)
+        driven = h_s.copy()
+        driven[0, 1] = driven[1, 0] = 0.01
+        liou = build_liouvillian(driven, dis, space)
+        with pytest.raises(ContractViolationError, match="couples"):
+            evolve_master(liou, pure_state(space, 1), [0.0, 1.0])
+
     @pytest.mark.parametrize("scale, message", [
         (1j, "not hermitian"),
         (-1.0, "not positive semidefinite"),
         (3.0, "outside"),
     ])
     def test_stacked_validation_names_the_failure(self, scale, message):
-        # bare jump term c rho c+ (no anticommutator) with c = sigma_ge:
-        # scaled by i it makes rho anti-hermitian, by -1 a negative ground
-        # population, by 3 a trace above 1
+        # a half-decayed state after the initial one, its ground population
+        # scaled: by i it is not hermitian, by -1 negative (trace 0), by 3
+        # the trace is 2
         space = build_state_space(0)
-        c = space.sigma_ge
-        liou = scale * np.kron(c.conj(), c)
+        bad = np.diag([0.5 * scale, 0.5])
         with pytest.raises(ContractViolationError, match=message):
-            evolve_master(liou, pure_state(space, 1), [0.0, 0.5])
+            _validate_states(np.array([pure_state(space, 1).rho, bad]))
 
 
 class TestEquivalence:
