@@ -4,7 +4,10 @@ for leaky (large) ones.
 
 Fitting works per mode on the per-n terms of the scattered Green function,
 so overlapping resonances never require multi-peak deconvolution -- the
-modal decomposition separates them exactly.
+modal decomposition separates them exactly.  Term n factorises as
+B_n(omega; R, eps_b, metal) times a Hankel factor of k_b r_d, and each
+mode's fit window depends on the sphere alone, so a distance sweep builds
+B_n once per mode window (extract_mode_sweep over mie.green_rr_sweep).
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from .constants import DIPOLE_SQ_OVER_EPS0, HBAR_C_EV_NM
 from .errors import FitFailureError, InvalidArgumentError
 from .fitting import levenberg_marquardt
 from .medium import EmitterSpec, Geometry, MaterialModel, radiative_rate
-from .mie import green_rr_terms, qs_mode_params, radial_mode_fractions
+from .mie import (green_rr_sweep, green_rr_terms, qs_mode_params,
+                  radial_mode_fractions)
 # unused here; perfbench/tests/test_bench_tracing.py asserts that the tracer
 # swaps this binding, so it goes when that assertion does
 from .mie import green_rr_scattered  # noqa: F401
@@ -85,11 +89,15 @@ def kappa_spectrum(n: int, grid, geometry: Geometry, material: MaterialModel,
     evaluated, in one array call over the whole grid.
     """
     grid = np.asarray(grid, dtype=float)
+    term = green_rr_terms(grid, geometry, material, n)[..., n - 1]
+    return CouplingSpectrum(n=n, grid=grid, values=_kappa2(grid, term, emitter))
+
+
+def _kappa2(grid, term, emitter: EmitterSpec) -> np.ndarray:
+    """|kappa_wn|^2 = (k0^2 d^2/ pi eps0) Im G_n from the Green term G_n on grid."""
     u = emitter.d_eg**2 * DIPOLE_SQ_OVER_EPS0
     k0 = grid / HBAR_C_EV_NM
-    term = green_rr_terms(grid, geometry, material, n)[..., n - 1]
-    values = k0**2 * u / math.pi * term.imag
-    return CouplingSpectrum(n=n, grid=grid, values=values)
+    return k0**2 * u / math.pi * term.imag
 
 
 def lorentzian_kappa2(grid, omega_n: float, gamma_n: float, g: float):
@@ -149,27 +157,44 @@ def default_mode_window(n: int, geometry: Geometry, material: MaterialModel,
     return np.linspace(lo, qs.omega_n + half, points)
 
 
-def extract_modes(n_modes: int, geometry: Geometry, material: MaterialModel,
-                  emitter: EmitterSpec, windows=None) -> list[ModeParams]:
-    """Lorentzian-fit the first n_modes coupling spectra, windows auto-centered
-    on the quasi-static resonance estimates unless given explicitly."""
+def extract_mode_sweep(n_modes: int, geometries, material: MaterialModel,
+                       emitter: EmitterSpec) -> list[list[ModeParams]]:
+    """Lorentzian-fit the first n_modes coupling spectra at each emitter
+    position around one sphere; entry i holds the modes at geometries[i].
+
+    Each window is auto-centered on the quasi-static resonance estimate,
+    which depends on the sphere alone, so mode n costs one window, one
+    green_rr_sweep over every distance (one B_n build) and one fit per
+    distance.  Every failed fit is collected and reported with its h.
+    """
     if n_modes < 1:
         raise InvalidArgumentError("n_modes must be >= 1")
-    modes = []
+    geometries = list(geometries)
+    if not geometries:
+        raise InvalidArgumentError("a mode sweep needs at least one geometry")
+    modes = [[] for _ in geometries]
     failures = []
     for n in range(1, n_modes + 1):
-        grid = windows[n - 1] if windows is not None else \
-            default_mode_window(n, geometry, material)
-        try:
-            spectrum = kappa_spectrum(n, grid, geometry, material, emitter)
-            modes.append(fit_lorentzian(spectrum))
-        except FitFailureError as exc:
-            failures.append((n, exc))
+        grid = default_mode_window(n, geometries[0], material)
+        terms = green_rr_sweep(grid, geometries, material, n)[..., n - 1]
+        for found, geometry, term in zip(modes, geometries, terms):
+            try:
+                found.append(fit_lorentzian(CouplingSpectrum(
+                    n=n, grid=grid, values=_kappa2(grid, term, emitter))))
+            except FitFailureError as exc:
+                failures.append((n, geometry.h, exc))
     if failures:
-        failed = ", ".join(f"LSP_{n}" for n, _ in failures)
+        failed = ", ".join(f"LSP_{n} at h={h:g} nm" for n, h, _ in failures)
         raise FitFailureError(f"mode fits failed for {failed}",
-                              best_params=[exc for _, exc in failures])
+                              best_params=[exc for *_, exc in failures])
     return modes
+
+
+def extract_modes(n_modes: int, geometry: Geometry, material: MaterialModel,
+                  emitter: EmitterSpec) -> list[ModeParams]:
+    """Lorentzian-fit the first n_modes coupling spectra at one emitter
+    position: the one-geometry case of extract_mode_sweep."""
+    return extract_mode_sweep(n_modes, [geometry], material, emitter)[0]
 
 
 def rate_spectrum_lsp(n: int, grid, geometry: Geometry, material: MaterialModel,

@@ -4,13 +4,14 @@ analytic coupling strengths).
 
 Only the radial-radial component matters here: the emitter dipole is radially
 oriented, so the M (TE) vector harmonics drop out and the scattered Green
-function reduces to a single sum over the B_n coefficients.
+function reduces to a single sum over the B_n coefficients.  Each term is
+B_n(omega; R, eps_b, metal) times a Hankel factor of k_b r_d, so emitters at
+several distances from one sphere share one B_n build (green_rr_sweep).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,6 @@ from .medium import (
     MaterialModel,
     Wavenumbers,
     permittivity,
-    radiative_rate,
     wavenumbers,
 )
 from .specfun import (
@@ -106,41 +106,59 @@ def _green_term_quasistatic(n, omega, geometry, material):
         4 * math.pi * kb**2 * geometry.r_d**3)
 
 
-def green_rr_terms(omega, geometry: Geometry, material: MaterialModel,
+def green_rr_sweep(omega, geometries, material: MaterialModel,
                    n_max: int = DEFAULT_N_MAX) -> np.ndarray:
-    """Per-multipole terms of G_S^rr(r_d, r_d) at every frequency of omega.
+    """Per-multipole terms of G_S^rr(r_d, r_d) for emitters at several r_d
+    around one sphere, at every frequency of omega.
 
-    Term n is (i k_b/4pi) n(n+1)(2n+1) B_n [h_n(k_b r_d)/(k_b r_d)]^2, in 1/nm;
-    the result has shape omega.shape + (n_max,), column n-1 holding order n.
-    All frequencies share one ladder evaluation per argument kind (k_b R,
-    k_m R, k_b r_d), with the specfun rules applied per element.
+    Term n is B_n(omega; R, eps_b, metal) times the distance factor
+    (i k_b/4pi) n(n+1)(2n+1) [h_n(k_b r_d)/(k_b r_d)]^2, in 1/nm (Ruppin,
+    J. Chem. Phys. 76, 1681 (1982)).  The geometries must share R and eps_b,
+    so B_n is built once on the grid (one ladder pair at k_b R and k_m R) and
+    the Hankel ladders run once over the (distances, grid) array of k_b r_d.
+    The result has shape (len(geometries),) + omega.shape + (n_max,): row i
+    belongs to geometries[i], column n-1 holds order n.  The specfun rules
+    apply per element, so each row is bitwise what that geometry alone gives.
 
     Terms whose Hankel factors overflow the double range (deep quasi-static
     territory: tiny k_b r_d, large n) are replaced element by element by the
-    closed-form polarizability term, which is exact there to the size of the
-    retardation corrections already far below the geometric decay of the
-    series.
+    closed-form polarizability term of that row's geometry, which is exact
+    there to the size of the retardation corrections already far below the
+    geometric decay of the series.
     """
     if n_max < 1:
         raise InvalidArgumentError("n_max must be >= 1")
+    geometries = list(geometries)
+    if len({(g.radius, g.eps_b) for g in geometries}) != 1:
+        raise InvalidArgumentError(
+            "a distance sweep needs one or more geometries sharing R and eps_b")
     omega = np.asarray(omega, dtype=float)
-    wn = wavenumbers(geometry, material, omega)
-    x = wn.kb * geometry.r_d
+    wn = wavenumbers(geometries[0], material, omega)
+    r_d = np.array([g.r_d for g in geometries]).reshape((-1,) + (1,) * omega.ndim)
+    x = wn.kb * r_d
     orders = np.arange(1, n_max + 1, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, b = _mie_ab_ladders(n_max, wn, geometry.radius)
+        _, b = _mie_ab_ladders(n_max, wn, geometries[0].radius)
         j = spherical_jn_ladder(n_max, x)
         y = spherical_yn_ladder(n_max, x)
         h = (j + 1j * y)[..., 1:]
         terms = (1j * _column(wn.kb) / (4 * math.pi)) * orders * (orders + 1) \
             * (2 * orders + 1) * b * (h / _column(x)) ** 2
-    bad = ~np.isfinite(terms)
-    if np.any(bad):
-        terms[bad] = _green_term_quasistatic(
-            np.broadcast_to(orders, terms.shape)[bad],
-            np.broadcast_to(_column(omega), terms.shape)[bad],
-            geometry, material)
+    for row, geometry in zip(terms, geometries):
+        bad = ~np.isfinite(row)
+        if np.any(bad):
+            row[bad] = _green_term_quasistatic(
+                np.broadcast_to(orders, row.shape)[bad],
+                np.broadcast_to(_column(omega), row.shape)[bad],
+                geometry, material)
     return terms
+
+
+def green_rr_terms(omega, geometry: Geometry, material: MaterialModel,
+                   n_max: int = DEFAULT_N_MAX) -> np.ndarray:
+    """Per-multipole terms of G_S^rr(r_d, r_d) at every frequency of omega,
+    shape omega.shape + (n_max,): the one-geometry case of green_rr_sweep."""
+    return green_rr_sweep(omega, [geometry], material, n_max)[0]
 
 
 def green_rr_scattered(omega: float, geometry: Geometry, material: MaterialModel,
@@ -175,27 +193,6 @@ def radial_mode_fractions(n_max: int, x) -> np.ndarray:
     orders = np.arange(1, n_max + 1, dtype=float)
     return 1.5 * orders * (orders + 1) * (2 * orders + 1) \
         * np.abs(j / _column(x)) ** 2
-
-
-def gamma0n_radial_decomposition(omega: float, geometry: Geometry,
-                                 emitter: EmitterSpec,
-                                 n_max: int = DEFAULT_N_MAX) -> np.ndarray:
-    """Per-multipole split of the free-space radiative rate, in eV.
-
-    Emits a truncation warning when the retained orders carry less than
-    99.9% of the closed-form rate.
-    """
-    kb = geometry.n_b * omega / HBAR_C_EV_NM
-    fractions = radial_mode_fractions(n_max, kb * geometry.r_d)
-    g_rad = radiative_rate(omega, emitter.d_eg, geometry.n_b)
-    out = g_rad * fractions
-    if np.sum(fractions) < 0.999:
-        warnings.warn(
-            f"gamma0n truncation at n_max={n_max} keeps only "
-            f"{np.sum(fractions):.4f} of gamma0_rad",
-            stacklevel=2,
-        )
-    return out
 
 
 def qs_polarizability(n: int, omega, geometry: Geometry,

@@ -15,6 +15,7 @@ import numpy as np
 from . import __version__
 from .constants import HBAR_C_EV_NM, HBAR_EV_FS, HBAR_EV_S
 from .coupling import (
+    extract_mode_sweep,
     extract_modes,
     fit_fano_rate,
     fano_rate_model,
@@ -364,12 +365,9 @@ def figure_suite(sc: Scenario, writer: RunWriter):
 
     # -- coupling strength and mode width vs surface distance
     h_values = [1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 14.0, 18.0]
-
-    def modes_at(h):
-        geo = Geometry.from_surface_distance(8.0, h)
-        return extract_modes(4, geo, material, sc_emitter)
-
-    per_h = [modes_at(h) for h in h_values]
+    per_h = extract_mode_sweep(
+        4, [Geometry.from_surface_distance(8.0, h) for h in h_values],
+        material, sc_emitter)
     writer.csv(
         "fig3.csv",
         ["h_nm"] + [f"two_g_lsp{n}_mev" for n in range(1, 5)]
@@ -405,8 +403,10 @@ def figure_suite(sc: Scenario, writer: RunWriter):
 
     # -- weak coupling: decay dynamics and distance sweep
     wk_emitter = _weak_coupling_emitter()
-    geo5 = Geometry.from_surface_distance(8.0, 5.0)
-    modes_wk = extract_modes(20, geo5, material, wk_emitter)
+    h_wk = (2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 14.0, 20.0)
+    geos_wk = [Geometry.from_surface_distance(8.0, h) for h in h_wk]
+    modes_by_h = extract_mode_sweep(20, geos_wk, material, wk_emitter)
+    modes_wk = modes_by_h[h_wk.index(5.0)]
     adiab = adiabatic_rates(modes_wk, wk_emitter)
     times_ns = np.linspace(0.0, 8.0, 161)
     psi0 = np.zeros(21, dtype=complex)
@@ -422,14 +422,9 @@ def figure_suite(sc: Scenario, writer: RunWriter):
     summary["gamma_ratio"] = _check(adiab.enhancement, "gamma_ratio")
     summary["lifetime_ns"] = _check(lifetime_ns, "lifetime_ns")
 
-    def ratios_at(h):
-        geo = Geometry.from_surface_distance(8.0, h)
-        fermi = fermi_rate(wk_emitter.omega0, geo, material, wk_emitter, n_max=40)
-        adi = adiabatic_rates(extract_modes(20, geo, material, wk_emitter),
-                              wk_emitter).enhancement
-        return [h, adi, fermi]
-
-    sweep = [ratios_at(h) for h in (2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 14.0, 20.0)]
+    sweep = [[h, adiabatic_rates(modes, wk_emitter).enhancement,
+              fermi_rate(wk_emitter.omega0, geo, material, wk_emitter, n_max=40)]
+             for h, geo, modes in zip(h_wk, geos_wk, modes_by_h)]
     writer.csv("fig6b.csv", ["h_nm", "gamma_ratio_adiabatic", "gamma_ratio_fermi"],
                sweep, comments=["normalized decay rate vs surface distance"])
 

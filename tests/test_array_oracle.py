@@ -1,5 +1,6 @@
 """The array ladders and the array Green primitive against the scalar oracle
-in scalar_oracle.py, element by element, plus an mpmath spot check."""
+in scalar_oracle.py, element by element, plus an mpmath spot check.  The
+distance sweep's rows are checked bitwise against one-geometry calls."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle as oracle
+from plasmon_cqed.errors import InvalidArgumentError
 from plasmon_cqed.medium import Geometry, silver, wavenumbers
-from plasmon_cqed.mie import green_rr_scattered, green_rr_terms
+from plasmon_cqed.mie import green_rr_scattered, green_rr_sweep, green_rr_terms
 from plasmon_cqed.specfun import (
     riccati_ladders,
     spherical_jn_ladder,
@@ -22,6 +24,9 @@ BRANCH_CASES = {
     "rescale": (2.0, 1.0, 1.0, 120),
     "fallback": (8.0, 20.0, 1.0, 80),
 }
+# (radius nm, h values nm, eps_b, n_max): at n_max = 60 the rows at h <= 2
+# take the quasi-static fallback and the rows at h >= 5 do not
+MIXED_SWEEP = (8.0, [1.0, 5.0, 2.0, 20.0], 1.0, 60)
 
 
 def assert_matches(values, reference):
@@ -87,6 +92,59 @@ def test_array_paths_match_scalar_oracle(radius, h, eps_b, omegas, n_max):
             assert_matches(terms[i], reference)
             assert_matches(green_rr_scattered(w, geometry, material, n_max).per_mode,
                            reference)
+
+
+def test_mixed_sweep_case_mixes_fallback_rows():
+    radius, hs, eps_b, n_max = MIXED_SWEEP
+    fallback = []
+    for h in hs:
+        taken = set()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for w in (2.2, 2.8, 3.4):
+                oracle.green_terms(
+                    w, Geometry.from_surface_distance(radius, h, eps_b),
+                    silver(), n_max, taken)
+        fallback.append("fallback" in taken)
+    assert any(fallback) and not all(fallback)
+
+
+@given(
+    radius=st.floats(min_value=-1.3, max_value=1.78).map(lambda e: 10.0**e),
+    hs=st.lists(st.floats(min_value=0.3, max_value=60.0), min_size=1,
+                max_size=4),
+    eps_b=st.floats(min_value=1.0, max_value=3.0),
+    omegas=st.lists(st.floats(min_value=1.0, max_value=4.0), min_size=1,
+                    max_size=3),
+    n_max=st.integers(min_value=1, max_value=150),
+)
+@example(radius=MIXED_SWEEP[0], hs=MIXED_SWEEP[1], eps_b=MIXED_SWEEP[2],
+         omegas=[2.2, 2.8, 3.4], n_max=MIXED_SWEEP[3])
+@settings(max_examples=30, deadline=None)
+def test_sweep_rows_match_one_geometry_calls(radius, hs, eps_b, omegas, n_max):
+    geometries = [Geometry.from_surface_distance(radius, h, eps_b) for h in hs]
+    material = silver()
+    omega = np.array(omegas)
+    sweep = green_rr_sweep(omega, geometries, material, n_max)
+    assert sweep.shape == (len(hs), omega.size, n_max)
+    for row, geometry in zip(sweep, geometries):
+        assert np.array_equal(row, green_rr_terms(omega, geometry, material,
+                                                  n_max))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, w in enumerate(omega):
+                assert_matches(row[i], oracle.green_terms(w, geometry, material,
+                                                          n_max))
+
+
+@pytest.mark.parametrize("other", [
+    Geometry(radius=9.0, eps_b=1.0, r_d=12.0),
+    Geometry(radius=8.0, eps_b=1.5, r_d=12.0),
+])
+def test_sweep_rejects_a_second_sphere_or_none(other):
+    geometry = Geometry.from_surface_distance(8.0, 2.0)
+    with pytest.raises(InvalidArgumentError, match="sharing R and eps_b"):
+        green_rr_sweep(np.linspace(2.5, 3.0, 5), [geometry, other], silver(), 5)
+    with pytest.raises(InvalidArgumentError, match="sharing R and eps_b"):
+        green_rr_sweep(2.8, [], silver(), 5)
 
 
 def test_array_jn_against_mpmath():

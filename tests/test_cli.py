@@ -122,6 +122,19 @@ class TestDeterminism:
         data2 = open(os.path.join(out2, "spectra.csv"), "rb").read()
         assert data1 == data2
 
+    def test_figure_suite_byte_identical_reruns(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(task="figure-suite"))
+        outs = [str(tmp_path / side) for side in ("a", "b")]
+        for out in outs:
+            assert main(["run", cfg, "--out", out]) == 0
+        names = sorted(name for name in os.listdir(outs[0])
+                       if name.startswith("fig") and name.endswith(".csv"))
+        assert len(names) == 8
+        for name in names + ["summary.json"]:
+            with open(os.path.join(outs[0], name), "rb") as fh1, \
+                    open(os.path.join(outs[1], name), "rb") as fh2:
+                assert fh1.read() == fh2.read(), name
+
 
 class TestTasks:
     def test_dynamics_task_traces(self, tmp_path):

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plasmon_cqed import coupling
 from plasmon_cqed.coupling import (
     CouplingSpectrum,
+    default_mode_window,
+    extract_mode_sweep,
     extract_modes,
     fano_rate_model,
     fit_fano_rate,
@@ -79,6 +82,49 @@ class TestLorentzianFit:
         first = extract_modes(3, small_geometry, ag, strong_emitter)[0]
         assert single.omega_n == first.omega_n
         assert single.g == first.g
+
+
+class TestModeSweep:
+    def test_sweep_matches_per_geometry_fits(self, ag, strong_emitter):
+        # the distances of the figure suite's coupling-vs-distance sweep
+        geometries = [Geometry.from_surface_distance(8.0, h) for h in
+                      (1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 14.0, 18.0)]
+        sweep = extract_mode_sweep(4, geometries, ag, strong_emitter)
+        assert sweep == [extract_modes(4, geo, ag, strong_emitter)
+                         for geo in geometries]
+        # and the spectrum-by-spectrum route over kappa_spectrum
+        assert sweep == [[fit_lorentzian(kappa_spectrum(
+            n, default_mode_window(n, geo, ag), geo, ag, strong_emitter))
+            for n in range(1, 5)] for geo in geometries]
+
+    def test_failure_names_mode_and_distance(self, ag, strong_emitter,
+                                             monkeypatch):
+        fit = coupling.fit_lorentzian
+        seen = []
+
+        def fail_lsp2_second_distance(spectrum):
+            seen.append(spectrum.n)
+            if spectrum.n == 2 and seen.count(2) == 2:
+                raise FitFailureError("forced", best_params=None)
+            return fit(spectrum)
+
+        monkeypatch.setattr(coupling, "fit_lorentzian",
+                            fail_lsp2_second_distance)
+        geometries = [Geometry.from_surface_distance(8.0, h)
+                      for h in (2.0, 5.0, 10.0)]
+        with pytest.raises(FitFailureError) as info:
+            extract_mode_sweep(3, geometries, ag, strong_emitter)
+        assert str(info.value) == "mode fits failed for LSP_2 at h=5 nm"
+        assert [str(exc) for exc in info.value.best_params] == ["forced"]
+        assert len(seen) == 9  # the other fits still ran
+
+    def test_rejects_empty_sweep_and_second_sphere(self, ag, strong_emitter):
+        with pytest.raises(InvalidArgumentError):
+            extract_mode_sweep(2, [], ag, strong_emitter)
+        with pytest.raises(InvalidArgumentError):
+            extract_mode_sweep(2, [Geometry.from_surface_distance(8.0, 2.0),
+                                   Geometry.from_surface_distance(9.0, 2.0)],
+                               ag, strong_emitter)
 
 
 @given(

@@ -7,7 +7,6 @@ from plasmon_cqed.constants import HBAR_C_EV_NM
 from plasmon_cqed.errors import NoResonanceError
 from plasmon_cqed.medium import EmitterSpec, Geometry, MaterialModel
 from plasmon_cqed.mie import (
-    gamma0n_radial_decomposition,
     green_rr_quasistatic,
     green_rr_scattered,
     mie_coefficients,
@@ -101,18 +100,6 @@ class TestRadialDecomposition:
 
     def test_positive_terms(self):
         assert radial_mode_fractions(10, 2.0)[1] > 0
-
-    def test_rates_scale(self, weak_emitter):
-        geo = Geometry(radius=8.0, eps_b=1.0, r_d=13.0)
-        rates = gamma0n_radial_decomposition(weak_emitter.omega0, geo,
-                                             weak_emitter, 60)
-        assert float(np.sum(rates)) == pytest.approx(weak_emitter.gamma0_rad,
-                                                     rel=1e-6)
-
-    def test_truncation_warning(self, weak_emitter):
-        geo = Geometry(radius=8.0, eps_b=1.0, r_d=800.0)
-        with pytest.warns(UserWarning, match="truncation"):
-            gamma0n_radial_decomposition(weak_emitter.omega0, geo, weak_emitter, 2)
 
 
 class TestQuasiStatic:
