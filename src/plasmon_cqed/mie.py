@@ -55,31 +55,36 @@ def _column(a) -> np.ndarray:
     return np.asarray(a)[..., None]
 
 
-def _mie_ab_ladders(n_max: int, wn: Wavenumbers, radius: float):
-    """A_n, B_n for n = 1..n_max at each frequency of wn, shape (..., n_max)."""
-    zb = wn.kb * radius
-    zm = wn.km * radius
-    psi_b, psip_b, zeta_b, zetap_b = riccati_ladders(n_max, zb)
-    psi_m, psip_m = riccati_psi(n_max, zm)  # A_n, B_n need no y_n at k_m R
-    kb, km, zb, zm = (_column(v) for v in (wn.kb, wn.km, zb, zm))
-    j_b = psi_b / zb
-    h_b = zeta_b / zb
-    j_m = psi_m / zm
-    a = (j_m * psip_b - j_b * psip_m) / (h_b * psip_m - j_m * zetap_b)
-    b = (kb**2 * j_b * psip_m - km**2 * j_m * psip_b) / (
-        km**2 * j_m * zetap_b - kb**2 * h_b * psip_m
-    )
-    return a[..., 1:], b[..., 1:]  # orders 1..n_max
+def _sphere_ladders(n_max: int, wn: Wavenumbers, radius: float):
+    """The sphere's side of A_n, B_n for n = 1..n_max at each frequency of wn,
+    each of shape (..., n_max): psi_n, psi_n' and zeta_n at k_b R, and the
+    logarithmic derivatives D_n = psi_n'/psi_n at k_m R and
+    G_n = zeta_n'/zeta_n at k_b R."""
+    psi_b, psip_b, zeta_b, zetap_b = (
+        v[..., 1:] for v in riccati_ladders(n_max, wn.kb * radius))
+    psi_m, psip_m = (v[..., 1:] for v in riccati_psi(n_max, wn.km * radius))
+    return psi_b, psip_b, zeta_b, psip_m / psi_m, zetap_b / zeta_b
 
 
 def mie_coefficients(n: int, omega: float, geometry: Geometry,
                      material: MaterialModel) -> MieCoefficients:
-    """Exact Mie coefficients A_n, B_n of the scattered-field expansion."""
+    """Exact Mie coefficients A_n, B_n of the scattered-field expansion,
+
+    B_n = (k_b D_n psi_n - k_m psi_n') / (zeta_n (k_m G_n - k_b D_n)),
+    A_n = (k_b psi_n' - k_m D_n psi_n) / (zeta_n (k_m D_n - k_b G_n)),
+
+    with psi_n, zeta_n at k_b R and the logarithmic derivatives of
+    _sphere_ladders, so no product of two small ladder values is formed.
+    """
     if n < 1:
         raise InvalidArgumentError("Mie order starts at n=1")
-    a, b = _mie_ab_ladders(n, wavenumbers(geometry, material, omega),
-                           geometry.radius)
-    return MieCoefficients(n=n, a=complex(a[n - 1]), b=complex(b[n - 1]), omega=omega)
+    wn = wavenumbers(geometry, material, omega)
+    psi, psip, zeta, d_m, g_b = (
+        complex(v[n - 1]) for v in _sphere_ladders(n, wn, geometry.radius))
+    kb, km = complex(wn.kb), complex(wn.km)
+    a = (kb * psip - km * d_m * psi) / (zeta * (km * d_m - kb * g_b))
+    b = (kb * d_m * psi - km * psip) / (zeta * (km * g_b - kb * d_m))
+    return MieCoefficients(n=n, a=a, b=b, omega=omega)
 
 
 @dataclass(frozen=True)
@@ -114,14 +119,22 @@ def green_rr_sweep(omega, geometries, material: MaterialModel,
     Term n is B_n(omega; R, eps_b, metal) times the distance factor
     (i k_b/4pi) n(n+1)(2n+1) [h_n(k_b r_d)/(k_b r_d)]^2, in 1/nm (Ruppin,
     J. Chem. Phys. 76, 1681 (1982)).  The geometries must share R and eps_b,
-    so B_n is built once on the grid (one ladder pair at k_b R and k_m R) and
-    the Hankel ladders run once over the (distances, grid) array of k_b r_d.
-    The result has shape (len(geometries),) + omega.shape + (n_max,): row i
-    belongs to geometries[i], column n-1 holds order n.  The specfun rules
-    apply per element, so each row is bitwise what that geometry alone gives.
+    so the sphere's factors are built once on the grid (one ladder pair at
+    k_b R and k_m R) and the Hankel ladders run once over the
+    (distances, grid) array of k_b r_d.  The result has shape
+    (len(geometries),) + omega.shape + (n_max,): row i belongs to
+    geometries[i], column n-1 holds order n.  The specfun rules apply per
+    element and each row's products run on the shapes of a one-geometry
+    call, so each row is bitwise what that geometry alone gives.
+
+    At high order B_n is tiny and the Hankel factor huge, so B_n is never
+    formed: zeta_n(k_b R) B_n (see mie_coefficients) is multiplied by
+    h_n/(k_b r_d) and then by h_n/(k_b r_d zeta_n(k_b R)), and every
+    intermediate stays near the size of the term itself instead of dropping
+    into the subnormal range, where doubles lose significant bits.
 
     Terms whose Hankel factors overflow the double range (deep quasi-static
-    territory: tiny k_b r_d, large n) are replaced element by element by the
+    territory: small k_b R, large n) are replaced element by element by the
     closed-form polarizability term of that row's geometry, which is exact
     there to the size of the retardation corrections already far below the
     geometric decay of the series.
@@ -137,13 +150,19 @@ def green_rr_sweep(omega, geometries, material: MaterialModel,
     r_d = np.array([g.r_d for g in geometries]).reshape((-1,) + (1,) * omega.ndim)
     x = wn.kb * r_d
     orders = np.arange(1, n_max + 1, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, b = _mie_ab_ladders(n_max, wn, geometries[0].radius)
+    kb, km = _column(wn.kb), _column(wn.km)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        psi, psip, zeta, d_m, g_b = _sphere_ladders(n_max, wn, geometries[0].radius)
+        sphere = (1j * kb / (4 * math.pi)) * orders * (orders + 1) \
+            * (2 * orders + 1) * (kb * d_m * psi - km * psip) / (km * g_b - kb * d_m)
         j = spherical_jn_ladder(n_max, x)
         y = spherical_yn_ladder(n_max, x)
         h = (j + 1j * y)[..., 1:]
-        terms = (1j * _column(wn.kb) / (4 * math.pi)) * orders * (orders + 1) \
-            * (2 * orders + 1) * b * (h / _column(x)) ** 2
+        terms = np.empty(h.shape, dtype=complex)
+        for i in range(len(geometries)):
+            # row by row, on exactly the shapes of a one-geometry call
+            x_i = _column(x[i])
+            terms[i] = sphere * (h[i] / x_i) * (h[i] / (x_i * zeta))
     for row, geometry in zip(terms, geometries):
         bad = ~np.isfinite(row)
         if np.any(bad):

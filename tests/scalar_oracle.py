@@ -5,8 +5,10 @@ This is the element-by-element form of the rules the package evaluates on
 whole arrays: the power series below |z|^2 < 1e-6 (2 n_max + 3), the Miller
 downward recurrence started at m = max(n_max, |z|) + 32 with rescaling past
 1e250 and normalisation against j_0/j_1, the upward y_n recurrence, and the
-closed-form quasi-static term wherever the Hankel factors overflow.  The
-array code must reproduce it to rounding.
+closed-form quasi-static term wherever the Hankel factors overflow.  B_n
+enters the Green terms as zeta_n(k_b R) B_n, built from logarithmic
+derivatives, times h_n(x)/x and h_n(x)/(x zeta_n(k_b R)), so no step passes
+through the subnormal range.  The array code must reproduce it to rounding.
 
 Each function accepts an optional `branches` set and adds to it the name of
 every rule it took ("series", "rescale", "fallback"), so tests can show that
@@ -106,16 +108,18 @@ def green_terms(omega, geometry, material, n_max, branches=None):
     zb = kb * geometry.radius
     zm = km * geometry.radius
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        psi_b, psip_b, zeta_b, zetap_b = riccati_ladders(n_max, zb, branches)
-        psi_m, psip_m, _, _ = riccati_ladders(n_max, zm, branches)
-        j_b, h_b, j_m = psi_b / zb, zeta_b / zb, psi_m / zm
-        b = (kb**2 * j_b * psip_m - km**2 * j_m * psip_b) / (
-            km**2 * j_m * zetap_b - kb**2 * h_b * psip_m)
+        psi_b, psip_b, zeta_b, zetap_b = (
+            v[1:] for v in riccati_ladders(n_max, zb, branches))
+        psi_m, psip_m, _, _ = (v[1:] for v in riccati_ladders(n_max, zm, branches))
+        d_m = psip_m / psi_m
+        g_b = zetap_b / zeta_b
+        # zeta_n B_n: B_n itself underflows at high order
+        zeta_b_n = (kb * d_m * psi_b - km * psip_b) / (km * g_b - kb * d_m)
         x = kb * geometry.r_d
         h = (jn_ladder(n_max, x, branches) + 1j * yn_ladder(n_max, x))[1:]
         orders = np.arange(1, n_max + 1, dtype=float)
         terms = (1j * kb / (4 * math.pi)) * orders * (orders + 1) \
-            * (2 * orders + 1) * b[1:] * (h / x) ** 2
+            * (2 * orders + 1) * zeta_b_n * (h / x) * (h / (x * zeta_b))
     for idx in np.nonzero(~np.isfinite(terms))[0]:
         _note(branches, "fallback")
         n = int(idx) + 1

@@ -1,6 +1,7 @@
 """The array ladders and the array Green primitive against the scalar oracle
-in scalar_oracle.py, element by element, plus an mpmath spot check.  The
-distance sweep's rows are checked bitwise against one-geometry calls."""
+in scalar_oracle.py, element by element, plus mpmath spot checks of the
+j_n ladder and of high-order Green terms.  The distance sweep's rows are
+checked bitwise against one-geometry calls."""
 
 import numpy as np
 import pytest
@@ -22,11 +23,14 @@ REL_TOL = 1e-12
 BRANCH_CASES = {
     "series": (0.05, 1.0, 1.0, 10),
     "rescale": (2.0, 1.0, 1.0, 120),
-    "fallback": (8.0, 20.0, 1.0, 80),
+    "fallback": (8.0, 20.0, 1.0, 120),
 }
-# (radius nm, h values nm, eps_b, n_max): at n_max = 60 the rows at h <= 2
-# take the quasi-static fallback and the rows at h >= 5 do not
-MIXED_SWEEP = (8.0, [1.0, 5.0, 2.0, 20.0], 1.0, 60)
+# (radius nm, h values nm, eps_b, n_max below and at or above the first order
+# whose zeta_n(k_b R) overflows at 2.2, 2.8 and 3.4 eV)
+FALLBACK_SWEEP = (8.0, [1.0, 5.0, 2.0, 20.0], 1.0, (100, 120))
+# found by hypothesis: B_63 sits at the edge of the normal double range, where
+# products of two small ladder values drop into the subnormal range
+SUBNORMAL_EDGE = (6.464677658766367, 1.0, 1.994140625, [3.8767312363072803], 63)
 
 
 def assert_matches(values, reference):
@@ -70,6 +74,8 @@ def _branch_example(branch):
 @_branch_example("series")
 @_branch_example("rescale")
 @_branch_example("fallback")
+@example(radius=SUBNORMAL_EDGE[0], h=SUBNORMAL_EDGE[1], eps_b=SUBNORMAL_EDGE[2],
+         omegas=SUBNORMAL_EDGE[3], n_max=SUBNORMAL_EDGE[4])
 @settings(max_examples=60, deadline=None)
 def test_array_paths_match_scalar_oracle(radius, h, eps_b, omegas, n_max):
     geometry = Geometry.from_surface_distance(radius, h, eps_b)
@@ -94,18 +100,20 @@ def test_array_paths_match_scalar_oracle(radius, h, eps_b, omegas, n_max):
                            reference)
 
 
-def test_mixed_sweep_case_mixes_fallback_rows():
-    radius, hs, eps_b, n_max = MIXED_SWEEP
-    fallback = []
-    for h in hs:
-        taken = set()
-        with np.errstate(over="ignore", invalid="ignore"):
-            for w in (2.2, 2.8, 3.4):
-                oracle.green_terms(
-                    w, Geometry.from_surface_distance(radius, h, eps_b),
-                    silver(), n_max, taken)
-        fallback.append("fallback" in taken)
-    assert any(fallback) and not all(fallback)
+def test_sweep_fallback_orders_are_set_by_the_sphere():
+    # zeta_n(k_b R) overflows before h_n(k_b r_d) for every r_d > R, so all
+    # rows of a sweep take the quasi-static fallback from the same order on,
+    # each with its own r_d
+    radius, hs, eps_b, (below, above) = FALLBACK_SWEEP
+    for n_max, expected in ((below, False), (above, True)):
+        for h in hs:
+            taken = set()
+            with np.errstate(over="ignore", invalid="ignore"):
+                for w in (2.2, 2.8, 3.4):
+                    oracle.green_terms(
+                        w, Geometry.from_surface_distance(radius, h, eps_b),
+                        silver(), n_max, taken)
+            assert ("fallback" in taken) == expected, (h, n_max)
 
 
 @given(
@@ -117,8 +125,12 @@ def test_mixed_sweep_case_mixes_fallback_rows():
                     max_size=3),
     n_max=st.integers(min_value=1, max_value=150),
 )
-@example(radius=MIXED_SWEEP[0], hs=MIXED_SWEEP[1], eps_b=MIXED_SWEEP[2],
-         omegas=[2.2, 2.8, 3.4], n_max=MIXED_SWEEP[3])
+@example(radius=FALLBACK_SWEEP[0], hs=FALLBACK_SWEEP[1], eps_b=FALLBACK_SWEEP[2],
+         omegas=[2.2, 2.8, 3.4], n_max=FALLBACK_SWEEP[3][1])
+# found by hypothesis: one frequency and one order make each row a single
+# element, where numpy's complex product skips the fused multiply-add that
+# larger arrays use
+@example(radius=1.0, hs=[1.0, 1.5], eps_b=1.0, omegas=[1.0], n_max=1)
 @settings(max_examples=30, deadline=None)
 def test_sweep_rows_match_one_geometry_calls(radius, hs, eps_b, omegas, n_max):
     geometries = [Geometry.from_surface_distance(radius, h, eps_b) for h in hs]
@@ -160,6 +172,42 @@ def test_array_jn_against_mpmath():
                 ref = complex(mpmath.sqrt(mpmath.pi / (2 * zz))
                               * mpmath.besselj(n + 0.5, zz))
                 assert abs(ladder[i, n] - ref) <= REL_TOL * abs(ref), (zi, n)
+
+
+def test_green_terms_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    # orders near and beyond the point where B_n leaves the normal double
+    # range, where a directly formed B_n loses bits or underflows to zero
+    cases = [(SUBNORMAL_EDGE[:3], SUBNORMAL_EDGE[3][0], (31, 63)),
+             ((4.17, 6.96, 1.14), 1.45, (45, 53, 91)),
+             ((0.17, 23.5, 1.01), 1.19, (37, 45))]
+    material = silver()
+
+    def bessel(n, z, kind):
+        # j_n (kind "j") or h_n^(1) (kind "h") at z
+        root = mpmath.sqrt(mpmath.pi / (2 * z))
+        j = root * mpmath.besselj(n + 0.5, z)
+        return j if kind == "j" else j + 1j * root * mpmath.bessely(n + 0.5, z)
+
+    def riccati_prime(n, z, kind):
+        # psi_n' (kind "j") or zeta_n' (kind "h") = z f_(n-1) - n f_n
+        return z * bessel(n - 1, z, kind) - n * bessel(n, z, kind)
+
+    with mpmath.workdps(40):
+        for (radius, h, eps_b), w, orders in cases:
+            geometry = Geometry.from_surface_distance(radius, h, eps_b)
+            terms = green_rr_terms(w, geometry, material, max(orders))
+            wn = wavenumbers(geometry, material, w)
+            kb, km = mpmath.mpc(complex(wn.kb)), mpmath.mpc(complex(wn.km))
+            zb, zm, x = kb * radius, km * radius, kb * geometry.r_d
+            for n in orders:
+                b = (kb**2 * bessel(n, zb, "j") * riccati_prime(n, zm, "j")
+                     - km**2 * bessel(n, zm, "j") * riccati_prime(n, zb, "j")) / (
+                    km**2 * bessel(n, zm, "j") * riccati_prime(n, zb, "h")
+                    - kb**2 * bessel(n, zb, "h") * riccati_prime(n, zm, "j"))
+                ref = complex(1j * kb / (4 * mpmath.pi) * n * (n + 1) * (2 * n + 1)
+                              * b * (bessel(n, x, "h") / x) ** 2)
+                assert abs(terms[n - 1] - ref) <= REL_TOL * abs(ref), (radius, n)
 
 
 def test_ladder_shapes_follow_the_argument():
