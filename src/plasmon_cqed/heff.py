@@ -6,6 +6,9 @@ entries are (Delta_n - i Gamma_n/2) with Delta_n = omega_n - omega0 and the
 emitter entry -i gamma0/2.  All stored Hamiltonians are complex symmetric
 (H[0,n] = H[n,0]), so left eigenvectors are conjugated right eigenvectors
 (left_from_right).  Absolute frequencies reappear only in the spectra.
+Every H_eff is an arrowhead matrix (emitter row and column plus a diagonal),
+so the spectra use its closed-form resolvent: no eigenbasis, exact at
+exceptional points too.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ContractViolationError,
     IncompleteModesError,
     InvalidArgumentError,
     NearDefectiveError,
@@ -30,10 +34,9 @@ from .mie import qs_polarizability
 # eps/|v^T v|^2 (measured on the one-mode point Delta = 0,
 # g -> (Gamma - gamma0)/4).  The floor keeps that loss below EXPANSION_TOL,
 # the accuracy verify holds the dynamics to.  Below it evolve takes exact
-# expm steps and the eigenvalue-based spectra raise NearDefectiveError.
+# expm steps and eigendecompose raises NearDefectiveError.
 EXPANSION_TOL = 1e-8
 BIORTHO_FLOOR = math.sqrt(np.finfo(float).eps / EXPANSION_TOL)  # ~1.5e-4
-RESOLVENT_BLOCK = 64  # grid points per stacked resolvent solve
 
 
 @dataclass(frozen=True)
@@ -48,10 +51,6 @@ class EffectiveHamiltonian:
     @property
     def n_modes(self) -> int:
         return self.matrix.shape[0] - 1
-
-    @property
-    def basis_labels(self) -> list[str]:
-        return ["|e,0>"] + [f"|g,1_{m.n}>" for m in self.modes]
 
 
 def build_standard(modes, emitter: EmitterSpec) -> EffectiveHamiltonian:
@@ -120,10 +119,6 @@ class DressedSet:
     @property
     def widths(self) -> np.ndarray:
         return -2.0 * self.eigenvalues.imag
-
-    def emitter_fraction(self, m: int) -> float:
-        """|m0|^2 of dressed state m in the paper-gauge normalization."""
-        return float(np.abs(self.weights[m]))
 
     def weight_table(self) -> np.ndarray:
         """|<basis_k|Pi_m^R>|^2, rows = dressed states, columns = basis."""
@@ -194,8 +189,9 @@ def evolve(h: EffectiveHamiltonian, psi0, times) -> list[AmplitudeState]:
         traj = (phases * eta[None, :]) @ dressed.right.T
     except NearDefectiveError:
         traj = _propagate(-1j * h.matrix, psi0, times)
-    return [AmplitudeState(t=float(t), c_e=complex(row[0]), c_n=row[1:].copy())
-            for t, row in zip(times, traj)]
+    c_n = traj[:, 1:].copy()
+    return [AmplitudeState(t=t, c_e=c_e, c_n=row) for t, c_e, row
+            in zip(times.tolist(), traj[:, 0].tolist(), c_n)]
 
 
 def _propagate(generator: np.ndarray, v0: np.ndarray, times) -> np.ndarray:
@@ -237,23 +233,14 @@ def _propagate(generator: np.ndarray, v0: np.ndarray, times) -> np.ndarray:
 class PolarizationSpectrum:
     grid: np.ndarray          # absolute hbar*omega, eV
     values: np.ndarray
-    dressed_frequencies: np.ndarray  # omega0 + omega_m
-    dressed_widths: np.ndarray       # gamma_m
 
 
 def polarization_spectrum(h: EffectiveHamiltonian, grid) -> PolarizationSpectrum:
     """Near-field polarization spectrum for an initially excited emitter,
-    P(w) = |sum_m m0^2 / (w - (omega0 + omega_m) + i gamma_m/2)|^2."""
+    P(w) = |C_e(w)|^2 by the closed-form resolvent of amplitude_response."""
     grid = np.asarray(grid, dtype=float)
-    dressed = eigendecompose(h)
-    u = grid[:, None] - h.emitter.omega0 - dressed.eigenvalues[None, :]
-    values = np.abs(np.sum(dressed.weights[None, :] / u, axis=1)) ** 2
-    return PolarizationSpectrum(
-        grid=grid,
-        values=values,
-        dressed_frequencies=h.emitter.omega0 + dressed.frequencies,
-        dressed_widths=dressed.widths,
-    )
+    values = np.abs(amplitude_response(h, grid)[:, 0]) ** 2
+    return PolarizationSpectrum(grid=grid, values=values)
 
 
 def polarization_integral(h: EffectiveHamiltonian) -> float:
@@ -268,31 +255,34 @@ def polarization_integral(h: EffectiveHamiltonian) -> float:
 def amplitude_response(h: EffectiveHamiltonian, grid) -> np.ndarray:
     """Frequency-domain amplitudes C(w) = i (u I - H)^{-1} |e,0>, u = w - omega0.
 
-    Direct linear solves, exact for the rational spectrum with no windowing
-    artifacts, stacked RESOLVENT_BLOCK grid points at a time: the same LAPACK
-    call per point, so the per-point result bit for bit, while the blocks bound
-    the work array.  A singular point raises SingularityError naming it.
+    For an arrowhead H the dressed-atom self-energy form is exact:
+    x_0 = 1/(u - H_00 - sum_n H_0n H_n0/(u - H_nn)), x_n = H_n0 x_0/(u - H_nn),
+    one (points x modes) array expression with no eigenbasis, so it holds at
+    exceptional points.  Mode-mode couplings raise ContractViolationError; a
+    point with a non-finite result (a lossless level on the grid) raises
+    SingularityError naming it.
     """
     grid = np.asarray(grid, dtype=float)
-    dim = h.matrix.shape[0]
-    source = np.zeros((dim, 1), dtype=complex)
-    source[0] = 1.0
-    out = np.empty((grid.size, dim), dtype=complex)
-    eye = np.eye(dim)
-    for start in range(0, grid.size, RESOLVENT_BLOCK):
-        ws = grid[start:start + RESOLVENT_BLOCK]
-        lhs = (ws - h.emitter.omega0)[:, None, None] * eye - h.matrix
-        try:
-            out[start:start + ws.size] = 1j * np.linalg.solve(lhs, source)[..., 0]
-        except np.linalg.LinAlgError:
-            # the stacked solve does not say which point failed
-            for w, a in zip(ws, lhs):
-                try:
-                    np.linalg.solve(a, source)
-                except np.linalg.LinAlgError as exc:
-                    raise SingularityError(
-                        f"resolvent singular at hbar*omega={w} eV") from exc
-            raise
+    matrix = h.matrix
+    if not np.all(np.isfinite(matrix)):
+        raise InvalidArgumentError("Hamiltonian has non-finite entries")
+    levels = np.diagonal(matrix)[1:]
+    if np.any(matrix[1:, 1:] - np.diag(levels)):
+        raise ContractViolationError(
+            "H_eff is not an arrowhead matrix: its modes couple to each other")
+    u = grid - h.emitter.omega0
+    out = np.empty((grid.size, matrix.shape[0]), dtype=complex)
+    ratio = out[:, 1:]  # x_n / x_0 until scaled by x_0
+    with np.errstate(all="ignore"):
+        np.subtract(u[:, None], levels, out=ratio)
+        np.divide(matrix[1:, 0], ratio, out=ratio)
+        self_energy = np.einsum("pn,n->p", ratio, matrix[0, 1:])
+        out[:, 0] = 1j / (u - matrix[0, 0] - self_energy)
+        ratio *= out[:, :1]
+    bad = ~np.all(np.isfinite(out), axis=1)
+    if np.any(bad):
+        raise SingularityError(
+            f"resolvent singular at hbar*omega={grid[np.argmax(bad)]} eV")
     return out
 
 

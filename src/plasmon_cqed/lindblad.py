@@ -224,17 +224,27 @@ def pure_state(space: StateSpace, index: int) -> DensityMatrix:
 
 
 def _validate_states(rhos: np.ndarray) -> None:
-    """Hermiticity, trace in [0, 1] and positivity of a (k, d, d) stack."""
-    adjoint = rhos.conj().transpose(0, 2, 1)
+    """Hermiticity, trace in [0, 1] and positivity of a (k, d, d) stack; rho is
+    positive iff (rho + rho+)/2 + |POSITIVITY_FLOOR| I has a Cholesky factor."""
+    adjoint = np.conjugate(rhos).transpose(0, 2, 1)  # a copy, also for real rhos
     if np.max(np.abs(rhos - adjoint), initial=0.0) > HERMITICITY_TOL:
         raise ContractViolationError("density matrix not hermitian")
     traces = np.real(np.trace(rhos, axis1=1, axis2=2))
     bad = ~((traces >= -TRACE_TOL) & (traces <= 1.0 + TRACE_TOL))
     if np.any(bad):
         raise ContractViolationError(f"trace {float(traces[bad][0])} outside [0, 1]")
-    lowest = np.linalg.eigvalsh(0.5 * (rhos + adjoint))
-    if np.min(lowest, initial=np.inf) < POSITIVITY_FLOOR:
-        raise ContractViolationError("density matrix not positive semidefinite")
+    shifted = np.multiply(0.5, rhos + adjoint, out=adjoint)
+    shifted += abs(POSITIVITY_FLOOR) * np.eye(rhos.shape[-1])
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        for k, rho in enumerate(shifted):  # name the first state that fails
+            try:
+                np.linalg.cholesky(rho)
+            except np.linalg.LinAlgError:
+                raise ContractViolationError(
+                    f"density matrix {k} not positive semidefinite") from None
+        raise
 
 
 def _sector_generator(liouvillian: np.ndarray, dim: int) -> np.ndarray:

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from conftest import synthetic_modes
 from slow_oracle import resolvent_loop
 from plasmon_cqed.coupling import ModeParams
-from plasmon_cqed.errors import IncompleteModesError, SingularityError
+from plasmon_cqed.errors import (
+    ContractViolationError,
+    IncompleteModesError,
+    SingularityError,
+)
 from plasmon_cqed.heff import (
-    RESOLVENT_BLOCK,
     EffectiveHamiltonian,
     amplitude_response,
     build_fano,
@@ -21,6 +24,12 @@ from plasmon_cqed.heff import (
     flip_coupling_gauge,
     polarization_spectrum,
     radiated_spectrum,
+)
+from plasmon_cqed.lindblad import (
+    build_dissipators,
+    build_state_space,
+    build_system_hamiltonian,
+    effective_hamiltonian_from_lindblad,
 )
 from plasmon_cqed.medium import EmitterSpec
 
@@ -32,6 +41,19 @@ def emitter():
 
 def single_mode(omega_n=2.7, gamma=0.05, g=0.02, **kw):
     return ModeParams(n=1, omega_n=omega_n, gamma_n=gamma, g=g, **kw)
+
+
+def every_heff(modes, emitter):
+    """Each H_eff the package builds from Fano-split modes: standard, both
+    Fano variants and the master equation's three dissipator kinds."""
+    space = build_state_space(len(modes))
+    h_s = build_system_hamiltonian(modes, emitter, space)
+    return [build_standard(modes, emitter),
+            build_fano(modes, emitter, "general"),
+            build_fano(modes, emitter, "radiative_only")] + [
+        effective_hamiltonian_from_lindblad(
+            h_s, build_dissipators(kind, modes, emitter, space))
+        for kind in ("standard", "fano_radiative", "fano_full")]
 
 
 class TestBuildStandard:
@@ -184,12 +206,17 @@ class TestSpectra:
         assert above[-1] - above[0] == pytest.approx(em.gamma0, rel=0.05)
 
     def test_response_solve_matches_dressed_expansion(self, emitter):
+        # the eigen route: C_e(w) = i sum_m m0^2 / (u - lambda_m)
         rng = np.random.default_rng(43)
         ham = build_standard(synthetic_modes(rng, 4), emitter)
         grid = np.linspace(2.0, 3.4, 101)
+        dressed = eigendecompose(ham)
+        expansion = np.sum(dressed.weights / (
+            grid[:, None] - emitter.omega0 - dressed.eigenvalues), axis=1)
         amps = amplitude_response(ham, grid)
         pol = polarization_spectrum(ham, grid)
-        np.testing.assert_allclose(np.abs(amps[:, 0]) ** 2, pol.values,
+        np.testing.assert_allclose(amps[:, 0], 1j * expansion, rtol=1e-8)
+        np.testing.assert_allclose(pol.values, np.abs(expansion) ** 2,
                                    rtol=1e-8)
 
     def test_radiated_positive_and_peaked_on_lsp1(self, ag, small_geometry,
@@ -243,16 +270,35 @@ class TestSpectra:
         with pytest.raises(SingularDenominatorError):
             radiated_spectrum(ham, grid, small_geometry, metal)
 
-    @pytest.mark.parametrize("n_modes", [1, 25])
-    @pytest.mark.parametrize("points", [1, RESOLVENT_BLOCK - 1,
-                                        RESOLVENT_BLOCK + 1, 300])
+    @pytest.mark.parametrize("n_modes", [1, 4, 12, 25, 40])
+    @pytest.mark.parametrize("points", [1, 300])
     def test_amplitude_response_equals_per_point_solve(self, emitter, n_modes,
                                                        points):
         rng = np.random.default_rng(53 + n_modes)
-        ham = build_standard(synthetic_modes(rng, n_modes), emitter)
+        modes = synthetic_modes(rng, n_modes, fano=True, emitter=emitter)
         grid = np.linspace(2.0, 3.4, points)
-        np.testing.assert_array_equal(amplitude_response(ham, grid),
-                                      resolvent_loop(ham, grid))
+        for ham in every_heff(modes, emitter):
+            amps = amplitude_response(ham, grid)
+            ref = resolvent_loop(ham, grid)
+            assert np.max(np.abs(amps - ref) / np.max(np.abs(ref), axis=0)) \
+                <= 1e-13
+            np.testing.assert_array_equal(polarization_spectrum(ham, grid).values,
+                                          np.abs(amps[:, 0]) ** 2)
+
+    def test_spectra_reject_a_non_arrowhead_matrix(self, emitter, ag,
+                                                   small_geometry):
+        rng = np.random.default_rng(59)
+        ham = build_standard(synthetic_modes(rng, 3), emitter)
+        matrix = ham.matrix.copy()
+        matrix[1, 3] = matrix[3, 1] = 1e-300  # a mode-mode coupling
+        coupled = EffectiveHamiltonian(kind="standard", matrix=matrix,
+                                       modes=ham.modes, emitter=emitter)
+        grid = np.linspace(2.0, 3.4, 11)
+        for spectrum in (amplitude_response, polarization_spectrum):
+            with pytest.raises(ContractViolationError, match="arrowhead"):
+                spectrum(coupled, grid)
+        with pytest.raises(ContractViolationError, match="arrowhead"):
+            radiated_spectrum(coupled, grid, small_geometry, ag)
 
     @pytest.mark.parametrize("where", [0, 200])
     def test_amplitude_response_names_a_singular_frequency(self, emitter,

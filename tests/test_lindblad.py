@@ -6,16 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import synthetic_modes
-from slow_oracle import expm_master, rk45_master
+from slow_oracle import expm_master, resolvent_loop, rk45_master
 from plasmon_cqed.coupling import ModeParams
 from plasmon_cqed.errors import (
     ContractViolationError,
     InvalidArgumentError,
     InvalidRateError,
-    NearDefectiveError,
 )
 from plasmon_cqed.heff import (
     EXPANSION_TOL,
+    amplitude_response,
     build_fano,
     build_standard,
     evolve,
@@ -316,9 +316,13 @@ class TestEvolveMaster:
             np.testing.assert_allclose(
                 single_excitation_projection(s), np.outer(psi, psi.conj()),
                 rtol=0, atol=1e-6)
-        if factor == 1.0:
-            with pytest.raises(NearDefectiveError):
-                polarization_spectrum(h_eff, np.linspace(2.3, 2.7, 101))
+        # the closed-form spectra need no eigenbasis
+        grid = np.linspace(2.3, 2.7, 101)
+        ref = resolvent_loop(h_eff, grid)
+        np.testing.assert_allclose(amplitude_response(h_eff, grid), ref,
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(polarization_spectrum(h_eff, grid).values,
+                                   np.abs(ref[:, 0]) ** 2, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("times", [
         np.array([0.0, 2.0, 1.0]), np.array([-1.0, 0.0]),
@@ -364,6 +368,40 @@ class TestEvolveMaster:
         bad = np.diag([0.5 * scale, 0.5])
         with pytest.raises(ContractViolationError, match=message):
             _validate_states(np.array([pure_state(space, 1).rho, bad]))
+
+    def test_positivity_floor_boundary(self):
+        # rotated states with lowest eigenvalue just above and just below
+        # POSITIVITY_FLOOR = -1e-9, inside a stack of 400 valid states
+        rng = np.random.default_rng(61)
+        dim = 14
+        stack = np.empty((400, dim, dim), dtype=complex)
+        for k in range(400):
+            a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            rho = a @ a.conj().T
+            stack[k] = rho / np.trace(rho).real
+        stack = 0.5 * (stack + stack.conj().transpose(0, 2, 1))
+
+        def with_lowest(lowest):
+            q, _ = np.linalg.qr(rng.standard_normal((dim, dim))
+                                + 1j * rng.standard_normal((dim, dim)))
+            evals = np.zeros(dim)
+            evals[:2] = [lowest, 1.0 - lowest]
+            rho = (q * evals) @ q.conj().T
+            return 0.5 * (rho + rho.conj().T)
+
+        stack[123] = with_lowest(-0.9e-9)
+        _validate_states(stack)
+        stack[321] = with_lowest(-1.1e-9)
+        with pytest.raises(ContractViolationError,
+                           match="density matrix 321 not positive"):
+            _validate_states(stack)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_validation_leaves_the_states_untouched(self, dtype):
+        rho = np.diag([0.25, 0.5, 0.25]).astype(dtype)
+        state = DensityMatrix(rho=rho.copy())
+        state.validate()
+        np.testing.assert_array_equal(state.rho, rho)
 
 
 class TestEquivalence:
