@@ -211,12 +211,12 @@ def rate_spectrum_lsp(n: int, grid, geometry: Geometry, material: MaterialModel,
     return eta * 6 * math.pi / kb * term.imag
 
 
-def _free_space_rate_arrays(grid, n, geometry, emitter):
-    """gamma0(w) and its LSP_n multipole share gamma0n_rad(w) on the grid."""
-    grid = np.asarray(grid, dtype=float)
-    g0_rad = radiative_rate(grid, emitter.d_eg, geometry.n_b)
+def _free_space_rates(omega, n, geometry, emitter):
+    """gamma0(w) and its LSP_n multipole share gamma0n_rad(w), at one
+    frequency or element-wise over a grid array."""
+    g0_rad = radiative_rate(omega, emitter.d_eg, geometry.n_b)
     fractions = radial_mode_fractions(
-        n, geometry.n_b * grid / HBAR_C_EV_NM * geometry.r_d)[..., n - 1]
+        n, geometry.n_b * omega / HBAR_C_EV_NM * geometry.r_d)[..., n - 1]
     return g0_rad / emitter.eta, g0_rad * fractions
 
 
@@ -238,7 +238,7 @@ def fano_rate_model(grid, n: int, geometry: Geometry, emitter: EmitterSpec,
     grid point; the asymmetry orientation rides on the sign of g_signed.
     """
     grid = np.asarray(grid, dtype=float)
-    g0, g0n = _free_space_rate_arrays(grid, n, geometry, emitter)
+    g0, g0n = _free_space_rates(grid, n, geometry, emitter)
     return _fano_profile(grid, g0, g0n, omega_n, gamma_rad, g_signed, gamma_nr)
 
 
@@ -258,7 +258,7 @@ def fit_fano_rate(grid, values, n: int, geometry: Geometry, emitter: EmitterSpec
     scale = float(np.max(np.abs(values)))
     if scale == 0:
         raise FitFailureError("rate spectrum is identically zero")
-    g0, g0n = _free_space_rate_arrays(grid, n, geometry, emitter)
+    g0, g0n = _free_space_rates(grid, n, geometry, emitter)
 
     if frozen is None:
         i_peak = int(np.argmax(np.abs(values)))
@@ -301,8 +301,7 @@ def fit_fano_rate(grid, values, n: int, geometry: Geometry, emitter: EmitterSpec
 
     rms = math.sqrt(2.0 * cost / grid.size) * scale \
         / math.sqrt(float(np.mean(values**2)))
-    g0n_res = radiative_rate(wn, emitter.d_eg, geometry.n_b) \
-        * radial_mode_fractions(n, geometry.n_b * wn / HBAR_C_EV_NM * geometry.r_d)[n - 1]
+    _, g0n_res = _free_space_rates(wn, n, geometry, emitter)
     alpha = math.sqrt(g0n_res * gamma_rad) / g_signed
     return ModeParams(
         n=n,
@@ -324,9 +323,7 @@ def with_fano_split(mode: ModeParams, geometry: Geometry, emitter: EmitterSpec,
     if nr is None:
         nr = 0.0
     gamma_rad = max(mode.gamma_n - nr, 0.0)
-    g0n = radiative_rate(mode.omega_n, emitter.d_eg, geometry.n_b) \
-        * radial_mode_fractions(mode.n, geometry.n_b * mode.omega_n / HBAR_C_EV_NM
-                                * geometry.r_d)[mode.n - 1]
+    _, g0n = _free_space_rates(mode.omega_n, mode.n, geometry, emitter)
     alpha = math.sqrt(g0n * gamma_rad) / mode.g if mode.g > 0 else 0.0
     return replace(mode, gamma_rad=gamma_rad, gamma_nr=nr, alpha=alpha)
 

@@ -4,8 +4,8 @@ amplitude dynamics and emission spectra.
 Matrices live in the rotating frame at the emitter frequency: diagonal
 entries are (Delta_n - i Gamma_n/2) with Delta_n = omega_n - omega0 and the
 emitter entry -i gamma0/2.  All stored Hamiltonians are complex symmetric
-(H[0,n] = H[n,0]), so left eigenvectors are conjugated right eigenvectors
-(left_from_right).  Absolute frequencies reappear only in the spectra.
+(H[0,n] = H[n,0]), so left eigenvectors are conjugated right eigenvectors.
+Absolute frequencies reappear only in the spectra.
 Every H_eff is an arrowhead matrix (emitter row and column plus a diagonal),
 so the spectra use its closed-form resolvent: no eigenbasis, exact at
 exceptional points too.
@@ -125,18 +125,6 @@ class DressedSet:
         return np.abs(self.right.T) ** 2
 
 
-def left_from_right(right: np.ndarray):
-    """Dual (left) basis from right eigenvectors of a complex-symmetric matrix:
-    the conjugated right vectors, normalized so <Pi_L|Pi_R> = 1."""
-    right = np.asarray(right, dtype=complex)
-    overlap = np.sum(right * right, axis=0)
-    small = np.abs(overlap) < BIORTHO_FLOOR
-    if np.any(small):
-        raise NearDefectiveError(
-            f"biorthogonal overlap underflow for states {np.nonzero(small)[0]}")
-    return np.conj(right) / np.conj(overlap)[None, :]
-
-
 def eigendecompose(h: EffectiveHamiltonian | np.ndarray) -> DressedSet:
     """All eigenpairs of the dense complex matrix, sorted by real part,
     normalized so <Pi_L|Pi_R> = 1 with left vectors from the symmetric gauge."""
@@ -154,7 +142,8 @@ def eigendecompose(h: EffectiveHamiltonian | np.ndarray) -> DressedSet:
     if np.any(np.abs(q) < BIORTHO_FLOOR):
         raise NearDefectiveError("eigenbasis nearly defective (v^T v underflow)")
     vec = vec / np.sqrt(q)[None, :]
-    left = left_from_right(vec)
+    # complex-symmetric matrix: the left vectors are the conjugated right ones
+    left = np.conj(vec) / np.conj(np.sum(vec * vec, axis=0))[None, :]
     # resolvent residue on the emitter entry: <e,0|Pi_m^R><Pi_m^L|e,0>
     weights = vec[0, :] * np.conj(left[0, :])
     return DressedSet(eigenvalues=lam, right=vec, left=left, weights=weights)
@@ -258,8 +247,10 @@ def amplitude_response(h: EffectiveHamiltonian, grid) -> np.ndarray:
     For an arrowhead H the dressed-atom self-energy form is exact:
     x_0 = 1/(u - H_00 - sum_n H_0n H_n0/(u - H_nn)), x_n = H_n0 x_0/(u - H_nn),
     one (points x modes) array expression with no eigenbasis, so it holds at
-    exceptional points.  Mode-mode couplings raise ContractViolationError; a
-    point with a non-finite result (a lossless level on the grid) raises
+    exceptional points.  At a point on the level of one coupled lossless mode
+    k (u = H_kk) the limit is exact instead: x_0 = 0, x_k = -i/H_0k, every
+    other x_n = 0.  Mode-mode couplings raise ContractViolationError; a point
+    where u I - H is singular (two such levels, or an uncoupled one) raises
     SingularityError naming it.
     """
     grid = np.asarray(grid, dtype=float)
@@ -279,10 +270,15 @@ def amplitude_response(h: EffectiveHamiltonian, grid) -> np.ndarray:
         self_energy = np.einsum("pn,n->p", ratio, matrix[0, 1:])
         out[:, 0] = 1j / (u - matrix[0, 0] - self_energy)
         ratio *= out[:, :1]
-    bad = ~np.all(np.isfinite(out), axis=1)
-    if np.any(bad):
-        raise SingularityError(
-            f"resolvent singular at hbar*omega={grid[np.argmax(bad)]} eV")
+    for p in np.flatnonzero(~np.all(np.isfinite(out), axis=1)):
+        # u = H_kk: row k of (u I - H) x = i e_0 forces x_0 = 0, row 0 fixes x_k
+        (hit,) = np.nonzero(u[p] == levels)
+        k = hit[0] + 1 if hit.size == 1 else None
+        if k is None or matrix[0, k] == 0 or matrix[k, 0] == 0:
+            raise SingularityError(
+                f"resolvent singular at hbar*omega={grid[p]} eV")
+        out[p] = 0.0
+        out[p, k] = -1j / matrix[0, k]
     return out
 
 

@@ -47,7 +47,6 @@ class StateSpace:
     sigma_ge: np.ndarray
     sigma_eg: np.ndarray
     lowering: tuple  # a_n, n = 1..N
-    labels: tuple
 
     @property
     def dim(self) -> int:
@@ -71,13 +70,11 @@ def build_state_space(n_modes: int) -> StateSpace:
     lowering = tuple(
         _from_triplets(dim, [(0, 2 + k, 1.0)]) for k in range(n_modes)
     )
-    labels = ("|g,0>", "|e,0>") + tuple(f"|g,1_{k+1}>" for k in range(n_modes))
     return StateSpace(
         n_modes=n_modes,
         sigma_ge=sigma_ge,
         sigma_eg=sigma_ge.conj().T,
         lowering=lowering,
-        labels=labels,
     )
 
 

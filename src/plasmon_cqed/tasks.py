@@ -40,7 +40,8 @@ from .lindblad import (
     pure_state,
     single_excitation_projection,
 )
-from .medium import EmitterSpec, Geometry, free_space_rates, silver
+from .medium import (EmitterSpec, Geometry, MaterialModel, free_space_rates,
+                     radiative_rate, silver)
 from .output import RunWriter
 from .scenario import Scenario
 from .weak import adiabatic_rates, broadened_rate, fermi_rate, purcell_factors
@@ -96,15 +97,23 @@ def _emitter_payload(emitter: EmitterSpec, geometry: Geometry):
     }
 
 
+def _write_kappa_spectra(writer: RunWriter, name, grid, n_modes, geometry,
+                         material, emitter, comments):
+    """CSV of |kappa_wn|^2 for n = 1..n_modes on the grid, one column per mode."""
+    spectra = [kappa_spectrum(n, grid, geometry, material, emitter)
+               for n in range(1, n_modes + 1)]
+    writer.csv(name,
+               ["omega_ev"] + [f"kappa2_lsp{n}_ev" for n in range(1, n_modes + 1)],
+               [[w] + [s.values[i] for s in spectra] for i, w in enumerate(grid)],
+               comments=comments)
+
+
 def task_spectra(sc: Scenario, writer: RunWriter):
-    grid = sc.omega_grid.build()
-    spectra = [kappa_spectrum(n, grid, sc.geometry, sc.material, sc.emitter)
-               for n in range(1, sc.n_modes + 1)]
-    columns = ["omega_ev"] + [f"kappa2_lsp{n}_ev" for n in range(1, sc.n_modes + 1)]
-    rows = [[w] + [s.values[i] for s in spectra] for i, w in enumerate(grid)]
-    writer.csv("spectra.csv", columns, rows,
-               comments=["coupling spectra hbar^2|kappa_wn|^2 (eV)",
-                         f"R={sc.geometry.radius} nm, h={sc.geometry.h} nm"])
+    _write_kappa_spectra(
+        writer, "spectra.csv", sc.omega_grid.build(), sc.n_modes, sc.geometry,
+        sc.material, sc.emitter,
+        ["coupling spectra hbar^2|kappa_wn|^2 (eV)",
+         f"R={sc.geometry.radius} nm, h={sc.geometry.h} nm"])
 
 
 def _fit_modes(sc: Scenario):
@@ -126,22 +135,39 @@ def task_fit(sc: Scenario, writer: RunWriter):
     return modes
 
 
-def _dominant_pair(dressed):
-    order = np.argsort(-np.abs(dressed.weights))
-    m1, m2 = order[0], order[1]
-    return m1, m2, abs(dressed.frequencies[m1] - dressed.frequencies[m2])
-
-
-def _spectrum_peaks(grid, values):
+def _spectrum_peaks(values):
     peaks = [i for i in range(1, len(values) - 1)
              if values[i] > values[i - 1] and values[i] > values[i + 1]]
     return sorted(peaks, key=lambda i: -values[i])
 
 
+def _dressed_spectra(modes, emitter, grid, geometry, material):
+    """Standard H_eff of the modes, its dressed set, the polarization and
+    radiated spectra on the grid, and the scalars read off them: the
+    splitting of the two states with the largest emitter weight, the
+    separation of the two highest polarization peaks (0 with fewer than two)
+    and the |C_1(w)|^2 peak."""
+    ham = build_standard(modes, emitter)
+    dressed = eigendecompose(ham)
+    pol = polarization_spectrum(ham, grid)
+    rad = radiated_spectrum(ham, grid, geometry, material)
+    m1, m2 = np.argsort(-np.abs(dressed.weights))[:2]
+    peaks = _spectrum_peaks(pol.values)
+    scalars = {
+        "dominant_states": [int(m1) + 1, int(m2) + 1],
+        "splitting_ev": abs(dressed.frequencies[m1] - dressed.frequencies[m2]),
+        "polarization_peak_separation_ev":
+            abs(grid[peaks[0]] - grid[peaks[1]]) if len(peaks) >= 2 else 0.0,
+        "c1_peak_ev": float(grid[int(np.argmax(rad.lsp1_population))]),
+    }
+    return dressed, pol, rad, scalars
+
+
 def task_dressed(sc: Scenario, writer: RunWriter):
     modes = task_fit(sc, writer)
-    ham = build_standard(modes, sc.emitter)
-    dressed = eigendecompose(ham)
+    grid = sc.omega_grid.build()
+    dressed, pol, rad, scalars = _dressed_spectra(
+        modes, sc.emitter, grid, sc.geometry, sc.material)
     weight_table = dressed.weight_table()
     columns = ["m", "omega_abs_ev", "gamma_m_ev", "weight_m0_sq"] + \
         [f"weight_lsp{m.n}" for m in modes]
@@ -153,28 +179,14 @@ def task_dressed(sc: Scenario, writer: RunWriter):
     writer.csv("dressed.csv", columns, rows,
                comments=["dressed states: lambda_m = omega_m - i gamma_m/2",
                          "weight_m0_sq is |m0|^2 in the biorthogonal gauge"])
-
-    grid = sc.omega_grid.build()
-    pol = polarization_spectrum(ham, grid)
     writer.csv("polarization.csv", ["omega_ev", "p"],
                list(zip(grid, pol.values)),
                comments=["near-field polarization spectrum"])
-    rad = radiated_spectrum(ham, grid, sc.geometry, sc.material)
     writer.csv("radiated.csv",
                ["omega_ev", "p_rad", "lsp1_population", "gamma_rad_ev"],
                list(zip(grid, rad.p_rad, rad.lsp1_population, rad.gamma_rad)),
                comments=["far-field power and |C_1(w)|^2 proxy"])
-
-    m1, m2, split = _dominant_pair(dressed)
-    peaks = _spectrum_peaks(grid, pol.values)
-    peak_sep = abs(grid[peaks[0]] - grid[peaks[1]]) if len(peaks) >= 2 else 0.0
-    payload = {
-        "n_states": len(dressed.eigenvalues),
-        "dominant_states": [int(m1) + 1, int(m2) + 1],
-        "splitting_ev": split,
-        "polarization_peak_separation_ev": peak_sep,
-        "c1_peak_ev": float(grid[int(np.argmax(rad.lsp1_population))]),
-    }
+    payload = {"n_states": len(dressed.eigenvalues), **scalars}
     writer.json("dressed.json", payload)
     return payload
 
@@ -222,57 +234,57 @@ def task_rates(sc: Scenario, writer: RunWriter):
     return payload
 
 
-def _fano_pair(sc: Scenario, geometry: Geometry, grid):
-    """Lossless fit then lossy refit with frozen {omega_1, Gamma_rad, g}."""
-    lossless = sc.material.lossless()
-    emitter = EmitterSpec.from_dipole(sc.emitter.omega0, 1.0, 0.0, geometry.n_b)
-    data_free = rate_spectrum_lsp(1, grid, geometry, lossless, eta=1.0)
-    mode_free = fit_fano_rate(grid, data_free, 1, geometry, emitter)
-    data_lossy = rate_spectrum_lsp(1, grid, geometry, sc.material, eta=1.0)
-    mode_lossy = fit_fano_rate(grid, data_lossy, 1, geometry, emitter,
-                               frozen=mode_free)
-    return emitter, (data_free, mode_free), (data_lossy, mode_lossy)
+def _fano_fit(material: MaterialModel, omega0: float, geometry: Geometry, grid):
+    """Two-stage Fano fit of the LSP_1 rate on the grid: a lossless fit, then
+    a lossy refit of Gamma_nr with {omega_1, Gamma_rad, g} frozen.
 
-
-def _fano_scalars(geometry, emitter, mode_free, mode_lossy):
-    from .medium import radiative_rate
-
-    g0_res = radiative_rate(mode_free.omega_n, emitter.d_eg, geometry.n_b)
-    f_rad = 4 * mode_free.g**2 / (g0_res * mode_free.gamma_rad)
-    gamma_tot = mode_lossy.gamma_rad + mode_lossy.gamma_nr
-    f_p = 4 * mode_free.g**2 / (g0_res * gamma_tot)
-    return {
-        "omega1_ev": mode_free.omega_n,
-        "gamma1_rad_ev": mode_free.gamma_rad,
-        "g1_ev": mode_free.g,
-        "alpha1": mode_free.alpha,
-        "q_fano": 2.0 / mode_free.alpha,
+    Returns the columns (lossless rate, its fit, lossy rate, its fit) and the
+    scalar report, including the Purcell identity F_p = Gamma_rad/Gamma F_rad.
+    """
+    emitter = EmitterSpec.from_dipole(omega0, 1.0, 0.0, geometry.n_b)
+    data_f = rate_spectrum_lsp(1, grid, geometry, material.lossless(), eta=1.0)
+    mode_f = fit_fano_rate(grid, data_f, 1, geometry, emitter)
+    data_l = rate_spectrum_lsp(1, grid, geometry, material, eta=1.0)
+    mode_l = fit_fano_rate(grid, data_l, 1, geometry, emitter, frozen=mode_f)
+    sign = 1.0 if (mode_f.alpha or 0) >= 0 else -1.0
+    columns = (
+        data_f,
+        fano_rate_model(grid, 1, geometry, emitter, mode_f.omega_n,
+                        mode_f.gamma_rad, sign * mode_f.g),
+        data_l,
+        fano_rate_model(grid, 1, geometry, emitter, mode_l.omega_n,
+                        mode_l.gamma_rad, sign * mode_l.g, mode_l.gamma_nr),
+    )
+    g0_res = radiative_rate(mode_f.omega_n, emitter.d_eg, geometry.n_b)
+    f_rad = 4 * mode_f.g**2 / (g0_res * mode_f.gamma_rad)
+    gamma_tot = mode_l.gamma_rad + mode_l.gamma_nr
+    f_p = 4 * mode_f.g**2 / (g0_res * gamma_tot)
+    return columns, {
+        "omega1_ev": mode_f.omega_n,
+        "gamma1_rad_ev": mode_f.gamma_rad,
+        "g1_ev": mode_f.g,
+        "alpha1": mode_f.alpha,
+        "q_fano": 2.0 / mode_f.alpha,
         "f_rad": f_rad,
-        "gamma1_nr_ev": mode_lossy.gamma_nr,
+        "gamma1_nr_ev": mode_l.gamma_nr,
         "f_p": f_p,
         "purcell_identity_residual": abs(
-            f_p - mode_lossy.gamma_rad / gamma_tot * f_rad),
-        "fit_residual_lossless": mode_free.fit_residual,
-        "fit_residual_lossy": mode_lossy.fit_residual,
+            f_p - mode_l.gamma_rad / gamma_tot * f_rad),
+        "fit_residual_lossless": mode_f.fit_residual,
+        "fit_residual_lossy": mode_l.fit_residual,
     }
 
 
 def task_fano(sc: Scenario, writer: RunWriter):
     grid = sc.omega_grid.build()
-    emitter, (data_f, mode_f), (data_l, mode_l) = _fano_pair(sc, sc.geometry, grid)
-    sign = 1.0 if (mode_f.alpha or 0) >= 0 else -1.0
-    fit_f = fano_rate_model(grid, 1, sc.geometry, emitter, mode_f.omega_n,
-                            mode_f.gamma_rad, sign * mode_f.g)
-    fit_l = fano_rate_model(grid, 1, sc.geometry, emitter, mode_l.omega_n,
-                            mode_l.gamma_rad, sign * mode_l.g, mode_l.gamma_nr)
+    columns, payload = _fano_fit(sc.material, sc.emitter.omega0, sc.geometry, grid)
     writer.csv(
         "fano_rate.csv",
         ["omega_ev", "lambda_nm", "rate_lossless", "fit_lossless",
          "rate_lossy", "fit_lossy"],
-        [[w, 2 * math.pi * HBAR_C_EV_NM / w, data_f[i], fit_f[i], data_l[i],
-          fit_l[i]] for i, w in enumerate(grid)],
+        [[w, 2 * math.pi * HBAR_C_EV_NM / w] + [c[i] for c in columns]
+         for i, w in enumerate(grid)],
         comments=["normalized decay rate into LSP_1 and its Fano fits"])
-    payload = _fano_scalars(sc.geometry, emitter, mode_f, mode_l)
     writer.json("fano.json", payload)
     return payload
 
@@ -280,9 +292,7 @@ def task_fano(sc: Scenario, writer: RunWriter):
 def task_lindblad(sc: Scenario, writer: RunWriter):
     import time
 
-    n_modes = min(sc.n_modes, 8)  # Liouvillian is (N+2)^2; keep the run light
-    if n_modes != sc.n_modes:
-        writer.note(f"lindblad task truncated n_modes {sc.n_modes} -> {n_modes}")
+    n_modes = sc.n_modes
     modes = extract_modes(n_modes, sc.geometry, sc.material, sc.emitter)
     space = build_state_space(n_modes)
     h_s = build_system_hamiltonian(modes, sc.emitter, space)
@@ -355,13 +365,9 @@ def figure_suite(sc: Scenario, writer: RunWriter):
 
     # -- coupling spectra, small particle (R=8, h=2), n = 1..6
     geometry, sc_emitter = _strong_coupling_inputs()
-    grid = np.linspace(2.4, 3.2, 401)
-    spectra = [kappa_spectrum(n, grid, geometry, material, sc_emitter)
-               for n in range(1, 7)]
-    writer.csv("fig2.csv",
-               ["omega_ev"] + [f"kappa2_lsp{n}_ev" for n in range(1, 7)],
-               [[w] + [s.values[i] for s in spectra] for i, w in enumerate(grid)],
-               comments=["coupling spectra, R=8 nm, h=2 nm"])
+    _write_kappa_spectra(writer, "fig2.csv", np.linspace(2.4, 3.2, 401), 6,
+                         geometry, material, sc_emitter,
+                         ["coupling spectra, R=8 nm, h=2 nm"])
 
     # -- coupling strength and mode width vs surface distance
     h_values = [1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 14.0, 18.0]
@@ -378,28 +384,24 @@ def figure_suite(sc: Scenario, writer: RunWriter):
 
     # -- strong coupling: dressed states, polarization, far field
     modes25 = extract_modes(25, geometry, material, sc_emitter)
-    ham = build_standard(modes25, sc_emitter)
-    dressed = eigendecompose(ham)
-    _, _, split = _dominant_pair(dressed)
     grid_pol = np.linspace(2.4, 3.4, 2001)
-    pol = polarization_spectrum(ham, grid_pol)
-    peaks = _spectrum_peaks(grid_pol, pol.values)
-    peak_sep = abs(grid_pol[peaks[0]] - grid_pol[peaks[1]])
+    _, pol, rad, scalars = _dressed_spectra(modes25, sc_emitter, grid_pol,
+                                            geometry, material)
     writer.csv("fig4b.csv", ["omega_ev", "p", "p_normalized"],
                [[w, p, p / pol.values.max()]
                 for w, p in zip(grid_pol, pol.values)],
                comments=["polarization spectrum, omega0 = 2.94 eV, N = 25"])
-    rad = radiated_spectrum(ham, grid_pol, geometry, material)
     writer.csv("fig5.csv",
                ["omega_ev", "p_rad_normalized", "lsp1_population_normalized"],
                [[w, rad.p_rad[i] / rad.p_rad.max(),
                  rad.lsp1_population[i] / rad.lsp1_population.max()]
                 for i, w in enumerate(grid_pol)],
                comments=["far-field power and LSP_1 population proxy"])
-    summary["splitting_mev"] = _check(split * 1e3, "splitting_mev")
-    summary["peak_separation_mev"] = _check(peak_sep * 1e3, "peak_separation_mev")
-    summary["c1_peak_ev"] = _check(
-        float(grid_pol[int(np.argmax(rad.lsp1_population))]), "c1_peak_ev")
+    summary["splitting_mev"] = _check(scalars["splitting_ev"] * 1e3,
+                                      "splitting_mev")
+    summary["peak_separation_mev"] = _check(
+        scalars["polarization_peak_separation_ev"] * 1e3, "peak_separation_mev")
+    summary["c1_peak_ev"] = _check(scalars["c1_peak_ev"], "c1_peak_ev")
 
     # -- weak coupling: decay dynamics and distance sweep
     wk_emitter = _weak_coupling_emitter()
@@ -429,44 +431,27 @@ def figure_suite(sc: Scenario, writer: RunWriter):
                sweep, comments=["normalized decay rate vs surface distance"])
 
     # -- large particle: leaky coupling spectra (R=50, h=5)
-    geo50 = Geometry.from_surface_distance(50.0, 5.0)
-    grid50 = np.linspace(2.0, 3.2, 401)
-    spectra50 = [kappa_spectrum(n, grid50, geo50, material, sc_emitter)
-                 for n in range(1, 7)]
-    writer.csv("fig8.csv",
-               ["omega_ev"] + [f"kappa2_lsp{n}_ev" for n in range(1, 7)],
-               [[w] + [s.values[i] for s in spectra50]
-                for i, w in enumerate(grid50)],
-               comments=["coupling spectra, R=50 nm, h=5 nm (LSP_1 asymmetric)"])
+    _write_kappa_spectra(writer, "fig8.csv", np.linspace(2.0, 3.2, 401), 6,
+                         Geometry.from_surface_distance(50.0, 5.0), material,
+                         sc_emitter,
+                         ["coupling spectra, R=50 nm, h=5 nm (LSP_1 asymmetric)"])
 
     # -- Fano fits at R=50 for h = 30 and h = 15
     grid_f = np.linspace(*FANO_FIT_WINDOW_EV, 301)
-    sc50 = Scenario(material=material, geometry=geo50, emitter=sc_emitter,
-                    task="fano", n_modes=1, omega_grid=sc.omega_grid,
-                    time_grid=sc.time_grid, out_dir=writer.out_dir, raw={})
     results = {}
     fig9_cols = {}
     for h in (30.0, 15.0):
-        geo = Geometry.from_surface_distance(50.0, h)
-        emitter, (data_f, mode_f), (data_l, mode_l) = _fano_pair(sc50, geo, grid_f)
-        sign = 1.0 if (mode_f.alpha or 0) >= 0 else -1.0
-        fig9_cols[h] = (
-            data_f,
-            fano_rate_model(grid_f, 1, geo, emitter, mode_f.omega_n,
-                            mode_f.gamma_rad, sign * mode_f.g),
-            data_l,
-            fano_rate_model(grid_f, 1, geo, emitter, mode_l.omega_n,
-                            mode_l.gamma_rad, sign * mode_l.g, mode_l.gamma_nr),
-        )
-        results[h] = _fano_scalars(geo, emitter, mode_f, mode_l)
+        fig9_cols[h], results[h] = _fano_fit(
+            material, sc_emitter.omega0, Geometry.from_surface_distance(50.0, h),
+            grid_f)
     writer.csv(
         "fig9.csv",
         ["omega_ev", "lambda_nm",
          "h30_lossless_rate", "h30_lossless_fit", "h30_lossy_rate", "h30_lossy_fit",
          "h15_lossless_rate", "h15_lossless_fit", "h15_lossy_rate", "h15_lossy_fit"],
         [[w, 2 * math.pi * HBAR_C_EV_NM / w]
-         + [fig9_cols[30.0][k][i] for k in range(4)]
-         + [fig9_cols[15.0][k][i] for k in range(4)]
+         + [c[i] for c in fig9_cols[30.0]]
+         + [c[i] for c in fig9_cols[15.0]]
          for i, w in enumerate(grid_f)],
         comments=["normalized LSP_1 decay rate and Fano fits, R=50 nm"])
 

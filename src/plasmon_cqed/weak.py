@@ -21,7 +21,6 @@ from .constants import HBAR_C_EV_NM
 class WeakCouplingReport:
     """Per-scenario rate budget (eV) with per-mode arrays indexed by LSP order."""
 
-    method: str
     lamb_shift: float
     gamma_tot: float
     gamma0: float
@@ -35,26 +34,40 @@ class WeakCouplingReport:
         return self.gamma_tot / self.gamma0
 
 
-def adiabatic_rates(modes, emitter: EmitterSpec) -> WeakCouplingReport:
-    """Lamb shift and total decay rate from adiabatic plasmon elimination."""
+def _purcell_quality(modes, gamma0: float):
+    """Per-mode F_p^n = 4 g_n^2/(gamma0 Gamma_n) and Q_n = omega_n/Gamma_n."""
+    return (np.array([4 * m.g**2 / (gamma0 * m.gamma_n) for m in modes]),
+            np.array([m.omega_n / m.gamma_n for m in modes]))
+
+
+def _eliminate(modes, emitter: EmitterSpec, alphas) -> WeakCouplingReport:
+    """Adiabatic elimination of modes whose couplings carry the Fano
+    asymmetries alphas (all zero for the standard Hamiltonian)."""
     omega0, gamma0 = emitter.omega0, emitter.gamma0
     delta_w = 0.0
     gam = []
-    for m in modes:
-        d = omega0 - m.omega_n
-        den = d**2 + (m.gamma_n / 2) ** 2
-        delta_w += m.g**2 * d / den
-        gam.append(m.g**2 * m.gamma_n / den)
+    for m, alpha in zip(modes, alphas):
+        den = (omega0 - m.omega_n) ** 2 + (m.gamma_n / 2) ** 2
+        delta_w += -m.g**2 * ((1 - alpha**2 / 4) * (m.omega_n - omega0)
+                              + alpha * m.gamma_n / 2) / den
+        gam.append(m.g**2 * ((1 - alpha**2 / 4) * m.gamma_n
+                             - 2 * alpha * (m.omega_n - omega0)) / den)
     gam = np.asarray(gam)
+    fp, q = _purcell_quality(modes, gamma0)
     return WeakCouplingReport(
-        method="adiabatic",
         lamb_shift=delta_w,
         gamma_tot=gamma0 + float(np.sum(gam)),
         gamma0=gamma0,
         gamma_n=gam,
-        purcell=np.array([4 * m.g**2 / (gamma0 * m.gamma_n) for m in modes]),
-        quality=np.array([m.omega_n / m.gamma_n for m in modes]),
+        purcell=fp,
+        quality=q,
     )
+
+
+def adiabatic_rates(modes, emitter: EmitterSpec) -> WeakCouplingReport:
+    """Lamb shift and total decay rate from adiabatic plasmon elimination:
+    the Fano elimination with every alpha_n = 0."""
+    return _eliminate(modes, emitter, [0.0] * len(modes))
 
 
 def purcell_factors(modes, emitter: EmitterSpec) -> WeakCouplingReport:
@@ -62,8 +75,7 @@ def purcell_factors(modes, emitter: EmitterSpec) -> WeakCouplingReport:
     the detuning-weighted contribution of each mode; F_rad where the
     radiative split is resolved."""
     gamma0 = emitter.gamma0
-    fp = np.array([4 * m.g**2 / (gamma0 * m.gamma_n) for m in modes])
-    q = np.array([m.omega_n / m.gamma_n for m in modes])
+    fp, q = _purcell_quality(modes, gamma0)
     detuned = np.array([
         f / (1 + 4 * qq**2 * ((emitter.omega0 - m.omega_n) / m.omega_n) ** 2)
         for f, qq, m in zip(fp, q, modes)
@@ -75,7 +87,6 @@ def purcell_factors(modes, emitter: EmitterSpec) -> WeakCouplingReport:
             for m in modes
         ])
     return WeakCouplingReport(
-        method="purcell",
         lamb_shift=0.0,
         gamma_tot=gamma0 * (1 + float(np.sum(detuned))),
         gamma0=gamma0,
@@ -114,31 +125,7 @@ def fano_adiabatic(modes, emitter: EmitterSpec) -> WeakCouplingReport:
     the Fano dip, so individual gamma_n may be negative while the total rate
     stays physical.
     """
-    omega0, gamma0 = emitter.omega0, emitter.gamma0
-    delta_w = 0.0
-    gam = []
-    fp = []
-    q = []
-    for m in modes:
-        alpha = m.alpha or 0.0
-        d = omega0 - m.omega_n
-        den = d**2 + (m.gamma_n / 2) ** 2
-        delta_w += -m.g**2 * ((1 - alpha**2 / 4) * (m.omega_n - omega0)
-                              + alpha * m.gamma_n / 2) / den
-        gam.append(m.g**2 * ((1 - alpha**2 / 4) * m.gamma_n
-                             - 2 * alpha * (m.omega_n - omega0)) / den)
-        fp.append(4 * m.g**2 / (gamma0 * m.gamma_n))
-        q.append(m.omega_n / m.gamma_n)
-    gam = np.asarray(gam)
-    return WeakCouplingReport(
-        method="fano",
-        lamb_shift=delta_w,
-        gamma_tot=gamma0 + float(np.sum(gam)),
-        gamma0=gamma0,
-        gamma_n=gam,
-        purcell=np.asarray(fp),
-        quality=np.asarray(q),
-    )
+    return _eliminate(modes, emitter, [m.alpha or 0.0 for m in modes])
 
 
 def fano_dip_frequency(mode) -> float:

@@ -1,3 +1,4 @@
+import glob
 import json
 import os
 
@@ -196,6 +197,21 @@ class TestTasks:
             payload = json.load(fh)
         assert payload["max_population_deviation"] < 1e-6
 
+    def test_lindblad_task_takes_every_mode(self, tmp_path):
+        cfg = base_config(task="lindblad")
+        cfg["run"]["n_modes"] = 12
+        cfg["run"]["time_grid"] = {"min_fs": 0.0, "max_fs": 150.0, "points": 40}
+        out = str(tmp_path / "out")
+        assert main(["run", write_config(tmp_path, cfg), "--out", out]) == 0
+        with open(os.path.join(out, "lindblad_populations.csv")) as fh:
+            header = [line for line in fh if not line.startswith("#")][0]
+        assert [c for c in header.strip().split(",")
+                if c.startswith("pop_lsp")] == [f"pop_lsp{n}" for n in range(1, 13)]
+        with open(os.path.join(out, "lindblad.json")) as fh:
+            payload = json.load(fh)
+        assert payload["n_modes"] == 12
+        assert payload["max_population_deviation"] <= 1e-6
+
     def test_weak_coupling_lindblad_passes(self, tmp_path):
         # weakly coupled emitter over a window long after its decay: an
         # adaptive stepper let rho drift past the hermiticity check (exit 3)
@@ -217,3 +233,18 @@ class TestTasks:
         with open(os.path.join(out, "lindblad.json")) as fh:
             payload = json.load(fh)
         assert payload["max_population_deviation"] <= 1e-6
+
+
+SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(
+    os.path.dirname(__file__), os.pardir, "configs", "*.json")))
+
+
+def test_configs_are_shipped():
+    assert len(SHIPPED_CONFIGS) >= 4
+
+
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=os.path.basename)
+def test_shipped_config_runs(tmp_path, config):
+    out = str(tmp_path / "out")
+    assert main(["run", config, "--out", out]) == 0
+    assert validate_manifest(out) == []

@@ -315,6 +315,30 @@ class TestSpectra:
         with pytest.raises(SingularityError, match=f"={grid[where]} eV"):
             resolvent_loop(ham, grid)
 
+    @pytest.mark.parametrize("n_lossy", [0, 3])
+    def test_amplitude_response_on_a_coupled_lossless_level(self, n_lossy):
+        # a grid point exactly on a coupled lossless mode's level, where the
+        # self-energy form divides by zero but the resolvent is finite
+        em = EmitterSpec(omega0=2.7, d_eg=1.0, eta=1.0, gamma0=0.012)
+        lossless = ModeParams(n=n_lossy + 1, omega_n=2.75, gamma_n=0.0, g=0.02,
+                              gamma_rad=0.0, gamma_nr=0.0, alpha=0.0)
+        rng = np.random.default_rng(61)
+        modes = synthetic_modes(rng, n_lossy, fano=True, emitter=em) + [lossless]
+        ham = build_fano(modes, em, "radiative_only")
+        grid = np.sort(np.append(np.linspace(2.6, 2.9, 40), 2.75))
+        amps = amplitude_response(ham, grid)
+        ref = resolvent_loop(ham, grid)
+        assert np.max(np.abs(amps - ref) / np.max(np.abs(ref), axis=0)) <= 1e-13
+        on_level = amps[grid == 2.75][0]
+        assert on_level[-1] == pytest.approx(-50j, rel=1e-13)
+        assert not np.any(on_level[:-1])
+        # a second lossless mode on the same level makes u I - H singular
+        twin = ModeParams(n=n_lossy + 2, omega_n=2.75, gamma_n=0.0, g=0.03,
+                          gamma_rad=0.0, gamma_nr=0.0, alpha=0.0)
+        with pytest.raises(SingularityError, match="=2.75 eV"):
+            amplitude_response(build_fano(modes + [twin], em, "radiative_only"),
+                               grid)
+
 
 class TestFanoContinuity:
     def test_eigenvalues_converge_linearly_in_alpha(self, emitter):
