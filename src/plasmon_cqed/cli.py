@@ -49,7 +49,7 @@ def main(argv=None) -> int:
     if args.verify:
         from .verify import run_all
 
-        results = run_all(verbose=True)
+        results = run_all()
         if not all(r.passed for r in results):
             print("verification suite failed", file=sys.stderr)
             return EXIT_NUMERICAL

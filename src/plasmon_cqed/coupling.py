@@ -197,9 +197,9 @@ def extract_modes(n_modes: int, geometry: Geometry, material: MaterialModel,
     return extract_mode_sweep(n_modes, [geometry], material, emitter)[0]
 
 
-def rate_spectrum_lsp(n: int, grid, geometry: Geometry, material: MaterialModel,
-                      eta: float = 1.0) -> np.ndarray:
-    """Normalized decay rate into LSP_n, gamma_n(w0)/gamma0 = eta (6 pi/k_b) Im G_n.
+def rate_spectrum_lsp(n: int, grid, geometry: Geometry,
+                      material: MaterialModel) -> np.ndarray:
+    """Normalized decay rate into LSP_n, gamma_n(w0)/gamma0 = (6 pi/k_b) Im G_n.
 
     This is the per-mode golden-rule rate scanned over the emission frequency;
     for leaky modes it goes negative past the Fano dip (the free-space '1' of
@@ -208,7 +208,7 @@ def rate_spectrum_lsp(n: int, grid, geometry: Geometry, material: MaterialModel,
     grid = np.asarray(grid, dtype=float)
     kb = geometry.n_b * grid / HBAR_C_EV_NM
     term = green_rr_terms(grid, geometry, material, n)[..., n - 1]
-    return eta * 6 * math.pi / kb * term.imag
+    return 6 * math.pi / kb * term.imag
 
 
 def _free_space_rates(omega, n, geometry, emitter):

@@ -9,17 +9,18 @@ The paper-style dissipators carry the 1/2 convention folded in; they equal
 the standard Lindblad form D[c]rho = c rho c+ - {c+c, rho}/2 with c = sqrt(rate)*op,
 which is what is assembled below.
 
-Propagation works on the sectors of the Liouvillian, not on the whole
-(N+2)^2 matrix.  Every collapse operator maps the single-excitation block
-onto |g,0>, so the jump terms c rho c+ only feed |g,0><g,0|, and the rest
-evolves under A = -i H_eff alone:
+The master equation is kept as its factors (Liouvillian); no (N+2)^2 x
+(N+2)^2 superoperator is formed.  Every channel maps the single-excitation
+block onto |g,0> and annihilates |g,0>, so the jumps c rho c+ only feed
+|g,0><g,0| (the no-jump/jump split of Dalibard, Castin & Molmer, PRL 68, 580
+(1992)), and the rest evolves under A = -i H_eff alone:
 
     rho_1(t)  = U rho_1(0) U+        (single-excitation block)
     rho_k0(t) = U rho_k0(0)          (coherences with |g,0>; rho_0k conjugate)
     rho_00(t) = tr rho(0) - tr rho_1(t)
 
-with U = expm(-i H_eff t), of side N+1.  evolve_master reads -i H_eff off the
-assembled Liouvillian and checks that the Liouvillian has this form.
+with U = expm(-i H_eff t), of side N+1.  evolve_master checks this form on
+the d x d factors and takes -i H_eff = A[1:, 1:], A = -i H_S - sum c+c / 2.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from .medium import EmitterSpec
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-9
 POSITIVITY_FLOOR = -1e-9
-GENERATOR_TOL = 1e-12  # sector-form residual of a Liouvillian, relative to max|L|
+GENERATOR_TOL = 1e-12  # off-sector entries of H_S or a channel, relative to its max
+DISSIPATOR_KINDS = ("standard", "fano_radiative", "fano_full")
 
 
 @dataclass(frozen=True)
@@ -53,29 +55,15 @@ class StateSpace:
         return self.n_modes + 2
 
 
-def _from_triplets(dim, triplets):
-    out = np.zeros((dim, dim), dtype=complex)
-    for row, col, val in triplets:
-        out[row, col] = val
-    return out
-
-
 def build_state_space(n_modes: int) -> StateSpace:
-    """Sector-restricted sigma and a_n matrices from their (row, col, value)
-    triplets; a_n |g,1_m> = delta_nm |g,0>, sigma_ge |e,0> = |g,0>."""
+    """Sector-restricted sigma and a_n matrices, each |g,0> times a basis bra:
+    a_n |g,1_m> = delta_nm |g,0>, sigma_ge |e,0> = |g,0>."""
     if n_modes < 0:
         raise InvalidArgumentError("n_modes must be >= 0")
-    dim = n_modes + 2
-    sigma_ge = _from_triplets(dim, [(0, 1, 1.0)])
-    lowering = tuple(
-        _from_triplets(dim, [(0, 2 + k, 1.0)]) for k in range(n_modes)
-    )
-    return StateSpace(
-        n_modes=n_modes,
-        sigma_ge=sigma_ge,
-        sigma_eg=sigma_ge.conj().T,
-        lowering=lowering,
-    )
+    basis = np.eye(n_modes + 2, dtype=complex)
+    sigma_ge = np.outer(basis[0], basis[1])
+    return StateSpace(n_modes=n_modes, sigma_ge=sigma_ge, sigma_eg=sigma_ge.conj().T,
+                      lowering=tuple(np.outer(basis[0], b) for b in basis[2:]))
 
 
 @dataclass(frozen=True)
@@ -114,7 +102,7 @@ def build_dissipators(kind: str, modes, emitter: EmitterSpec,
     induced effective Hamiltonian keeps the full radiative diagonal and the
     alpha -> 0 limit collapses exactly onto the standard dissipators.
     """
-    if kind not in ("standard", "fano_radiative", "fano_full"):
+    if kind not in DISSIPATOR_KINDS:
         raise InvalidArgumentError(f"unknown dissipator kind {kind!r}")
     if len(modes) != space.n_modes:
         raise InvalidArgumentError("mode count does not match state space")
@@ -172,28 +160,29 @@ def dissipator_action(channel: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return channel @ rho @ cd - 0.5 * (cdc @ rho + rho @ cdc)
 
 
-def build_liouvillian(h_s: np.ndarray, dissipators: DissipatorSpec,
-                      space: StateSpace) -> np.ndarray:
-    """Column-stacked superoperator: d vec(rho)/dt = L vec(rho).
+@dataclass(frozen=True)
+class Liouvillian:
+    """d rho/dt = -i[H_S, rho] + sum_c D[c] rho, kept as its factors; shape
+    (d^2, d^2) on column-stacked vec(rho), a matrix never formed here."""
 
-    L = I (x) A + conj(A) (x) I + sum_c conj(c) (x) c with A = -i H_S - K/2 and
-    K = sum_c c+c, since vec(X rho Y) = (Y^T (x) X) vec(rho).  Both channel
-    sums are single contractions over the stacked channels.
-    """
-    h_s = np.asarray(h_s, dtype=complex)
-    if np.max(np.abs(h_s - h_s.conj().T)) > HERMITICITY_TOL:
-        raise ContractViolationError("system Hamiltonian must be hermitian")
-    dim = space.dim
-    eye = np.eye(dim)
+    h_s: np.ndarray       # (d, d) hermitian system Hamiltonian
+    channels: np.ndarray  # (C, d, d) stacked collapse operators
+
+    def __post_init__(self):
+        if np.max(np.abs(self.h_s - self.h_s.conj().T)) > HERMITICITY_TOL:
+            raise ContractViolationError("system Hamiltonian must be hermitian")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.h_s.shape[0] ** 2,) * 2
+
+
+def build_liouvillian(h_s: np.ndarray, dissipators: DissipatorSpec,
+                      space: StateSpace) -> Liouvillian:
+    """The master equation of H_S and the dissipators' collapse channels."""
     chans = np.array([c for _, c in dissipators.channels],
-                     dtype=complex).reshape(-1, dim, dim)
-    a = -1j * h_s - 0.5 * np.tensordot(chans.conj(), chans, axes=([0, 1], [0, 1]))
-    # [j, l, i, k] = sum_c conj(c_jl) c_ik -> kron row j*d + i, column l*d + k
-    jumps = np.tensordot(chans.conj(), chans, axes=(0, 0))
-    liou = np.kron(eye, a)
-    liou += np.kron(a.conj(), eye)
-    liou += jumps.transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
-    return liou
+                     dtype=complex).reshape(-1, space.dim, space.dim)
+    return Liouvillian(h_s=np.asarray(h_s, dtype=complex), channels=chans)
 
 
 @dataclass(frozen=True)
@@ -244,33 +233,27 @@ def _validate_states(rhos: np.ndarray) -> None:
         raise
 
 
-def _sector_generator(liouvillian: np.ndarray, dim: int) -> np.ndarray:
-    """-i H_eff = L[1:d, 1:d], the block acting on the coherences rho_k0.
+def _sector_generator(liouvillian: Liouvillian, dim: int) -> np.ndarray:
+    """-i H_eff = A[1:, 1:] with A = -i H_S - (1/2) sum c+c.
 
-    Raises ContractViolationError unless L = I (x) A + conj(A) (x) I off row 0
-    (A is that block padded by a zero row and column; row 0 is the jump feed
-    into |g,0><g,0|) and vec(I)^T L = 0: the form the sector propagation of
-    evolve_master is exact for.
-    """
+    Raises ContractViolationError unless H_S has a zero row and column 0 and
+    every channel is nonzero only in row 0 and zero in column 0: the form the
+    sector propagation is exact for, trace-preserving by construction."""
     if liouvillian.shape != (dim * dim, dim * dim):
         raise ContractViolationError(
             f"Liouvillian of shape {liouvillian.shape} for a {dim}x{dim} state")
-    gen = liouvillian[1:dim, 1:dim]
-    a = np.zeros((dim, dim), dtype=complex)
-    a[1:, 1:] = gen
-    eye = np.eye(dim)
-    off = np.kron(eye, a)
-    off += np.kron(a.conj(), eye)
-    off -= liouvillian
-    off[0] = 0.0
-    tol = GENERATOR_TOL * np.max(np.abs(liouvillian), initial=0.0)
-    if np.max(np.abs(off)) > tol:
+    h_s, chans = liouvillian.h_s, liouvillian.channels
+    coupling = max(np.max(np.abs(h_s[0])), np.max(np.abs(h_s[:, 0])))
+    if coupling > GENERATOR_TOL * np.max(np.abs(h_s)):
         raise ContractViolationError(
-            "Liouvillian couples |g,0> to the single-excitation sector")
-    # the rows of the diagonal entries rho_ii sum to vec(I)^T L
-    if np.max(np.abs(liouvillian[::dim + 1].sum(axis=0))) > tol:
-        raise ContractViolationError("Liouvillian does not preserve the trace")
-    return gen
+            "system Hamiltonian couples |g,0> to the single-excitation sector")
+    stray = max(np.max(np.abs(chans[:, 1:]), initial=0.0),
+                np.max(np.abs(chans[:, :, 0]), initial=0.0))
+    if stray > GENERATOR_TOL * np.max(np.abs(chans), initial=0.0):
+        raise ContractViolationError(
+            "collapse channel does not map the sector onto |g,0>")
+    a = -1j * h_s - 0.5 * np.tensordot(chans.conj(), chans, axes=([0, 1], [0, 1]))
+    return a[1:, 1:]
 
 
 def _sector_states(props: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -287,18 +270,19 @@ def _sector_states(props: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def evolve_master(liouvillian: np.ndarray, rho0: DensityMatrix,
+def evolve_master(liouvillian: Liouvillian, rho0: DensityMatrix,
                   times) -> list[DensityMatrix]:
-    """Propagate the vectorized master equation exactly to the requested times.
+    """Propagate the master equation exactly to the requested times.
 
     By sectors (module docstring): the propagators U(t_k) = expm(-i H_eff t_k)
     of side N+1 come from exact expm steps (heff._propagate), so there is no
     time-stepping error, also where H_eff is defective (exceptional points).
-    Every returned state is validated, in one stacked pass.
+    The sector form is checked on the d x d factors (_sector_generator), and
+    every returned state is validated, in one stacked pass.
     """
     rho0.validate()
     dim = rho0.rho.shape[0]
-    gen = _sector_generator(np.asarray(liouvillian), dim)
+    gen = _sector_generator(liouvillian, dim)
     # the propagator stack is freed before the validation pass
     rhos = _sector_states(_propagate(gen, np.eye(dim - 1), times), rho0.rho)
     _validate_states(rhos)
@@ -312,8 +296,7 @@ def effective_hamiltonian_from_lindblad(h_s: np.ndarray,
     Reproduces the standard matrix for the standard kind and the Fano
     matrices (leaky off-diagonals) for the collective kinds.
     """
-    h_s = np.asarray(h_s, dtype=complex)
-    total = h_s.astype(complex).copy()
+    total = np.array(h_s, dtype=complex)
     for _, c in dissipators.channels:
         total = total - 0.5j * (c.conj().T @ c)
     block = total[1:, 1:]

@@ -39,7 +39,6 @@ from .specfun import (
 )
 
 DEFAULT_N_MAX = 30
-CONVERGENCE_RATIO = 1e-8
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,6 @@ class GreenExpansion:
     omega: float
     per_mode: np.ndarray  # complex, index 0 <-> n=1
     total: complex
-    converged: bool
 
 
 def _green_term_quasistatic(n, omega, geometry, material):
@@ -192,9 +190,7 @@ def green_rr_scattered(omega: float, geometry: Geometry, material: MaterialModel
     of this once per point.
     """
     terms = green_rr_terms(float(omega), geometry, material, n_max)
-    total = complex(np.sum(terms))
-    converged = abs(terms[-1]) <= CONVERGENCE_RATIO * max(abs(total), 1e-300)
-    return GreenExpansion(omega=omega, per_mode=terms, total=total, converged=converged)
+    return GreenExpansion(omega=omega, per_mode=terms, total=complex(np.sum(terms)))
 
 
 def radial_mode_fractions(n_max: int, x) -> np.ndarray:
@@ -215,14 +211,12 @@ def radial_mode_fractions(n_max: int, x) -> np.ndarray:
 
 
 def qs_polarizability(n: int, omega, geometry: Geometry,
-                      material: MaterialModel,
-                      radiation_correction: bool = True):
+                      material: MaterialModel):
     """Quasi-static and effective (radiation-corrected) polarizabilities, nm^(2n+1),
     element-wise over omega.
 
-    With radiation_correction=False the k_b-dependent correction is switched
-    off and alpha_eff == alpha_qs exactly.  Any frequency on the pole
-    |n eps_m + (n+1) eps_b| < 1e-12 raises SingularDenominatorError.
+    Any frequency on the pole |n eps_m + (n+1) eps_b| < 1e-12 raises
+    SingularDenominatorError.
     """
     if n < 1:
         raise InvalidArgumentError("multipole order starts at n=1")
@@ -236,8 +230,6 @@ def qs_polarizability(n: int, omega, geometry: Geometry,
             "(lossless on-resonance)"
         )
     alpha_qs = n * (eps_m - eps_b) * geometry.radius ** (2 * n + 1) / den
-    if not radiation_correction:
-        return alpha_qs, alpha_qs
     kb = geometry.n_b * omega / HBAR_C_EV_NM
     corr = (n + 1) * kb ** (2 * n + 1) / (
         n * double_factorial(2 * n - 1) * double_factorial(2 * n + 1)

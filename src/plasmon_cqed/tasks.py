@@ -242,9 +242,9 @@ def _fano_fit(material: MaterialModel, omega0: float, geometry: Geometry, grid):
     scalar report, including the Purcell identity F_p = Gamma_rad/Gamma F_rad.
     """
     emitter = EmitterSpec.from_dipole(omega0, 1.0, 0.0, geometry.n_b)
-    data_f = rate_spectrum_lsp(1, grid, geometry, material.lossless(), eta=1.0)
+    data_f = rate_spectrum_lsp(1, grid, geometry, material.lossless())
     mode_f = fit_fano_rate(grid, data_f, 1, geometry, emitter)
-    data_l = rate_spectrum_lsp(1, grid, geometry, material, eta=1.0)
+    data_l = rate_spectrum_lsp(1, grid, geometry, material)
     mode_l = fit_fano_rate(grid, data_l, 1, geometry, emitter, frozen=mode_f)
     sign = 1.0 if (mode_f.alpha or 0) >= 0 else -1.0
     columns = (

@@ -32,6 +32,8 @@ from .heff import (
     polarization_spectrum,
 )
 from .lindblad import (
+    DISSIPATOR_KINDS,
+    DensityMatrix,
     build_dissipators,
     build_liouvillian,
     build_state_space,
@@ -42,7 +44,7 @@ from .lindblad import (
     pure_state,
     single_excitation_projection,
 )
-from .medium import EmitterSpec, Geometry, permittivity, silver
+from .medium import EmitterSpec, Geometry, MaterialModel, permittivity, silver
 from .mie import (
     green_rr_quasistatic,
     green_rr_scattered,
@@ -140,8 +142,6 @@ def check_sum_rule() -> CheckResult:
 
 
 def check_qs_resonance() -> CheckResult:
-    from .medium import MaterialModel
-
     metal = MaterialModel.drude(1.0, 5.0, 0.0)
     worst = 0.0
     for n in range(1, 7):
@@ -181,16 +181,14 @@ def check_green_quasistatic() -> CheckResult:
     return CheckResult("green-quasistatic", rel < 0.15, f"Im rel dev {rel:.3f}")
 
 
-def _synthetic_modes(rng, n_modes):
-    modes = []
-    for k in range(n_modes):
-        modes.append(ModeParams(
-            n=k + 1,
-            omega_n=2.3 + 0.6 * rng.random(),
-            gamma_n=0.02 + 0.08 * rng.random(),
-            g=0.005 + 0.05 * rng.random(),
-        ))
-    return modes
+def _standard_hamiltonian(seed, n_modes, gamma0):
+    """build_standard on seeded random modes, emitter at 2.7 eV."""
+    rng = np.random.default_rng(seed)
+    modes = [ModeParams(n=k + 1, omega_n=2.3 + 0.6 * rng.random(),
+                        gamma_n=0.02 + 0.08 * rng.random(),
+                        g=0.005 + 0.05 * rng.random()) for k in range(n_modes)]
+    return build_standard(modes, EmitterSpec(omega0=2.7, d_eg=10.0, eta=0.5,
+                                             gamma0=gamma0))
 
 
 def check_lorentzian_roundtrip() -> CheckResult:
@@ -246,9 +244,7 @@ def arrowhead_secular_residual(matrix: np.ndarray, lam: complex) -> float:
 
 
 def check_secular() -> CheckResult:
-    rng = np.random.default_rng(9)
-    em = EmitterSpec(omega0=2.7, d_eg=10.0, eta=0.5, gamma0=0.01)
-    ham = build_standard(_synthetic_modes(rng, 8), em)
+    ham = _standard_hamiltonian(9, 8, 0.01)
     dressed = eigendecompose(ham)
     worst = max(arrowhead_secular_residual(ham.matrix, lam)
                 for lam in dressed.eigenvalues)
@@ -256,9 +252,7 @@ def check_secular() -> CheckResult:
 
 
 def check_biorthogonality() -> CheckResult:
-    rng = np.random.default_rng(13)
-    em = EmitterSpec(omega0=2.7, d_eg=10.0, eta=0.5, gamma0=0.012)
-    ham = build_standard(_synthetic_modes(rng, 8), em)
+    ham = _standard_hamiltonian(13, 8, 0.012)
     dressed = eigendecompose(ham)
     gram = dressed.left.conj().T @ dressed.right
     err1 = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
@@ -272,9 +266,7 @@ def check_biorthogonality() -> CheckResult:
 def check_spectral_vs_rk() -> CheckResult:
     from scipy.integrate import solve_ivp
 
-    rng = np.random.default_rng(17)
-    em = EmitterSpec(omega0=2.7, d_eg=10.0, eta=0.5, gamma0=0.02)
-    ham = build_standard(_synthetic_modes(rng, 6), em)
+    ham = _standard_hamiltonian(17, 6, 0.02)
     psi0 = np.zeros(7, dtype=complex)
     psi0[0] = 1.0
     times = np.linspace(0.0, 10.0 / 0.02, 40)
@@ -290,14 +282,13 @@ def check_spectral_vs_rk() -> CheckResult:
 
 
 def check_polarization_integral() -> CheckResult:
-    rng = np.random.default_rng(19)
-    em = EmitterSpec(omega0=2.7, d_eg=10.0, eta=0.5, gamma0=0.02)
-    ham = build_standard(_synthetic_modes(rng, 5), em)
+    ham = _standard_hamiltonian(19, 5, 0.02)
     closed = polarization_integral(ham)
     # dense core plus log-spaced 1/w^2 tails out to +-1000 eV
-    core = np.linspace(em.omega0 - 10.0, em.omega0 + 10.0, 400001)
-    hi = em.omega0 + 10.0 * np.logspace(0, 2, 2000)
-    lo = em.omega0 - 10.0 * np.logspace(0, 2, 2000)[::-1]
+    w0 = ham.emitter.omega0
+    core = np.linspace(w0 - 10.0, w0 + 10.0, 400001)
+    hi = w0 + 10.0 * np.logspace(0, 2, 2000)
+    lo = w0 - 10.0 * np.logspace(0, 2, 2000)[::-1]
     quad = 0.0
     for grid in (lo, core, hi):
         quad += float(np.trapezoid(polarization_spectrum(ham, grid).values, grid))
@@ -308,9 +299,7 @@ def check_polarization_integral() -> CheckResult:
 
 
 def check_gauge_invariance() -> CheckResult:
-    rng = np.random.default_rng(23)
-    em = EmitterSpec(omega0=2.7, d_eg=10.0, eta=0.5, gamma0=0.02)
-    ham = build_standard(_synthetic_modes(rng, 6), em)
+    ham = _standard_hamiltonian(23, 6, 0.02)
     flipped = flip_coupling_gauge(ham, [-1, 1, -1, 1, 1, -1])
     lam1 = np.sort_complex(eigendecompose(ham).eigenvalues)
     lam2 = np.sort_complex(eigendecompose(flipped).eigenvalues)
@@ -343,6 +332,19 @@ def check_dissipator_expansion() -> CheckResult:
     return CheckResult("dissipator-expansion", err < 1e-12, f"max err {err:.2e}")
 
 
+def _fano_modes(rng, n_modes, em):
+    """Modes whose gamma0n_rad weights share gamma0_rad, alpha signs random."""
+    modes = []
+    for k, frac in enumerate(rng.dirichlet(np.ones(n_modes + 1))[:n_modes]):
+        grad, g = 0.02 + 0.05 * rng.random(), 0.01 + 0.05 * rng.random()
+        alpha = math.sqrt(frac * em.gamma0_rad * grad) / g
+        alpha = -alpha if rng.random() < 0.5 else alpha
+        modes.append(ModeParams(
+            n=k + 1, omega_n=2.3 + 0.5 * rng.random(), gamma_n=grad + 0.01, g=g,
+            gamma_rad=grad, gamma_nr=0.01, alpha=alpha))
+    return modes
+
+
 def check_lindblad_equivalence() -> CheckResult:
     rng = np.random.default_rng(31)
     worst = 0.0
@@ -350,24 +352,13 @@ def check_lindblad_equivalence() -> CheckResult:
         n_modes = int(rng.integers(1, 5))
         em = EmitterSpec(omega0=2.5, d_eg=8.0, eta=0.6 + 0.3 * rng.random(),
                          gamma0=0.005 + 0.01 * rng.random())
-        frac = rng.dirichlet(np.ones(n_modes + 1))[:n_modes]
-        modes = []
-        for k in range(n_modes):
-            grad = 0.02 + 0.05 * rng.random()
-            g = 0.01 + 0.05 * rng.random()
-            alpha = math.sqrt(frac[k] * em.gamma0_rad * grad) / g
-            if rng.random() < 0.5:
-                alpha = -alpha
-            modes.append(ModeParams(
-                n=k + 1, omega_n=2.3 + 0.5 * rng.random(),
-                gamma_n=grad + 0.01, g=g, gamma_rad=grad, gamma_nr=0.01,
-                alpha=alpha))
+        modes = _fano_modes(rng, n_modes, em)
         space = build_state_space(n_modes)
         h_s = build_system_hamiltonian(modes, em, space)
         times = np.linspace(0.0, 150.0, 16)
         psi0 = np.zeros(n_modes + 1, dtype=complex)
         psi0[0] = 1.0
-        for kind in ("standard", "fano_radiative", "fano_full"):
+        for kind in DISSIPATOR_KINDS:
             dis = build_dissipators(kind, modes, em, space)
             liou = build_liouvillian(h_s, dis, space)
             states = evolve_master(liou, pure_state(space, 1), times)
@@ -380,13 +371,42 @@ def check_lindblad_equivalence() -> CheckResult:
     return CheckResult("lindblad-equivalence", worst < 1e-6, f"max dev {worst:.2e}")
 
 
-def check_fano_reduction() -> CheckResult:
-    rng = np.random.default_rng(37)
+def check_lindblad_brute_force() -> CheckResult:
+    # L from its action on each basis matrix E_k (vec E_k = e_k), no kron
+    # algebra; expm(L t) from a full-rank rho0 with |g,0> coherences
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(41)
     em = EmitterSpec(omega0=2.5, d_eg=8.0, eta=0.7, gamma0=0.01)
-    modes = [m for m in _synthetic_modes(rng, 4)]
+    times = np.linspace(0.0, 150.0, 7)
+    worst = 0.0
+    for n_modes in range(3):
+        for kind in DISSIPATOR_KINDS:
+            space = build_state_space(n_modes)
+            modes = _fano_modes(rng, n_modes, em)
+            h_s = build_system_hamiltonian(modes, em, space)
+            dis = build_dissipators(kind, modes, em, space)
+            d = space.dim
+            units = np.eye(d * d).reshape(-1, d, d).transpose(0, 2, 1)
+            images = -1j * (h_s @ units - units @ h_s) + sum(
+                dissipator_action(c, units) for _, c in dis.channels)
+            # column k of L is vec(images[k])
+            dense = images.transpose(0, 2, 1).reshape(d * d, d * d).T
+            m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            rho0 = m @ m.conj().T / np.linalg.norm(m) ** 2
+            states = evolve_master(build_liouvillian(h_s, dis, space),
+                                   DensityMatrix(rho=rho0), times)
+            for t, s in zip(times, states):
+                ref = expm(dense * t) @ rho0.flatten(order="F")
+                worst = max(worst, float(np.max(np.abs(s.rho.flatten(order="F") - ref))))
+    return CheckResult("lindblad-brute-force", worst < 1e-12, f"max dev {worst:.2e}")
+
+
+def check_fano_reduction() -> CheckResult:
+    em = EmitterSpec(omega0=2.5, d_eg=8.0, eta=0.7, gamma0=0.01)
     zeroed = [ModeParams(n=m.n, omega_n=m.omega_n, gamma_n=m.gamma_n, g=m.g,
                          gamma_rad=m.gamma_n, gamma_nr=0.0, alpha=0.0)
-              for m in modes]
+              for m in _standard_hamiltonian(37, 4, em.gamma0).modes]
     h_fano = build_fano(zeroed, em, variant="general")
     h_std = build_standard(zeroed, em)
     err = float(np.max(np.abs(h_fano.matrix - h_std.matrix)))
@@ -411,16 +431,17 @@ ALL_CHECKS = (
     check_gauge_invariance,
     check_dissipator_expansion,
     check_lindblad_equivalence,
+    check_lindblad_brute_force,
     check_fano_reduction,
 )
 
 
-def run_all(verbose: bool = True) -> list[CheckResult]:
+def run_all() -> list[CheckResult]:
+    """Run every check, printing one PASS/FAIL line each."""
     results = []
     for check in ALL_CHECKS:
         result = check()
         results.append(result)
-        if verbose:
-            status = "PASS" if result.passed else "FAIL"
-            print(f"[{status}] {result.name}: {result.detail}")
+        status = "PASS" if result.passed else "FAIL"
+        print(f"[{status}] {result.name}: {result.detail}")
     return results

@@ -1,10 +1,14 @@
 """Slow independent routes that the package's fast paths are checked against.
 
+dense_liouvillian
+                the (N+2)^2 x (N+2)^2 superoperator of a lindblad.Liouvillian
+                on column-stacked vec(rho), assembled from Kronecker
+                products; the two master-equation oracles below run on it.
 rk45_master     the master equation integrated by adaptive Runge-Kutta 5(4)
                 (scipy solve_ivp), tolerances an order below the state
                 validation floors; checks lindblad.evolve_master.
-expm_master     the master equation propagated by expm(L dt) of the full
-                (N+2)^2 Liouvillian on vec(rho), one step per grid interval;
+expm_master     the master equation propagated by expm(L dt) of the dense
+                Liouvillian on vec(rho), one step per grid interval;
                 checks the sector propagation of lindblad.evolve_master to
                 rounding.
 resolvent_loop  one np.linalg.solve per grid point; checks the closed-form
@@ -22,13 +26,34 @@ RK_RTOL = 1e-10
 RK_ATOL = 1e-13
 
 
+def dense_liouvillian(liouvillian):
+    """L with d vec(rho)/dt = L vec(rho), column-stacked vectorization.
+
+    L = I (x) A + conj(A) (x) I + sum_c conj(c) (x) c with A = -i H_S - K/2 and
+    K = sum_c c+c, since vec(X rho Y) = (Y^T (x) X) vec(rho).  Both channel
+    sums are single contractions over the stacked channels.
+    """
+    chans = liouvillian.channels
+    dim = liouvillian.h_s.shape[0]
+    eye = np.eye(dim)
+    a = -1j * liouvillian.h_s \
+        - 0.5 * np.tensordot(chans.conj(), chans, axes=([0, 1], [0, 1]))
+    # [j, l, i, k] = sum_c conj(c_jl) c_ik -> kron row j*d + i, column l*d + k
+    jumps = np.tensordot(chans.conj(), chans, axes=(0, 0))
+    dense = np.kron(eye, a)
+    dense += np.kron(a.conj(), eye)
+    dense += jumps.transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
+    return dense
+
+
 def rk45_master(liouvillian, rho0, times):
     """(len(times), d, d) states of d vec(rho)/dt = L vec(rho) from rho0 at
-    t = 0, column-stacked vectorization; not validated."""
+    t = 0, L = dense_liouvillian(liouvillian); not validated."""
     times = np.asarray(times, dtype=float)
     rho0 = np.asarray(rho0, dtype=complex)
     dim = rho0.shape[0]
-    sol = solve_ivp(lambda _t, v: liouvillian @ v,
+    dense = dense_liouvillian(liouvillian)
+    sol = solve_ivp(lambda _t, v: dense @ v,
                     (0.0, float(max(times.max(), 1e-12))),
                     rho0.flatten(order="F"), t_eval=times,
                     rtol=RK_RTOL, atol=RK_ATOL)
@@ -39,16 +64,17 @@ def rk45_master(liouvillian, rho0, times):
 
 def expm_master(liouvillian, rho0, times):
     """(len(times), d, d) states vec(rho_k) = expm(L (t_k - t_{k-1})) vec(rho_{k-1})
-    from rho0 at t = 0, column-stacked vectorization; not validated."""
+    from rho0 at t = 0, L = dense_liouvillian(liouvillian); not validated."""
     times = np.asarray(times, dtype=float)
     rho0 = np.asarray(rho0, dtype=complex)
     dim = rho0.shape[0]
+    dense = dense_liouvillian(liouvillian)
     steps = {}
     vec = rho0.flatten(order="F")
     out = np.empty((times.size, dim * dim), dtype=complex)
     for k, dt in enumerate(np.diff(times, prepend=0.0)):
         if dt not in steps:
-            steps[dt] = expm(liouvillian * dt)
+            steps[dt] = expm(dense * dt)
         vec = steps[dt] @ vec
         out[k] = vec
     return out.reshape(-1, dim, dim).transpose(0, 2, 1)

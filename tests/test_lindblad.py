@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import synthetic_modes
-from slow_oracle import expm_master, resolvent_loop, rk45_master
+from slow_oracle import dense_liouvillian, expm_master, resolvent_loop, rk45_master
 from plasmon_cqed.coupling import ModeParams
 from plasmon_cqed.errors import (
     ContractViolationError,
@@ -185,7 +187,7 @@ class TestLiouvillian:
         empty = type(dis)(kind="standard", channels=(), modes=dis.modes,
                           emitter=emitter, space=space)
         h_s = build_system_hamiltonian(modes, emitter, space)
-        liou = build_liouvillian(h_s, empty, space)
+        liou = dense_liouvillian(build_liouvillian(h_s, empty, space))
         lam = np.linalg.eigvals(liou)
         assert float(np.max(np.abs(lam.real))) < 1e-12
 
@@ -195,9 +197,34 @@ class TestLiouvillian:
         modes = synthetic_modes(rng, 3)
         dis = build_dissipators("standard", modes, emitter, space)
         h_s = build_system_hamiltonian(modes, emitter, space)
-        liou = build_liouvillian(h_s, dis, space)
+        liou = dense_liouvillian(build_liouvillian(h_s, dis, space))
         vec_id = np.eye(space.dim).flatten(order="F")
         assert float(np.max(np.abs(vec_id @ liou))) < 1e-12
+
+    @pytest.mark.parametrize("n_modes", [0, 3])
+    def test_shape_is_the_vectorized_state_space(self, emitter, n_modes):
+        *_, space, liou = liouvillian_for("fano_full", n_modes, emitter, 67)
+        assert liou.shape == (space.dim**2, space.dim**2)
+        assert dense_liouvillian(liou).shape == liou.shape
+
+    def test_forty_modes_stay_small(self, emitter):
+        # kept as its d x d factors, the d^2 x d^2 matrix (50 MB at d = 42)
+        # is never formed
+        h_s, dis, space, _ = liouvillian_for("fano_full", 40, emitter, 71)
+        times = np.linspace(0.0, 100.0, 20)
+
+        def run():
+            return evolve_master(build_liouvillian(h_s, dis, space),
+                                 pure_state(space, 1), times)
+
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n_modes", [0, 1, 5])
@@ -211,7 +238,7 @@ class TestLiouvillian:
         rho = 0.5 * (rho + rho.conj().T)
         expect = -1j * (h_s @ rho - rho @ h_s) \
             + sum(dissipator_action(c, rho) for _, c in dis.channels)
-        np.testing.assert_allclose(liou @ rho.flatten(order="F"),
+        np.testing.assert_allclose(dense_liouvillian(liou) @ rho.flatten(order="F"),
                                    expect.flatten(order="F"), rtol=0, atol=1e-14)
 
     def test_dark_steady_state(self, emitter):
@@ -220,7 +247,7 @@ class TestLiouvillian:
         modes = synthetic_modes(rng, 2)
         dis = build_dissipators("standard", modes, emitter, space)
         h_s = build_system_hamiltonian(modes, emitter, space)
-        liou = build_liouvillian(h_s, dis, space)
+        liou = dense_liouvillian(build_liouvillian(h_s, dis, space))
         rho_ss = pure_state(space, 0).rho.flatten(order="F")
         assert float(np.max(np.abs(liou @ rho_ss))) < 1e-12
 
@@ -337,13 +364,18 @@ class TestEvolveMaster:
         with pytest.raises(InvalidArgumentError):
             evolve_master(liou, pure_state(space, 1), times)
 
-    def test_rejects_trace_loss(self, emitter):
-        # without its jump feed into |g,0><g,0| (row 0) the decay loses trace
-        _, _, space, liou = liouvillian_for("standard", 2, emitter, 53)
-        no_feed = liou.copy()
-        no_feed[0] = 0.0
-        with pytest.raises(ContractViolationError, match="trace"):
-            evolve_master(no_feed, pure_state(space, 1), [0.0, 1.0])
+    @pytest.mark.parametrize("channel", ["pump", "dephasing"])
+    def test_rejects_channels_outside_the_sector(self, emitter, channel):
+        # a pump sigma_eg does not annihilate |g,0>, and a dephasing a1+a1
+        # keeps the excitation: neither jump lands on |g,0><g,0| alone
+        h_s, dis, space, _ = liouvillian_for("standard", 2, emitter, 53)
+        a1 = space.lowering[0]
+        op = space.sigma_eg if channel == "pump" else a1.conj().T @ a1
+        extra = dataclasses.replace(
+            dis, channels=dis.channels + ((channel, 0.1 * op),))
+        liou = build_liouvillian(h_s, extra, space)
+        with pytest.raises(ContractViolationError, match="collapse channel"):
+            evolve_master(liou, pure_state(space, 1), [0.0, 1.0])
 
     def test_rejects_ground_sector_coupling(self, emitter):
         # a coherent drive between |g,0> and |e,0> is hermitian and keeps the
@@ -479,10 +511,10 @@ class TestEquivalence:
                  for m in base]
         space = build_state_space(3)
         h_s = build_system_hamiltonian(modes, emitter, space)
-        liou_fano = build_liouvillian(
-            h_s, build_dissipators("fano_full", modes, emitter, space), space)
-        liou_std = build_liouvillian(
-            h_s, build_dissipators("standard", modes, emitter, space), space)
+        liou_fano = dense_liouvillian(build_liouvillian(
+            h_s, build_dissipators("fano_full", modes, emitter, space), space))
+        liou_std = dense_liouvillian(build_liouvillian(
+            h_s, build_dissipators("standard", modes, emitter, space), space))
         np.testing.assert_allclose(liou_fano, liou_std, atol=1e-14)
 
 

@@ -122,11 +122,6 @@ class TestQuasiStatic:
         w1 = qs_resonance_frequency(1, ag, 1.0)
         assert w1 == pytest.approx(7.90 / math.sqrt(8.0), abs=2e-3)
 
-    def test_effective_equals_bare_without_radiation(self, ag, small_geometry):
-        alpha_qs, alpha_eff = qs_polarizability(1, 2.8, small_geometry, ag,
-                                                radiation_correction=False)
-        assert alpha_eff == alpha_qs
-
     def test_resonances_increase_and_accumulate(self, ag, small_geometry,
                                                 unit_emitter):
         omegas = [qs_mode_params(n, small_geometry, ag, unit_emitter).omega_n
