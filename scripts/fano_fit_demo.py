@@ -10,34 +10,24 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from plasmon_cqed import EmitterSpec, Geometry, silver
-from plasmon_cqed.coupling import fit_fano_rate, rate_spectrum_lsp
-from plasmon_cqed.medium import radiative_rate
+from plasmon_cqed import Geometry, silver
+from plasmon_cqed.constants import HBAR_C_EV_NM
+from plasmon_cqed.tasks import _fano_fit
 
 
 def main():
-    ag = silver()
     grid = np.linspace(2.2, 3.1, 301)
     for h in (30.0, 15.0):
-        geometry = Geometry.from_surface_distance(50.0, h)
-        emitter = EmitterSpec.from_dipole(2.60, 1.0)
-        lossless = fit_fano_rate(
-            grid, rate_spectrum_lsp(1, grid, geometry, ag.lossless()),
-            1, geometry, emitter)
-        lossy = fit_fano_rate(
-            grid, rate_spectrum_lsp(1, grid, geometry, ag),
-            1, geometry, emitter, frozen=lossless)
-        g0 = radiative_rate(lossless.omega_n, emitter.d_eg, geometry.n_b)
-        f_rad = 4 * lossless.g**2 / (g0 * lossless.gamma_rad)
-        f_p = f_rad * lossy.gamma_rad / (lossy.gamma_rad + lossy.gamma_nr)
+        _, fit = _fano_fit(silver(), 2.60,
+                           Geometry.from_surface_distance(50.0, h), grid)
         print(f"h = {h:.0f} nm:")
-        print(f"  omega_1     = {lossless.omega_n:.4f} eV"
-              f"  (lambda_1 = {2 * np.pi * 197.3269804 / lossless.omega_n:.0f} nm)")
-        print(f"  Gamma_1^rad = {lossless.gamma_rad * 1e3:.1f} meV")
-        print(f"  q_F         = {2 / lossless.alpha:.2f}")
-        print(f"  F_rad       = {f_rad:.1f}")
-        print(f"  Gamma_1^nr  = {lossy.gamma_nr * 1e3:.1f} meV")
-        print(f"  F_p         = {f_p:.1f}")
+        print(f"  omega_1     = {fit['omega1_ev']:.4f} eV"
+              f"  (lambda_1 = {2 * np.pi * HBAR_C_EV_NM / fit['omega1_ev']:.0f} nm)")
+        print(f"  Gamma_1^rad = {fit['gamma1_rad_ev'] * 1e3:.1f} meV")
+        print(f"  q_F         = {fit['q_fano']:.2f}")
+        print(f"  F_rad       = {fit['f_rad']:.1f}")
+        print(f"  Gamma_1^nr  = {fit['gamma1_nr_ev'] * 1e3:.1f} meV")
+        print(f"  F_p         = {fit['f_p']:.1f}")
 
 
 if __name__ == "__main__":

@@ -49,9 +49,10 @@ def main(argv=None) -> int:
     if args.verify:
         from .verify import run_all
 
-        results = run_all()
-        if not all(r.passed for r in results):
-            print("verification suite failed", file=sys.stderr)
+        failed = [r.name for r in run_all() if not r.passed]
+        if failed:
+            print(f"verification suite failed: {', '.join(failed)}",
+                  file=sys.stderr)
             return EXIT_NUMERICAL
 
     try:

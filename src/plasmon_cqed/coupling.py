@@ -147,14 +147,14 @@ def fit_lorentzian(spectrum: CouplingSpectrum) -> ModeParams:
     return ModeParams(n=spectrum.n, omega_n=wn, gamma_n=gamma, g=g, fit_residual=rms)
 
 
-def default_mode_window(n: int, geometry: Geometry, material: MaterialModel,
-                        span: float = 5.0, points: int = 201) -> np.ndarray:
-    """Fit window centered on the quasi-static resonance estimate, +- span widths."""
+def default_mode_window(n: int, geometry: Geometry,
+                        material: MaterialModel) -> np.ndarray:
+    """201-point fit window on the quasi-static resonance estimate, +- 5 widths."""
     qs = qs_mode_params(n, geometry, material,
                         EmitterSpec(omega0=1.0, d_eg=1.0, eta=1.0, gamma0=0.0))
-    half = span * max(qs.gamma_n, 1e-3)
+    half = 5.0 * max(qs.gamma_n, 1e-3)
     lo = max(0.05, qs.omega_n - half)
-    return np.linspace(lo, qs.omega_n + half, points)
+    return np.linspace(lo, qs.omega_n + half, 201)
 
 
 def extract_mode_sweep(n_modes: int, geometries, material: MaterialModel,
@@ -315,13 +315,12 @@ def fit_fano_rate(grid, values, n: int, geometry: Geometry, emitter: EmitterSpec
     )
 
 
-def with_fano_split(mode: ModeParams, geometry: Geometry, emitter: EmitterSpec,
-                    gamma_nr: float | None = None) -> ModeParams:
+def with_fano_split(mode: ModeParams, geometry: Geometry,
+                    emitter: EmitterSpec) -> ModeParams:
     """Resolve gamma_rad/alpha of a Lorentzian-fitted mode from the quasi-static
-    radiative width (small-particle route; the Fano fit is the leaky route)."""
-    nr = mode.gamma_nr if gamma_nr is None else gamma_nr
-    if nr is None:
-        nr = 0.0
+    radiative width (small-particle route; the Fano fit is the leaky route).
+    The mode's gamma_nr (None reads as 0) is the non-radiative share of gamma_n."""
+    nr = mode.gamma_nr or 0.0
     gamma_rad = max(mode.gamma_n - nr, 0.0)
     _, g0n = _free_space_rates(mode.omega_n, mode.n, geometry, emitter)
     alpha = math.sqrt(g0n * gamma_rad) / mode.g if mode.g > 0 else 0.0

@@ -41,11 +41,10 @@ BIORTHO_FLOOR = math.sqrt(np.finfo(float).eps / EXPANSION_TOL)  # ~1.5e-4
 
 @dataclass(frozen=True)
 class EffectiveHamiltonian:
-    """(N+1)x(N+1) rotating-frame matrix over {|e,0>, |g,1_1>..|g,1_N>}."""
+    """(N+1)x(N+1) rotating-frame matrix over {|e,0>, |g,1_1>..|g,1_N>} and
+    the emitter whose frequency sets the frame."""
 
-    kind: str  # "standard" | "fano"
     matrix: np.ndarray
-    modes: tuple
     emitter: EmitterSpec
 
     @property
@@ -65,8 +64,7 @@ def build_standard(modes, emitter: EmitterSpec) -> EffectiveHamiltonian:
             raise InvalidArgumentError(f"mode {mode.n} has non-positive width")
         h[i, i] = mode.detuning(emitter) - 0.5j * mode.gamma_n
         h[0, i] = h[i, 0] = mode.g
-    return EffectiveHamiltonian(kind="standard", matrix=h, modes=tuple(modes),
-                                emitter=emitter)
+    return EffectiveHamiltonian(matrix=h, emitter=emitter)
 
 
 def build_fano(modes, emitter: EmitterSpec,
@@ -97,8 +95,7 @@ def build_fano(modes, emitter: EmitterSpec,
             width = mode.gamma_rad + (mode.gamma_nr or 0.0)
         h[i, i] = mode.detuning(emitter) - 0.5j * width
         h[0, i] = h[i, 0] = mode.g * (1.0 - 0.5j * mode.alpha)
-    return EffectiveHamiltonian(kind="fano", matrix=h, modes=tuple(modes),
-                                emitter=emitter)
+    return EffectiveHamiltonian(matrix=h, emitter=emitter)
 
 
 @dataclass(frozen=True)
@@ -318,5 +315,4 @@ def flip_coupling_gauge(h: EffectiveHamiltonian, signs) -> EffectiveHamiltonian:
         raise InvalidArgumentError("one sign per mode required")
     s = np.concatenate(([1.0], signs))
     matrix = (s[:, None] * h.matrix) * s[None, :]
-    return EffectiveHamiltonian(kind=h.kind, matrix=matrix, modes=h.modes,
-                                emitter=h.emitter)
+    return EffectiveHamiltonian(matrix=matrix, emitter=h.emitter)

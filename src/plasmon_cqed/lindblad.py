@@ -69,13 +69,10 @@ def build_state_space(n_modes: int) -> StateSpace:
 @dataclass(frozen=True)
 class DissipatorSpec:
     """Collapse channels c_k (rates folded in as amplitudes) for one of the
-    three master equations."""
+    three master equations, and the emitter whose frequency sets the frame."""
 
-    kind: str  # standard | fano_radiative | fano_full
     channels: tuple  # (label, matrix)
-    modes: tuple
     emitter: EmitterSpec
-    space: StateSpace
 
 
 def _require_rate(value, label):
@@ -139,8 +136,7 @@ def build_dissipators(kind: str, modes, emitter: EmitterSpec,
             if emitter.gamma0_nr > 0:
                 channels.append(
                     ("emitter_nr", math.sqrt(emitter.gamma0_nr) * space.sigma_ge))
-    return DissipatorSpec(kind=kind, channels=tuple(channels), modes=tuple(modes),
-                          emitter=emitter, space=space)
+    return DissipatorSpec(channels=tuple(channels), emitter=emitter)
 
 
 def build_system_hamiltonian(modes, emitter: EmitterSpec,
@@ -252,8 +248,13 @@ def _sector_generator(liouvillian: Liouvillian, dim: int) -> np.ndarray:
     if stray > GENERATOR_TOL * np.max(np.abs(chans), initial=0.0):
         raise ContractViolationError(
             "collapse channel does not map the sector onto |g,0>")
-    a = -1j * h_s - 0.5 * np.tensordot(chans.conj(), chans, axes=([0, 1], [0, 1]))
+    a = -1j * h_s - 0.5 * _loss(chans)
     return a[1:, 1:]
+
+
+def _loss(chans: np.ndarray) -> np.ndarray:
+    """sum_c c+c over a (C, d, d) stack of collapse channels."""
+    return np.tensordot(chans.conj(), chans, axes=([0, 1], [0, 1]))
 
 
 def _sector_states(props: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -296,13 +297,10 @@ def effective_hamiltonian_from_lindblad(h_s: np.ndarray,
     Reproduces the standard matrix for the standard kind and the Fano
     matrices (leaky off-diagonals) for the collective kinds.
     """
-    total = np.array(h_s, dtype=complex)
-    for _, c in dissipators.channels:
-        total = total - 0.5j * (c.conj().T @ c)
-    block = total[1:, 1:]
-    kind = "standard" if dissipators.kind == "standard" else "fano"
-    return EffectiveHamiltonian(kind=kind, matrix=block,
-                                modes=dissipators.modes,
+    h_s = np.asarray(h_s, dtype=complex)
+    chans = np.array([c for _, c in dissipators.channels],
+                     dtype=complex).reshape((-1,) + h_s.shape)
+    return EffectiveHamiltonian(matrix=(h_s - 0.5j * _loss(chans))[1:, 1:],
                                 emitter=dissipators.emitter)
 
 

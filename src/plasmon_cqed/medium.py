@@ -227,24 +227,3 @@ def wavenumbers(geometry: Geometry, material: MaterialModel, omega) -> Wavenumbe
     km = np.where(km.imag < 0, -km, km)[()]
     return Wavenumbers(k0=k0, kb=kb, km=km)
 
-
-@dataclass(frozen=True)
-class FreeSpaceRates:
-    """Eq.-evaluated free-space rates (eV)."""
-
-    gamma0_rad: float
-    gamma0: float
-    gamma0_nr: float
-
-
-def free_space_rates(emitter: EmitterSpec, geometry: Geometry) -> FreeSpaceRates:
-    """Radiative rate from d_eg and the background index; total via eta.
-
-    For emitters built from (tau0, eta) this reproduces the stored gamma0;
-    for phenomenological emitters it reports the dipole-implied rates without
-    forcing agreement with the stored linewidth.
-    """
-    g_rad = radiative_rate(emitter.omega0, emitter.d_eg, geometry.n_b)
-    gamma0 = g_rad / emitter.eta
-    return FreeSpaceRates(gamma0_rad=g_rad, gamma0=gamma0, gamma0_nr=gamma0 - g_rad)
-

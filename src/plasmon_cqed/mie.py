@@ -43,10 +43,10 @@ DEFAULT_N_MAX = 30
 
 @dataclass(frozen=True)
 class MieCoefficients:
+    """The TM coefficient B_n of order n, the one a radial dipole excites."""
+
     n: int
-    a: complex
     b: complex
-    omega: float
 
 
 def _column(a) -> np.ndarray:
@@ -55,7 +55,7 @@ def _column(a) -> np.ndarray:
 
 
 def _sphere_ladders(n_max: int, wn: Wavenumbers, radius: float):
-    """The sphere's side of A_n, B_n for n = 1..n_max at each frequency of wn,
+    """The sphere's side of B_n for n = 1..n_max at each frequency of wn,
     each of shape (..., n_max): psi_n, psi_n' and zeta_n at k_b R, and the
     logarithmic derivatives D_n = psi_n'/psi_n at k_m R and
     G_n = zeta_n'/zeta_n at k_b R."""
@@ -67,10 +67,9 @@ def _sphere_ladders(n_max: int, wn: Wavenumbers, radius: float):
 
 def mie_coefficients(n: int, omega: float, geometry: Geometry,
                      material: MaterialModel) -> MieCoefficients:
-    """Exact Mie coefficients A_n, B_n of the scattered-field expansion,
+    """Exact Mie coefficient B_n of the scattered-field expansion,
 
     B_n = (k_b D_n psi_n - k_m psi_n') / (zeta_n (k_m G_n - k_b D_n)),
-    A_n = (k_b psi_n' - k_m D_n psi_n) / (zeta_n (k_m D_n - k_b G_n)),
 
     with psi_n, zeta_n at k_b R and the logarithmic derivatives of
     _sphere_ladders, so no product of two small ladder values is formed.
@@ -81,16 +80,14 @@ def mie_coefficients(n: int, omega: float, geometry: Geometry,
     psi, psip, zeta, d_m, g_b = (
         complex(v[n - 1]) for v in _sphere_ladders(n, wn, geometry.radius))
     kb, km = complex(wn.kb), complex(wn.km)
-    a = (kb * psip - km * d_m * psi) / (zeta * (km * d_m - kb * g_b))
     b = (kb * d_m * psi - km * psip) / (zeta * (km * g_b - kb * d_m))
-    return MieCoefficients(n=n, a=a, b=b, omega=omega)
+    return MieCoefficients(n=n, b=b)
 
 
 @dataclass(frozen=True)
 class GreenExpansion:
     """Radial-radial scattered Green function, per-mode and accumulated (1/nm)."""
 
-    omega: float
     per_mode: np.ndarray  # complex, index 0 <-> n=1
     total: complex
 
@@ -190,7 +187,7 @@ def green_rr_scattered(omega: float, geometry: Geometry, material: MaterialModel
     of this once per point.
     """
     terms = green_rr_terms(float(omega), geometry, material, n_max)
-    return GreenExpansion(omega=omega, per_mode=terms, total=complex(np.sum(terms)))
+    return GreenExpansion(per_mode=terms, total=complex(np.sum(terms)))
 
 
 def radial_mode_fractions(n_max: int, x) -> np.ndarray:

@@ -40,11 +40,10 @@ from .lindblad import (
     pure_state,
     single_excitation_projection,
 )
-from .medium import (EmitterSpec, Geometry, MaterialModel, free_space_rates,
-                     radiative_rate, silver)
+from .medium import EmitterSpec, Geometry, MaterialModel, radiative_rate, silver
 from .output import RunWriter
 from .scenario import Scenario
-from .weak import adiabatic_rates, broadened_rate, fermi_rate, purcell_factors
+from .weak import adiabatic_rates, broadened_rate, fermi_rate
 
 # Paper-anchored reference points used by the figure suite and its summary.
 STRONG_COUPLING_DIPOLE_D = 24.5   # calibrated to the 144 meV splitting
@@ -85,15 +84,15 @@ def _mode_row(mode, emitter):
 
 
 def _emitter_payload(emitter: EmitterSpec, geometry: Geometry):
-    rates = free_space_rates(emitter, geometry)
+    g_rad = radiative_rate(emitter.omega0, emitter.d_eg, geometry.n_b)
     return {
         "omega0_ev": emitter.omega0,
         "d_eg_debye": emitter.d_eg,
         "eta": emitter.eta,
         "gamma0_ev": emitter.gamma0,
         "tau0_ns": emitter.tau0_ns,
-        "dipole_implied_gamma0_rad_ev": rates.gamma0_rad,
-        "dipole_implied_gamma0_ev": rates.gamma0,
+        "dipole_implied_gamma0_rad_ev": g_rad,
+        "dipole_implied_gamma0_ev": g_rad / emitter.eta,
     }
 
 
@@ -116,12 +115,8 @@ def task_spectra(sc: Scenario, writer: RunWriter):
          f"R={sc.geometry.radius} nm, h={sc.geometry.h} nm"])
 
 
-def _fit_modes(sc: Scenario):
-    return extract_modes(sc.n_modes, sc.geometry, sc.material, sc.emitter)
-
-
 def task_fit(sc: Scenario, writer: RunWriter):
-    modes = _fit_modes(sc)
+    modes = extract_modes(sc.n_modes, sc.geometry, sc.material, sc.emitter)
     writer.json("modes.json", {
         "emitter": _emitter_payload(sc.emitter, sc.geometry),
         "modes": [_mode_row(m, sc.emitter) for m in modes],
@@ -136,9 +131,10 @@ def task_fit(sc: Scenario, writer: RunWriter):
 
 
 def _spectrum_peaks(values):
-    peaks = [i for i in range(1, len(values) - 1)
-             if values[i] > values[i - 1] and values[i] > values[i + 1]]
-    return sorted(peaks, key=lambda i: -values[i])
+    """Indices of the strict interior maxima, highest first, ties in grid order."""
+    inner = values[1:-1]
+    peaks = np.flatnonzero((inner > values[:-2]) & (inner > values[2:])) + 1
+    return peaks[np.argsort(-values[peaks], kind="stable")]
 
 
 def _dressed_spectra(modes, emitter, grid, geometry, material):
@@ -192,7 +188,7 @@ def task_dressed(sc: Scenario, writer: RunWriter):
 
 
 def task_dynamics(sc: Scenario, writer: RunWriter):
-    modes = _fit_modes(sc)
+    modes = extract_modes(sc.n_modes, sc.geometry, sc.material, sc.emitter)
     ham = build_standard(modes, sc.emitter)
     times_fs = sc.time_grid.build()
     psi0 = np.zeros(sc.n_modes + 1, dtype=complex)
@@ -206,17 +202,16 @@ def task_dynamics(sc: Scenario, writer: RunWriter):
 
 
 def task_rates(sc: Scenario, writer: RunWriter):
-    modes = _fit_modes(sc)
+    modes = extract_modes(sc.n_modes, sc.geometry, sc.material, sc.emitter)
     adiab = adiabatic_rates(modes, sc.emitter)
     fermi = fermi_rate(sc.emitter.omega0, sc.geometry, sc.material, sc.emitter,
                        n_max=max(60, sc.n_modes))
-    purcell = purcell_factors(modes, sc.emitter)
     broad = broadened_rate(modes, sc.emitter)
     writer.csv(
         "rates.csv",
         ["n", "omega_n_ev", "gamma_n_ev", "g_ev", "purcell_fp", "quality_q",
          "gamma_n_adiabatic_ev", "gamma_n_broadened_ev"],
-        [[m.n, m.omega_n, m.gamma_n, m.g, purcell.purcell[i], purcell.quality[i],
+        [[m.n, m.omega_n, m.gamma_n, m.g, adiab.purcell[i], adiab.quality[i],
           adiab.gamma_n[i], broad[i]] for i, m in enumerate(modes)],
         comments=["per-mode weak-coupling rate budget (eV)"])
     payload = {
@@ -388,14 +383,12 @@ def figure_suite(sc: Scenario, writer: RunWriter):
     _, pol, rad, scalars = _dressed_spectra(modes25, sc_emitter, grid_pol,
                                             geometry, material)
     writer.csv("fig4b.csv", ["omega_ev", "p", "p_normalized"],
-               [[w, p, p / pol.values.max()]
-                for w, p in zip(grid_pol, pol.values)],
+               list(zip(grid_pol, pol.values, pol.values / pol.values.max())),
                comments=["polarization spectrum, omega0 = 2.94 eV, N = 25"])
     writer.csv("fig5.csv",
                ["omega_ev", "p_rad_normalized", "lsp1_population_normalized"],
-               [[w, rad.p_rad[i] / rad.p_rad.max(),
-                 rad.lsp1_population[i] / rad.lsp1_population.max()]
-                for i, w in enumerate(grid_pol)],
+               list(zip(grid_pol, rad.p_rad / rad.p_rad.max(),
+                        rad.lsp1_population / rad.lsp1_population.max())),
                comments=["far-field power and LSP_1 population proxy"])
     summary["splitting_mev"] = _check(scalars["splitting_ev"] * 1e3,
                                       "splitting_mev")

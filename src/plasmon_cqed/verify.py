@@ -9,7 +9,7 @@ adaptive integration, and brute-force operator algebra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .coupling import (
     fit_lorentzian,
     lorentzian_kappa2,
 )
+from .errors import PlasmonCqedError
 from .heff import (
     build_fano,
     build_standard,
@@ -68,10 +69,10 @@ class CheckResult:
     detail: str
 
 
-def _series_jn_oracle(n, z, terms=60):
-    # independent: plain partial sum of the defining power series
+def _series_jn_oracle(n, z):
+    # independent: plain partial sum (60 terms) of the defining power series
     total = 0.0 + 0.0j
-    for k in range(terms):
+    for k in range(60):
         num = (-z * z / 2.0) ** k
         den = math.factorial(k) * double_factorial(2 * n + 2 * k + 1)
         total += num / den
@@ -181,14 +182,18 @@ def check_green_quasistatic() -> CheckResult:
     return CheckResult("green-quasistatic", rel < 0.15, f"Im rel dev {rel:.3f}")
 
 
+def _random_modes(seed, n_modes):
+    """Seeded random Lorentzian modes between 2.3 and 2.9 eV."""
+    rng = np.random.default_rng(seed)
+    return [ModeParams(n=k + 1, omega_n=2.3 + 0.6 * rng.random(),
+                       gamma_n=0.02 + 0.08 * rng.random(),
+                       g=0.005 + 0.05 * rng.random()) for k in range(n_modes)]
+
+
 def _standard_hamiltonian(seed, n_modes, gamma0):
     """build_standard on seeded random modes, emitter at 2.7 eV."""
-    rng = np.random.default_rng(seed)
-    modes = [ModeParams(n=k + 1, omega_n=2.3 + 0.6 * rng.random(),
-                        gamma_n=0.02 + 0.08 * rng.random(),
-                        g=0.005 + 0.05 * rng.random()) for k in range(n_modes)]
-    return build_standard(modes, EmitterSpec(omega0=2.7, d_eg=10.0, eta=0.5,
-                                             gamma0=gamma0))
+    return build_standard(_random_modes(seed, n_modes),
+                          EmitterSpec(omega0=2.7, d_eg=10.0, eta=0.5, gamma0=gamma0))
 
 
 def check_lorentzian_roundtrip() -> CheckResult:
@@ -404,9 +409,8 @@ def check_lindblad_brute_force() -> CheckResult:
 
 def check_fano_reduction() -> CheckResult:
     em = EmitterSpec(omega0=2.5, d_eg=8.0, eta=0.7, gamma0=0.01)
-    zeroed = [ModeParams(n=m.n, omega_n=m.omega_n, gamma_n=m.gamma_n, g=m.g,
-                         gamma_rad=m.gamma_n, gamma_nr=0.0, alpha=0.0)
-              for m in _standard_hamiltonian(37, 4, em.gamma0).modes]
+    zeroed = [replace(m, gamma_rad=m.gamma_n, gamma_nr=0.0, alpha=0.0)
+              for m in _random_modes(37, 4)]
     h_fano = build_fano(zeroed, em, variant="general")
     h_std = build_standard(zeroed, em)
     err = float(np.max(np.abs(h_fano.matrix - h_std.matrix)))
@@ -437,10 +441,15 @@ ALL_CHECKS = (
 
 
 def run_all() -> list[CheckResult]:
-    """Run every check, printing one PASS/FAIL line each."""
+    """Run every check, printing one PASS/FAIL line each.  A check that raises
+    one of the package's errors fails under its function name."""
     results = []
     for check in ALL_CHECKS:
-        result = check()
+        try:
+            result = check()
+        except PlasmonCqedError as exc:
+            result = CheckResult(check.__name__, False,
+                                 f"{type(exc).__name__}: {exc}")
         results.append(result)
         status = "PASS" if result.passed else "FAIL"
         print(f"[{status}] {result.name}: {result.detail}")

@@ -8,7 +8,7 @@ The Lamb shift is reported but never folded back into omega0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,8 +25,8 @@ class WeakCouplingReport:
     gamma_tot: float
     gamma0: float
     gamma_n: np.ndarray
-    purcell: np.ndarray = field(default_factory=lambda: np.array([]))
-    quality: np.ndarray = field(default_factory=lambda: np.array([]))
+    purcell: np.ndarray
+    quality: np.ndarray
     purcell_rad: np.ndarray | None = None
 
     @property
@@ -34,15 +34,10 @@ class WeakCouplingReport:
         return self.gamma_tot / self.gamma0
 
 
-def _purcell_quality(modes, gamma0: float):
-    """Per-mode F_p^n = 4 g_n^2/(gamma0 Gamma_n) and Q_n = omega_n/Gamma_n."""
-    return (np.array([4 * m.g**2 / (gamma0 * m.gamma_n) for m in modes]),
-            np.array([m.omega_n / m.gamma_n for m in modes]))
-
-
 def _eliminate(modes, emitter: EmitterSpec, alphas) -> WeakCouplingReport:
     """Adiabatic elimination of modes whose couplings carry the Fano
-    asymmetries alphas (all zero for the standard Hamiltonian)."""
+    asymmetries alphas (all zero for the standard Hamiltonian), with the
+    per-mode F_p^n = 4 g_n^2/(gamma0 Gamma_n) and Q_n = omega_n/Gamma_n."""
     omega0, gamma0 = emitter.omega0, emitter.gamma0
     delta_w = 0.0
     gam = []
@@ -53,14 +48,13 @@ def _eliminate(modes, emitter: EmitterSpec, alphas) -> WeakCouplingReport:
         gam.append(m.g**2 * ((1 - alpha**2 / 4) * m.gamma_n
                              - 2 * alpha * (m.omega_n - omega0)) / den)
     gam = np.asarray(gam)
-    fp, q = _purcell_quality(modes, gamma0)
     return WeakCouplingReport(
         lamb_shift=delta_w,
         gamma_tot=gamma0 + float(np.sum(gam)),
         gamma0=gamma0,
         gamma_n=gam,
-        purcell=fp,
-        quality=q,
+        purcell=np.array([4 * m.g**2 / (gamma0 * m.gamma_n) for m in modes]),
+        quality=np.array([m.omega_n / m.gamma_n for m in modes]),
     )
 
 
@@ -71,30 +65,18 @@ def adiabatic_rates(modes, emitter: EmitterSpec) -> WeakCouplingReport:
 
 
 def purcell_factors(modes, emitter: EmitterSpec) -> WeakCouplingReport:
-    """Per-mode Purcell factors F_p^n = 4 g_n^2/(gamma0 Gamma_n) together with
-    the detuning-weighted contribution of each mode; F_rad where the
-    radiative split is resolved."""
-    gamma0 = emitter.gamma0
-    fp, q = _purcell_quality(modes, gamma0)
-    detuned = np.array([
-        f / (1 + 4 * qq**2 * ((emitter.omega0 - m.omega_n) / m.omega_n) ** 2)
-        for f, qq, m in zip(fp, q, modes)
-    ])
+    """Per-mode Purcell factors F_p^n = 4 g_n^2/(gamma0 Gamma_n) with the
+    adiabatic report, whose detuned rate g_n^2 Gamma_n/(Delta_n^2 + Gamma_n^2/4)
+    is gamma0 F_p^n/(1 + 4 Q_n^2 ((omega0 - omega_n)/omega_n)^2); F_rad where
+    the radiative split is resolved."""
     f_rad = None
     if all(m.gamma_rad is not None for m in modes):
         f_rad = np.array([
             4 * m.g**2 / (emitter.gamma0_rad * m.gamma_rad) if m.gamma_rad > 0 else 0.0
             for m in modes
         ])
-    return WeakCouplingReport(
-        lamb_shift=0.0,
-        gamma_tot=gamma0 * (1 + float(np.sum(detuned))),
-        gamma0=gamma0,
-        gamma_n=gamma0 * detuned,
-        purcell=fp,
-        quality=q,
-        purcell_rad=f_rad,
-    )
+    return replace(_eliminate(modes, emitter, [0.0] * len(modes)),
+                   purcell_rad=f_rad)
 
 
 def fermi_rate(omega0: float, geometry: Geometry, material: MaterialModel,

@@ -112,6 +112,42 @@ class TestCliExitCodes:
         assert leftovers == []
 
 
+class TestVerifyFlag:
+    def test_every_check_passes_before_the_task(self, tmp_path, capsys):
+        from plasmon_cqed.verify import ALL_CHECKS
+
+        out = tmp_path / "out"
+        code = main(["run", write_config(tmp_path, base_config()), "--verify",
+                     "--out", str(out)])
+        assert code == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("[")]
+        assert len(lines) == len(ALL_CHECKS)
+        assert all(line.startswith("[PASS] ") for line in lines)
+        assert (out / "modes.json").exists()
+
+    def test_raising_check_exits_3_naming_it(self, tmp_path, capsys,
+                                             monkeypatch):
+        from plasmon_cqed import verify
+        from plasmon_cqed.errors import ContractViolationError
+
+        def check_broken_route():
+            raise ContractViolationError("density matrix 6 not positive semidefinite")
+
+        monkeypatch.setattr(verify, "ALL_CHECKS",
+                            (verify.check_drude, check_broken_route))
+        out = tmp_path / "out"
+        code = main(["run", write_config(tmp_path, base_config()), "--verify",
+                     "--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "[PASS] drude-permittivity" in captured.out
+        assert "[FAIL] check_broken_route: ContractViolationError: density " \
+            "matrix 6" in captured.out
+        assert "check_broken_route" in captured.err
+        assert not out.exists()
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = base_config(task="spectra")

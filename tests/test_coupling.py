@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -229,8 +230,8 @@ class TestFanoSplit:
         from plasmon_cqed.heff import build_fano, build_standard, eigendecompose
 
         mode = extract_modes(1, small_geometry, ag, strong_emitter)[0]
-        resolved = with_fano_split(mode, small_geometry, strong_emitter,
-                                   gamma_nr=0.051)
+        resolved = with_fano_split(replace(mode, gamma_nr=0.051),
+                                   small_geometry, strong_emitter)
         assert resolved.gamma_rad == pytest.approx(mode.gamma_n - 0.051)
         assert resolved.alpha is not None and resolved.alpha > 0
         # tiny radiative leak: Fano and standard ladders nearly coincide

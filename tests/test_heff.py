@@ -291,8 +291,7 @@ class TestSpectra:
         ham = build_standard(synthetic_modes(rng, 3), emitter)
         matrix = ham.matrix.copy()
         matrix[1, 3] = matrix[3, 1] = 1e-300  # a mode-mode coupling
-        coupled = EffectiveHamiltonian(kind="standard", matrix=matrix,
-                                       modes=ham.modes, emitter=emitter)
+        coupled = EffectiveHamiltonian(matrix=matrix, emitter=emitter)
         grid = np.linspace(2.0, 3.4, 11)
         for spectrum in (amplitude_response, polarization_spectrum):
             with pytest.raises(ContractViolationError, match="arrowhead"):
@@ -306,8 +305,7 @@ class TestSpectra:
         # a lossless mode 0.5 eV above the emitter: u I - H is singular at
         # hbar*omega = omega0 + 0.5 exactly
         ham = EffectiveHamiltonian(
-            kind="standard", matrix=np.diag([0.0, 0.5]).astype(complex),
-            modes=(), emitter=emitter)
+            matrix=np.diag([0.0, 0.5]).astype(complex), emitter=emitter)
         grid = np.linspace(2.0, 2.5, 300)
         grid[where] = emitter.omega0 + 0.5
         with pytest.raises(SingularityError, match=f"={grid[where]} eV"):

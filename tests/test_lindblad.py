@@ -184,8 +184,7 @@ class TestLiouvillian:
         space = build_state_space(2)
         modes = synthetic_modes(rng, 2)
         dis = build_dissipators("standard", modes, emitter, space)
-        empty = type(dis)(kind="standard", channels=(), modes=dis.modes,
-                          emitter=emitter, space=space)
+        empty = type(dis)(channels=(), emitter=emitter)
         h_s = build_system_hamiltonian(modes, emitter, space)
         liou = dense_liouvillian(build_liouvillian(h_s, empty, space))
         lam = np.linalg.eigvals(liou)

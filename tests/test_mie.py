@@ -9,6 +9,7 @@ from plasmon_cqed.medium import EmitterSpec, Geometry, MaterialModel
 from plasmon_cqed.mie import (
     green_rr_quasistatic,
     green_rr_scattered,
+    green_rr_terms,
     mie_coefficients,
     qs_mode_params,
     qs_polarizability,
@@ -54,8 +55,7 @@ class TestScatteredGreen:
 
     def test_bright_mode_peak_position(self, ag, small_geometry):
         grid = np.linspace(2.6, 3.0, 801)
-        vals = [green_rr_scattered(w, small_geometry, ag, 1).per_mode[0].imag
-                for w in grid]
+        vals = green_rr_terms(grid, small_geometry, ag, 1)[:, 0].imag
         peak = grid[int(np.argmax(vals))]
         assert peak == pytest.approx(2.79, abs=0.01)
 
@@ -64,8 +64,7 @@ class TestScatteredGreen:
         for n in range(1, 4):
             qs = qs_mode_params(n, small_geometry, ag, unit_emitter)
             grid = np.linspace(qs.omega_n - 0.2, qs.omega_n + 0.2, 801)
-            vals = [green_rr_scattered(w, small_geometry, ag, n).per_mode[n - 1].imag
-                    for w in grid]
+            vals = green_rr_terms(grid, small_geometry, ag, n)[:, n - 1].imag
             peak = grid[int(np.argmax(vals))]
             assert abs(peak - qs.omega_n) / qs.omega_n < 0.01
 
@@ -79,9 +78,7 @@ class TestScatteredGreen:
     def test_single_peaked_per_mode(self, ag, small_geometry):
         grid = np.linspace(2.3, 3.15, 400)
         for n in (1, 2, 3):
-            vals = np.array([
-                green_rr_scattered(w, small_geometry, ag, n).per_mode[n - 1].imag
-                for w in grid])
+            vals = green_rr_terms(grid, small_geometry, ag, n)[:, n - 1].imag
             i_pk = int(np.argmax(vals))
             assert np.all(np.diff(vals[:i_pk + 1]) > 0)
             assert np.all(np.diff(vals[i_pk:]) < 0)
