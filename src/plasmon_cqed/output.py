@@ -13,22 +13,33 @@ import os
 from dataclasses import dataclass, field
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int,)) and not isinstance(value, bool):
-        return str(value)
-    return f"{float(value):.12g}"
+def _row_template(types) -> str:
+    """%-template of one CSV line for values of these types: str as is, Python
+    int (not bool) exactly, anything else as a float at %.12g."""
+    return ",".join(
+        "%s" if issubclass(t, str)
+        else "%d" if issubclass(t, int) and not issubclass(t, bool)
+        else "%.12g" for t in types) + "\n"
 
 
 def write_csv(path, columns, rows, comments=()) -> None:
-    """columns: list of names; rows: iterable of equal-length sequences."""
+    """columns: list of names; rows: iterable of equal-length sequences.
+
+    Each row is formatted by one template per distinct sequence of value
+    types, in practice one per file.
+    """
+    templates = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            row = tuple(row)
+            types = tuple(map(type, row))
+            template = templates.get(types)
+            if template is None:
+                template = templates[types] = _row_template(types)
+            fh.write(template % row)
 
 
 def write_json(path, payload) -> None:
