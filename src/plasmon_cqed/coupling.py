@@ -7,7 +7,13 @@ so overlapping resonances never require multi-peak deconvolution -- the
 modal decomposition separates them exactly.  Term n factorises as
 B_n(omega; R, eps_b, metal) times a Hankel factor of k_b r_d, and each
 mode's fit window depends on the sphere alone, so a distance sweep builds
-B_n once per mode window (extract_mode_sweep over mie.green_rr_sweep).
+B_n once per mode window (extract_mode_sweep over mie.green_rr_sweep) and
+then fits every (mode, distance) spectrum in one fitting.least_squares batch.
+The Lorentzian |kappa|^2 = g^2 phi(omega; omega_n, Gamma_n) is linear in g^2,
+so each fit projects g^2 out and iterates on (omega_n, log Gamma_n) alone
+(variable projection: Golub & Pereyra, Inverse Problems 19, R1 (2003), with
+the Jacobian of Kaufman, BIT 15, 49 (1975)).  The Fano fits run in the same
+solver with analytic Jacobians.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 
 from .constants import DIPOLE_SQ_OVER_EPS0, HBAR_C_EV_NM
 from .errors import FitFailureError, InvalidArgumentError
-from .fitting import levenberg_marquardt
+from .fitting import least_squares
 from .medium import EmitterSpec, Geometry, MaterialModel, radiative_rate
 from .mie import (green_rr_sweep, green_rr_terms, qs_mode_params,
                   radial_mode_fractions)
@@ -50,17 +56,24 @@ class CouplingSpectrum:
             raise InvalidArgumentError("coupling grid must be strictly ascending")
         if values.shape != grid.shape:
             raise InvalidArgumentError("grid/values length mismatch")
-        peak = float(np.max(values)) if values.size else 0.0
-        if np.any(values < -1e-9 * max(peak, 1e-300)):
-            # per-mode Im G < 0 marks the leaky regime where the Lorentzian
-            # mode picture breaks down; |kappa|^2 is clamped at zero there
-            warnings.warn(
-                f"LSP_{self.n} spectrum has negative wings (leaky mode); "
-                "clamped to zero -- use the Fano rate fit for this regime",
-                stacklevel=3,
-            )
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", np.maximum(values, 0.0))
+        object.__setattr__(self, "values", _clamp_leaky([self.n], values[None])[0])
+
+
+def _clamp_leaky(ns, values):
+    """Spectra values (F, P) clamped at zero, warning for each spectrum whose
+    wings go negative; ns names the mode of each row."""
+    peak = np.max(values, axis=-1, keepdims=True)
+    for n in np.asarray(ns)[np.any(values < -1e-9 * np.maximum(peak, 1e-300),
+                                   axis=-1)]:
+        # per-mode Im G < 0 marks the leaky regime where the Lorentzian
+        # mode picture breaks down; |kappa|^2 is clamped at zero there
+        warnings.warn(
+            f"LSP_{n} spectrum has negative wings (leaky mode); "
+            "clamped to zero -- use the Fano rate fit for this regime",
+            stacklevel=4,
+        )
+    return np.maximum(values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -106,45 +119,102 @@ def lorentzian_kappa2(grid, omega_n: float, gamma_n: float, g: float):
     return (gamma_n / (2 * math.pi)) * g**2 / ((grid - omega_n) ** 2 + gamma_n**2 / 4)
 
 
-def _fwhm_estimate(grid, values, i_peak):
-    half = values[i_peak] / 2.0
-    lo = grid[0]
-    for i in range(i_peak, 0, -1):
-        if values[i - 1] <= half:
-            lo = np.interp(half, [values[i - 1], values[i]], [grid[i - 1], grid[i]])
-            break
-    hi = grid[-1]
-    for i in range(i_peak, len(grid) - 1):
-        if values[i + 1] <= half:
-            hi = np.interp(half, [values[i + 1], values[i]], [grid[i + 1], grid[i]])
-            break
-    return max(hi - lo, 2.0 * (grid[1] - grid[0]))
+def _peak_guesses(grid, values):
+    """Peak index and full width at half maximum of each row of values
+    (F, P) on grid (F, P).  Each half-maximum crossing is interpolated
+    linearly, a missing one falls back to the window edge, and the width is
+    at least two grid steps."""
+    rows = np.arange(values.shape[0])
+    idx = np.arange(values.shape[1])
+    peak = np.argmax(values, axis=-1)
+    half = values[rows, peak, None] / 2.0
+    at_or_below = values <= half
+    left = at_or_below & (idx < peak[:, None])
+    right = at_or_below & (idx > peak[:, None])
+    # last point at or below half left of the peak, first one right of it
+    i_lo = idx[-1] - np.argmax(left[:, ::-1], axis=-1)
+    i_hi = np.argmax(right, axis=-1)
+    j_lo = np.minimum(i_lo + 1, idx[-1])
+    j_hi = np.maximum(i_hi - 1, 0)
+
+    def crossing(i, j):
+        x_i, v_i = grid[rows, i], values[rows, i]
+        return x_i + (half[:, 0] - v_i) * (grid[rows, j] - x_i) \
+            / (values[rows, j] - v_i)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo = np.where(left.any(axis=-1), crossing(i_lo, j_lo), grid[:, 0])
+        hi = np.where(right.any(axis=-1), crossing(i_hi, j_hi), grid[:, -1])
+    return peak, np.maximum(hi - lo, 2.0 * (grid[:, 1] - grid[:, 0]))
+
+
+def _lorentzian_model(grid, values):
+    """fitting.least_squares model of Lorentzian fits with g^2 projected out:
+    parameters (omega_n, log Gamma_n), data values (F, P) on grid (F, P).
+
+    Returns the model and the map from parameters to the projected
+    coefficients c = g^2 of the rows.
+    """
+    def profile(theta, rows):
+        x = grid[rows] - theta[:, :1]
+        gamma = np.exp(theta[:, 1:])
+        den = x * x + gamma * gamma / 4.0
+        phi = gamma / (2.0 * math.pi) / den
+        dphi = np.stack((phi * 2.0 * x / den,
+                         phi * (1.0 - gamma * gamma / (2.0 * den))), axis=1)
+        phi2 = np.sum(phi * phi, axis=-1)
+        coef = np.sum(phi * values[rows], axis=-1) / phi2
+        return phi, dphi, phi2, coef
+
+    def model(theta, rows):
+        phi, dphi, phi2, coef = profile(theta, rows)
+        res = coef[:, None] * phi - values[rows]
+        # Kaufman: J = c (1 - phi phi^T / phi^T phi) dphi/dtheta
+        proj = np.sum(phi[:, None, :] * dphi, axis=-1) / phi2[:, None]
+        jac = coef[:, None, None] * (dphi - proj[:, :, None] * phi[:, None, :])
+        return res, jac
+
+    return model, lambda theta: profile(theta, np.arange(len(theta)))[3]
+
+
+def fit_lorentzians(ns, grids, values) -> list:
+    """Least-squares Lorentzian fits of single-peaked coupling spectra, all
+    in one batch: row i of values (F, P) on row i of grids, mode ns[i].
+
+    Entry i of the result is fit i's ModeParams, or the FitFailureError of a
+    fit that failed.  Residuals are normalized by each spectrum's peak, so
+    the stopping rules are scale-free.
+    """
+    grids = np.asarray(grids, dtype=float)
+    values = np.asarray(values, dtype=float)
+    peak, fwhm = _peak_guesses(grids, values)
+    scale = values[np.arange(len(values)), peak]
+    fits = [FitFailureError("spectrum is identically zero", best_params=None)
+            for _ in scale]
+    live = np.flatnonzero(scale > 0)
+    y = values[live] / scale[live, None]
+    model, coefficients = _lorentzian_model(grids[live], y)
+    theta, cost, errors = least_squares(
+        model, np.column_stack((grids[live, peak[live]], np.log(fwhm[live]))))
+    g = np.sqrt(coefficients(theta) * scale[live])
+    rms = np.sqrt(2.0 * cost / values.shape[1]) * scale[live] \
+        / np.sqrt(np.mean(values[live] ** 2, axis=-1))
+    for i, k in enumerate(live):
+        fits[k] = errors[i] if errors[i] is not None else ModeParams(
+            n=int(ns[k]), omega_n=float(theta[i, 0]),
+            gamma_n=float(np.exp(theta[i, 1])), g=float(g[i]),
+            fit_residual=float(rms[i]))
+    return fits
 
 
 def fit_lorentzian(spectrum: CouplingSpectrum) -> ModeParams:
-    """Least-squares Lorentzian fit of a single-peaked coupling spectrum.
-
-    Width and coupling are log-parametrized so iterates stay positive.
-    """
-    grid, y = spectrum.grid, spectrum.values
-    i_peak = int(np.argmax(y))
-    if y[i_peak] <= 0:
-        raise FitFailureError("spectrum is identically zero", best_params=None)
-    omega0 = grid[i_peak]
-    gamma0 = _fwhm_estimate(grid, y, i_peak)
-    g0 = math.sqrt(y[i_peak] * math.pi * gamma0 / 2.0)
-    scale = y[i_peak]  # normalized residuals keep the LM stopping rules scale-free
-
-    def residual(theta):
-        wn, lg_gamma, lg_g = theta
-        return (lorentzian_kappa2(grid, wn, math.exp(lg_gamma), math.exp(lg_g))
-                - y) / scale
-
-    result = levenberg_marquardt(residual, [omega0, math.log(gamma0), math.log(g0)])
-    wn, gamma, g = result.params[0], math.exp(result.params[1]), math.exp(result.params[2])
-    rms = math.sqrt(2.0 * result.cost / grid.size) * scale \
-        / math.sqrt(float(np.mean(y**2)))
-    return ModeParams(n=spectrum.n, omega_n=wn, gamma_n=gamma, g=g, fit_residual=rms)
+    """Least-squares Lorentzian fit of a single-peaked coupling spectrum: the
+    one-spectrum case of fit_lorentzians."""
+    [fit] = fit_lorentzians([spectrum.n], spectrum.grid[None],
+                            spectrum.values[None])
+    if isinstance(fit, FitFailureError):
+        raise fit
+    return fit
 
 
 def default_mode_window(n: int, geometry: Geometry,
@@ -163,31 +233,34 @@ def extract_mode_sweep(n_modes: int, geometries, material: MaterialModel,
     position around one sphere; entry i holds the modes at geometries[i].
 
     Each window is auto-centered on the quasi-static resonance estimate,
-    which depends on the sphere alone, so mode n costs one window, one
-    green_rr_sweep over every distance (one B_n build) and one fit per
-    distance.  Every failed fit is collected and reported with its h.
+    which depends on the sphere alone, so mode n costs one window and one
+    green_rr_sweep over every distance (one B_n build).  All the spectra are
+    then fitted in one fit_lorentzians batch.  Every failed fit is collected
+    and reported with its h.
     """
     if n_modes < 1:
         raise InvalidArgumentError("n_modes must be >= 1")
     geometries = list(geometries)
     if not geometries:
         raise InvalidArgumentError("a mode sweep needs at least one geometry")
-    modes = [[] for _ in geometries]
-    failures = []
+    ns, grids, values = [], [], []
     for n in range(1, n_modes + 1):
         grid = default_mode_window(n, geometries[0], material)
         terms = green_rr_sweep(grid, geometries, material, n)[..., n - 1]
-        for found, geometry, term in zip(modes, geometries, terms):
-            try:
-                found.append(fit_lorentzian(CouplingSpectrum(
-                    n=n, grid=grid, values=_kappa2(grid, term, emitter))))
-            except FitFailureError as exc:
-                failures.append((n, geometry.h, exc))
+        ns += [n] * len(geometries)
+        grids.append(np.broadcast_to(grid, terms.shape))
+        values.append(_kappa2(grid, terms, emitter))
+    fits = fit_lorentzians(
+        ns, np.concatenate(grids),
+        _clamp_leaky(ns, np.concatenate(values)))
+    failures = [(n, geometries[i % len(geometries)].h, fit)
+                for i, (n, fit) in enumerate(zip(ns, fits))
+                if isinstance(fit, FitFailureError)]
     if failures:
         failed = ", ".join(f"LSP_{n} at h={h:g} nm" for n, h, _ in failures)
         raise FitFailureError(f"mode fits failed for {failed}",
                               best_params=[exc for *_, exc in failures])
-    return modes
+    return [fits[i::len(geometries)] for i in range(len(geometries))]
 
 
 def extract_modes(n_modes: int, geometry: Geometry, material: MaterialModel,
@@ -220,13 +293,26 @@ def _free_space_rates(omega, n, geometry, emitter):
     return g0_rad / emitter.eta, g0_rad * fractions
 
 
-def _fano_profile(grid, g0, g0n, omega_n, gamma_rad, g_signed, gamma_nr):
+def _fano_terms(grid, g0, g0n, omega_n, gamma_rad, g_signed, gamma_nr):
+    """Fano profile f of gamma_n(w0)/gamma0 and its partial derivatives
+    (df/d omega_n, df/d Gamma_rad, df/d g, df/d Gamma_nr).
+
+    With x = q delta = (w0 - omega_n)/Gamma_tot and a = sqrt(gamma0n Gamma_rad),
+    f = (4 g^2 - gamma0n Gamma_rad + 8 g a x) / (gamma0 Gamma_tot (1 + 4 x^2)).
+    """
     gamma_tot = gamma_rad + gamma_nr
-    q_fac = omega_n / gamma_tot
-    delta = (grid - omega_n) / omega_n
-    num = 4 * g_signed**2 - g0n * gamma_rad \
-        + 8 * g_signed * np.sqrt(g0n * gamma_rad) * q_fac * delta
-    return num / (g0 * gamma_tot * (1 + 4 * q_fac**2 * delta**2))
+    x = (grid - omega_n) / gamma_tot
+    a = np.sqrt(g0n * gamma_rad)
+    ax = a * x
+    e = 1.0 + 4.0 * x * x
+    rden = 1.0 / (g0 * gamma_tot * e)
+    f = (4.0 * g_signed * g_signed + 8.0 * g_signed * ax - g0n * gamma_rad) * rden
+    df_dx = 8.0 * g_signed * a * rden - 8.0 * x * f / e
+    df_dnr = (x * df_dx + f) / -gamma_tot
+    return f, (df_dx / -gamma_tot,
+               df_dnr + (4.0 * g_signed / gamma_rad * ax - g0n) * rden,
+               8.0 * (g_signed + ax) * rden,
+               df_dnr)
 
 
 def fano_rate_model(grid, n: int, geometry: Geometry, emitter: EmitterSpec,
@@ -239,7 +325,7 @@ def fano_rate_model(grid, n: int, geometry: Geometry, emitter: EmitterSpec,
     """
     grid = np.asarray(grid, dtype=float)
     g0, g0n = _free_space_rates(grid, n, geometry, emitter)
-    return _fano_profile(grid, g0, g0n, omega_n, gamma_rad, g_signed, gamma_nr)
+    return _fano_terms(grid, g0, g0n, omega_n, gamma_rad, g_signed, gamma_nr)[0]
 
 
 def fit_fano_rate(grid, values, n: int, geometry: Geometry, emitter: EmitterSpec,
@@ -247,9 +333,10 @@ def fit_fano_rate(grid, values, n: int, geometry: Geometry, emitter: EmitterSpec
     """Fano fit of a normalized LSP_n rate spectrum.
 
     Lossless mode (frozen is None): fits {omega_n, Gamma_rad, g} with
-    Gamma_nr pinned to zero.  Lossy mode: freezes {omega_n, Gamma_rad, g}
-    from the lossless pre-fit and fits Gamma_nr alone.  Both signs of g are
-    tried so the asymmetry orientation comes out of the data.
+    Gamma_nr pinned to zero.  Both signs of g are tried, as a batch of two
+    fits, so the asymmetry orientation comes out of the data.  Lossy mode:
+    freezes {omega_n, Gamma_rad, g} from the lossless pre-fit and fits
+    Gamma_nr alone.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -259,31 +346,32 @@ def fit_fano_rate(grid, values, n: int, geometry: Geometry, emitter: EmitterSpec
     if scale == 0:
         raise FitFailureError("rate spectrum is identically zero")
     g0, g0n = _free_space_rates(grid, n, geometry, emitter)
+    data = values / scale
 
     if frozen is None:
-        i_peak = int(np.argmax(np.abs(values)))
-        w_guess = grid[i_peak]
-        gamma_guess = max(_fwhm_estimate(grid, np.abs(values), i_peak), 0.02)
-        g_guess = math.sqrt(abs(values[i_peak]) * g0[i_peak] * gamma_guess) / 2.0
+        [i_peak], [width] = _peak_guesses(grid[None], np.abs(values)[None])
+        gamma_guess = max(width, 0.02)
+        # g = g_unit * u keeps the fitted u, like omega_n and log Gamma_rad, O(1)
+        g_unit = math.sqrt(abs(values[i_peak]) * g0[i_peak] * gamma_guess) / 2.0
 
-        best = None
-        for sign in (-1.0, 1.0):
-            def residual(theta):
-                wn, lg_rad, g = theta
-                return (_fano_profile(grid, g0, g0n, wn, math.exp(lg_rad), g,
-                                      0.0) - values) / scale
-            try:
-                res = levenberg_marquardt(
-                    residual, [w_guess, math.log(gamma_guess), sign * g_guess])
-            except FitFailureError:
-                continue
-            if best is None or res.cost < best.cost:
-                best = res
-        if best is None:
+        def model(theta, rows):
+            gamma_rad = np.exp(theta[:, 1:2])
+            f, (d_w, d_rad, d_g, _) = _fano_terms(
+                grid, g0, g0n, theta[:, :1], gamma_rad, g_unit * theta[:, 2:],
+                0.0)
+            return f / scale - data, np.stack(
+                (d_w, gamma_rad * d_rad, g_unit * d_g), axis=1) / scale
+
+        theta0 = [[grid[i_peak], math.log(gamma_guess), sign]
+                  for sign in (-1.0, 1.0)]
+        theta, costs, errors = least_squares(model, theta0)
+        converged = [i for i, err in enumerate(errors) if err is None]
+        if not converged:
             raise FitFailureError("Fano fit failed from both sign branches")
-        wn, gamma_rad, g_signed = best.params[0], math.exp(best.params[1]), best.params[2]
+        best = min(converged, key=lambda i: costs[i])
+        wn, gamma_rad = float(theta[best, 0]), math.exp(theta[best, 1])
+        g_signed = g_unit * float(theta[best, 2])
         gamma_nr = 0.0
-        cost = best.cost
     else:
         if frozen.gamma_rad is None:
             raise InvalidArgumentError("frozen mode must carry gamma_rad")
@@ -291,15 +379,19 @@ def fit_fano_rate(grid, values, n: int, geometry: Geometry, emitter: EmitterSpec
         g_signed = frozen.g * (1.0 if frozen.alpha is None or frozen.alpha >= 0
                                else -1.0)
 
-        def residual(theta):
-            return (_fano_profile(grid, g0, g0n, wn, gamma_rad, g_signed,
-                                  math.exp(theta[0])) - values) / scale
+        def model(theta, rows):
+            gamma_nr = np.exp(theta)
+            f, (*_, d_nr) = _fano_terms(grid, g0, g0n, wn, gamma_rad, g_signed,
+                                        gamma_nr)
+            return f / scale - data, (gamma_nr * d_nr)[:, None, :] / scale
 
-        res = levenberg_marquardt(residual, [math.log(0.05)])
-        gamma_nr = math.exp(res.params[0])
-        cost = res.cost
+        theta, costs, [error] = least_squares(model, [[math.log(0.05)]])
+        if error is not None:
+            raise error
+        best = 0
+        gamma_nr = math.exp(theta[0, 0])
 
-    rms = math.sqrt(2.0 * cost / grid.size) * scale \
+    rms = math.sqrt(2.0 * costs[best] / grid.size) * scale \
         / math.sqrt(float(np.mean(values**2)))
     _, g0n_res = _free_space_rates(wn, n, geometry, emitter)
     alpha = math.sqrt(g0n_res * gamma_rad) / g_signed

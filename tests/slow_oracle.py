@@ -14,16 +14,25 @@ expm_master     the master equation propagated by expm(L dt) of the dense
 resolvent_loop  one np.linalg.solve per grid point; checks the closed-form
                 arrowhead resolvent of heff.amplitude_response, which must
                 agree with it to 1e-13 of each column's largest magnitude.
+leastsq_fit     MINPACK's lmdif (Levenberg-Marquardt with a forward-difference
+                Jacobian; More, LNM 630, 1978) through scipy.optimize.leastsq,
+                one fit at a time; checks the batched fitting.least_squares
+                behind the Lorentzian and Fano mode fits.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.optimize import leastsq
 
-from plasmon_cqed.errors import SingularityError
+from plasmon_cqed.errors import FitFailureError, SingularityError
 
 RK_RTOL = 1e-10
 RK_ATOL = 1e-13
+LEASTSQ_FTOL = 1e-12
+LEASTSQ_XTOL = 1e-12
+LEASTSQ_GTOL = 1e-10
+LEASTSQ_SUCCESS = (1, 2, 3, 4)  # one of the three tolerances was met
 
 
 def dense_liouvillian(liouvillian):
@@ -96,3 +105,22 @@ def resolvent_loop(h, grid):
             raise SingularityError(
                 f"resolvent singular at hbar*omega={w} eV") from exc
     return out
+
+
+def leastsq_fit(residual, x0):
+    """(params, cost) minimizing cost = 0.5*||residual(x)||^2 from x0.
+
+    Any MINPACK status other than a met tolerance, and a non-finite cost
+    (which MINPACK reports as status 4), raise FitFailureError carrying the
+    best iterate and its cost.
+    """
+    params, _, info, message, status = leastsq(
+        residual, np.asarray(x0, dtype=float), full_output=True,
+        ftol=LEASTSQ_FTOL, xtol=LEASTSQ_XTOL, gtol=LEASTSQ_GTOL)
+    cost = 0.5 * float(info["fvec"] @ info["fvec"])
+    if status not in LEASTSQ_SUCCESS or not np.isfinite(cost):
+        raise FitFailureError(
+            f"Levenberg-Marquardt stopped with MINPACK status {status}, "
+            f"cost {cost}: {' '.join(message.split())}",
+            best_params=params, best_cost=cost)
+    return params, cost

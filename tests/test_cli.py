@@ -1,6 +1,8 @@
 import glob
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -284,3 +286,21 @@ def test_shipped_config_runs(tmp_path, config):
     out = str(tmp_path / "out")
     assert main(["run", config, "--out", out]) == 0
     assert validate_manifest(out) == []
+
+
+def test_cold_mode_fit_run_imports_no_minpack(tmp_path):
+    # a fresh interpreter, as a user's CLI run: scipy.optimize costs a cold
+    # run about 0.2 s and 40 MB of imports, and the mode fits do not need it
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                          "strong_coupling.json")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    script = ("import sys\n"
+              "from plasmon_cqed import cli\n"
+              f"code = cli.main(['run', {config!r}, '--out', {str(tmp_path)!r}])\n"
+              "print(code, 'scipy.optimize' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-2:] == ["0", "False"]
+    assert os.path.isfile(tmp_path / "modes.json")

@@ -100,16 +100,18 @@ class TestModeSweep:
 
     def test_failure_names_mode_and_distance(self, ag, strong_emitter,
                                              monkeypatch):
-        fit = coupling.fit_lorentzian
+        fit = coupling.fit_lorentzians
         seen = []
 
-        def fail_lsp2_second_distance(spectrum):
-            seen.append(spectrum.n)
-            if spectrum.n == 2 and seen.count(2) == 2:
-                raise FitFailureError("forced", best_params=None)
-            return fit(spectrum)
+        def fail_lsp2_second_distance(ns, grids, values):
+            fits = fit(ns, grids, values)
+            for i, n in enumerate(ns):
+                seen.append(n)
+                if n == 2 and seen.count(2) == 2:
+                    fits[i] = FitFailureError("forced", best_params=None)
+            return fits
 
-        monkeypatch.setattr(coupling, "fit_lorentzian",
+        monkeypatch.setattr(coupling, "fit_lorentzians",
                             fail_lsp2_second_distance)
         geometries = [Geometry.from_surface_distance(8.0, h)
                       for h in (2.0, 5.0, 10.0)]
