@@ -289,8 +289,8 @@ def test_shipped_config_runs(tmp_path, config):
 
 
 def test_cold_mode_fit_run_imports_no_minpack(tmp_path):
-    # a fresh interpreter, as a user's CLI run: scipy.optimize costs a cold
-    # run about 0.2 s and 40 MB of imports, and the mode fits do not need it
+    # a fresh interpreter, as a user's CLI run: importing scipy.optimize
+    # costs a cold run about 0.3 s and 40 MB, and the mode fits do not need it
     config = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                           "strong_coupling.json")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -36,8 +36,9 @@ def _runaway_or_decay(runaway):
     return model
 
 
-def test_iteration_cap_raises_with_best_iterate():
-    # every step lowers exp(-x)^2, so only the iteration cap stops the fit
+def test_evaluation_cap_raises_with_best_iterate():
+    # every step lowers exp(-x)^2, so only the cap of MAX_ITERATIONS model
+    # evaluations after the first stops the fit
     theta, cost, [error] = least_squares(_runaway_or_decay([True]), [[0.0]])
     assert isinstance(error, FitFailureError)
     assert f"did not converge in {MAX_ITERATIONS} iterations" in str(error)
