@@ -4,7 +4,7 @@ localized surface plasmons of a spherical metal nanoparticle."""
 __version__ = "0.1.0"
 
 from .medium import EmitterSpec, Geometry, MaterialModel, silver
-from .coupling import CouplingSpectrum, ModeParams, extract_modes, kappa_spectrum
+from .coupling import ModeParams, extract_modes, kappa_spectra
 from .heff import (
     DressedSet,
     EffectiveHamiltonian,
@@ -32,10 +32,9 @@ __all__ = [
     "Geometry",
     "MaterialModel",
     "silver",
-    "CouplingSpectrum",
     "ModeParams",
     "extract_modes",
-    "kappa_spectrum",
+    "kappa_spectra",
     "DressedSet",
     "EffectiveHamiltonian",
     "build_fano",

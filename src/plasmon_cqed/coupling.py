@@ -2,17 +2,19 @@
 extraction: Lorentzian fits for absorbing (small) particles, Fano rate fits
 for leaky (large) ones.
 
-Fitting works per mode on the per-n terms of the scattered Green function,
-so overlapping resonances never require multi-peak deconvolution -- the
-modal decomposition separates them exactly.  Term n factorises as
-B_n(omega; R, eps_b, metal) times a Hankel factor of k_b r_d, and each
-mode's fit window depends on the sphere alone, so a distance sweep builds
-B_n once per mode window (extract_mode_sweep over mie.green_rr_sweep) and
-then fits every (mode, distance) spectrum in one fitting.least_squares batch.
-The Lorentzian |kappa|^2 = g^2 phi(omega; omega_n, Gamma_n) is linear in g^2,
-so each fit projects g^2 out and iterates on (omega_n, log Gamma_n) alone
-(variable projection: Golub & Pereyra, Inverse Problems 19, R1 (2003), with
-the Jacobian of Kaufman, BIT 15, 49 (1975)).  The Fano fits run in the same
+A coupling table on one grid (kappa_spectra) takes every order from one
+green_rr_terms call.  Fitting works per mode on the per-n terms of the
+scattered Green function, so overlapping resonances never require
+multi-peak deconvolution -- the modal decomposition separates them exactly.
+Term n factorises as B_n(omega; R, eps_b, metal) times a Hankel factor of
+k_b r_d, and each mode's fit window depends on the sphere alone, so a
+distance sweep builds B_n once per mode window (extract_mode_sweep over
+mie.green_rr_sweep) and then fits every (mode, distance) spectrum in one
+fit_lorentzians batch, the one Lorentzian fit entry point.  The Lorentzian
+|kappa|^2 = g^2 phi(omega; omega_n, Gamma_n) is linear in g^2, so each fit
+projects g^2 out and iterates on (omega_n, log Gamma_n) alone (variable
+projection: Golub & Pereyra, Inverse Problems 19, R1 (2003), with the
+Jacobian of Kaufman, BIT 15, 49 (1975)).  The Fano fits run in the same
 solver with analytic Jacobians.
 """
 
@@ -37,32 +39,10 @@ from .mie import green_rr_scattered  # noqa: F401
 MIN_GRID_POINTS = 50
 
 
-@dataclass(frozen=True)
-class CouplingSpectrum:
-    """|kappa_wn|^2 sampled on an ascending grid (hbar-units: eV on both axes)."""
-
-    n: int
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or grid.size < MIN_GRID_POINTS:
-            raise InvalidArgumentError(
-                f"coupling grid needs >= {MIN_GRID_POINTS} points"
-            )
-        if not np.all(np.diff(grid) > 0):
-            raise InvalidArgumentError("coupling grid must be strictly ascending")
-        if values.shape != grid.shape:
-            raise InvalidArgumentError("grid/values length mismatch")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", _clamp_leaky([self.n], values[None])[0])
-
-
 def _clamp_leaky(ns, values):
     """Spectra values (F, P) clamped at zero, warning for each spectrum whose
-    wings go negative; ns names the mode of each row."""
+    wings go negative; ns names the mode of each row.  Called straight from
+    a public function, so each warning points at that function's caller."""
     peak = np.max(values, axis=-1, keepdims=True)
     for n in np.asarray(ns)[np.any(values < -1e-9 * np.maximum(peak, 1e-300),
                                    axis=-1)]:
@@ -71,7 +51,7 @@ def _clamp_leaky(ns, values):
         warnings.warn(
             f"LSP_{n} spectrum has negative wings (leaky mode); "
             "clamped to zero -- use the Fano rate fit for this regime",
-            stacklevel=4,
+            stacklevel=3,
         )
     return np.maximum(values, 0.0)
 
@@ -94,16 +74,19 @@ class ModeParams:
         return self.omega_n - emitter.omega0
 
 
-def kappa_spectrum(n: int, grid, geometry: Geometry, material: MaterialModel,
-                   emitter: EmitterSpec) -> CouplingSpectrum:
-    """|kappa_wn|^2 = (k0^2 d^2/ pi eps0) Im G_n^rr(r_d, r_d) on the grid.
+def kappa_spectra(n_modes: int, grid, geometry: Geometry,
+                  material: MaterialModel, emitter: EmitterSpec) -> np.ndarray:
+    """|kappa_wn|^2 = (k0^2 d^2/ pi eps0) Im G_n^rr(r_d, r_d) on the grid for
+    n = 1..n_modes, shape (n_modes, grid.size): row n-1 holds mode n.
 
-    The multipole terms are independent, so only orders up to n are
-    evaluated, in one array call over the whole grid.
+    Every order comes from one green_rr_terms call over the whole grid.
+    Rows with negative wings (leaky modes) are clamped at zero, with one
+    warning per mode.
     """
     grid = np.asarray(grid, dtype=float)
-    term = green_rr_terms(grid, geometry, material, n)[..., n - 1]
-    return CouplingSpectrum(n=n, grid=grid, values=_kappa2(grid, term, emitter))
+    terms = green_rr_terms(grid, geometry, material, n_modes)
+    return _clamp_leaky(np.arange(1, n_modes + 1),
+                        _kappa2(grid, terms.T, emitter))
 
 
 def _kappa2(grid, term, emitter: EmitterSpec) -> np.ndarray:
@@ -183,10 +166,19 @@ def fit_lorentzians(ns, grids, values) -> list:
 
     Entry i of the result is fit i's ModeParams, or the FitFailureError of a
     fit that failed.  Residuals are normalized by each spectrum's peak, so
-    the stopping rules are scale-free.
+    the stopping rules are scale-free.  Each grid needs at least
+    MIN_GRID_POINTS strictly ascending points, and ns, grids and values must
+    match row for row; otherwise InvalidArgumentError is raised.
     """
     grids = np.asarray(grids, dtype=float)
     values = np.asarray(values, dtype=float)
+    if grids.ndim != 2 or grids.shape[1] < MIN_GRID_POINTS:
+        raise InvalidArgumentError(
+            f"coupling grid needs >= {MIN_GRID_POINTS} points")
+    if not np.all(np.diff(grids, axis=-1) > 0):
+        raise InvalidArgumentError("coupling grid must be strictly ascending")
+    if values.shape != grids.shape or len(ns) != len(grids):
+        raise InvalidArgumentError("grid/values length mismatch")
     peak, fwhm = _peak_guesses(grids, values)
     scale = values[np.arange(len(values)), peak]
     fits = [FitFailureError("spectrum is identically zero", best_params=None)
@@ -205,16 +197,6 @@ def fit_lorentzians(ns, grids, values) -> list:
             gamma_n=float(np.exp(theta[i, 1])), g=float(g[i]),
             fit_residual=float(rms[i]))
     return fits
-
-
-def fit_lorentzian(spectrum: CouplingSpectrum) -> ModeParams:
-    """Least-squares Lorentzian fit of a single-peaked coupling spectrum: the
-    one-spectrum case of fit_lorentzians."""
-    [fit] = fit_lorentzians([spectrum.n], spectrum.grid[None],
-                            spectrum.values[None])
-    if isinstance(fit, FitFailureError):
-        raise fit
-    return fit
 
 
 def default_mode_window(n: int, geometry: Geometry,

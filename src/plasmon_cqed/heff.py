@@ -159,15 +159,27 @@ class AmplitudeState:
         return float(abs(self.c_e) ** 2 + np.sum(np.abs(self.c_n) ** 2))
 
 
+def _time_grid(times) -> np.ndarray:
+    """times as a float array, if it is a finite, nonnegative, nondecreasing
+    1-D grid; InvalidArgumentError otherwise."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not np.all(np.isfinite(times)) \
+            or np.any(np.diff(times, prepend=0.0) < 0):
+        raise InvalidArgumentError(
+            "times must be a finite, nonnegative, nondecreasing 1-D grid")
+    return times
+
+
 def evolve(h: EffectiveHamiltonian, psi0, times) -> list[AmplitudeState]:
     """Spectral propagation psi(t) = sum_m eta_m |Pi_m^R> e^{-i lambda_m t}.
 
     Exact for the rational spectrum (no time-stepping error).  Where the
     eigenbasis is near defective (an exceptional point, see BIORTHO_FLOOR) it
-    takes exact expm steps instead.
+    takes exact expm steps instead.  Both routes take the same time grids
+    (see _time_grid).
     """
     psi0 = np.asarray(psi0, dtype=complex)
-    times = np.asarray(times, dtype=float)
+    times = _time_grid(times)
     try:
         dressed = eigendecompose(h)
         eta = dressed.left.conj().T @ psi0
@@ -192,11 +204,7 @@ def _propagate(generator: np.ndarray, v0: np.ndarray, times) -> np.ndarray:
     """
     from scipy.linalg import expm
 
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or not np.all(np.isfinite(times)) \
-            or np.any(np.diff(times, prepend=0.0) < 0):
-        raise InvalidArgumentError(
-            "times must be a finite, nonnegative, nondecreasing 1-D grid")
+    times = _time_grid(times)
     steps = np.diff(times, prepend=0.0)
     # Each group spans at most tol from its smallest step.
     tol = 4.0 * np.spacing(np.max(times, initial=0.0))

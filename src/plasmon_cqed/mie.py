@@ -41,14 +41,6 @@ from .specfun import (
 DEFAULT_N_MAX = 30
 
 
-@dataclass(frozen=True)
-class MieCoefficients:
-    """The TM coefficient B_n of order n, the one a radial dipole excites."""
-
-    n: int
-    b: complex
-
-
 def _column(a) -> np.ndarray:
     """Per-point values shaped to broadcast against (..., orders) ladders."""
     return np.asarray(a)[..., None]
@@ -66,8 +58,9 @@ def _sphere_ladders(n_max: int, wn: Wavenumbers, radius: float):
 
 
 def mie_coefficients(n: int, omega: float, geometry: Geometry,
-                     material: MaterialModel) -> MieCoefficients:
-    """Exact Mie coefficient B_n of the scattered-field expansion,
+                     material: MaterialModel) -> complex:
+    """Exact TM Mie coefficient B_n of the scattered-field expansion (the one
+    a radial dipole excites),
 
     B_n = (k_b D_n psi_n - k_m psi_n') / (zeta_n (k_m G_n - k_b D_n)),
 
@@ -80,8 +73,7 @@ def mie_coefficients(n: int, omega: float, geometry: Geometry,
     psi, psip, zeta, d_m, g_b = (
         complex(v[n - 1]) for v in _sphere_ladders(n, wn, geometry.radius))
     kb, km = complex(wn.kb), complex(wn.km)
-    b = (kb * d_m * psi - km * psip) / (zeta * (km * g_b - kb * d_m))
-    return MieCoefficients(n=n, b=b)
+    return (kb * d_m * psi - km * psip) / (zeta * (km * g_b - kb * d_m))
 
 
 @dataclass(frozen=True)

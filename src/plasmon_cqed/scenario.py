@@ -138,14 +138,17 @@ def _parse_emitter(block, geometry: Geometry) -> EmitterSpec:
                                  "{d_eg_debye, gamma0_nr_ev}")
 
 
-def _parse_grid(block, path, *, lo_key, hi_key, default=None) -> GridSpec:
+def _parse_grid(block, path, *, lo_key, hi_key, positive_lo,
+                default=None) -> GridSpec:
+    """A linspace grid block; positive_lo asks lo_key > 0 (frequencies),
+    otherwise lo_key >= 0 (times)."""
     if block is None:
         if default is None:
             raise SchemaError(path, "missing required block")
         return default
     block = _require_mapping(block, path)
     _check_keys(block, path, {lo_key, hi_key, "points"})
-    lo = _number(block, path, lo_key, nonnegative=True)
+    lo = _number(block, path, lo_key, positive=positive_lo, nonnegative=True)
     hi = _number(block, path, hi_key, positive=True)
     if hi <= lo:
         raise SchemaError(f"{path}.{hi_key}", "grid upper bound must exceed lower")
@@ -170,10 +173,10 @@ def parse_scenario(data: dict) -> Scenario:
         raise SchemaError("run.task", f"expected one of {TASKS}, got {task!r}")
     n_modes = _integer(run, "run", "n_modes", required=False, default=6, minimum=1)
     omega_grid = _parse_grid(run.get("omega_grid"), "run.omega_grid",
-                             lo_key="min_ev", hi_key="max_ev",
+                             lo_key="min_ev", hi_key="max_ev", positive_lo=True,
                              default=GridSpec(2.2, 3.2, 400))
     time_grid = _parse_grid(run.get("time_grid"), "run.time_grid",
-                            lo_key="min_fs", hi_key="max_fs",
+                            lo_key="min_fs", hi_key="max_fs", positive_lo=False,
                             default=GridSpec(0.0, 500.0, 400))
     out_dir = run.get("out_dir", "out")
     if not isinstance(out_dir, str):

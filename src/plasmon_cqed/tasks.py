@@ -19,7 +19,7 @@ from .coupling import (
     extract_modes,
     fit_fano_rate,
     fano_rate_model,
-    kappa_spectrum,
+    kappa_spectra,
     rate_spectrum_lsp,
 )
 from .errors import SchemaError
@@ -99,12 +99,10 @@ def _emitter_payload(emitter: EmitterSpec, geometry: Geometry):
 def _write_kappa_spectra(writer: RunWriter, name, grid, n_modes, geometry,
                          material, emitter, comments):
     """CSV of |kappa_wn|^2 for n = 1..n_modes on the grid, one column per mode."""
-    spectra = [kappa_spectrum(n, grid, geometry, material, emitter)
-               for n in range(1, n_modes + 1)]
+    spectra = kappa_spectra(n_modes, grid, geometry, material, emitter)
     writer.csv(name,
                ["omega_ev"] + [f"kappa2_lsp{n}_ev" for n in range(1, n_modes + 1)],
-               [[w] + [s.values[i] for s in spectra] for i, w in enumerate(grid)],
-               comments=comments)
+               np.column_stack((grid, spectra.T)), comments=comments)
 
 
 def task_spectra(sc: Scenario, writer: RunWriter):
@@ -204,8 +202,8 @@ def task_dynamics(sc: Scenario, writer: RunWriter):
 def task_rates(sc: Scenario, writer: RunWriter):
     modes = extract_modes(sc.n_modes, sc.geometry, sc.material, sc.emitter)
     adiab = adiabatic_rates(modes, sc.emitter)
-    fermi = fermi_rate(sc.emitter.omega0, sc.geometry, sc.material, sc.emitter,
-                       n_max=max(60, sc.n_modes))
+    [fermi] = fermi_rate(sc.emitter.omega0, [sc.geometry], sc.material,
+                         sc.emitter, n_max=max(60, sc.n_modes))
     broad = broadened_rate(modes, sc.emitter)
     writer.csv(
         "rates.csv",
@@ -417,9 +415,9 @@ def figure_suite(sc: Scenario, writer: RunWriter):
     summary["gamma_ratio"] = _check(adiab.enhancement, "gamma_ratio")
     summary["lifetime_ns"] = _check(lifetime_ns, "lifetime_ns")
 
-    sweep = [[h, adiabatic_rates(modes, wk_emitter).enhancement,
-              fermi_rate(wk_emitter.omega0, geo, material, wk_emitter, n_max=40)]
-             for h, geo, modes in zip(h_wk, geos_wk, modes_by_h)]
+    fermi = fermi_rate(wk_emitter.omega0, geos_wk, material, wk_emitter, n_max=40)
+    sweep = [[h, adiabatic_rates(modes, wk_emitter).enhancement, f]
+             for h, modes, f in zip(h_wk, modes_by_h, fermi)]
     writer.csv("fig6b.csv", ["h_nm", "gamma_ratio_adiabatic", "gamma_ratio_fermi"],
                sweep, comments=["normalized decay rate vs surface distance"])
 

@@ -15,14 +15,13 @@ import numpy as np
 
 from .constants import HBAR_C_EV_NM
 from .coupling import (
-    CouplingSpectrum,
     ModeParams,
     fano_rate_model,
     fit_fano_rate,
-    fit_lorentzian,
+    fit_lorentzians,
     lorentzian_kappa2,
 )
-from .errors import PlasmonCqedError
+from .errors import FitFailureError, PlasmonCqedError
 from .heff import (
     build_fano,
     build_standard,
@@ -48,7 +47,7 @@ from .lindblad import (
 from .medium import EmitterSpec, Geometry, MaterialModel, permittivity, silver
 from .mie import (
     green_rr_quasistatic,
-    green_rr_scattered,
+    green_rr_terms,
     mie_coefficients,
     qs_polarizability,
     qs_resonance_frequency,
@@ -164,7 +163,7 @@ def check_qs_mie_agreement() -> CheckResult:
     # B_1 exact vs quasi-static closed form at R=8 nm
     geo = Geometry.from_surface_distance(8.0, 2.0)
     w = 2.9
-    b_exact = mie_coefficients(1, w, geo, silver()).b
+    b_exact = mie_coefficients(1, w, geo, silver())
     alpha_qs, _ = qs_polarizability(1, w, geo, silver())
     kb = w / HBAR_C_EV_NM
     b_qs = 1j * 2.0 * kb**3 * alpha_qs / 3.0
@@ -176,7 +175,7 @@ def check_green_quasistatic() -> CheckResult:
     geo = Geometry.from_surface_distance(8.0, 2.0)
     em = EmitterSpec(omega0=2.8, d_eg=1.0, eta=1.0, gamma0=1e-9)
     w = 2.80
-    exact = green_rr_scattered(w, geo, silver(), 1).per_mode[0]
+    exact = green_rr_terms(w, geo, silver(), 1)[0]
     approx = green_rr_quasistatic(w, geo, silver(), em, 1)
     rel = abs(approx.imag - exact.imag) / abs(exact.imag)
     return CheckResult("green-quasistatic", rel < 0.15, f"Im rel dev {rel:.3f}")
@@ -197,19 +196,19 @@ def _standard_hamiltonian(seed, n_modes, gamma0):
 
 
 def check_lorentzian_roundtrip() -> CheckResult:
+    # 20 draws of (omega_n, Gamma_n, g), fitted as one batch
     rng = np.random.default_rng(3)
-    worst = 0.0
-    for _ in range(20):
-        wn = 2.4 + 0.8 * rng.random()
-        gam = 0.01 + 0.1 * rng.random()
-        g = 10 ** (-3 + 2 * rng.random())
-        grid = np.linspace(wn - 5 * gam, wn + 5 * gam, 161)
-        fitted = fit_lorentzian(CouplingSpectrum(
-            n=1, grid=grid, values=lorentzian_kappa2(grid, wn, gam, g)))
-        worst = max(worst,
-                    abs(fitted.omega_n - wn) / wn,
-                    abs(fitted.gamma_n - gam) / gam,
-                    abs(fitted.g - g) / g)
+    truth = np.array([(2.4 + 0.8 * rng.random(), 0.01 + 0.1 * rng.random(),
+                       10 ** (-3 + 2 * rng.random())) for _ in range(20)])
+    wn, gam = truth[:, :1], truth[:, 1:2]
+    grids = np.linspace(wn - 5 * gam, wn + 5 * gam, 161, axis=-1)[:, 0]
+    fits = fit_lorentzians([1] * len(truth), grids,
+                           lorentzian_kappa2(grids, wn, gam, truth[:, 2:]))
+    for fitted in fits:
+        if isinstance(fitted, FitFailureError):
+            raise fitted
+    fitted = np.array([[f.omega_n, f.gamma_n, f.g] for f in fits])
+    worst = float(np.max(np.abs(fitted - truth) / truth))
     return CheckResult("lorentzian-roundtrip", worst < 1e-6,
                        f"max rel err {worst:.2e}")
 

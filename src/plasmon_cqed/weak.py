@@ -1,6 +1,7 @@
 """Closed-form weak-coupling observables: adiabatic elimination, Lamb shift,
-per-mode Purcell factors, golden-rule rate from the exact Green function,
-thermally broadened rates and their Fano-modified counterparts.
+per-mode Purcell factors, golden-rule rates from the exact Green function
+(a whole distance sweep per call), thermally broadened rates and their
+Fano-modified counterparts.
 
 The Lamb shift is reported but never folded back into omega0.
 """
@@ -12,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .medium import EmitterSpec, Geometry, MaterialModel
-from .mie import DEFAULT_N_MAX, green_rr_scattered
+from .medium import EmitterSpec, MaterialModel
+from .mie import DEFAULT_N_MAX, green_rr_sweep
 from .constants import HBAR_C_EV_NM
 
 
@@ -79,13 +80,20 @@ def purcell_factors(modes, emitter: EmitterSpec) -> WeakCouplingReport:
                    purcell_rad=f_rad)
 
 
-def fermi_rate(omega0: float, geometry: Geometry, material: MaterialModel,
-               emitter: EmitterSpec, n_max: int = DEFAULT_N_MAX) -> float:
+def fermi_rate(omega0: float, geometries, material: MaterialModel,
+               emitter: EmitterSpec, n_max: int = DEFAULT_N_MAX) -> np.ndarray:
     """Golden-rule enhancement gamma_tot/gamma0 = 1 + eta (6 pi/k_b) Im G^rr
-    from the exact Mie Green function."""
-    kb = geometry.n_b * omega0 / HBAR_C_EV_NM
-    g = green_rr_scattered(omega0, geometry, material, n_max)
-    return 1.0 + emitter.eta * 6 * math.pi / kb * g.total.imag
+    from the exact Mie Green function, one per emitter position around one
+    sphere: entry i belongs to geometries[i].
+
+    The geometries share R and eps_b, so every position comes from one
+    green_rr_sweep call (one B_n build); each entry is bitwise what that
+    geometry alone gives.
+    """
+    geometries = list(geometries)
+    total = np.sum(green_rr_sweep(omega0, geometries, material, n_max), axis=-1)
+    kb = geometries[0].n_b * omega0 / HBAR_C_EV_NM
+    return 1.0 + emitter.eta * 6 * math.pi / kb * total.imag
 
 
 def broadened_rate(modes, emitter: EmitterSpec) -> np.ndarray:

@@ -10,12 +10,11 @@ import numpy as np
 
 from plasmon_cqed.constants import HBAR_C_EV_NM, HBAR_EV_S
 from plasmon_cqed.coupling import (
-    CouplingSpectrum,
     ModeParams,
     extract_modes,
     fano_rate_model,
     fit_fano_rate,
-    fit_lorentzian,
+    fit_lorentzians,
     lorentzian_kappa2,
     rate_spectrum_lsp,
 )
@@ -112,7 +111,7 @@ def criterion_3_weak_coupling():
     geo = Geometry.from_surface_distance(8.0, 5.0)
     from plasmon_cqed.weak import adiabatic_rates, fermi_rate
 
-    fermi = fermi_rate(omega0, geo, silver(), em, n_max=40)
+    [fermi] = fermi_rate(omega0, [geo], silver(), em, n_max=40)
     modes = extract_modes(20, geo, silver(), em)
     adiab = adiabatic_rates(modes, em).enhancement
 
@@ -290,18 +289,18 @@ def criterion_7_route_equivalence():
 def criterion_8_fitter_roundtrip():
     start = time.perf_counter()
     rng = np.random.default_rng(77)
-    worst_lor = 0.0
-    for _ in range(50):
-        wn = 2.3 + 0.8 * rng.random()
-        gamma = 0.01 + 0.1 * rng.random()
-        g = 10 ** (-3 + 2 * rng.random())
-        grid = np.linspace(wn - 5 * gamma, wn + 5 * gamma, 121)
-        fitted = fit_lorentzian(CouplingSpectrum(
-            n=1, grid=grid, values=lorentzian_kappa2(grid, wn, gamma, g)))
-        worst_lor = max(worst_lor,
-                        abs(fitted.omega_n - wn) / wn,
-                        abs(fitted.gamma_n - gamma) / gamma,
-                        abs(fitted.g - g) / g)
+    # 50 Lorentzian draws of (omega_n, Gamma_n, g), fitted as one batch
+    truth = np.array([(2.3 + 0.8 * rng.random(), 0.01 + 0.1 * rng.random(),
+                       10 ** (-3 + 2 * rng.random())) for _ in range(50)])
+    wn, gamma = truth[:, :1], truth[:, 1:2]
+    grids = np.linspace(wn - 5 * gamma, wn + 5 * gamma, 121, axis=-1)[:, 0]
+    fits = fit_lorentzians([1] * len(truth), grids,
+                           lorentzian_kappa2(grids, wn, gamma, truth[:, 2:]))
+    for fitted in fits:
+        if not isinstance(fitted, ModeParams):
+            raise fitted
+    fitted = np.array([[f.omega_n, f.gamma_n, f.g] for f in fits])
+    worst_lor = float(np.max(np.abs(fitted - truth) / truth))
     worst_fano = 0.0
     geo = Geometry.from_surface_distance(50.0, 30.0)
     em = EmitterSpec.from_dipole(2.6, 1.0)

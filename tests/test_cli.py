@@ -80,6 +80,16 @@ class TestCliExitCodes:
         assert code == 2
         assert "geometry.radius_nm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task", ["spectra", "dressed"])
+    def test_zero_frequency_grid_exit_2(self, tmp_path, capsys, task):
+        cfg = base_config(task=task)
+        cfg["run"]["omega_grid"]["min_ev"] = 0
+        out = str(tmp_path / "out")
+        assert main(["run", write_config(tmp_path, cfg), "--out", out]) == 2
+        assert "run.omega_grid.min_ev" in capsys.readouterr().err
+        # a time grid from 0 stays valid
+        assert parse_scenario(base_config()).time_grid.lo == 0.0
+
     def test_invalid_json_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -176,6 +186,16 @@ class TestDeterminism:
 
 
 class TestTasks:
+    def test_spectra_task_on_a_short_grid(self, tmp_path):
+        # the 50-point floor belongs to the fits, not to a coupling table
+        cfg = base_config(task="spectra")
+        cfg["run"]["omega_grid"]["points"] = 20
+        out = str(tmp_path / "out")
+        assert main(["run", write_config(tmp_path, cfg), "--out", out]) == 0
+        data = np.loadtxt(os.path.join(out, "spectra.csv"), delimiter=",",
+                          skiprows=3)
+        assert data.shape == (20, 1 + 3)
+
     def test_dynamics_task_traces(self, tmp_path):
         cfg = base_config(task="dynamics")
         out = str(tmp_path / "out")

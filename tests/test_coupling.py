@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from plasmon_cqed import coupling
 from plasmon_cqed.coupling import (
-    CouplingSpectrum,
     default_mode_window,
     extract_mode_sweep,
     extract_modes,
     fano_rate_model,
     fit_fano_rate,
-    fit_lorentzian,
-    kappa_spectrum,
+    fit_lorentzians,
+    kappa_spectra,
     lorentzian_kappa2,
     rate_spectrum_lsp,
 )
@@ -23,43 +22,96 @@ from plasmon_cqed.errors import FitFailureError, InvalidArgumentError
 from plasmon_cqed.medium import EmitterSpec, Geometry
 
 
+def fit_one(grid, values, n=1):
+    """The one-spectrum batch of fit_lorentzians; a failed fit raises."""
+    [fit] = fit_lorentzians([n], np.asarray(grid)[None], np.asarray(values)[None])
+    if isinstance(fit, FitFailureError):
+        raise fit
+    return fit
+
+
 class TestKappaSpectrum:
     def test_six_modes_single_peaked_and_ordered(self, ag, small_geometry,
                                                  strong_emitter):
+        grid = np.linspace(2.4, 3.2, 201)
+        spectra = kappa_spectra(6, grid, small_geometry, ag, strong_emitter)
+        assert spectra.shape == (6, 201)
         peaks = []
-        for n in range(1, 7):
-            grid = np.linspace(2.4, 3.2, 201)
-            spec = kappa_spectrum(n, grid, small_geometry, ag, strong_emitter)
-            i_pk = int(np.argmax(spec.values))
+        for values in spectra:
+            i_pk = int(np.argmax(values))
             assert 0 < i_pk < 200
             peaks.append(grid[i_pk])
         assert all(b > a for a, b in zip(peaks, peaks[1:]))
 
     def test_zero_dipole_zero_spectrum(self, ag, small_geometry):
         em = EmitterSpec(omega0=2.9, d_eg=0.0, eta=1.0, gamma0=1e-9)
-        spec = kappa_spectrum(1, np.linspace(2.4, 3.2, 60), small_geometry, ag, em)
-        assert np.all(spec.values == 0)
+        spectra = kappa_spectra(1, np.linspace(2.4, 3.2, 60), small_geometry,
+                                ag, em)
+        assert np.all(spectra == 0)
 
     def test_large_sphere_asymmetry(self, ag, strong_emitter):
         # Lorentzian fit quality degrades visibly for the leaky dipolar mode
         geo = Geometry.from_surface_distance(50.0, 5.0)
         grid = np.linspace(2.1, 3.3, 241)
         with pytest.warns(UserWarning, match="leaky"):
-            spec = kappa_spectrum(1, grid, geo, ag, strong_emitter)
-        fitted = fit_lorentzian(spec)
+            [values] = kappa_spectra(1, grid, geo, ag, strong_emitter)
+        fitted = fit_one(grid, values)
         assert fitted.fit_residual > 0.05
 
+    def test_one_green_call_per_table(self, ag, small_geometry, strong_emitter,
+                                      monkeypatch):
+        calls = []
+        terms = coupling.green_rr_terms
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return terms(*args, **kwargs)
+
+        monkeypatch.setattr(coupling, "green_rr_terms", counted)
+        kappa_spectra(6, np.linspace(2.4, 3.2, 201), small_geometry, ag,
+                      strong_emitter)
+        assert len(calls) == 1
+        assert calls[0][3] == 6
+
+    def test_rows_are_kappa2_of_the_green_terms(self, ag, small_geometry,
+                                                strong_emitter):
+        grid = np.linspace(2.4, 3.2, 201)
+        spectra = kappa_spectra(6, grid, small_geometry, ag, strong_emitter)
+        terms = coupling.green_rr_terms(grid, small_geometry, ag, 6)
+        for n in range(1, 7):
+            np.testing.assert_array_equal(
+                spectra[n - 1],
+                coupling._kappa2(grid, terms[..., n - 1], strong_emitter))
+
+    def test_leaky_warning_points_at_the_caller(self, ag, strong_emitter):
+        geo = Geometry.from_surface_distance(50.0, 5.0)
+        with pytest.warns(UserWarning, match="LSP_1 spectrum") as seen:
+            kappa_spectra(2, np.linspace(2.1, 3.3, 241), geo, ag,
+                          strong_emitter)
+        assert [w.filename for w in seen] == [__file__]
+        with pytest.warns(UserWarning, match="LSP_1 spectrum") as seen:
+            extract_mode_sweep(1, [geo], ag, strong_emitter)
+        assert [w.filename for w in seen] == [__file__]
+
     def test_grid_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            CouplingSpectrum(n=1, grid=np.linspace(2, 3, 10),
-                             values=np.zeros(10))
+        # the fits take at least MIN_GRID_POINTS strictly ascending points and
+        # matching values; a coupling table itself has no such floor
+        grid = np.linspace(2, 3, 60)
+        with pytest.raises(InvalidArgumentError, match=">= 50 points"):
+            fit_lorentzians([1], grid[None, :10], np.zeros((1, 10)))
+        with pytest.raises(InvalidArgumentError, match="ascending"):
+            fit_lorentzians([1], grid[None, ::-1], np.zeros((1, 60)))
+        with pytest.raises(InvalidArgumentError, match="mismatch"):
+            fit_lorentzians([1], grid[None], np.zeros((1, 59)))
+        with pytest.raises(InvalidArgumentError, match="mismatch"):
+            fit_lorentzians([1, 2], grid[None], np.zeros((1, 60)))
 
 
 class TestLorentzianFit:
     def test_noiseless_roundtrip(self):
         grid = np.linspace(2.55, 3.05, 161)
         vals = lorentzian_kappa2(grid, 2.8, 0.051, 0.010)
-        fitted = fit_lorentzian(CouplingSpectrum(n=1, grid=grid, values=vals))
+        fitted = fit_one(grid, vals)
         assert fitted.omega_n == pytest.approx(2.8, rel=1e-6)
         assert fitted.gamma_n == pytest.approx(0.051, rel=1e-6)
         assert fitted.g == pytest.approx(0.010, rel=1e-6)
@@ -93,10 +145,11 @@ class TestModeSweep:
         sweep = extract_mode_sweep(4, geometries, ag, strong_emitter)
         assert sweep == [extract_modes(4, geo, ag, strong_emitter)
                          for geo in geometries]
-        # and the spectrum-by-spectrum route over kappa_spectrum
-        assert sweep == [[fit_lorentzian(kappa_spectrum(
-            n, default_mode_window(n, geo, ag), geo, ag, strong_emitter))
-            for n in range(1, 5)] for geo in geometries]
+        # and the table-by-table route over kappa_spectra
+        assert sweep == [[fit_one(window, kappa_spectra(
+            n, window, geo, ag, strong_emitter)[n - 1], n)
+            for n, window in ((n, default_mode_window(n, geo, ag))
+                              for n in range(1, 5))] for geo in geometries]
 
     def test_failure_names_mode_and_distance(self, ag, strong_emitter,
                                              monkeypatch):
@@ -139,8 +192,7 @@ class TestModeSweep:
 def test_lorentzian_roundtrip_property(omega_n, gamma, log_g):
     g = 10.0**log_g
     grid = np.linspace(omega_n - 5 * gamma, omega_n + 5 * gamma, 101)
-    fitted = fit_lorentzian(CouplingSpectrum(
-        n=1, grid=grid, values=lorentzian_kappa2(grid, omega_n, gamma, g)))
+    fitted = fit_one(grid, lorentzian_kappa2(grid, omega_n, gamma, g))
     assert fitted.omega_n == pytest.approx(omega_n, rel=1e-6)
     assert fitted.gamma_n == pytest.approx(gamma, rel=1e-6)
     assert fitted.g == pytest.approx(g, rel=1e-6)
@@ -249,5 +301,4 @@ class TestSpectrumIO:
     def test_fit_failure_carries_best_iterate(self):
         grid = np.linspace(2.0, 3.0, 60)
         with pytest.raises(FitFailureError):
-            fit_lorentzian(CouplingSpectrum(n=1, grid=grid,
-                                            values=np.zeros(60)))
+            fit_one(grid, np.zeros(60))

@@ -12,6 +12,7 @@ from plasmon_cqed.coupling import ModeParams
 from plasmon_cqed.errors import (
     ContractViolationError,
     IncompleteModesError,
+    InvalidArgumentError,
     SingularityError,
 )
 from plasmon_cqed.heff import (
@@ -170,6 +171,16 @@ class TestEvolve:
         norms = [s.norm_sq for s in
                  evolve(ham, psi0, np.linspace(0, 400, 100))]
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
+
+    @pytest.mark.parametrize("times", [[0.0, 2.0, 1.0], [-1.0, 0.0, 1.0],
+                                       [0.0, np.nan], [[0.0, 1.0]]])
+    @pytest.mark.parametrize("g", [0.02, (0.1 - 0.012) / 4])
+    def test_both_routes_reject_the_same_bad_grids(self, emitter, g, times):
+        # g = 0.02 is well conditioned (eigen route); g = (Gamma - gamma0)/4
+        # at zero detuning is an exceptional point (expm route)
+        ham = build_standard([single_mode(gamma=0.1, g=g)], emitter)
+        with pytest.raises(InvalidArgumentError, match="nondecreasing"):
+            evolve(ham, [1.0, 0.0], times)
 
 class TestGaugeInvariance:
     @given(seed=st.integers(min_value=0, max_value=2**31))

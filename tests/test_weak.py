@@ -95,12 +95,13 @@ class TestFermi:
         geo = Geometry(radius=1e-3, eps_b=1.0, r_d=13.0)
         from plasmon_cqed.medium import silver
 
-        assert fermi_rate(weak_emitter.omega0, geo, silver(), weak_emitter) == \
-            pytest.approx(1.0, abs=1e-9)
+        assert fermi_rate(weak_emitter.omega0, [geo], silver(),
+                          weak_emitter)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_weak_coupling_trio_consistency(self, ag, weak_emitter):
         geo = Geometry.from_surface_distance(8.0, 5.0)
-        fermi = fermi_rate(weak_emitter.omega0, geo, ag, weak_emitter, n_max=40)
+        [fermi] = fermi_rate(weak_emitter.omega0, [geo], ag, weak_emitter,
+                             n_max=40)
         modes = extract_modes(20, geo, ag, weak_emitter)
         adiab = adiabatic_rates(modes, weak_emitter).enhancement
         assert abs(fermi - adiab) / fermi < 0.05
@@ -119,7 +120,19 @@ class TestFermi:
     def test_eta_zero_is_unity(self, ag):
         geo = Geometry.from_surface_distance(8.0, 5.0)
         em = EmitterSpec(omega0=1.85, d_eg=4.0, eta=1e-12, gamma0=1e-8)
-        assert fermi_rate(em.omega0, geo, ag, em) == pytest.approx(1.0, abs=1e-9)
+        assert fermi_rate(em.omega0, [geo], ag, em)[0] == \
+            pytest.approx(1.0, abs=1e-9)
+
+    def test_sweep_rows_equal_one_geometry_calls(self, ag, weak_emitter):
+        # the figure suite's distance sweep, one green_rr_sweep call
+        geos = [Geometry.from_surface_distance(8.0, h)
+                for h in (2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 14.0, 20.0)]
+        sweep = fermi_rate(weak_emitter.omega0, geos, ag, weak_emitter, n_max=40)
+        assert sweep.shape == (len(geos),)
+        for geo, rate in zip(geos, sweep):
+            [alone] = fermi_rate(weak_emitter.omega0, [geo], ag, weak_emitter,
+                                 n_max=40)
+            assert rate == alone
 
 
 class TestBroadened:
