@@ -21,6 +21,7 @@ solver with analytic Jacobians.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -41,8 +42,13 @@ MIN_GRID_POINTS = 50
 
 def _clamp_leaky(ns, values):
     """Spectra values (F, P) clamped at zero, warning for each spectrum whose
-    wings go negative; ns names the mode of each row.  Called straight from
-    a public function, so each warning points at that function's caller."""
+    wings go negative; ns names the mode of each row.  Each warning points at
+    the first caller outside this module, however deep the call."""
+    # skip_file_prefixes of warnings.warn needs Python 3.12
+    frame, level = sys._getframe(), 1
+    here = frame.f_code.co_filename
+    while frame.f_back is not None and frame.f_code.co_filename == here:
+        frame, level = frame.f_back, level + 1
     peak = np.max(values, axis=-1, keepdims=True)
     for n in np.asarray(ns)[np.any(values < -1e-9 * np.maximum(peak, 1e-300),
                                    axis=-1)]:
@@ -51,7 +57,7 @@ def _clamp_leaky(ns, values):
         warnings.warn(
             f"LSP_{n} spectrum has negative wings (leaky mode); "
             "clamped to zero -- use the Fano rate fit for this regime",
-            stacklevel=3,
+            stacklevel=level,
         )
     return np.maximum(values, 0.0)
 

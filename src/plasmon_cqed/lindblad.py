@@ -13,14 +13,16 @@ The master equation is kept as its factors (Liouvillian); no (N+2)^2 x
 (N+2)^2 superoperator is formed.  Every channel maps the single-excitation
 block onto |g,0> and annihilates |g,0>, so the jumps c rho c+ only feed
 |g,0><g,0| (the no-jump/jump split of Dalibard, Castin & Molmer, PRL 68, 580
-(1992)), and the rest evolves under A = -i H_eff alone:
+(1992)), and the rest evolves under A = -i H_eff alone.  With W = U[:, S] the
+columns of U = expm(-i H_eff t), of side N+1, that rho(0) touches (S: the
+sector indices whose row or column of rho(0) is nonzero):
 
-    rho_1(t)  = U rho_1(0) U+        (single-excitation block)
-    rho_k0(t) = U rho_k0(0)          (coherences with |g,0>; rho_0k conjugate)
+    rho_1(t)  = W rho_1(0)[S, S] W+    (single-excitation block)
+    rho_k0(t) = W rho_k0(0)[S]         (coherences with |g,0>; rho_0k conjugate)
     rho_00(t) = tr rho(0) - tr rho_1(t)
 
-with U = expm(-i H_eff t), of side N+1.  evolve_master checks this form on
-the d x d factors and takes -i H_eff = A[1:, 1:], A = -i H_S - sum c+c / 2.
+Only W is propagated.  evolve_master checks this form on the d x d factors
+and takes -i H_eff = A[1:, 1:], A = -i H_S - sum c+c / 2.
 """
 
 from __future__ import annotations
@@ -257,15 +259,19 @@ def _loss(chans: np.ndarray) -> np.ndarray:
     return np.tensordot(chans.conj(), chans, axes=([0, 1], [0, 1]))
 
 
-def _sector_states(props: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """(k, d, d) states from rho at t = 0 and the stacked sector propagators
-    U(t_k), by the block formulas of the module docstring."""
+def _sector_states(gen: np.ndarray, rho: np.ndarray, times) -> np.ndarray:
+    """(k, d, d) states at the times from rho at t = 0, by the block formulas
+    of the module docstring on the columns W = U[:, S] that rho touches."""
     dim = rho.shape[0]
-    out = np.empty((props.shape[0], dim, dim), dtype=complex)
+    touched = np.flatnonzero(np.any(rho[1:] != 0, axis=1)
+                             | np.any(rho[:, 1:] != 0, axis=0))
+    cols = _propagate(gen, np.eye(dim - 1)[:, touched], times)
+    out = np.empty((cols.shape[0], dim, dim), dtype=complex)
     # a contiguous adjoint stack multiplies about twice as fast
-    adjoints = np.ascontiguousarray(props.conj().transpose(0, 2, 1))
-    np.matmul(props @ rho[1:, 1:], adjoints, out=out[:, 1:, 1:])
-    out[:, 1:, 0] = props @ rho[1:, 0]
+    adjoints = np.ascontiguousarray(cols.conj().transpose(0, 2, 1))
+    np.matmul(cols @ rho[1 + touched[:, None], 1 + touched], adjoints,
+              out=out[:, 1:, 1:])
+    out[:, 1:, 0] = cols @ rho[1 + touched, 0]
     out[:, 0, 1:] = out[:, 1:, 0].conj()
     out[:, 0, 0] = np.trace(rho) - np.trace(out[:, 1:, 1:], axis1=1, axis2=2)
     return out
@@ -275,17 +281,18 @@ def evolve_master(liouvillian: Liouvillian, rho0: DensityMatrix,
                   times) -> list[DensityMatrix]:
     """Propagate the master equation exactly to the requested times.
 
-    By sectors (module docstring): the propagators U(t_k) = expm(-i H_eff t_k)
-    of side N+1 come from exact expm steps (heff._propagate), so there is no
-    time-stepping error, also where H_eff is defective (exceptional points).
-    The sector form is checked on the d x d factors (_sector_generator), and
-    every returned state is validated, in one stacked pass.
+    By sectors (module docstring): the columns S of U(t_k) = expm(-i H_eff t_k)
+    that rho0 touches (pure_state: one; the ground state: none) come from
+    exact expm steps (heff._propagate), so there is no time-stepping error,
+    also where H_eff is defective (exceptional points).  The sector form is
+    checked on the d x d factors (_sector_generator), and every returned
+    state is validated, in one stacked pass.
     """
     rho0.validate()
     dim = rho0.rho.shape[0]
     gen = _sector_generator(liouvillian, dim)
-    # the propagator stack is freed before the validation pass
-    rhos = _sector_states(_propagate(gen, np.eye(dim - 1), times), rho0.rho)
+    # the propagated columns are freed before the validation pass
+    rhos = _sector_states(gen, rho0.rho, times)
     _validate_states(rhos)
     return [DensityMatrix(rho=r, t=float(t)) for r, t in zip(rhos, times)]
 
@@ -302,6 +309,14 @@ def effective_hamiltonian_from_lindblad(h_s: np.ndarray,
                      dtype=complex).reshape((-1,) + h_s.shape)
     return EffectiveHamiltonian(matrix=(h_s - 0.5j * _loss(chans))[1:, 1:],
                                 emitter=dissipators.emitter)
+
+
+def _heff_deviation(states, amps) -> float:
+    """max |rho_1(t) - psi(t) psi(t)+| of master-equation states and H_eff amplitudes."""
+    blocks = np.array([s.rho[1:, 1:] for s in states])
+    psi = np.array([[a.c_e, *a.c_n] for a in amps])
+    return float(np.max(np.abs(
+        blocks - psi[:, :, None] * psi[:, None, :].conj()), initial=0.0))
 
 
 def single_excitation_projection(state: DensityMatrix) -> np.ndarray:

@@ -37,8 +37,8 @@ from .lindblad import (
     build_system_hamiltonian,
     effective_hamiltonian_from_lindblad,
     evolve_master,
+    _heff_deviation,
     pure_state,
-    single_excitation_projection,
 )
 from .medium import EmitterSpec, Geometry, MaterialModel, radiative_rate, silver
 from .output import RunWriter
@@ -303,13 +303,10 @@ def task_lindblad(sc: Scenario, writer: RunWriter):
     amps = evolve(ham, psi0, times_fs / HBAR_EV_FS)
     t_heff = time.perf_counter() - t0
     writer.note(f"lindblad/heff runtime ratio {t_master / max(t_heff, 1e-9):.1f} "
-                f"(Liouville dimension {(n_modes + 2) ** 2}, propagated by "
-                f"sector blocks of side {n_modes + 1}; H_eff side {n_modes + 1})")
-    deviation = 0.0
-    for s, a in zip(states, amps):
-        psi = np.concatenate(([a.c_e], a.c_n))
-        deviation = max(deviation, float(np.max(np.abs(
-            single_excitation_projection(s) - np.outer(psi, psi.conj())))))
+                f"(Liouville dimension {(n_modes + 2) ** 2}, propagated by one "
+                f"column of the sector propagator of side {n_modes + 1}; "
+                f"H_eff side {n_modes + 1})")
+    deviation = _heff_deviation(states, amps)
 
     columns = ["t_fs", "pop_ground", "pop_e"] + \
         [f"pop_lsp{m.n}" for m in modes] + ["trace"]

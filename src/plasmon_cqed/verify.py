@@ -41,8 +41,8 @@ from .lindblad import (
     dissipator_action,
     effective_hamiltonian_from_lindblad,
     evolve_master,
+    _heff_deviation,
     pure_state,
-    single_excitation_projection,
 )
 from .medium import EmitterSpec, Geometry, MaterialModel, permittivity, silver
 from .mie import (
@@ -368,10 +368,7 @@ def check_lindblad_equivalence() -> CheckResult:
             states = evolve_master(liou, pure_state(space, 1), times)
             amps = evolve(effective_hamiltonian_from_lindblad(h_s, dis),
                           psi0, times)
-            for s, a in zip(states, amps):
-                psi = np.concatenate(([a.c_e], a.c_n))
-                worst = max(worst, float(np.max(np.abs(
-                    single_excitation_projection(s) - np.outer(psi, psi.conj())))))
+            worst = max(worst, _heff_deviation(states, amps))
     return CheckResult("lindblad-equivalence", worst < 1e-6, f"max dev {worst:.2e}")
 
 

@@ -92,6 +92,9 @@ class TestKappaSpectrum:
         with pytest.warns(UserWarning, match="LSP_1 spectrum") as seen:
             extract_mode_sweep(1, [geo], ag, strong_emitter)
         assert [w.filename for w in seen] == [__file__]
+        with pytest.warns(UserWarning, match="LSP_1 spectrum") as seen:
+            extract_modes(1, geo, ag, strong_emitter)
+        assert [w.filename for w in seen] == [__file__]
 
     def test_grid_validation(self):
         # the fits take at least MIN_GRID_POINTS strictly ascending points and

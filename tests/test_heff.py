@@ -17,6 +17,7 @@ from plasmon_cqed.errors import (
 )
 from plasmon_cqed.heff import (
     EffectiveHamiltonian,
+    _propagate,
     amplitude_response,
     build_fano,
     build_standard,
@@ -181,6 +182,41 @@ class TestEvolve:
         ham = build_standard([single_mode(gamma=0.1, g=g)], emitter)
         with pytest.raises(InvalidArgumentError, match="nondecreasing"):
             evolve(ham, [1.0, 0.0], times)
+
+
+PROPAGATE_GRIDS = {
+    # name: (times, expm calls: one per step group)
+    "uniform": (np.linspace(0.0, 400.0, 400), 2),
+    "two_segments": (np.r_[np.linspace(0.0, 100.0, 150),
+                           np.linspace(100.0, 400.0, 250)], 3),
+    "offset": (np.linspace(37.5, 400.0, 300), 2),
+    "distinct": (np.cumsum(np.random.default_rng(5).uniform(0.5, 1.5, 60)), 60),
+}
+
+
+class TestPropagate:
+    @pytest.mark.parametrize("shape", [(5,), (5, 3)], ids=["vector", "matrix"])
+    @pytest.mark.parametrize("grid", PROPAGATE_GRIDS)
+    def test_runs_match_one_expm_per_time(self, emitter, monkeypatch, grid,
+                                          shape):
+        # runs of equal steps are filled by doubling; each point must still
+        # be expm(G t_k) v0, and expm runs once per step group
+        import scipy.linalg
+        from scipy.linalg import expm
+
+        times, groups = PROPAGATE_GRIDS[grid]
+        rng = np.random.default_rng(17)
+        gen = -1j * build_standard(synthetic_modes(rng, 4), emitter).matrix
+        v0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        calls = []
+        monkeypatch.setattr(scipy.linalg, "expm",
+                            lambda m: calls.append(m) or expm(m))
+        out = _propagate(gen, v0, times)
+        assert len(calls) == groups
+        assert out.shape == (times.size,) + shape
+        np.testing.assert_allclose(
+            out, [expm(gen * t) @ v0 for t in times], rtol=0, atol=1e-12)
+
 
 class TestGaugeInvariance:
     @given(seed=st.integers(min_value=0, max_value=2**31))

@@ -304,6 +304,33 @@ class TestEvolveMaster:
                                        expm_master(liou, rho0.rho, times),
                                        rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_partial_support_states(self, emitter, kind, grid):
+        # only the columns of U that rho0 touches are propagated: none for
+        # the ground state, one for the superposition, two for the mixture
+        _, _, space, liou = liouvillian_for(kind, 3, emitter, [3, 7])
+        times = GRIDS[grid]
+        rng = np.random.default_rng(53)
+        ground = pure_state(space, 0)
+        superposition = np.zeros(space.dim, dtype=complex)
+        superposition[[0, 3]] = [0.6, 0.8j]  # |g,0> and |g,1_2>
+        a, b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        mixture = np.zeros((space.dim, space.dim), dtype=complex)
+        mixture[1:3, 1:3] = (0.7 * np.outer(a, a.conj()) / np.vdot(a, a)
+                             + 0.3 * np.outer(b, b.conj()) / np.vdot(b, b))
+        for rho0 in (ground.rho, np.outer(superposition, superposition.conj()),
+                     mixture):
+            assert np.linalg.matrix_rank(rho0) == (2 if rho0 is mixture else 1)
+            states = evolve_master(liou, DensityMatrix(rho=rho0), times)
+            for s in states:
+                s.validate()
+            np.testing.assert_allclose(np.array([s.rho for s in states]),
+                                       expm_master(liou, rho0, times),
+                                       rtol=0, atol=1e-12)
+        for s in evolve_master(liou, ground, times):
+            np.testing.assert_array_equal(s.rho, ground.rho)
+
     @pytest.mark.parametrize("factor", [1.0, 1.0 + 1e-6])
     def test_exceptional_point(self, factor):
         # g = (Gamma - gamma0)/4 at zero detuning makes H_eff (and the
