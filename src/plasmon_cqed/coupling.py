@@ -329,7 +329,8 @@ def fit_fano_rate(grid, values, n: int, geometry: Geometry, emitter: EmitterSpec
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
     if grid.size != values.size or grid.size < MIN_GRID_POINTS:
-        raise InvalidArgumentError("rate spectrum needs a matching grid of >= 50 points")
+        raise InvalidArgumentError(
+            f"rate spectrum needs a matching grid of >= {MIN_GRID_POINTS} points")
     scale = float(np.max(np.abs(values)))
     if scale == 0:
         raise FitFailureError("rate spectrum is identically zero")

@@ -54,17 +54,11 @@ class EffectiveHamiltonian:
 
 def build_standard(modes, emitter: EmitterSpec) -> EffectiveHamiltonian:
     """Standard effective Hamiltonian: diagonal losses, real couplings g_n."""
-    if not modes:
-        raise InvalidArgumentError("at least one mode required")
-    n = len(modes)
-    h = np.zeros((n + 1, n + 1), dtype=complex)
-    h[0, 0] = -0.5j * emitter.gamma0
-    for i, mode in enumerate(modes, start=1):
+    for mode in modes:
         if not mode.gamma_n > 0:
             raise InvalidArgumentError(f"mode {mode.n} has non-positive width")
-        h[i, i] = mode.detuning(emitter) - 0.5j * mode.gamma_n
-        h[0, i] = h[i, 0] = mode.g
-    return EffectiveHamiltonian(matrix=h, emitter=emitter)
+    return _arrowhead(modes, emitter, emitter.gamma0,
+                      [m.gamma_n for m in modes], [m.g for m in modes])
 
 
 def build_fano(modes, emitter: EmitterSpec,
@@ -76,25 +70,28 @@ def build_fano(modes, emitter: EmitterSpec,
     """
     if variant not in ("radiative_only", "general"):
         raise InvalidArgumentError(f"unknown Fano variant {variant!r}")
-    if not modes:
-        raise InvalidArgumentError("at least one mode required")
-    n = len(modes)
-    h = np.zeros((n + 1, n + 1), dtype=complex)
     for mode in modes:
         if mode.alpha is None or mode.gamma_rad is None:
             raise IncompleteModesError(
                 f"mode {mode.n} lacks the Fano split (alpha/gamma_rad)")
     if variant == "radiative_only":
-        h[0, 0] = -0.5j * emitter.gamma0_rad
+        gamma0, widths = emitter.gamma0_rad, [m.gamma_rad for m in modes]
     else:
-        h[0, 0] = -0.5j * emitter.gamma0
-    for i, mode in enumerate(modes, start=1):
-        if variant == "radiative_only":
-            width = mode.gamma_rad
-        else:
-            width = mode.gamma_rad + (mode.gamma_nr or 0.0)
-        h[i, i] = mode.detuning(emitter) - 0.5j * width
-        h[0, i] = h[i, 0] = mode.g * (1.0 - 0.5j * mode.alpha)
+        gamma0 = emitter.gamma0
+        widths = [m.gamma_rad + (m.gamma_nr or 0.0) for m in modes]
+    return _arrowhead(modes, emitter, gamma0, widths,
+                      [m.g * (1.0 - 0.5j * m.alpha) for m in modes])
+
+
+def _arrowhead(modes, emitter: EmitterSpec, gamma0, widths,
+               couplings) -> EffectiveHamiltonian:
+    """The arrowhead H_eff: -i gamma0/2 on the emitter entry, Delta_n - i
+    widths_n/2 on the mode diagonal, couplings_n on row and column 0."""
+    if not modes:
+        raise InvalidArgumentError("at least one mode required")
+    h = np.diag([-0.5j * gamma0] + [m.detuning(emitter) - 0.5j * w
+                                     for m, w in zip(modes, widths)])
+    h[0, 1:] = h[1:, 0] = couplings
     return EffectiveHamiltonian(matrix=h, emitter=emitter)
 
 

@@ -231,32 +231,24 @@ def _validate_states(rhos: np.ndarray) -> None:
         raise
 
 
-def _sector_generator(liouvillian: Liouvillian, dim: int) -> np.ndarray:
-    """-i H_eff = A[1:, 1:] with A = -i H_S - (1/2) sum c+c.
+def _sector_generator(h_s: np.ndarray, chans: np.ndarray) -> np.ndarray:
+    """-i H_eff = A[1:, 1:] with A = -i H_S - (1/2) sum c+c, for the (d, d)
+    H_S and a (C, d, d) stack of collapse channels.
 
     Raises ContractViolationError unless H_S has a zero row and column 0 and
     every channel is nonzero only in row 0 and zero in column 0: the form the
     sector propagation is exact for, trace-preserving by construction."""
-    if liouvillian.shape != (dim * dim, dim * dim):
-        raise ContractViolationError(
-            f"Liouvillian of shape {liouvillian.shape} for a {dim}x{dim} state")
-    h_s, chans = liouvillian.h_s, liouvillian.channels
-    coupling = max(np.max(np.abs(h_s[0])), np.max(np.abs(h_s[:, 0])))
-    if coupling > GENERATOR_TOL * np.max(np.abs(h_s)):
+    mag = np.abs(h_s)
+    if max(mag[0].max(), mag[:, 0].max()) > GENERATOR_TOL * mag.max():
         raise ContractViolationError(
             "system Hamiltonian couples |g,0> to the single-excitation sector")
-    stray = max(np.max(np.abs(chans[:, 1:]), initial=0.0),
-                np.max(np.abs(chans[:, :, 0]), initial=0.0))
-    if stray > GENERATOR_TOL * np.max(np.abs(chans), initial=0.0):
+    mag = np.abs(chans)
+    stray = max(mag[:, 1:].max(initial=0.0), mag[:, :, 0].max(initial=0.0))
+    if stray > GENERATOR_TOL * mag.max(initial=0.0):
         raise ContractViolationError(
             "collapse channel does not map the sector onto |g,0>")
-    a = -1j * h_s - 0.5 * _loss(chans)
-    return a[1:, 1:]
-
-
-def _loss(chans: np.ndarray) -> np.ndarray:
-    """sum_c c+c over a (C, d, d) stack of collapse channels."""
-    return np.tensordot(chans.conj(), chans, axes=([0, 1], [0, 1]))
+    rows = chans.reshape(-1, h_s.shape[0])  # sum_c c+c = rows+ rows
+    return (-1j * h_s - 0.5 * (rows.conj().T @ rows))[1:, 1:]
 
 
 def _sector_states(gen: np.ndarray, rho: np.ndarray, times) -> np.ndarray:
@@ -290,7 +282,10 @@ def evolve_master(liouvillian: Liouvillian, rho0: DensityMatrix,
     """
     rho0.validate()
     dim = rho0.rho.shape[0]
-    gen = _sector_generator(liouvillian, dim)
+    if liouvillian.shape != (dim * dim, dim * dim):
+        raise ContractViolationError(
+            f"Liouvillian of shape {liouvillian.shape} for a {dim}x{dim} state")
+    gen = _sector_generator(liouvillian.h_s, liouvillian.channels)
     # the propagated columns are freed before the validation pass
     rhos = _sector_states(gen, rho0.rho, times)
     _validate_states(rhos)
@@ -299,7 +294,8 @@ def evolve_master(liouvillian: Liouvillian, rho0: DensityMatrix,
 
 def effective_hamiltonian_from_lindblad(h_s: np.ndarray,
                                         dissipators: DissipatorSpec) -> EffectiveHamiltonian:
-    """H_eff = H_S - (i/2) sum c+c restricted to the single-excitation block.
+    """H_eff = H_S - (i/2) sum c+c restricted to the single-excitation block:
+    i times _sector_generator, whose sector-form checks it applies.
 
     Reproduces the standard matrix for the standard kind and the Fano
     matrices (leaky off-diagonals) for the collective kinds.
@@ -307,7 +303,7 @@ def effective_hamiltonian_from_lindblad(h_s: np.ndarray,
     h_s = np.asarray(h_s, dtype=complex)
     chans = np.array([c for _, c in dissipators.channels],
                      dtype=complex).reshape((-1,) + h_s.shape)
-    return EffectiveHamiltonian(matrix=(h_s - 0.5j * _loss(chans))[1:, 1:],
+    return EffectiveHamiltonian(matrix=1j * _sector_generator(h_s, chans),
                                 emitter=dissipators.emitter)
 
 

@@ -42,6 +42,8 @@ class MaterialModel:
             t = np.asarray(self.table, dtype=float)
             if t.ndim != 2 or t.shape[1] != 3 or t.shape[0] < 2:
                 raise InvalidArgumentError("table needs >= 2 rows of (eV, Re, Im)")
+            if not np.all(np.isfinite(t)):
+                raise InvalidArgumentError("table entries must be finite")
             if not np.all(np.diff(t[:, 0]) > 0):
                 raise InvalidArgumentError("table grid must be strictly increasing")
             if np.any(t[:, 2] < 0):

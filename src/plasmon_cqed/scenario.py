@@ -4,6 +4,7 @@ before any computation, unknown keys rejected with their dotted field path."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,12 @@ def _number(block, path, key, *, required=True, default=None, positive=False,
     value = block[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}.{key}", f"expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise SchemaError(f"{path}.{key}", f"must be finite, got {value}")
     if positive and not value > 0:
         raise SchemaError(f"{path}.{key}", f"must be > 0, got {value}")
     if nonnegative and value < 0:
@@ -55,6 +61,16 @@ def _integer(block, path, key, *, required=True, default=None, minimum=None):
     if minimum is not None and value < minimum:
         raise SchemaError(f"{path}.{key}", f"must be >= {minimum}, got {value}")
     return value
+
+
+def _construct(path, factory, *args):
+    """factory(*args), its input errors (a rejected value, a value of the
+    wrong type, a derived rate out of range, an unreadable or malformed
+    file) reported as a SchemaError on path."""
+    try:
+        return factory(*args)
+    except (ArithmeticError, TypeError, ValueError, OSError) as exc:
+        raise SchemaError(path, f"{type(exc).__name__}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -93,9 +109,11 @@ def _parse_material(block) -> MaterialModel:
     if kind == "tabulated":
         _check_keys(block, "material", {"kind", "file", "table"})
         if "file" in block:
-            return MaterialModel.from_file(block["file"])
+            return _construct("material.file", MaterialModel.from_file,
+                              block["file"])
         if "table" in block:
-            return MaterialModel.tabulated(block["table"])
+            return _construct("material.table", MaterialModel.tabulated,
+                              block["table"])
         raise SchemaError("material", "tabulated material needs 'file' or 'table'")
     raise SchemaError("material.kind", f"expected 'drude' or 'tabulated', got {kind!r}")
 
@@ -103,14 +121,12 @@ def _parse_material(block) -> MaterialModel:
 def _parse_geometry(block) -> Geometry:
     block = _require_mapping(block, "geometry")
     _check_keys(block, "geometry", {"radius_nm", "eps_b", "h_nm"})
-    radius = _number(block, "geometry", "radius_nm")
-    if radius <= 0:
-        raise SchemaError("geometry.radius_nm", f"must be > 0, got {radius}")
+    radius = _number(block, "geometry", "radius_nm", positive=True)
     h = _number(block, "geometry", "h_nm", positive=True)
     eps_b = _number(block, "geometry", "eps_b", required=False, default=1.0)
     if eps_b < 1:
         raise SchemaError("geometry.eps_b", f"must be >= 1, got {eps_b}")
-    return Geometry.from_surface_distance(radius, h, eps_b)
+    return _construct("geometry", Geometry.from_surface_distance, radius, h, eps_b)
 
 
 def _parse_emitter(block, geometry: Geometry) -> EmitterSpec:
@@ -128,12 +144,14 @@ def _parse_emitter(block, geometry: Geometry) -> EmitterSpec:
         eta = _number(block, "emitter", "eta", positive=True)
         if eta > 1:
             raise SchemaError("emitter.eta", f"must be in (0, 1], got {eta}")
-        return EmitterSpec.from_lifetime(omega0, tau0, eta, geometry.n_b)
+        return _construct("emitter", EmitterSpec.from_lifetime,
+                          omega0, tau0, eta, geometry.n_b)
     if dipole_form:
         d_eg = _number(block, "emitter", "d_eg_debye", positive=True)
         g_nr = _number(block, "emitter", "gamma0_nr_ev", required=False,
                        default=0.0, nonnegative=True)
-        return EmitterSpec.from_dipole(omega0, d_eg, g_nr, geometry.n_b)
+        return _construct("emitter", EmitterSpec.from_dipole,
+                          omega0, d_eg, g_nr, geometry.n_b)
     raise SchemaError("emitter", "give either {tau0_ns, eta} or "
                                  "{d_eg_debye, gamma0_nr_ev}")
 

@@ -35,34 +35,33 @@ class WeakCouplingReport:
         return self.gamma_tot / self.gamma0
 
 
-def _eliminate(modes, emitter: EmitterSpec, alphas) -> WeakCouplingReport:
-    """Adiabatic elimination of modes whose couplings carry the Fano
-    asymmetries alphas (all zero for the standard Hamiltonian), with the
-    per-mode F_p^n = 4 g_n^2/(gamma0 Gamma_n) and Q_n = omega_n/Gamma_n."""
-    omega0, gamma0 = emitter.omega0, emitter.gamma0
-    delta_w = 0.0
-    gam = []
-    for m, alpha in zip(modes, alphas):
-        den = (omega0 - m.omega_n) ** 2 + (m.gamma_n / 2) ** 2
-        delta_w += -m.g**2 * ((1 - alpha**2 / 4) * (m.omega_n - omega0)
-                              + alpha * m.gamma_n / 2) / den
-        gam.append(m.g**2 * ((1 - alpha**2 / 4) * m.gamma_n
-                             - 2 * alpha * (m.omega_n - omega0)) / den)
-    gam = np.asarray(gam)
+def _eliminate(modes, emitter: EmitterSpec, widths, couplings) -> WeakCouplingReport:
+    """Adiabatic elimination of the plasmon amplitudes, which is the H_eff
+    self-energy at omega0: for mode widths w_n and couplings c_n its term n
+    is c_n^2/(i w_n/2 - Delta_n).  The real parts sum to the Lamb shift and
+    -2 Im is the per-mode rate.  The report adds the per-mode
+    F_p^n = 4 g_n^2/(gamma0 Gamma_n) and Q_n = omega_n/Gamma_n."""
+    omega_n = np.array([m.omega_n for m in modes], dtype=float)
+    gamma_n = np.array([m.gamma_n for m in modes], dtype=float)
+    g = np.array([m.g for m in modes], dtype=float)
+    sigma = np.asarray(couplings) ** 2 / (
+        0.5j * np.asarray(widths) - (omega_n - emitter.omega0))
+    gam = -2.0 * sigma.imag
     return WeakCouplingReport(
-        lamb_shift=delta_w,
-        gamma_tot=gamma0 + float(np.sum(gam)),
-        gamma0=gamma0,
+        lamb_shift=float(sigma.real.sum()),
+        gamma_tot=emitter.gamma0 + float(gam.sum()),
+        gamma0=emitter.gamma0,
         gamma_n=gam,
-        purcell=np.array([4 * m.g**2 / (gamma0 * m.gamma_n) for m in modes]),
-        quality=np.array([m.omega_n / m.gamma_n for m in modes]),
+        purcell=4 * g**2 / (emitter.gamma0 * gamma_n),
+        quality=omega_n / gamma_n,
     )
 
 
 def adiabatic_rates(modes, emitter: EmitterSpec) -> WeakCouplingReport:
-    """Lamb shift and total decay rate from adiabatic plasmon elimination:
-    the Fano elimination with every alpha_n = 0."""
-    return _eliminate(modes, emitter, [0.0] * len(modes))
+    """Lamb shift and total decay rate from adiabatic plasmon elimination
+    of the standard H_eff (widths Gamma_n, couplings g_n)."""
+    return _eliminate(modes, emitter, [m.gamma_n for m in modes],
+                      [m.g for m in modes])
 
 
 def purcell_factors(modes, emitter: EmitterSpec) -> WeakCouplingReport:
@@ -76,8 +75,7 @@ def purcell_factors(modes, emitter: EmitterSpec) -> WeakCouplingReport:
             4 * m.g**2 / (emitter.gamma0_rad * m.gamma_rad) if m.gamma_rad > 0 else 0.0
             for m in modes
         ])
-    return replace(_eliminate(modes, emitter, [0.0] * len(modes)),
-                   purcell_rad=f_rad)
+    return replace(adiabatic_rates(modes, emitter), purcell_rad=f_rad)
 
 
 def fermi_rate(omega0: float, geometries, material: MaterialModel,
@@ -99,12 +97,8 @@ def fermi_rate(omega0: float, geometries, material: MaterialModel,
 def broadened_rate(modes, emitter: EmitterSpec) -> np.ndarray:
     """Per-mode rate for a Lorentzian emitter line: the two-Lorentzian
     convolution replaces Gamma_n by gamma0 + Gamma_n."""
-    out = []
-    for m in modes:
-        width = emitter.gamma0 + m.gamma_n
-        out.append(m.g**2 * width /
-                   ((emitter.omega0 - m.omega_n) ** 2 + (width / 2) ** 2))
-    return np.asarray(out)
+    widths = [emitter.gamma0 + m.gamma_n for m in modes]
+    return _eliminate(modes, emitter, widths, [m.g for m in modes]).gamma_n
 
 
 def fano_adiabatic(modes, emitter: EmitterSpec) -> WeakCouplingReport:
@@ -115,7 +109,8 @@ def fano_adiabatic(modes, emitter: EmitterSpec) -> WeakCouplingReport:
     the Fano dip, so individual gamma_n may be negative while the total rate
     stays physical.
     """
-    return _eliminate(modes, emitter, [m.alpha or 0.0 for m in modes])
+    return _eliminate(modes, emitter, [m.gamma_n for m in modes],
+                      [m.g * (1.0 - 0.5j * (m.alpha or 0.0)) for m in modes])
 
 
 def fano_dip_frequency(mode) -> float:

@@ -1,5 +1,6 @@
 import glob
 import json
+import math
 import os
 import subprocess
 import sys
@@ -89,6 +90,42 @@ class TestCliExitCodes:
         assert "run.omega_grid.min_ev" in capsys.readouterr().err
         # a time grid from 0 stays valid
         assert parse_scenario(base_config()).time_grid.lo == 0.0
+
+    @pytest.mark.parametrize("block, value, field", [
+        ("geometry", {"radius_nm": math.nan}, "geometry.radius_nm"),
+        ("geometry", {"eps_b": math.inf}, "geometry.eps_b"),
+        ("geometry", {"eps_b": math.nan}, "geometry.eps_b"),
+        ("geometry", {"h_nm": 10**400}, "geometry.h_nm"),
+        ("emitter", {"omega0_ev": 1.85, "tau0_ns": 5e-324, "eta": 0.9},
+         "emitter"),
+        ("material", {"file": "missing.txt"}, "material.file"),
+        ("material", {"file": "words.txt"}, "material.file"),
+        ("material", {"table": [[2.9, -10.0, 0.3]]}, "material.table"),
+        ("material", {"table": [[3.0, -8.0, 0.3], [2.0, -20.0, 0.5]]},
+         "material.table"),
+        ("material", {"table": [[2.0, -20.0, 0.5], [3.0, math.nan, 0.3]]},
+         "material.table"),
+        ("material", {"table": {"eV": [2.0, 3.0]}}, "material.table"),
+    ], ids=["nan-radius", "inf-eps_b", "nan-eps_b", "huge-integer-h",
+            "subnormal-tau0", "missing-file",
+            "non-numeric-file", "one-row-table", "descending-table",
+            "nan-table", "object-table"])
+    def test_bad_value_exit_2_names_field(self, tmp_path, capsys, block,
+                                          value, field):
+        # JSON as Python writes it accepts NaN and Infinity; a material
+        # file or table the constructors reject is a configuration error too
+        (tmp_path / "words.txt").write_text("2.0 minus-ten 0.5\n")
+        cfg = base_config()
+        if block == "geometry":  # geometry values edit the block
+            value = {**cfg["geometry"], **value}
+        elif block == "material":  # the others replace it
+            value = {"kind": "tabulated", **value}
+            if "file" in value:
+                value["file"] = str(tmp_path / value["file"])
+        cfg[block] = value
+        out = str(tmp_path / "out")
+        assert main(["run", write_config(tmp_path, cfg), "--out", out]) == 2
+        assert field in capsys.readouterr().err
 
     def test_invalid_json_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -1,9 +1,13 @@
-"""Design guard: every dataclass field in src/ is read somewhere.
+"""Design guards on the package source.
 
-A field that no code reads as an attribute, in the package, its tests, its
-scripts or its benchmark, is public surface that neither production code
-nor an independent oracle uses.  The scan is by name: a field counts as read
-if `.name` is loaded anywhere in those trees.
+Every dataclass field in src/ is read somewhere: a field that no code reads
+as an attribute, in the package, its tests, its scripts or its benchmark, is
+public surface that neither production code nor an independent oracle uses.
+The scan is by name: a field counts as read if `.name` is loaded anywhere in
+those trees.
+
+Every scipy import in src/ sits in a function body, so a CLI run loads
+scipy only on the paths that call it.
 """
 
 import ast
@@ -55,3 +59,23 @@ def test_every_dataclass_field_is_read():
     unread = [f"{path}: {cls}.{name}" for path, cls, name in fields
               if name not in read]
     assert unread == []
+
+
+def test_scipy_is_imported_inside_functions():
+    lazy, eager = [], []
+    for path, tree in _trees("src"):
+        in_functions = {id(node) for fn in ast.walk(tree)
+                        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                where = f"{path.relative_to(ROOT).as_posix()}:{node.lineno}"
+                (lazy if id(node) in in_functions else eager).append(where)
+    assert len(lazy) >= 2  # the scan sees heff._propagate and verify
+    assert eager == []

@@ -402,6 +402,8 @@ class TestEvolveMaster:
         liou = build_liouvillian(h_s, extra, space)
         with pytest.raises(ContractViolationError, match="collapse channel"):
             evolve_master(liou, pure_state(space, 1), [0.0, 1.0])
+        with pytest.raises(ContractViolationError, match="collapse channel"):
+            effective_hamiltonian_from_lindblad(h_s, extra)
 
     def test_rejects_ground_sector_coupling(self, emitter):
         # a coherent drive between |g,0> and |e,0> is hermitian and keeps the
@@ -412,6 +414,8 @@ class TestEvolveMaster:
         liou = build_liouvillian(driven, dis, space)
         with pytest.raises(ContractViolationError, match="couples"):
             evolve_master(liou, pure_state(space, 1), [0.0, 1.0])
+        with pytest.raises(ContractViolationError, match="couples"):
+            effective_hamiltonian_from_lindblad(driven, dis)
 
     @pytest.mark.parametrize("scale, message", [
         (1j, "not hermitian"),

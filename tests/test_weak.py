@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -150,6 +151,16 @@ class TestBroadened:
         assert broadened_rate(m, em)[0] == pytest.approx(2 * 0.01**2 / gamma,
                                                          rel=1e-12)
 
+    def test_is_adiabatic_rate_with_summed_widths(self):
+        rng = np.random.default_rng(17)
+        em = EmitterSpec(omega0=2.6, d_eg=5.0, eta=0.8, gamma0=0.03)
+        modes = synthetic_modes(rng, 6)
+        wider = [dataclasses.replace(m, gamma_n=em.gamma0 + m.gamma_n)
+                 for m in modes]
+        np.testing.assert_allclose(broadened_rate(modes, em),
+                                   adiabatic_rates(wider, em).gamma_n,
+                                   rtol=1e-13, atol=0)
+
     def test_convolution_quadrature_oracle(self):
         gamma0, gamma_n, g, wn, w0 = 3e-3, 0.05, 0.01, 2.80, 2.83
         em = EmitterSpec(omega0=w0, d_eg=1.0, eta=1.0, gamma0=gamma0)
@@ -159,6 +170,28 @@ class TestBroadened:
         mode_line = g**2 * gamma_n / ((w - wn) ** 2 + gamma_n**2 / 4)
         quad = float(np.trapezoid(emitter_line * mode_line, w))
         assert closed == pytest.approx(quad, rel=1e-6)
+
+
+class TestSelfEnergy:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rates_are_the_heff_self_energy_at_omega0(self, seed):
+        # term n of sum_n H_0n H_n0 / (u - H_nn) at u = 0 (the emitter
+        # frequency): its real part shifts the line, -2 Im is the rate
+        rng = np.random.default_rng(seed)
+        em = EmitterSpec(omega0=2.4 + 0.4 * rng.random(), d_eg=5.0, eta=0.8,
+                         gamma0=0.002)
+        modes = synthetic_modes(rng, 1 + seed * 3, fano=True, emitter=em)
+        for report, ham in ((adiabatic_rates(modes, em), build_standard(modes, em)),
+                            (fano_adiabatic(modes, em),
+                             build_fano(modes, em, "general"))):
+            h = ham.matrix
+            terms = h[0, 1:] * h[1:, 0] / -np.diagonal(h)[1:]
+            np.testing.assert_allclose(report.gamma_n, -2.0 * terms.imag,
+                                       rtol=1e-13, atol=0)
+            assert report.lamb_shift == pytest.approx(np.sum(terms.real),
+                                                      rel=1e-13)
+            assert report.gamma_tot == pytest.approx(
+                em.gamma0 - 2.0 * np.sum(terms.imag), rel=1e-13)
 
 
 class TestFanoAdiabatic:
