@@ -8,9 +8,12 @@ scattered Green function, so overlapping resonances never require
 multi-peak deconvolution -- the modal decomposition separates them exactly.
 Term n factorises as B_n(omega; R, eps_b, metal) times a Hankel factor of
 k_b r_d, and each mode's fit window depends on the sphere alone, so a
-distance sweep builds B_n once per mode window (extract_mode_sweep over
-mie.green_rr_sweep) and then fits every (mode, distance) spectrum in one
-fit_lorentzians batch, the one Lorentzian fit entry point.  The Lorentzian
+distance sweep evaluates the terms of all its mode windows at once, each
+window point at its own order (extract_mode_sweep over
+mie._green_mode_terms: one B_n build, one ladder pass per distance), and
+then fits every (mode, distance) spectrum in one fit_lorentzians batch, the
+one Lorentzian fit entry point.  The single-mode rate spectra read their one
+order the same way.  The Lorentzian
 |kappa|^2 = g^2 phi(omega; omega_n, Gamma_n) is linear in g^2, so each fit
 projects g^2 out and iterates on (omega_n, log Gamma_n) alone (variable
 projection: Golub & Pereyra, Inverse Problems 19, R1 (2003), with the
@@ -31,8 +34,8 @@ from .constants import DIPOLE_SQ_OVER_EPS0, HBAR_C_EV_NM
 from .errors import FitFailureError, InvalidArgumentError
 from .fitting import least_squares
 from .medium import EmitterSpec, Geometry, MaterialModel, radiative_rate
-from .mie import (green_rr_sweep, green_rr_terms, qs_mode_params,
-                  radial_mode_fractions)
+from .mie import (_green_mode_terms, _radial_fractions, green_rr_terms,
+                  qs_mode_params)
 # unused here; perfbench/tests/test_bench_tracing.py asserts that the tracer
 # swaps this binding, so it goes when that assertion does
 from .mie import green_rr_scattered  # noqa: F401
@@ -221,26 +224,27 @@ def extract_mode_sweep(n_modes: int, geometries, material: MaterialModel,
     position around one sphere; entry i holds the modes at geometries[i].
 
     Each window is auto-centered on the quasi-static resonance estimate,
-    which depends on the sphere alone, so mode n costs one window and one
-    green_rr_sweep over every distance (one B_n build).  All the spectra are
-    then fitted in one fit_lorentzians batch.  Every failed fit is collected
-    and reported with its h.
+    which depends on the sphere alone.  One mie._green_mode_terms call
+    evaluates every (mode, distance) spectrum, each window point at its own
+    mode's order, with the sphere's factor built once over all windows.
+    All the spectra are then fitted in one fit_lorentzians batch.  Every
+    failed fit is collected and reported with its h.
     """
     if n_modes < 1:
         raise InvalidArgumentError("n_modes must be >= 1")
     geometries = list(geometries)
     if not geometries:
         raise InvalidArgumentError("a mode sweep needs at least one geometry")
-    ns, grids, values = [], [], []
-    for n in range(1, n_modes + 1):
-        grid = default_mode_window(n, geometries[0], material)
-        terms = green_rr_sweep(grid, geometries, material, n)[..., n - 1]
-        ns += [n] * len(geometries)
-        grids.append(np.broadcast_to(grid, terms.shape))
-        values.append(_kappa2(grid, terms, emitter))
-    fits = fit_lorentzians(
-        ns, np.concatenate(grids),
-        _clamp_leaky(ns, np.concatenate(values)))
+    modes = np.arange(1, n_modes + 1)
+    grids = np.array([default_mode_window(n, geometries[0], material)
+                      for n in modes])
+    terms = _green_mode_terms(grids, modes[:, None], geometries, material)
+    # rows mode by mode, each mode's distances in order
+    ns = np.repeat(modes, len(geometries))
+    values = _kappa2(grids, terms, emitter).transpose(1, 0, 2).reshape(
+        len(ns), -1)
+    fits = fit_lorentzians(ns, np.repeat(grids, len(geometries), axis=0),
+                           _clamp_leaky(ns, values))
     failures = [(n, geometries[i % len(geometries)].h, fit)
                 for i, (n, fit) in enumerate(zip(ns, fits))
                 if isinstance(fit, FitFailureError)]
@@ -268,7 +272,7 @@ def rate_spectrum_lsp(n: int, grid, geometry: Geometry,
     """
     grid = np.asarray(grid, dtype=float)
     kb = geometry.n_b * grid / HBAR_C_EV_NM
-    term = green_rr_terms(grid, geometry, material, n)[..., n - 1]
+    [term] = _green_mode_terms(grid, n, [geometry], material)
     return 6 * math.pi / kb * term.imag
 
 
@@ -276,8 +280,8 @@ def _free_space_rates(omega, n, geometry, emitter):
     """gamma0(w) and its LSP_n multipole share gamma0n_rad(w), at one
     frequency or element-wise over a grid array."""
     g0_rad = radiative_rate(omega, emitter.d_eg, geometry.n_b)
-    fractions = radial_mode_fractions(
-        n, geometry.n_b * omega / HBAR_C_EV_NM * geometry.r_d)[..., n - 1]
+    fractions = _radial_fractions(
+        geometry.n_b * omega / HBAR_C_EV_NM * geometry.r_d, n - 1, 2)[..., 0]
     return g0_rad / emitter.eta, g0_rad * fractions
 
 

@@ -7,6 +7,10 @@ oriented, so the M (TE) vector harmonics drop out and the scattered Green
 function reduces to a single sum over the B_n coefficients.  Each term is
 B_n(omega; R, eps_b, metal) times a Hankel factor of k_b r_d, so emitters at
 several distances from one sphere share one B_n build (green_rr_sweep).
+Terms are built from ladder bands (specfun): green_rr_sweep reads every
+order 1..n_max at each frequency, and _green_mode_terms reads one order per
+frequency, so the fit windows of several modes share one B_n build without
+each paying for the highest order.
 """
 
 from __future__ import annotations
@@ -31,14 +35,19 @@ from .medium import (
     wavenumbers,
 )
 from .specfun import (
+    _integer_order,
+    _jn_band,
+    _riccati_pair,
+    _yn_band,
     double_factorial,
-    riccati_ladders,
-    riccati_psi,
-    spherical_jn_ladder,
-    spherical_yn_ladder,
 )
 
 DEFAULT_N_MAX = 30
+# points per Hankel ladder call of a distance sweep: a short grid takes every
+# distance in one call, where numpy's per-step call overhead dominates; the
+# mode windows of a sweep (about 5,000 points) take one distance at a time,
+# so the ladder's working set, and the peak memory, stay those of one
+_HANKEL_BLOCK_POINTS = 4096
 
 
 def _column(a) -> np.ndarray:
@@ -46,14 +55,26 @@ def _column(a) -> np.ndarray:
     return np.asarray(a)[..., None]
 
 
-def _sphere_ladders(n_max: int, wn: Wavenumbers, radius: float):
-    """The sphere's side of B_n for n = 1..n_max at each frequency of wn,
-    each of shape (..., n_max): psi_n, psi_n' and zeta_n at k_b R, and the
-    logarithmic derivatives D_n = psi_n'/psi_n at k_m R and
-    G_n = zeta_n'/zeta_n at k_b R."""
-    psi_b, psip_b, zeta_b, zetap_b = (
-        v[..., 1:] for v in riccati_ladders(n_max, wn.kb * radius))
-    psi_m, psip_m = (v[..., 1:] for v in riccati_psi(n_max, wn.km * radius))
+def _band_orders(lo, width: int) -> np.ndarray:
+    """The orders lo+1..lo+width-1 that a ladder band lo..lo+width-1 serves
+    (each with its lower neighbour), shaped lo.shape + (width - 1,)."""
+    return np.asarray(lo)[..., None] + np.arange(1, width)
+
+
+def _sphere_ladders(wn: Wavenumbers, radius: float, lo, width: int):
+    """The sphere's side of B_n at each frequency of wn for the orders
+    n = lo+1..lo+width-1 (lo per frequency or one for all), each of shape
+    (..., width - 1): psi_n, psi_n' and zeta_n at k_b R, and the logarithmic
+    derivatives D_n = psi_n'/psi_n at k_m R and G_n = zeta_n'/zeta_n at
+    k_b R."""
+    orders = _band_orders(lo, width)
+    z_b, z_m = wn.kb * radius, wn.km * radius
+    j_b = _jn_band(z_b, lo, width)
+    h_b = j_b + 1j * _yn_band(z_b, lo, width)
+    j_m = _jn_band(z_m, lo, width)
+    psi_b, psip_b = _riccati_pair(z_b, j_b[..., :-1], j_b[..., 1:], orders)
+    zeta_b, zetap_b = _riccati_pair(z_b, h_b[..., :-1], h_b[..., 1:], orders)
+    psi_m, psip_m = _riccati_pair(z_m, j_m[..., :-1], j_m[..., 1:], orders)
     return psi_b, psip_b, zeta_b, psip_m / psi_m, zetap_b / zeta_b
 
 
@@ -71,7 +92,7 @@ def mie_coefficients(n: int, omega: float, geometry: Geometry,
         raise InvalidArgumentError("Mie order starts at n=1")
     wn = wavenumbers(geometry, material, omega)
     psi, psip, zeta, d_m, g_b = (
-        complex(v[n - 1]) for v in _sphere_ladders(n, wn, geometry.radius))
+        complex(v[0]) for v in _sphere_ladders(wn, geometry.radius, n - 1, 2))
     kb, km = complex(wn.kb), complex(wn.km)
     return (kb * d_m * psi - km * psip) / (zeta * (km * g_b - kb * d_m))
 
@@ -98,6 +119,54 @@ def _green_term_quasistatic(n, omega, geometry, material):
         4 * math.pi * kb**2 * geometry.r_d**3)
 
 
+def _green_terms(omega, lo, width: int, geometries,
+                 material: MaterialModel) -> np.ndarray:
+    """Terms of orders n = lo+1..lo+width-1 of G_S^rr(r_d, r_d) at every
+    frequency of omega (lo per frequency or one for all), for emitters at
+    several r_d around one sphere: shape (len(geometries),) + omega.shape
+    + (width - 1,).  The formula and its fallback are those of
+    green_rr_sweep.
+
+    The sphere's factor is built once over all frequencies; the Hankel
+    ladders at k_b r_d run over blocks of distances of at most
+    _HANKEL_BLOCK_POINTS points, one distance at a time on larger grids.
+    """
+    geometries = list(geometries)
+    if len({(g.radius, g.eps_b) for g in geometries}) != 1:
+        raise InvalidArgumentError(
+            "a distance sweep needs one or more geometries sharing R and eps_b")
+    omega = np.asarray(omega, dtype=float)
+    wn = wavenumbers(geometries[0], material, omega)
+    lo = np.broadcast_to(lo, omega.shape)
+    orders = _band_orders(lo, width).astype(float)
+    kb, km = _column(wn.kb), _column(wn.km)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        psi, psip, zeta, d_m, g_b = _sphere_ladders(
+            wn, geometries[0].radius, lo, width)
+        sphere = (1j * kb / (4 * math.pi)) * orders * (orders + 1) \
+            * (2 * orders + 1) * (kb * d_m * psi - km * psip) / (km * g_b - kb * d_m)
+    terms = np.empty((len(geometries),) + sphere.shape, dtype=complex)
+    step = max(1, _HANKEL_BLOCK_POINTS // max(omega.size, 1))
+    for first in range(0, len(geometries), step):
+        block = geometries[first:first + step]
+        x = wn.kb * np.array([g.r_d for g in block]).reshape(
+            (-1,) + (1,) * omega.ndim)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            h = (_jn_band(x, lo, width) + 1j * _yn_band(x, lo, width))[..., 1:]
+            for i in range(len(block)):
+                # row by row, on exactly the shapes of a one-geometry call
+                x_i = _column(x[i])
+                terms[first + i] = sphere * (h[i] / x_i) * (h[i] / (x_i * zeta))
+        for row, geometry in zip(terms[first:first + step], block):
+            bad = ~np.isfinite(row)
+            if np.any(bad):
+                row[bad] = _green_term_quasistatic(
+                    np.broadcast_to(orders, row.shape)[bad],
+                    np.broadcast_to(_column(omega), row.shape)[bad],
+                    geometry, material)
+    return terms
+
+
 def green_rr_sweep(omega, geometries, material: MaterialModel,
                    n_max: int = DEFAULT_N_MAX) -> np.ndarray:
     """Per-multipole terms of G_S^rr(r_d, r_d) for emitters at several r_d
@@ -107,8 +176,8 @@ def green_rr_sweep(omega, geometries, material: MaterialModel,
     (i k_b/4pi) n(n+1)(2n+1) [h_n(k_b r_d)/(k_b r_d)]^2, in 1/nm (Ruppin,
     J. Chem. Phys. 76, 1681 (1982)).  The geometries must share R and eps_b,
     so the sphere's factors are built once on the grid (one ladder pair at
-    k_b R and k_m R) and the Hankel ladders run once over the
-    (distances, grid) array of k_b r_d.  The result has shape
+    k_b R and k_m R) and the Hankel ladders run over the (distances, grid)
+    array of k_b r_d.  The result has shape
     (len(geometries),) + omega.shape + (n_max,): row i belongs to
     geometries[i], column n-1 holds order n.  The specfun rules apply per
     element and each row's products run on the shapes of a one-geometry
@@ -128,36 +197,21 @@ def green_rr_sweep(omega, geometries, material: MaterialModel,
     """
     if n_max < 1:
         raise InvalidArgumentError("n_max must be >= 1")
-    geometries = list(geometries)
-    if len({(g.radius, g.eps_b) for g in geometries}) != 1:
-        raise InvalidArgumentError(
-            "a distance sweep needs one or more geometries sharing R and eps_b")
-    omega = np.asarray(omega, dtype=float)
-    wn = wavenumbers(geometries[0], material, omega)
-    r_d = np.array([g.r_d for g in geometries]).reshape((-1,) + (1,) * omega.ndim)
-    x = wn.kb * r_d
-    orders = np.arange(1, n_max + 1, dtype=float)
-    kb, km = _column(wn.kb), _column(wn.km)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        psi, psip, zeta, d_m, g_b = _sphere_ladders(n_max, wn, geometries[0].radius)
-        sphere = (1j * kb / (4 * math.pi)) * orders * (orders + 1) \
-            * (2 * orders + 1) * (kb * d_m * psi - km * psip) / (km * g_b - kb * d_m)
-        j = spherical_jn_ladder(n_max, x)
-        y = spherical_yn_ladder(n_max, x)
-        h = (j + 1j * y)[..., 1:]
-        terms = np.empty(h.shape, dtype=complex)
-        for i in range(len(geometries)):
-            # row by row, on exactly the shapes of a one-geometry call
-            x_i = _column(x[i])
-            terms[i] = sphere * (h[i] / x_i) * (h[i] / (x_i * zeta))
-    for row, geometry in zip(terms, geometries):
-        bad = ~np.isfinite(row)
-        if np.any(bad):
-            row[bad] = _green_term_quasistatic(
-                np.broadcast_to(orders, row.shape)[bad],
-                np.broadcast_to(_column(omega), row.shape)[bad],
-                geometry, material)
-    return terms
+    return _green_terms(omega, 0, n_max + 1, geometries, material)
+
+
+def _green_mode_terms(omega, orders, geometries,
+                      material: MaterialModel) -> np.ndarray:
+    """Term n of G_S^rr(r_d, r_d) at every frequency of omega, each at its
+    own order n (orders broadcast against omega, all >= 1), for emitters at
+    several r_d around one sphere: shape (len(geometries),) + omega.shape.
+
+    The ladders read out only n-1 and n, so the fit windows of several modes
+    share one evaluation; each term is bitwise green_rr_sweep(omega,
+    geometries, material, n)[..., n-1] at that point.
+    """
+    return _green_terms(omega, np.asarray(orders) - 1, 2, geometries,
+                        material)[..., 0]
 
 
 def green_rr_terms(omega, geometry: Geometry, material: MaterialModel,
@@ -190,11 +244,17 @@ def radial_mode_fractions(n_max: int, x) -> np.ndarray:
     for every x (free-space LDOS is position independent), which is the sum
     rule the decomposition is validated against.
     """
+    return _radial_fractions(x, 0, n_max + 1)
+
+
+def _radial_fractions(x, lo, width: int) -> np.ndarray:
+    """radial_mode_fractions for the orders lo+1..lo+width-1 (lo per element
+    of x or one for all), shape x.shape + (width - 1,)."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise InvalidArgumentError("k_b r_d must be > 0")
-    j = spherical_jn_ladder(n_max, x)[..., 1:]
-    orders = np.arange(1, n_max + 1, dtype=float)
+    j = _jn_band(x, lo, width)[..., 1:]
+    orders = _band_orders(lo, width).astype(float)
     return 1.5 * orders * (orders + 1) * (2 * orders + 1) \
         * np.abs(j / _column(x)) ** 2
 
@@ -285,6 +345,7 @@ def qs_coupling_strength(n: int, omega_n: float, geometry: Geometry,
 def qs_mode_params(n: int, geometry: Geometry, material: MaterialModel,
                    emitter: EmitterSpec) -> QuasiStaticMode:
     """Quasi-static resonance, widths and coupling for mode n (Drude metal)."""
+    n = _integer_order(n)
     omega_n = qs_resonance_frequency(n, material, geometry.eps_b)
     omega_res = qs_residue_frequency(n, omega_n, material, geometry.eps_b)
     k0r = omega_n / HBAR_C_EV_NM * geometry.radius

@@ -1,19 +1,26 @@
 """Spherical Bessel/Hankel and Riccati-Bessel functions of complex argument.
 
-Evaluation strategy: the ladders take a scalar or an array of arguments and
-return every order 0..n_max for each element (shape z.shape + (n_max + 1,)),
-so a whole frequency grid costs one recurrence over orders.  The rules are
-applied element by element, so an element's value does not depend on its
-neighbours:
+Evaluation strategy: one recurrence over orders serves a whole array of
+arguments, and each element reads out its own band of orders lo..lo+width-1
+(lo per element), shape z.shape + (width,).  The public ladders read out
+every order 0..n_max; a Green term of one multipole reads out only n-1 and n,
+so the mode windows of a sweep, each at its own order, share one recurrence.
+The rules are applied element by element, with n the top of the element's
+band, so a recurrence value does not depend on the element's neighbours or
+on the orders they read out:
 
-- j_n uses the power series where |z|^2 < 1e-6*(2 n_max + 3), and the Miller
+- j_n uses the power series where |z|^2 < 1e-6*(2 n + 3), and the Miller
   downward recurrence elsewhere.  Each element starts the recurrence at its
-  own m = max(n_max, |z|) + 32, is rescaled by 1e-250 whenever it passes
-  1e250, and is normalized against j_0 or j_1, whichever is farther from a
-  zero.
+  own m = max(n, |z|) + 32, is rescaled by 1e-250 whenever it passes 1e250,
+  and is normalized against j_0 or j_1, whichever is farther from a zero.
+  The series stops when every series element of the call has converged, so
+  its last terms (below 1e-17 of the sum) may depend on the call.
 - y_n uses the plain upward recurrence, which is stable in that direction;
   it overflows to inf at tiny |z| and high order, and callers decide what
   that means.
+
+Both recurrences keep three rows in flight and store only the rows of each
+element's band; a rescale applies to the stored rows as well.
 
 Orders are capped at N_ORDER_MAX = 200, far beyond the <= 60 multipoles any
 scenario here needs.
@@ -22,6 +29,7 @@ scenario here needs.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -35,8 +43,18 @@ _MILLER_BUFFER = 32
 _MILLER_SEED = 1e-280
 
 
+def _integer_order(n) -> int:
+    """n as a Python int (numpy integers included), so products of orders
+    stay exact; a non-integer order raises InvalidArgumentError."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise InvalidArgumentError(f"order must be an integer, got {n!r}") from None
+
+
 def double_factorial(n: int) -> int:
     """n!! with the conventions (-1)!! = 0!! = 1, exact for any order."""
+    n = _integer_order(n)
     if n < -1:
         raise InvalidArgumentError(f"double factorial undefined for n={n}")
     out = 1
@@ -49,6 +67,7 @@ def double_factorial(n: int) -> int:
 
 def log_double_factorial(n: int) -> float:
     """log(n!!), overflow-safe companion used for large-order prefactors."""
+    n = _integer_order(n)
     if n < -1:
         raise InvalidArgumentError(f"double factorial undefined for n={n}")
     out = 0.0
@@ -80,6 +99,32 @@ def _order_major(ladder: np.ndarray, shape) -> np.ndarray:
     return ladder.T.reshape(tuple(shape) + (ladder.shape[0],))
 
 
+def _band_arguments(z, lo, width: int):
+    """(z, z flattened, lo per flattened element) for a band evaluation,
+    after the argument check and the order check of both band ends."""
+    z = _check_arguments(z)
+    lo = np.broadcast_to(lo, z.shape).reshape(-1)
+    if lo.size:
+        _check_order(int(lo.min()))
+        _check_order(int(lo.max()) + width - 1)
+    return z, z.reshape(-1), lo
+
+
+def _band_rows(lo: np.ndarray, width: int) -> dict:
+    """order m -> [(row, run)]: each run of consecutive elements sharing lo
+    (a slice) whose band lo..lo+width-1 holds m, and the band row m fills.
+    Orders that are constant along the last axis of a grid make one run per
+    grid row."""
+    if lo.size == 0:
+        return {}
+    bounds = [0, *(np.flatnonzero(np.diff(lo)) + 1).tolist(), lo.size]
+    rows: dict = {}
+    for a, b in zip(bounds, bounds[1:]):
+        for r in range(width):
+            rows.setdefault(int(lo[a]) + r, []).append((r, slice(a, b)))
+    return rows
+
+
 def _series_ladder(n_max: int, z: np.ndarray) -> np.ndarray:
     # j_n(z) = z^n/(2n+1)!! * sum_k (-z^2/2)^k / (k! (2n+3)(2n+5)...(2n+2k+1))
     # leading factor built in log space, so huge orders underflow to zero
@@ -102,10 +147,10 @@ def _series_ladder(n_max: int, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _miller_ladder(n_max: int, z: np.ndarray) -> np.ndarray:
-    # each column starts at its own m = max(n_max, |z|) + buffer; rows above
-    # its start stay exactly zero until the recurrence reaches it
-    starts = np.maximum(n_max, np.abs(z).astype(int)) + _MILLER_BUFFER
+def _miller_band(z: np.ndarray, lo: np.ndarray, width: int) -> np.ndarray:
+    # each column starts at its own m = max(top of its band, |z|) + buffer;
+    # the rows in flight stay exactly zero until the recurrence reaches it
+    starts = np.maximum(lo + (width - 1), np.abs(z).astype(int)) + _MILLER_BUFFER
     top = int(starts.max())
     seeds = {int(m): starts == m for m in np.unique(starts)}
     # |f_{k-1}| <= ((2k+1)/|z| + 1) max_{j>=k} |f_j|, so no column can pass
@@ -116,23 +161,70 @@ def _miller_ladder(n_max: int, z: np.ndarray) -> np.ndarray:
     first_test = top - int(np.searchsorted(
         growth, math.log(_RESCALE_LIMIT) - math.log(_MILLER_SEED),
         side="right"))
-    f = np.zeros((top + 2, z.size), dtype=complex)
-    f[top, seeds.pop(top)] = _MILLER_SEED
+    rows = _band_rows(lo, width)
+    out = np.zeros((width, z.size), dtype=complex)
+    above = np.zeros(z.size, dtype=complex)  # f_{k+1}
+    f = np.zeros(z.size, dtype=complex)  # f_k
+    f[seeds.pop(top)] = _MILLER_SEED
     for k in range(top, 0, -1):
-        f[k - 1] = (2 * k + 1) / z * f[k] - f[k + 1]
+        below = (2 * k + 1) / z * f - above
         if k - 1 in seeds:
-            f[k - 1, seeds[k - 1]] = _MILLER_SEED
+            below[seeds[k - 1]] = _MILLER_SEED
         if k <= first_test:
-            big = np.abs(f[k - 1]) > _RESCALE_LIMIT
+            big = np.abs(below) > _RESCALE_LIMIT
             if np.any(big):
-                f[k - 1:, big] *= _RESCALE_FACTOR
+                # every row from k-1 up: the two in flight and the
+                # column's stored band rows
+                below[big] *= _RESCALE_FACTOR
+                f[big] *= _RESCALE_FACTOR
+                out[:, big] *= _RESCALE_FACTOR
+        for row, run in rows.get(k - 1, ()):
+            out[row, run] = below[run]
+        above, f = f, below
     sin, cos = np.sin(z), np.cos(z)
     j0 = sin / z
     j1 = sin / z**2 - cos / z
-    # normalize against whichever anchor is farther from a zero
+    # normalize against whichever anchor (f = f_0, above = f_1) is farther
+    # from a zero
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(np.abs(f[0]) >= np.abs(f[1]), j0 / f[0], j1 / f[1])
-    return f[: n_max + 1] * scale
+        scale = np.where(np.abs(f) >= np.abs(above), j0 / f, j1 / above)
+    return out * scale
+
+
+def _jn_band(z, lo, width: int) -> np.ndarray:
+    """j_lo..j_{lo+width-1} at every element of z, shape z.shape + (width,);
+    lo is one order or an order per element (broadcast against z)."""
+    z, flat, lo = _band_arguments(z, lo, width)
+    hi = lo + (width - 1)
+    out = np.empty((width, flat.size), dtype=complex)
+    series = np.abs(flat) ** 2 < 1e-6 * (2 * hi + 3)
+    if np.any(series):
+        ladder = _series_ladder(int(hi[series].max()), flat[series])
+        out[:, series] = np.take_along_axis(
+            ladder, lo[series] + np.arange(width)[:, None], axis=0)
+    if not np.all(series):
+        out[:, ~series] = _miller_band(flat[~series], lo[~series], width)
+    return _order_major(out, z.shape)
+
+
+def _yn_band(z, lo, width: int) -> np.ndarray:
+    """y_lo..y_{lo+width-1} by upward recurrence (stable for y) at every
+    element of z, shape z.shape + (width,); lo as in _jn_band."""
+    z, flat, lo = _band_arguments(z, lo, width)
+    if np.any(z == 0):
+        raise SingularityError("y_n singular at z=0")
+    top = int(lo.max(initial=0)) + width - 1
+    rows = _band_rows(lo, width)
+    out = np.empty((width, flat.size), dtype=complex)
+    sin, cos = np.sin(flat), np.cos(flat)
+    below = -cos / flat  # y_0
+    y = -cos / flat**2 - sin / flat if top >= 1 else below  # y_1
+    for k in range(top + 1):
+        if k >= 2:  # y_k from y_{k-1} and y_{k-2}
+            below, y = y, (2 * k - 1) / flat * y - below
+        for row, run in rows.get(k, ()):
+            out[row, run] = (y if k else below)[run]
+    return _order_major(out, z.shape)
 
 
 def spherical_jn_ladder(n_max: int, z) -> np.ndarray:
@@ -142,50 +234,21 @@ def spherical_jn_ladder(n_max: int, z) -> np.ndarray:
     |z|, exactly as a scalar evaluation would.
     """
     _check_order(n_max)
-    z = _check_arguments(z)
-    flat = z.reshape(-1)
-    out = np.empty((n_max + 1, flat.size), dtype=complex)
-    series = np.abs(flat) ** 2 < 1e-6 * (2 * n_max + 3)
-    if np.any(series):
-        out[:, series] = _series_ladder(n_max, flat[series])
-    if not np.all(series):
-        out[:, ~series] = _miller_ladder(n_max, flat[~series])
-    return _order_major(out, z.shape)
+    return _jn_band(z, 0, n_max + 1)
 
 
 def spherical_yn_ladder(n_max: int, z) -> np.ndarray:
     """y_0(z)..y_nmax(z) by upward recurrence (stable for y), element-wise
     over z, shape z.shape + (n_max + 1,)."""
     _check_order(n_max)
-    z = _check_arguments(z)
-    if np.any(z == 0):
-        raise SingularityError("y_n singular at z=0")
-    flat = z.reshape(-1)
-    sin, cos = np.sin(flat), np.cos(flat)
-    y = np.empty((n_max + 1, flat.size), dtype=complex)
-    y[0] = -cos / flat
-    if n_max >= 1:
-        y[1] = -cos / flat**2 - sin / flat
-    for k in range(1, n_max):
-        y[k + 1] = (2 * k + 1) / flat * y[k] - y[k - 1]
-    return _order_major(y, z.shape)
+    return _yn_band(z, 0, n_max + 1)
 
 
-def _riccati_pair(f: np.ndarray, f_minus1: np.ndarray, z: np.ndarray):
-    """(z f_n, z f_{n-1} - n f_n) over the orders of the ladder f, given
-    f_{-1} at each element of z."""
-    orders = np.arange(f.shape[-1])
-    z = z[..., None]
-    lower = np.concatenate((f_minus1[..., None], f[..., :-1]), axis=-1)
+def _riccati_pair(z, lower: np.ndarray, f: np.ndarray, orders):
+    """(z f_n, z f_{n-1} - n f_n) from f_n and f_{n-1} at the orders n,
+    with z broadcast along the order axis."""
+    z = np.asarray(z)[..., None]
     return z * f, z * lower - orders * f
-
-
-def riccati_psi(n_max: int, z):
-    """(psi, psi') for orders 0..n_max at every element of z, each of shape
-    z.shape + (n_max + 1,); the regular half of riccati_ladders, with no y_n
-    ladder."""
-    z = _check_arguments(z)
-    return _riccati_pair(spherical_jn_ladder(n_max, z), np.cos(z) / z, z)
 
 
 def riccati_ladders(n_max: int, z):
@@ -199,5 +262,10 @@ def riccati_ladders(n_max: int, z):
     z = _check_arguments(z)
     j = spherical_jn_ladder(n_max, z)
     h = j + 1j * spherical_yn_ladder(n_max, z)
-    return _riccati_pair(j, np.cos(z) / z, z) \
-        + _riccati_pair(h, np.exp(1j * z) / z, z)
+    orders = np.arange(n_max + 1)
+
+    def lower(f, f_minus1):
+        return np.concatenate((f_minus1[..., None], f[..., :-1]), axis=-1)
+
+    return _riccati_pair(z, lower(j, np.cos(z) / z), j, orders) \
+        + _riccati_pair(z, lower(h, np.exp(1j * z) / z), h, orders)

@@ -1,7 +1,8 @@
 """The array ladders and the array Green primitive against the scalar oracle
 in scalar_oracle.py, element by element, plus mpmath spot checks of the
 j_n ladder and of high-order Green terms.  The distance sweep's rows are
-checked bitwise against one-geometry calls."""
+checked bitwise against one-geometry calls, and the per-order terms of mode
+windows against the sweep's columns."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,13 @@ from hypothesis import strategies as st
 import scalar_oracle as oracle
 from plasmon_cqed.errors import InvalidArgumentError
 from plasmon_cqed.medium import Geometry, silver, wavenumbers
-from plasmon_cqed.mie import green_rr_scattered, green_rr_sweep, green_rr_terms
+from plasmon_cqed.mie import (
+    _green_mode_terms,
+    _green_term_quasistatic,
+    green_rr_scattered,
+    green_rr_sweep,
+    green_rr_terms,
+)
 from plasmon_cqed.specfun import (
     riccati_ladders,
     spherical_jn_ladder,
@@ -145,6 +152,45 @@ def test_sweep_rows_match_one_geometry_calls(radius, hs, eps_b, omegas, n_max):
             for i, w in enumerate(omega):
                 assert_matches(row[i], oracle.green_terms(w, geometry, material,
                                                           n_max))
+
+
+# (radius nm, h values nm, windows as (order, lo eV, hi eV)) for the
+# per-order terms: the fit windows of the first modes at R = 8, 20 and 50 nm,
+# a tiny sphere whose k_b R and k_m R take the power series, and orders past
+# the first whose zeta_n(k_b R) overflows, where terms take the fallback
+MODE_CASES = {
+    "r8": (8.0, [1.0, 2.0, 5.0, 10.0, 20.0], [(n, 2.5 + 0.02 * n, 3.4)
+                                              for n in range(1, 26)]),
+    "r20": (20.0, [2.0, 5.0, 10.0], [(n, 2.4, 3.3) for n in range(1, 11)]),
+    "r50": (50.0, [5.0, 15.0, 30.0], [(1, 2.2, 3.1), (2, 2.6, 3.2),
+                                      (3, 2.7, 3.3), (4, 2.8, 3.4)]),
+    "series": (0.05, [1.0, 0.3], [(1, 2.5, 3.4), (3, 2.6, 3.4),
+                                  (10, 2.9, 3.6)]),
+    "fallback": (8.0, [20.0, 1.0], [(1, 2.2, 3.4), (100, 2.8, 3.5),
+                                    (120, 2.8, 3.5)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODE_CASES))
+def test_mode_terms_equal_sweep_columns(case):
+    radius, hs, windows = MODE_CASES[case]
+    geometries = [Geometry.from_surface_distance(radius, h) for h in hs]
+    material = silver()
+    ns = np.array([n for n, *_ in windows])
+    grids = np.array([np.linspace(lo, hi, 61) for _, lo, hi in windows])
+    terms = _green_mode_terms(grids, ns[:, None], geometries, material)
+    assert terms.shape == (len(hs),) + grids.shape
+    for m, n in enumerate(ns):
+        np.testing.assert_array_equal(
+            terms[:, m],
+            green_rr_sweep(grids[m], geometries, material, n)[..., n - 1])
+    wn = wavenumbers(geometries[0], material, grids)
+    series = np.abs(wn.km * radius) ** 2 < 1e-6 * (2 * ns[:, None] + 3)
+    assert np.any(series) == (case == "series")
+    fallback = _green_term_quasistatic(
+        np.broadcast_to(ns[:, None], grids.shape).astype(float), grids,
+        geometries[0], material)
+    assert np.any(terms[0] == fallback) == (case == "fallback")
 
 
 @pytest.mark.parametrize("other", [

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plasmon_cqed import coupling
+from plasmon_cqed import coupling, mie
+from plasmon_cqed.constants import HBAR_C_EV_NM
 from plasmon_cqed.coupling import (
     default_mode_window,
     extract_mode_sweep,
@@ -19,7 +20,8 @@ from plasmon_cqed.coupling import (
     rate_spectrum_lsp,
 )
 from plasmon_cqed.errors import FitFailureError, InvalidArgumentError
-from plasmon_cqed.medium import EmitterSpec, Geometry
+from plasmon_cqed.medium import EmitterSpec, Geometry, radiative_rate
+from plasmon_cqed.mie import green_rr_terms, radial_mode_fractions
 
 
 def fit_one(grid, values, n=1):
@@ -177,6 +179,33 @@ class TestModeSweep:
         assert [str(exc) for exc in info.value.best_params] == ["forced"]
         assert len(seen) == 9  # the other fits still ran
 
+    def test_one_green_evaluation_per_sweep(self, ag, weak_emitter,
+                                            monkeypatch):
+        # the figure suite's weak-coupling sweep: 20 modes at 8 distances
+        green_calls, ladder_args = [], []
+        mode_terms, jn_band = coupling._green_mode_terms, mie._jn_band
+
+        def counted_terms(*args):
+            green_calls.append(args)
+            return mode_terms(*args)
+
+        def counted_band(z, lo, width):
+            ladder_args.append(np.asarray(z))
+            return jn_band(z, lo, width)
+
+        monkeypatch.setattr(coupling, "_green_mode_terms", counted_terms)
+        monkeypatch.setattr(mie, "_jn_band", counted_band)
+        geometries = [Geometry.from_surface_distance(8.0, h) for h in
+                      (2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 14.0, 20.0)]
+        extract_mode_sweep(20, geometries, ag, weak_emitter)
+        assert len(green_calls) == 1
+        assert green_calls[0][0].shape == (20, 201)
+        # the metal-interior k_m R ladder (the only complex argument) once
+        # over all windows, k_b R once, and k_b r_d once per distance
+        assert [np.iscomplexobj(z) for z in ladder_args] == \
+            [False, True] + [False] * 8
+        assert all(z.shape == (20, 201) for z in ladder_args[:2])
+
     def test_rejects_empty_sweep_and_second_sphere(self, ag, strong_emitter):
         with pytest.raises(InvalidArgumentError):
             extract_mode_sweep(2, [], ag, strong_emitter)
@@ -210,6 +239,30 @@ class TestFanoFit:
     @pytest.fixture
     def fano_emitter(self):
         return EmitterSpec.from_dipole(2.60, 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_rates_read_one_order(self, ag, fano_geometry, fano_emitter, n):
+        # both read their one order per point; pinned bitwise to the column
+        # n-1 of the all-orders calls
+        grid = np.linspace(2.2, 3.1, 301)
+        kb = fano_geometry.n_b * grid / HBAR_C_EV_NM
+        np.testing.assert_array_equal(
+            rate_spectrum_lsp(n, grid, fano_geometry, ag),
+            6 * math.pi / kb * green_rr_terms(grid, fano_geometry, ag,
+                                              n)[..., n - 1].imag)
+        g0_rad = radiative_rate(grid, fano_emitter.d_eg, fano_geometry.n_b)
+        g0, g0n = coupling._free_space_rates(grid, n, fano_geometry,
+                                             fano_emitter)
+        np.testing.assert_array_equal(g0, g0_rad / fano_emitter.eta)
+        np.testing.assert_array_equal(
+            g0n, g0_rad * radial_mode_fractions(
+                n, kb * fano_geometry.r_d)[..., n - 1])
+        _, g0n_scalar = coupling._free_space_rates(2.6, n, fano_geometry,
+                                                   fano_emitter)
+        assert g0n_scalar == radiative_rate(
+            2.6, fano_emitter.d_eg, fano_geometry.n_b) * radial_mode_fractions(
+                n, fano_geometry.n_b * 2.6 / HBAR_C_EV_NM
+                * fano_geometry.r_d)[n - 1]
 
     def test_alpha_zero_reduces_to_lorentzian_limit(self, fano_geometry,
                                                     fano_emitter):

@@ -147,6 +147,13 @@ class TestQuasiStatic:
         m2 = qs_mode_params(1, geo2, ag, unit_emitter)
         assert m2.gamma_rad / m1.gamma_rad == pytest.approx(8.0, rel=1e-6)
 
+    def test_numpy_integer_order(self, ag, small_geometry, unit_emitter):
+        # int64 arithmetic would wrap (2n-1)!!(2n+1)!! around
+        for n in (1, 25, 40):
+            assert qs_mode_params(np.int64(n), small_geometry, ag,
+                                  unit_emitter) == qs_mode_params(
+                n, small_geometry, ag, unit_emitter)
+
     def test_coupling_distance_law(self, ag, unit_emitter):
         geo1 = Geometry(radius=8.0, eps_b=1.0, r_d=10.0)
         geo2 = Geometry(radius=8.0, eps_b=1.0, r_d=12.0)

@@ -1,10 +1,12 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plasmon_cqed import specfun
 from plasmon_cqed.errors import (
     InvalidArgumentError,
     SingularityError,
@@ -12,6 +14,7 @@ from plasmon_cqed.errors import (
 )
 from plasmon_cqed.specfun import (
     double_factorial,
+    log_double_factorial,
     riccati_ladders,
     spherical_jn_ladder,
     spherical_yn_ladder,
@@ -58,6 +61,18 @@ class TestDoubleFactorial:
         assert double_factorial(15) == 2027025
         for n in range(1, 40):
             assert double_factorial(n) == math.prod(range(n, 0, -2))
+
+    def test_numpy_integer_orders_are_exact(self):
+        # int64 arithmetic would wrap: 49!! is about 5.8e31
+        assert double_factorial(np.int64(49)) == 58435841445947272053455474390625
+        assert double_factorial(np.int32(15)) == 2027025
+        assert log_double_factorial(np.int64(99)) == log_double_factorial(99)
+
+    @pytest.mark.parametrize("order", [2.0, 2.5, "3", None])
+    def test_rejects_non_integer_orders(self, order):
+        for fn in (double_factorial, log_double_factorial):
+            with pytest.raises(InvalidArgumentError, match="integer"):
+                fn(order)
 
     def test_rejects_below_convention(self):
         with pytest.raises(InvalidArgumentError):
@@ -180,3 +195,32 @@ def test_small_argument_limits(n):
         h = hn(n, z)
         assert h.imag == pytest.approx(-double_factorial(2 * n - 1) / z ** (n + 1),
                                        rel=1e-4)
+
+
+def test_per_element_bands_equal_ladder_slices():
+    # one call, each element reading its own orders lo..lo+1, against the
+    # public ladder of that element alone up to n_max = lo + 1: a series
+    # element, Miller elements rescaled many times at high order, a
+    # metal-interior argument, and orders that do not ascend
+    z = np.array([1e-4 + 1e-5j, 0.05 + 0.01j, 0.3, 2.0 + 0.5j, 0.12 + 1.3j,
+                  25.0 + 3.0j, 0.05 + 0.01j, 7.0])
+    lo = np.array([3, 150, 118, 0, 40, 12, 2, 60])
+    j = specfun._jn_band(z, lo, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = specfun._yn_band(z, lo, 2)
+        for i, (zi, n) in enumerate(zip(z, lo)):
+            np.testing.assert_array_equal(
+                j[i], spherical_jn_ladder(n + 1, zi)[n:])
+            np.testing.assert_array_equal(
+                y[i], spherical_yn_ladder(n + 1, zi)[n:])
+    # element 1 passes the rescale limit below its band, after its rows are
+    # stored: rescaled with them they underflow to 0 as j_150(0.05) does;
+    # left unscaled they would read 1e250 times too large, about 1e-265
+    assert np.all(j[1] == 0)
+
+
+def test_band_orders_are_checked():
+    with pytest.raises(UnsupportedOrderError):
+        specfun._jn_band([1.0, 2.0], [10, 200], 2)
+    with pytest.raises(InvalidArgumentError):
+        specfun._yn_band([1.0, 2.0], [-1, 3], 2)
