@@ -211,8 +211,7 @@ def fit_lorentzians(ns, grids, values) -> list:
 def default_mode_window(n: int, geometry: Geometry,
                         material: MaterialModel) -> np.ndarray:
     """201-point fit window on the quasi-static resonance estimate, +- 5 widths."""
-    qs = qs_mode_params(n, geometry, material,
-                        EmitterSpec(omega0=1.0, d_eg=1.0, eta=1.0, gamma0=0.0))
+    qs = qs_mode_params(n, geometry, material)
     half = 5.0 * max(qs.gamma_n, 1e-3)
     lo = max(0.05, qs.omega_n - half)
     return np.linspace(lo, qs.omega_n + half, 201)
@@ -307,6 +306,13 @@ def _fano_terms(grid, g0, g0n, omega_n, gamma_rad, g_signed, gamma_nr):
                df_dnr)
 
 
+def _fano_alpha(n, omega_n, gamma_rad, g, geometry, emitter) -> float:
+    """Fano asymmetry alpha = sqrt(gamma0n_rad(omega_n) Gamma_rad)/g of LSP_n,
+    signed like g; zero coupling gives alpha = 0."""
+    _, g0n = _free_space_rates(omega_n, n, geometry, emitter)
+    return math.sqrt(g0n * gamma_rad) / g if g != 0 else 0.0
+
+
 def fano_rate_model(grid, n: int, geometry: Geometry, emitter: EmitterSpec,
                     omega_n: float, gamma_rad: float, g_signed: float,
                     gamma_nr: float = 0.0) -> np.ndarray:
@@ -386,8 +392,6 @@ def fit_fano_rate(grid, values, n: int, geometry: Geometry, emitter: EmitterSpec
 
     rms = math.sqrt(2.0 * costs[best] / grid.size) * scale \
         / math.sqrt(float(np.mean(values**2)))
-    _, g0n_res = _free_space_rates(wn, n, geometry, emitter)
-    alpha = math.sqrt(g0n_res * gamma_rad) / g_signed
     return ModeParams(
         n=n,
         omega_n=wn,
@@ -395,7 +399,7 @@ def fit_fano_rate(grid, values, n: int, geometry: Geometry, emitter: EmitterSpec
         g=abs(g_signed),
         gamma_rad=gamma_rad,
         gamma_nr=gamma_nr,
-        alpha=alpha,
+        alpha=_fano_alpha(n, wn, gamma_rad, g_signed, geometry, emitter),
         fit_residual=rms,
     )
 
@@ -407,7 +411,7 @@ def with_fano_split(mode: ModeParams, geometry: Geometry,
     The mode's gamma_nr (None reads as 0) is the non-radiative share of gamma_n."""
     nr = mode.gamma_nr or 0.0
     gamma_rad = max(mode.gamma_n - nr, 0.0)
-    _, g0n = _free_space_rates(mode.omega_n, mode.n, geometry, emitter)
-    alpha = math.sqrt(g0n * gamma_rad) / mode.g if mode.g > 0 else 0.0
-    return replace(mode, gamma_rad=gamma_rad, gamma_nr=nr, alpha=alpha)
+    return replace(mode, gamma_rad=gamma_rad, gamma_nr=nr,
+                   alpha=_fano_alpha(mode.n, mode.omega_n, gamma_rad, mode.g,
+                                     geometry, emitter))
 

@@ -307,14 +307,14 @@ def effective_hamiltonian_from_lindblad(h_s: np.ndarray,
                                 emitter=dissipators.emitter)
 
 
-def _heff_deviation(states, amps) -> float:
-    """max |rho_1(t) - psi(t) psi(t)+| of master-equation states and H_eff amplitudes."""
-    blocks = np.array([s.rho[1:, 1:] for s in states])
-    psi = np.array([[a.c_e, *a.c_n] for a in amps])
-    return float(np.max(np.abs(
-        blocks - psi[:, :, None] * psi[:, None, :].conj()), initial=0.0))
-
-
 def single_excitation_projection(state: DensityMatrix) -> np.ndarray:
     """Restriction of rho to the {|e,0>, |g,1_n>} block."""
     return state.rho[1:, 1:]
+
+
+def _heff_deviation(states, amps) -> float:
+    """max |rho_1(t) - psi(t) psi(t)+| of master-equation states and H_eff amplitudes."""
+    blocks = np.array([single_excitation_projection(s) for s in states])
+    psi = np.array([[a.c_e, *a.c_n] for a in amps])
+    return float(np.max(np.abs(
+        blocks - psi[:, :, None] * psi[:, None, :].conj()), initial=0.0))

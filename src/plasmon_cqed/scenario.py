@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .medium import EmitterSpec, Geometry, MaterialModel
+from .specfun import N_ORDER_MAX
 
 TASKS = ("spectra", "fit", "dressed", "dynamics", "rates", "fano", "lindblad",
          "figure-suite")
@@ -190,6 +191,8 @@ def parse_scenario(data: dict) -> Scenario:
     if task not in TASKS:
         raise SchemaError("run.task", f"expected one of {TASKS}, got {task!r}")
     n_modes = _integer(run, "run", "n_modes", required=False, default=6, minimum=1)
+    if n_modes > N_ORDER_MAX:  # the multipole order cap of the Bessel ladders
+        raise SchemaError("run.n_modes", f"must be <= {N_ORDER_MAX}, got {n_modes}")
     omega_grid = _parse_grid(run.get("omega_grid"), "run.omega_grid",
                              lo_key="min_ev", hi_key="max_ev", positive_lo=True,
                              default=GridSpec(2.2, 3.2, 400))

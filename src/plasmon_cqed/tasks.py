@@ -43,7 +43,7 @@ from .lindblad import (
 from .medium import EmitterSpec, Geometry, MaterialModel, radiative_rate, silver
 from .output import RunWriter
 from .scenario import Scenario
-from .weak import adiabatic_rates, broadened_rate, fermi_rate
+from .weak import adiabatic_rates, broadened_rate, fermi_rate, purcell_factors
 
 # Paper-anchored reference points used by the figure suite and its summary.
 STRONG_COUPLING_DIPOLE_D = 24.5   # calibrated to the 144 meV splitting
@@ -248,10 +248,10 @@ def _fano_fit(material: MaterialModel, omega0: float, geometry: Geometry, grid):
         fano_rate_model(grid, 1, geometry, emitter, mode_l.omega_n,
                         mode_l.gamma_rad, sign * mode_l.g, mode_l.gamma_nr),
     )
-    g0_res = radiative_rate(mode_f.omega_n, emitter.d_eg, geometry.n_b)
-    f_rad = 4 * mode_f.g**2 / (g0_res * mode_f.gamma_rad)
-    gamma_tot = mode_l.gamma_rad + mode_l.gamma_nr
-    f_p = 4 * mode_f.g**2 / (g0_res * gamma_tot)
+    # the lossy fit froze g and Gamma_rad; an emitter at omega_1 is on resonance
+    purcell = purcell_factors([mode_l], EmitterSpec.from_dipole(
+        mode_f.omega_n, emitter.d_eg, 0.0, geometry.n_b))
+    f_rad, f_p = float(purcell.purcell_rad[0]), float(purcell.purcell[0])
     return columns, {
         "omega1_ev": mode_f.omega_n,
         "gamma1_rad_ev": mode_f.gamma_rad,
@@ -262,7 +262,7 @@ def _fano_fit(material: MaterialModel, omega0: float, geometry: Geometry, grid):
         "gamma1_nr_ev": mode_l.gamma_nr,
         "f_p": f_p,
         "purcell_identity_residual": abs(
-            f_p - mode_l.gamma_rad / gamma_tot * f_rad),
+            f_p - mode_l.gamma_rad / mode_l.gamma_n * f_rad),
         "fit_residual_lossless": mode_f.fit_residual,
         "fit_residual_lossy": mode_l.fit_residual,
     }

@@ -127,6 +127,22 @@ class TestCliExitCodes:
         assert main(["run", write_config(tmp_path, cfg), "--out", out]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task", ["spectra", "fit"])
+    def test_n_modes_beyond_the_order_cap_exit_2(self, tmp_path, capsys,
+                                                 task):
+        cfg = base_config(task=task, n_modes=201)
+        out = str(tmp_path / "out")
+        assert main(["run", write_config(tmp_path, cfg), "--out", out]) == 2
+        assert "run.n_modes" in capsys.readouterr().err
+
+    def test_fit_task_at_high_mode_count(self, tmp_path):
+        # the quasi-static window estimate overflowed from n = 85 (exit 1)
+        out = str(tmp_path / "out")
+        cfg = base_config(n_modes=90)
+        assert main(["run", write_config(tmp_path, cfg), "--out", out]) == 0
+        with open(os.path.join(out, "modes.json")) as fh:
+            assert len(json.load(fh)["modes"]) == 90
+
     def test_invalid_json_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from plasmon_cqed import coupling, mie
 from plasmon_cqed.constants import HBAR_C_EV_NM
 from plasmon_cqed.coupling import (
+    ModeParams,
     default_mode_window,
     extract_mode_sweep,
     extract_modes,
@@ -22,6 +23,7 @@ from plasmon_cqed.coupling import (
 from plasmon_cqed.errors import FitFailureError, InvalidArgumentError
 from plasmon_cqed.medium import EmitterSpec, Geometry, radiative_rate
 from plasmon_cqed.mie import green_rr_terms, radial_mode_fractions
+from plasmon_cqed.weak import fano_adiabatic
 
 
 def fit_one(grid, values, n=1):
@@ -263,6 +265,30 @@ class TestFanoFit:
             2.6, fano_emitter.d_eg, fano_geometry.n_b) * radial_mode_fractions(
                 n, fano_geometry.n_b * 2.6 / HBAR_C_EV_NM
                 * fano_geometry.r_d)[n - 1]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_model_is_the_adiabatic_fano_rate(self, fano_geometry,
+                                              fano_emitter, sign):
+        # gamma_n(w0)/gamma0 of the Fano H_eff with an emitter at each w0
+        # and the asymmetry there, alpha(w0) = sqrt(gamma0n(w0) Gamma_rad)/g
+        grid = np.linspace(2.2, 3.0, 161)
+        wn, grad, gnr = 2.6, 0.25, 0.04
+        kb = fano_geometry.n_b * grid / HBAR_C_EV_NM
+        g0n = radiative_rate(grid, fano_emitter.d_eg, fano_geometry.n_b) \
+            * radial_mode_fractions(1, kb * fano_geometry.r_d)[:, 0]
+        g = sign * 0.7 * math.sqrt(np.interp(wn, grid, g0n) * grad)
+        model = fano_rate_model(grid, 1, fano_geometry, fano_emitter, wn,
+                                grad, g, gnr)
+        rates = []
+        for w0, alpha in zip(grid, np.sqrt(g0n * grad) / g):
+            emitter = EmitterSpec.from_dipole(float(w0), fano_emitter.d_eg,
+                                              0.0, fano_geometry.n_b)
+            mode = ModeParams(n=1, omega_n=wn, gamma_n=grad + gnr, g=abs(g),
+                              gamma_rad=grad, gamma_nr=gnr, alpha=alpha)
+            rates.append(fano_adiabatic([mode], emitter).gamma_n[0]
+                         / emitter.gamma0)
+        assert np.min(model) < 0 < np.max(model)  # the Fano dip is on the grid
+        assert np.max(np.abs(model - rates)) <= 1e-12 * np.max(np.abs(model))
 
     def test_alpha_zero_reduces_to_lorentzian_limit(self, fano_geometry,
                                                     fano_emitter):

@@ -6,6 +6,11 @@ public surface that neither production code nor an independent oracle uses.
 The scan is by name: a field counts as read if `.name` is loaded anywhere in
 those trees.
 
+Every public module-level function and class in src/ is referenced in src/
+outside its own definition, so no public surface serves only tests, scripts
+or the benchmark.  The named exceptions are oracles and checkers that only
+those call.
+
 Every scipy import in src/ sits in a function body, so a CLI run loads
 scipy only on the paths that call it.
 """
@@ -59,6 +64,38 @@ def test_every_dataclass_field_is_read():
     unread = [f"{path}: {cls}.{name}" for path, cls, name in fields
               if name not in read]
     assert unread == []
+
+
+# public names that only the tests or the benchmark call: the scalar Green
+# wrapper and the manifest checker, and the Fano weak-coupling forms that no
+# task reaches yet
+UNREFERENCED_PUBLIC = {"green_rr_scattered", "validate_manifest",
+                       "with_fano_split", "fano_adiabatic",
+                       "fano_dip_frequency"}
+
+
+def test_every_public_definition_is_referenced_in_src():
+    public, loads = {}, []
+    for path, tree in _trees("src"):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                public[node.name] = path.relative_to(ROOT).as_posix()
+        own = {id(inner): node for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               for inner in ast.walk(node)}
+        loads += [(own.get(id(node)), node.id if isinstance(node, ast.Name)
+                   else node.attr) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute))
+                  and isinstance(node.ctx, ast.Load)]
+    assert len(public) > 100  # the scan sees the package's public names
+    referenced = {name for owner, name in loads
+                  if owner is None or owner.name != name}
+    unreferenced = [f"{path}: {name}" for name, path in public.items()
+                    if name not in referenced | UNREFERENCED_PUBLIC]
+    assert unreferenced == []
+    # an exception that gains a caller in src/ leaves the list
+    assert UNREFERENCED_PUBLIC <= public.keys() - referenced
 
 
 def test_scipy_is_imported_inside_functions():

@@ -5,22 +5,19 @@ import pytest
 
 from plasmon_cqed.constants import HBAR_C_EV_NM
 from plasmon_cqed.errors import NoResonanceError
-from plasmon_cqed.medium import EmitterSpec, Geometry, MaterialModel
+from plasmon_cqed.medium import Geometry, MaterialModel
 from plasmon_cqed.mie import (
     green_rr_quasistatic,
     green_rr_scattered,
     green_rr_terms,
     mie_coefficients,
+    qs_coupling_strength,
     qs_mode_params,
     qs_polarizability,
     qs_resonance_frequency,
     radial_mode_fractions,
 )
-
-
-@pytest.fixture
-def unit_emitter():
-    return EmitterSpec(omega0=2.8, d_eg=1.0, eta=1.0, gamma0=1e-9)
+from plasmon_cqed.specfun import N_ORDER_MAX, double_factorial
 
 
 class TestMieCoefficients:
@@ -59,10 +56,9 @@ class TestScatteredGreen:
         peak = grid[int(np.argmax(vals))]
         assert peak == pytest.approx(2.79, abs=0.01)
 
-    def test_per_mode_peaks_match_quasistatic(self, ag, small_geometry,
-                                              unit_emitter):
+    def test_per_mode_peaks_match_quasistatic(self, ag, small_geometry):
         for n in range(1, 4):
-            qs = qs_mode_params(n, small_geometry, ag, unit_emitter)
+            qs = qs_mode_params(n, small_geometry, ag)
             grid = np.linspace(qs.omega_n - 0.2, qs.omega_n + 0.2, 801)
             vals = green_rr_terms(grid, small_geometry, ag, n)[:, n - 1].imag
             peak = grid[int(np.argmax(vals))]
@@ -119,9 +115,8 @@ class TestQuasiStatic:
         w1 = qs_resonance_frequency(1, ag, 1.0)
         assert w1 == pytest.approx(7.90 / math.sqrt(8.0), abs=2e-3)
 
-    def test_resonances_increase_and_accumulate(self, ag, small_geometry,
-                                                unit_emitter):
-        omegas = [qs_mode_params(n, small_geometry, ag, unit_emitter).omega_n
+    def test_resonances_increase_and_accumulate(self, ag, small_geometry):
+        omegas = [qs_mode_params(n, small_geometry, ag).omega_n
                   for n in range(1, 9)]
         assert all(b > a for a, b in zip(omegas, omegas[1:]))
         bound = 7.90 / math.sqrt(6.0 + 1.0)
@@ -133,59 +128,78 @@ class TestQuasiStatic:
         with pytest.raises(NoResonanceError):
             qs_resonance_frequency(1, metal, 1.0)
 
-    def test_simple_drude_mode_frequencies(self, unit_emitter):
+    def test_simple_drude_mode_frequencies(self):
         metal = MaterialModel.drude(1.0, 5.0, 0.0)
         geo = Geometry(radius=8.0, eps_b=1.0, r_d=10.0)
-        mode = qs_mode_params(2, geo, metal, unit_emitter)
+        mode = qs_mode_params(2, geo, metal)
         assert mode.omega_n == pytest.approx(5.0 * math.sqrt(2.0 / 5.0), rel=1e-5)
 
-    def test_radiative_width_scaling(self, ag, unit_emitter):
+    def test_radiative_width_scaling(self, ag):
         # Gamma_rad ~ R^3 at fixed omega for the dipolar mode
         geo1 = Geometry(radius=8.0, eps_b=1.0, r_d=20.0)
         geo2 = Geometry(radius=16.0, eps_b=1.0, r_d=40.0)
-        m1 = qs_mode_params(1, geo1, ag, unit_emitter)
-        m2 = qs_mode_params(1, geo2, ag, unit_emitter)
+        m1 = qs_mode_params(1, geo1, ag)
+        m2 = qs_mode_params(1, geo2, ag)
         assert m2.gamma_rad / m1.gamma_rad == pytest.approx(8.0, rel=1e-6)
 
-    def test_numpy_integer_order(self, ag, small_geometry, unit_emitter):
+    def test_radiative_width_matches_exact_double_factorials(self, ag):
+        # the log-space prefactor against exact integers, where they fit a float
+        geo = Geometry.from_surface_distance(50.0, 2.0)
+        for n in range(1, 80):
+            mode = qs_mode_params(n, geo, ag)
+            k0r = mode.omega_n / HBAR_C_EV_NM * geo.radius
+            exact = mode.omega_res * (n + 1) * k0r ** (2 * n + 1) / (
+                n * double_factorial(2 * n - 1) * double_factorial(2 * n + 1))
+            assert mode.gamma_rad == pytest.approx(exact, rel=1e-12)
+
+    def test_numpy_integer_order(self, ag, small_geometry):
         # int64 arithmetic would wrap (2n-1)!!(2n+1)!! around
         for n in (1, 25, 40):
-            assert qs_mode_params(np.int64(n), small_geometry, ag,
-                                  unit_emitter) == qs_mode_params(
-                n, small_geometry, ag, unit_emitter)
+            assert qs_mode_params(np.int64(n), small_geometry,
+                                  ag) == qs_mode_params(n, small_geometry, ag)
 
-    def test_coupling_distance_law(self, ag, unit_emitter):
+    def test_coupling_distance_law(self, ag):
         geo1 = Geometry(radius=8.0, eps_b=1.0, r_d=10.0)
         geo2 = Geometry(radius=8.0, eps_b=1.0, r_d=12.0)
-        m1 = qs_mode_params(1, geo1, ag, unit_emitter)
-        m2 = qs_mode_params(1, geo2, ag, unit_emitter)
-        assert m2.g / m1.g == pytest.approx((10.0 / 12.0) ** 3, rel=1e-9)
+        g1 = qs_coupling_strength(qs_mode_params(1, geo1, ag), geo1, 1.0)
+        g2 = qs_coupling_strength(qs_mode_params(1, geo2, ag), geo2, 1.0)
+        assert g2 / g1 == pytest.approx((10.0 / 12.0) ** 3, rel=1e-9)
+
+    def test_coupling_is_linear_in_dipole(self, ag, small_geometry):
+        mode = qs_mode_params(1, small_geometry, ag)
+        g1 = qs_coupling_strength(mode, small_geometry, 1.0)
+        assert g1 > 0
+        assert qs_coupling_strength(mode, small_geometry, 2.0) == pytest.approx(
+            2.0 * g1, rel=1e-12)
+        assert qs_coupling_strength(mode, small_geometry, 0.0) == 0.0
+
+    @pytest.mark.parametrize("radius", [8.0, 50.0])
+    def test_finite_up_to_the_order_cap(self, ag, radius):
+        # the radiative prefactor overflowed from n = 85 and the coupling's
+        # separate powers of R and r_d from n = 178 at R = 50 nm
+        geo = Geometry.from_surface_distance(radius, 2.0)
+        for n in range(1, N_ORDER_MAX + 1):
+            mode = qs_mode_params(n, geo, ag)
+            g = qs_coupling_strength(mode, geo, 1.0)
+            assert all(math.isfinite(v) for v in (
+                mode.omega_n, mode.omega_res, mode.gamma_rad, mode.gamma_n, g))
+            assert mode.gamma_n >= ag.gamma_p and g >= 0.0
 
 
 class TestGreenQuasistatic:
-    def test_on_resonance_value(self, ag, small_geometry, unit_emitter):
+    def test_on_resonance_value(self, ag, small_geometry):
         from plasmon_cqed.constants import DIPOLE_SQ_OVER_EPS0
 
-        mode = qs_mode_params(1, small_geometry, ag, unit_emitter)
-        g_qs = green_rr_quasistatic(mode.omega_n, small_geometry, ag,
-                                    unit_emitter, 1)
+        mode = qs_mode_params(1, small_geometry, ag)
+        g_qs = green_rr_quasistatic(mode.omega_n, small_geometry, ag, 1)
         k0 = mode.omega_n / HBAR_C_EV_NM
-        expected = mode.g**2 * 2.0 / mode.gamma_n / (
-            k0**2 * DIPOLE_SQ_OVER_EPS0)
+        g = qs_coupling_strength(mode, small_geometry, 1.0)
+        expected = g**2 * 2.0 / mode.gamma_n / (k0**2 * DIPOLE_SQ_OVER_EPS0)
         assert abs(g_qs.real) < 1e-9 * abs(g_qs.imag)
         assert g_qs.imag == pytest.approx(expected, rel=1e-9)
 
-    def test_matches_exact_near_resonance(self, ag, small_geometry, unit_emitter):
+    def test_matches_exact_near_resonance(self, ag, small_geometry):
         w = 2.80
         exact = green_rr_scattered(w, small_geometry, ag, 1).per_mode[0]
-        approx = green_rr_quasistatic(w, small_geometry, ag, unit_emitter, 1)
+        approx = green_rr_quasistatic(w, small_geometry, ag, 1)
         assert abs(approx.imag - exact.imag) / abs(exact.imag) < 0.15
-
-    def test_zero_coupling_gives_zero(self, ag, small_geometry):
-        em = EmitterSpec(omega0=2.8, d_eg=1.0, eta=1.0, gamma0=1e-9)
-        # d_eg cancels in G, so force zero through the mode sum instead
-        val = green_rr_quasistatic(2.8, small_geometry, ag, em, 1)
-        scaled = green_rr_quasistatic(2.8, small_geometry, ag,
-                                      EmitterSpec(omega0=2.8, d_eg=2.0, eta=1.0,
-                                                  gamma0=1e-9), 1)
-        assert val == pytest.approx(scaled, rel=1e-12)  # dipole-independent

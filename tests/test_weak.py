@@ -53,12 +53,13 @@ class TestAdiabatic:
         # resonance Green function reproduces the mode-sum form; needs a
         # dipole-consistent emitter since gamma0 enters both sides
         em = EmitterSpec.from_dipole(2.85, 1.0)
-        from plasmon_cqed.mie import qs_mode_params
+        from plasmon_cqed.mie import qs_coupling_strength, qs_mode_params
 
-        qs = qs_mode_params(1, small_geometry, ag, em)
-        mode = one_mode(qs.omega_n, qs.gamma_n, qs.g)
+        qs = qs_mode_params(1, small_geometry, ag)
+        mode = one_mode(qs.omega_n, qs.gamma_n,
+                        qs_coupling_strength(qs, small_geometry, em.d_eg))
         direct = adiabatic_rates([mode], em).lamb_shift
-        g_qs = green_rr_quasistatic(em.omega0, small_geometry, ag, em, 1)
+        g_qs = green_rr_quasistatic(em.omega0, small_geometry, ag, 1)
         kb = em.omega0 / HBAR_C_EV_NM
         from_green = -em.eta * (3 * math.pi / kb) * g_qs.real * em.gamma0
         assert from_green == pytest.approx(direct, rel=1e-10)
