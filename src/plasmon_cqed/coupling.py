@@ -406,9 +406,10 @@ def fit_fano_rate(grid, values, n: int, geometry: Geometry, emitter: EmitterSpec
 
 def with_fano_split(mode: ModeParams, geometry: Geometry,
                     emitter: EmitterSpec) -> ModeParams:
-    """Resolve gamma_rad/alpha of a Lorentzian-fitted mode from the quasi-static
-    radiative width (small-particle route; the Fano fit is the leaky route).
-    The mode's gamma_nr (None reads as 0) is the non-radiative share of gamma_n."""
+    """Resolve gamma_rad/alpha of a Lorentzian-fitted mode (the Fano fit is
+    the leaky route): gamma_rad = gamma_n - gamma_nr, with the mode's gamma_nr
+    (None, as a Lorentzian fit leaves it, reads as 0), so a fitted mode
+    comes out wholly radiative."""
     nr = mode.gamma_nr or 0.0
     gamma_rad = max(mode.gamma_n - nr, 0.0)
     return replace(mode, gamma_rad=gamma_rad, gamma_nr=nr,

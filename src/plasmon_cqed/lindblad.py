@@ -143,11 +143,13 @@ def build_dissipators(kind: str, modes, emitter: EmitterSpec,
 
 def build_system_hamiltonian(modes, emitter: EmitterSpec,
                              space: StateSpace) -> np.ndarray:
-    """Hermitian rotating-frame H_S = sum Delta_n a+a + sum g_n (sigma_eg a_n + h.c.)."""
+    """Hermitian rotating-frame H_S = sum Delta_n a+a + sum g_n (sigma_eg a_n + h.c.),
+    written by index on the basis |g,0>, |e,0>, |g,1_n> of build_state_space:
+    Delta_n on the mode diagonal, g_n on row and column 1."""
     h = np.zeros((space.dim, space.dim), dtype=complex)
-    for mode, a in zip(modes, space.lowering):
-        h += mode.detuning(emitter) * (a.conj().T @ a)
-        h += mode.g * (space.sigma_eg @ a + a.conj().T @ space.sigma_ge)
+    index = np.arange(2, space.dim)
+    h[index, index] = [mode.detuning(emitter) for mode in modes]
+    h[1, index] = h[index, 1] = [mode.g for mode in modes]
     return h
 
 

@@ -224,7 +224,7 @@ def green_rr_scattered(omega: float, geometry: Geometry, material: MaterialModel
     at one scalar frequency.
 
     A thin wrapper: per_mode is the single row of green_rr_terms at omega,
-    so it follows the same per-element rules (series or Miller ladder,
+    so it follows the same per-element rules (limiting form or Miller ladder,
     rescaling, quasi-static fallback for orders whose Hankel factors
     overflow).  Spectra on a grid call green_rr_terms once per grid instead
     of this once per point.
@@ -333,7 +333,7 @@ def qs_mode_params(n: int, geometry: Geometry,
     omega_n = qs_resonance_frequency(n, material, geometry.eps_b)
     omega_res = (2 * n + 1) * geometry.eps_b * omega_n**3 / (n * material.omega_p**2)
     gamma_rad = omega_res * float(_radiative_prefactor(
-        n, omega_n / HBAR_C_EV_NM * geometry.radius))
+        n, geometry.n_b * omega_n / HBAR_C_EV_NM * geometry.radius))
     return QuasiStaticMode(n=n, omega_n=omega_n, omega_res=omega_res,
                            gamma_rad=gamma_rad, gamma_n=material.gamma_p + gamma_rad)
 

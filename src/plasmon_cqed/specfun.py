@@ -9,12 +9,13 @@ The rules are applied element by element, with n the top of the element's
 band, so a recurrence value does not depend on the element's neighbours or
 on the orders they read out:
 
-- j_n uses the power series where |z|^2 < 1e-6*(2 n + 3), and the Miller
-  downward recurrence elsewhere.  Each element starts the recurrence at its
-  own m = max(n, |z|) + 32, is rescaled by 1e-250 whenever it passes 1e250,
-  and is normalized against j_0 or j_1, whichever is farther from a zero.
-  The series stops when every series element of the call has converged, so
-  its last terms (below 1e-17 of the sum) may depend on the call.
+- j_n uses the Miller downward recurrence (Gautschi, SIAM Rev. 9, 24
+  (1967)).  Each element starts it at its own m = max(n, |z|) + 32, is
+  rescaled by 1e-250 whenever it passes 1e250, and is normalized against
+  j_0 or j_1, whichever is farther from a zero.  Where |z|^2 < eps (2 n + 3)
+  the limiting form z^n/(2n+1)!! (DLMF 10.52.1) is j_n to rounding, and
+  there it replaces the recurrence, which overflows below |z| ~ 1e-56;
+  j_n(0) = delta_n0.
 - y_n uses the plain upward recurrence, which is stable in that direction;
   it overflows to inf at tiny |z| and high order, and callers decide what
   that means.
@@ -125,28 +126,6 @@ def _band_rows(lo: np.ndarray, width: int) -> dict:
     return rows
 
 
-def _series_ladder(n_max: int, z: np.ndarray) -> np.ndarray:
-    # j_n(z) = z^n/(2n+1)!! * sum_k (-z^2/2)^k / (k! (2n+3)(2n+5)...(2n+2k+1))
-    # leading factor built in log space, so huge orders underflow to zero
-    orders = np.arange(n_max + 1)
-    out = np.zeros((n_max + 1, z.size), dtype=complex)
-    out[0, z == 0] = 1.0
-    nonzero = z != 0
-    w = z[nonzero]
-    log_df = np.array([log_double_factorial(2 * n + 1) for n in orders])
-    lead = np.exp(orders[:, None] * np.log(w) - log_df[:, None])
-    step = -0.5 * w * w
-    total = np.ones((n_max + 1, w.size), dtype=complex)
-    term = np.ones_like(total)
-    for k in range(1, 200):
-        term *= step / (k * (2 * orders[:, None] + 2 * k + 1))
-        total += term
-        if np.all(np.abs(term) < 1e-17 * np.abs(total)):
-            break
-    out[:, nonzero] = lead * total
-    return out
-
-
 def _miller_band(z: np.ndarray, lo: np.ndarray, width: int) -> np.ndarray:
     # each column starts at its own m = max(top of its band, |z|) + buffer;
     # the rows in flight stay exactly zero until the recurrence reaches it
@@ -193,17 +172,23 @@ def _miller_band(z: np.ndarray, lo: np.ndarray, width: int) -> np.ndarray:
 
 def _jn_band(z, lo, width: int) -> np.ndarray:
     """j_lo..j_{lo+width-1} at every element of z, shape z.shape + (width,);
-    lo is one order or an order per element (broadcast against z)."""
+    lo is one order or an order per element (broadcast against z).  Elements
+    with |z|^2 < eps (2 hi + 3), hi the top of their band, take the limiting
+    form z^n/(2n+1)!!, the others the Miller recurrence."""
     z, flat, lo = _band_arguments(z, lo, width)
-    hi = lo + (width - 1)
+    orders = lo + np.arange(width)[:, None]
+    limit = np.abs(flat) ** 2 < np.finfo(float).eps * (2 * orders[-1] + 3)
     out = np.empty((width, flat.size), dtype=complex)
-    series = np.abs(flat) ** 2 < 1e-6 * (2 * hi + 3)
-    if np.any(series):
-        ladder = _series_ladder(int(hi[series].max()), flat[series])
-        out[:, series] = np.take_along_axis(
-            ladder, lo[series] + np.arange(width)[:, None], axis=0)
-    if not np.all(series):
-        out[:, ~series] = _miller_band(flat[~series], lo[~series], width)
+    if np.any(limit):
+        # built in log space, so huge orders underflow to zero
+        w, n = flat[limit], orders[:, limit]
+        log_df = np.array([log_double_factorial(2 * m + 1)
+                           for m in range(int(n.max()) + 1)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lead = np.exp(n * np.log(w) - log_df[n])
+        out[:, limit] = np.where(w == 0, n == 0, lead)
+    if not np.all(limit):
+        out[:, ~limit] = _miller_band(flat[~limit], lo[~limit], width)
     return _order_major(out, z.shape)
 
 
@@ -230,7 +215,7 @@ def _yn_band(z, lo, width: int) -> np.ndarray:
 def spherical_jn_ladder(n_max: int, z) -> np.ndarray:
     """j_0(z)..j_nmax(z) at every element of z, shape z.shape + (n_max + 1,).
 
-    Each element takes the power series or the Miller recurrence by its own
+    Each element takes the limiting form or the Miller recurrence by its own
     |z|, exactly as a scalar evaluation would.
     """
     _check_order(n_max)

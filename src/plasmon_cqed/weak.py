@@ -112,11 +112,3 @@ def fano_adiabatic(modes, emitter: EmitterSpec) -> WeakCouplingReport:
     return _eliminate(modes, emitter, [m.gamma_n for m in modes],
                       [m.g * (1.0 - 0.5j * (m.alpha or 0.0)) for m in modes])
 
-
-def fano_dip_frequency(mode) -> float:
-    """Emission frequency where the Fano bracket vanishes (rate suppression)."""
-    alpha = mode.alpha or 0.0
-    if alpha == 0.0:
-        return math.inf
-    q = mode.omega_n / mode.gamma_n
-    return mode.omega_n * (1.0 - (1 - alpha**2 / 4) / (2 * alpha * q))

@@ -1,14 +1,17 @@
 """Scalar reference implementation of the Bessel/Riccati ladders and the
 per-mode scattered Green terms, one argument and one frequency at a time.
 
-This is the element-by-element form of the rules the package evaluates on
-whole arrays: the power series below |z|^2 < 1e-6 (2 n_max + 3), the Miller
-downward recurrence started at m = max(n_max, |z|) + 32 with rescaling past
-1e250 and normalisation against j_0/j_1, the upward y_n recurrence, and the
-closed-form quasi-static term wherever the Hankel factors overflow.  B_n
-enters the Green terms as zeta_n(k_b R) B_n, built from logarithmic
-derivatives, times h_n(x)/x and h_n(x)/(x zeta_n(k_b R)), so no step passes
-through the subnormal range.  The array code must reproduce it to rounding.
+Apart from small arguments this is the element-by-element form of the rules
+the package evaluates on whole arrays: the Miller downward recurrence started
+at m = max(n_max, |z|) + 32 with rescaling past 1e250 and normalisation
+against j_0/j_1, the upward y_n recurrence, and the closed-form quasi-static
+term wherever the Hankel factors overflow.  Below |z|^2 < 1e-6 (2 n_max + 3)
+the oracle sums the power series, an independent route: the package takes
+its Miller recurrence there, or the limiting form z^n/(2n+1)!! below
+|z|^2 < eps (2 n_max + 3).  B_n enters the Green terms as zeta_n(k_b R) B_n,
+built from logarithmic derivatives, times h_n(x)/x and h_n(x)/(x
+zeta_n(k_b R)), so no step passes through the subnormal range.  The array
+code must reproduce it to rounding.
 
 Each function accepts an optional `branches` set and adds to it the name of
 every rule it took ("series", "rescale", "fallback"), so tests can show that

@@ -26,7 +26,9 @@ from plasmon_cqed.specfun import (
 )
 
 REL_TOL = 1e-12
-# (radius nm, h nm, eps_b, n_max) whose Green evaluation takes each rule
+# (radius nm, h nm, eps_b, n_max) whose Green evaluation takes each rule of
+# the oracle; at "series" the package's Miller recurrence meets the oracle's
+# power series
 BRANCH_CASES = {
     "series": (0.05, 1.0, 1.0, 10),
     "rescale": (2.0, 1.0, 1.0, 120),
@@ -156,8 +158,9 @@ def test_sweep_rows_match_one_geometry_calls(radius, hs, eps_b, omegas, n_max):
 
 # (radius nm, h values nm, windows as (order, lo eV, hi eV)) for the
 # per-order terms: the fit windows of the first modes at R = 8, 20 and 50 nm,
-# a tiny sphere whose k_b R and k_m R take the power series, and orders past
-# the first whose zeta_n(k_b R) overflows, where terms take the fallback
+# a tiny sphere whose k_b R and k_m R lie in the oracle's power-series
+# region (the package takes Miller there), and orders past the first whose
+# zeta_n(k_b R) overflows, where terms take the fallback
 MODE_CASES = {
     "r8": (8.0, [1.0, 2.0, 5.0, 10.0, 20.0], [(n, 2.5 + 0.02 * n, 3.4)
                                               for n in range(1, 26)]),
@@ -185,6 +188,7 @@ def test_mode_terms_equal_sweep_columns(case):
             terms[:, m],
             green_rr_sweep(grids[m], geometries, material, n)[..., n - 1])
     wn = wavenumbers(geometries[0], material, grids)
+    # the oracle's power-series region
     series = np.abs(wn.km * radius) ** 2 < 1e-6 * (2 * ns[:, None] + 3)
     assert np.any(series) == (case == "series")
     fallback = _green_term_quasistatic(
@@ -207,7 +211,8 @@ def test_sweep_rejects_a_second_sphere_or_none(other):
 
 def test_array_jn_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
-    # series element, real and complex Miller elements, metal-interior values
+    # a small element (the oracle's power-series region), real and complex
+    # Miller elements, metal-interior values
     z = np.array([1e-3, 0.3, 2.0 + 0.5j, 7.0 - 0.4j, 0.12 + 1.3j, 0.4 + 2.5j,
                   25.0 + 3.0j])
     ladder = spherical_jn_ladder(30, z)

@@ -102,6 +102,27 @@ class TestStateSpace:
             np.testing.assert_array_equal(op @ op, np.zeros_like(op))
 
 
+@pytest.mark.parametrize("n_modes", range(9))
+def test_system_hamiltonian_is_the_operator_sum(emitter, n_modes):
+    # bitwise, signed zeros included, against sum Delta_n a+a +
+    # g_n (sigma_eg a_n + a+ sigma_ge) from the space's matrices; one mode
+    # sits on resonance and is uncoupled
+    modes = synthetic_modes(np.random.default_rng(n_modes), n_modes)
+    if modes:
+        modes[0] = dataclasses.replace(modes[0], omega_n=emitter.omega0, g=0.0)
+    space = build_state_space(n_modes)
+    expect = np.zeros((space.dim, space.dim), dtype=complex)
+    for mode, a in zip(modes, space.lowering):
+        ad = a.conj().T
+        expect += mode.detuning(emitter) * (ad @ a)
+        expect += mode.g * (space.sigma_eg @ a + ad @ space.sigma_ge)
+    h = build_system_hamiltonian(modes, emitter, space)
+    for part in (np.real, np.imag):
+        np.testing.assert_array_equal(part(h), part(expect))
+        np.testing.assert_array_equal(np.signbit(part(h)),
+                                      np.signbit(part(expect)))
+
+
 class TestDissipators:
     def test_standard_channel_count(self, emitter):
         rng = np.random.default_rng(1)

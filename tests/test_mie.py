@@ -152,6 +152,19 @@ class TestQuasiStatic:
                 n * double_factorial(2 * n - 1) * double_factorial(2 * n + 1))
             assert mode.gamma_rad == pytest.approx(exact, rel=1e-12)
 
+    @pytest.mark.parametrize("eps_b", [1.0, 1.77])
+    @pytest.mark.parametrize("radius", [8.0, 20.0])
+    def test_width_is_the_polarizability_linewidth(self, ag, eps_b, radius):
+        # Gamma_n against the FWHM of |alpha_1^eff|^2, whose radiation
+        # correction is taken at k_b = n_b omega/(hbar c); with the vacuum k0
+        # Gamma_rad is n_b^3 too small (25% of the FWHM at eps_b 1.77, 20 nm)
+        geo = Geometry.from_surface_distance(radius, 2.0, eps_b)
+        mode = qs_mode_params(1, geo, ag)
+        grid = np.linspace(mode.omega_n - 0.3, mode.omega_n + 0.3, 60001)
+        power = np.abs(qs_polarizability(1, grid, geo, ag)[1]) ** 2
+        above = grid[power >= 0.5 * power.max()]
+        assert above[-1] - above[0] == pytest.approx(mode.gamma_n, rel=1e-2)
+
     def test_numpy_integer_order(self, ag, small_geometry):
         # int64 arithmetic would wrap (2n-1)!!(2n+1)!! around
         for n in (1, 25, 40):
