@@ -1,4 +1,6 @@
-"""Spherical Bessel/Hankel and Riccati-Bessel functions of complex argument.
+"""Spherical Bessel/Hankel and Riccati-Bessel functions of real or complex
+argument: j_n and y_n run in float64 for real arguments (k_b R, k_b r_d) and
+in complex128 for complex ones (k_m R); h_n^(1) and zeta_n are complex.
 
 Evaluation strategy: one recurrence over orders serves a whole array of
 arguments, and each element reads out its own band of orders lo..lo+width-1
@@ -87,7 +89,7 @@ def _check_order(n: int) -> None:
 
 
 def _check_arguments(z) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
+    z = np.asarray(z, dtype=complex if np.iscomplexobj(z) else float)
     finite = np.isfinite(z)
     if not np.all(finite):
         raise InvalidArgumentError(
@@ -141,9 +143,9 @@ def _miller_band(z: np.ndarray, lo: np.ndarray, width: int) -> np.ndarray:
         growth, math.log(_RESCALE_LIMIT) - math.log(_MILLER_SEED),
         side="right"))
     rows = _band_rows(lo, width)
-    out = np.zeros((width, z.size), dtype=complex)
-    above = np.zeros(z.size, dtype=complex)  # f_{k+1}
-    f = np.zeros(z.size, dtype=complex)  # f_k
+    out = np.zeros((width, z.size), dtype=z.dtype)
+    above = np.zeros(z.size, dtype=z.dtype)  # f_{k+1}
+    f = np.zeros(z.size, dtype=z.dtype)  # f_k
     f[seeds.pop(top)] = _MILLER_SEED
     for k in range(top, 0, -1):
         below = (2 * k + 1) / z * f - above
@@ -178,15 +180,16 @@ def _jn_band(z, lo, width: int) -> np.ndarray:
     z, flat, lo = _band_arguments(z, lo, width)
     orders = lo + np.arange(width)[:, None]
     limit = np.abs(flat) ** 2 < np.finfo(float).eps * (2 * orders[-1] + 3)
-    out = np.empty((width, flat.size), dtype=complex)
+    out = np.empty((width, flat.size), dtype=flat.dtype)
     if np.any(limit):
-        # built in log space, so huge orders underflow to zero
+        # in complex log space (z < 0 too), so huge orders underflow to zero
         w, n = flat[limit], orders[:, limit]
         log_df = np.array([log_double_factorial(2 * m + 1)
                            for m in range(int(n.max()) + 1)])
         with np.errstate(divide="ignore", invalid="ignore"):
-            lead = np.exp(n * np.log(w) - log_df[n])
-        out[:, limit] = np.where(w == 0, n == 0, lead)
+            lead = np.exp(n * np.log(w.astype(complex)) - log_df[n])
+        out[:, limit] = np.where(w == 0, n == 0,
+                                 lead if np.iscomplexobj(w) else lead.real)
     if not np.all(limit):
         out[:, ~limit] = _miller_band(flat[~limit], lo[~limit], width)
     return _order_major(out, z.shape)
@@ -200,7 +203,7 @@ def _yn_band(z, lo, width: int) -> np.ndarray:
         raise SingularityError("y_n singular at z=0")
     top = int(lo.max(initial=0)) + width - 1
     rows = _band_rows(lo, width)
-    out = np.empty((width, flat.size), dtype=complex)
+    out = np.empty((width, flat.size), dtype=flat.dtype)
     sin, cos = np.sin(flat), np.cos(flat)
     below = -cos / flat  # y_0
     y = -cos / flat**2 - sin / flat if top >= 1 else below  # y_1
@@ -213,7 +216,8 @@ def _yn_band(z, lo, width: int) -> np.ndarray:
 
 
 def spherical_jn_ladder(n_max: int, z) -> np.ndarray:
-    """j_0(z)..j_nmax(z) at every element of z, shape z.shape + (n_max + 1,).
+    """j_0(z)..j_nmax(z) at every element of z, shape z.shape + (n_max + 1,),
+    float64 for real z and complex128 otherwise.
 
     Each element takes the limiting form or the Miller recurrence by its own
     |z|, exactly as a scalar evaluation would.
@@ -224,7 +228,8 @@ def spherical_jn_ladder(n_max: int, z) -> np.ndarray:
 
 def spherical_yn_ladder(n_max: int, z) -> np.ndarray:
     """y_0(z)..y_nmax(z) by upward recurrence (stable for y), element-wise
-    over z, shape z.shape + (n_max + 1,)."""
+    over z, shape z.shape + (n_max + 1,), float64 for real z and complex128
+    otherwise."""
     _check_order(n_max)
     return _yn_band(z, 0, n_max + 1)
 
@@ -238,7 +243,8 @@ def _riccati_pair(z, lower: np.ndarray, f: np.ndarray, orders):
 
 def riccati_ladders(n_max: int, z):
     """(psi, psi', zeta, zeta') for orders 0..n_max at every element of z,
-    each of shape z.shape + (n_max + 1,).
+    each of shape z.shape + (n_max + 1,); psi and psi' are float64 for real
+    z, zeta and zeta' always complex128.
 
     psi_n = z j_n, zeta_n = z h_n^(1); derivatives use
     psi'_n = z j_{n-1} - n j_n with j_{-1} = cos(z)/z (and h_{-1} = e^{iz}/z).

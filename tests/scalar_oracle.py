@@ -42,7 +42,11 @@ def series_jn(n, z):
     log_lead = n * cmath.log(z) - log_double_factorial(2 * n + 1)
     if log_lead.real < -745.0:
         return 0.0 + 0.0j
-    lead = cmath.exp(log_lead)
+    # z^n/(2n+1)!! as a running product: exp of the log form loses
+    # |n log z| eps in its leading term
+    lead = 1.0 + 0.0j
+    for k in range(1, n + 1):
+        lead *= z / (2 * k + 1)
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
     for k in range(1, 200):

@@ -184,19 +184,22 @@ class TestModeSweep:
     def test_one_green_evaluation_per_sweep(self, ag, weak_emitter,
                                             monkeypatch):
         # the figure suite's weak-coupling sweep: 20 modes at 8 distances
-        green_calls, ladder_args = [], []
-        mode_terms, jn_band = coupling._green_mode_terms, mie._jn_band
+        green_calls, bands = [], {"j": [], "y": []}
+        mode_terms = coupling._green_mode_terms
 
         def counted_terms(*args):
             green_calls.append(args)
             return mode_terms(*args)
 
-        def counted_band(z, lo, width):
-            ladder_args.append(np.asarray(z))
-            return jn_band(z, lo, width)
+        def counted(kind, band):
+            def wrapped(z, lo, width):
+                bands[kind].append((np.asarray(z), band(z, lo, width)))
+                return bands[kind][-1][1]
+            return wrapped
 
         monkeypatch.setattr(coupling, "_green_mode_terms", counted_terms)
-        monkeypatch.setattr(mie, "_jn_band", counted_band)
+        monkeypatch.setattr(mie, "_jn_band", counted("j", mie._jn_band))
+        monkeypatch.setattr(mie, "_yn_band", counted("y", mie._yn_band))
         geometries = [Geometry.from_surface_distance(8.0, h) for h in
                       (2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 14.0, 20.0)]
         extract_mode_sweep(20, geometries, ag, weak_emitter)
@@ -204,9 +207,12 @@ class TestModeSweep:
         assert green_calls[0][0].shape == (20, 201)
         # the metal-interior k_m R ladder (the only complex argument) once
         # over all windows, k_b R once, and k_b r_d once per distance
-        assert [np.iscomplexobj(z) for z in ladder_args] == \
+        assert [np.iscomplexobj(z) for z, _ in bands["j"]] == \
             [False, True] + [False] * 8
-        assert all(z.shape == (20, 201) for z in ladder_args[:2])
+        assert all(z.shape == (20, 201) for z, _ in bands["j"][:2])
+        # real arguments give real ladders: only the k_m R band is complex
+        assert [np.iscomplexobj(b) for _, b in bands["j"] + bands["y"]] == \
+            [False, True] + [False] * 17
 
     def test_rejects_empty_sweep_and_second_sphere(self, ag, strong_emitter):
         with pytest.raises(InvalidArgumentError):

@@ -249,6 +249,44 @@ def test_small_arguments_against_mpmath():
                             assert abs(got) < 1e-280, (z, n)
 
 
+@pytest.mark.parametrize("z, dtype", [
+    (0.7, np.float64),
+    ([0.3, 2.0, 25.0], np.float64),
+    (1e-9, np.float64),  # the limiting form
+    (-1e-9, np.float64),
+    (np.float32(1.5), np.float64),
+    (2, np.float64),
+    (0.7 + 0j, np.complex128),
+    (np.array([1e-9, 2.0], dtype=complex), np.complex128),
+    (2.0 + 0.5j, np.complex128),
+])
+def test_ladders_keep_the_argument_dtype(z, dtype):
+    # real arguments run in float64, complex ones (even with zero imaginary
+    # part) in complex128; zeta_n = z h_n^(1) is complex either way
+    j, y = spherical_jn_ladder(5, z), spherical_yn_ladder(5, z)
+    psi, psi_prime, zeta, zeta_prime = riccati_ladders(5, z)
+    assert [f.dtype for f in (j, y, psi, psi_prime)] == [dtype] * 4
+    assert zeta.dtype == zeta_prime.dtype == np.complex128
+    # the same values as the complex evaluation
+    w = np.asarray(z, dtype=complex)
+    for got, ref in ((j, spherical_jn_ladder(5, w)),
+                     (y, spherical_yn_ladder(5, w))):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+
+def test_real_yn_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    z = np.array([0.05, 0.3, 1.0, 2.5, 7.0, 25.0, 60.0])
+    ladder = spherical_yn_ladder(30, z)
+    assert ladder.dtype == np.float64
+    with mpmath.workdps(40):
+        for i, zi in enumerate(z):
+            for n in (0, 1, 2, 5, 10, 20, 30):
+                ref = float(mpmath.sqrt(mpmath.pi / (2 * zi))
+                            * mpmath.bessely(n + 0.5, zi))
+                assert abs(ladder[i, n] - ref) <= 1e-12 * abs(ref), (zi, n)
+
+
 def test_band_orders_are_checked():
     with pytest.raises(UnsupportedOrderError):
         specfun._jn_band([1.0, 2.0], [10, 200], 2)
