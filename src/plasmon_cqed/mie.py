@@ -41,6 +41,7 @@ from .specfun import (
     log_double_factorial,
 )
 
+# read by perfbench's tracer; its test pins green_rr_scattered (ROADMAP item 1)
 DEFAULT_N_MAX = 30
 # points per Hankel ladder call of a distance sweep: a short grid takes every
 # distance in one call, where numpy's per-step call overhead dominates; the
@@ -166,7 +167,7 @@ def _green_terms(omega, lo, width: int, geometries,
 
 
 def green_rr_sweep(omega, geometries, material: MaterialModel,
-                   n_max: int = DEFAULT_N_MAX) -> np.ndarray:
+                   n_max: int) -> np.ndarray:
     """Per-multipole terms of G_S^rr(r_d, r_d) for emitters at several r_d
     around one sphere, at every frequency of omega.
 
@@ -215,7 +216,7 @@ def _green_mode_terms(omega, orders, geometries,
 
 
 def green_rr_terms(omega, geometry: Geometry, material: MaterialModel,
-                   n_max: int = DEFAULT_N_MAX) -> np.ndarray:
+                   n_max: int) -> np.ndarray:
     """Per-multipole terms of G_S^rr(r_d, r_d) at every frequency of omega,
     shape omega.shape + (n_max,): the one-geometry case of green_rr_sweep."""
     return green_rr_sweep(omega, [geometry], material, n_max)[0]
@@ -356,7 +357,7 @@ def qs_coupling_strength(mode: QuasiStaticMode, geometry: Geometry,
 
 
 def green_rr_quasistatic(omega: float, geometry: Geometry, material: MaterialModel,
-                         n_max: int = DEFAULT_N_MAX) -> complex:
+                         n_max: int) -> complex:
     """First-order-resonance Green function built from the quasi-static
     modes, sum_n g_n^2 L_n(omega) / (k0^2 d^2/eps0) with the Lorentzians L_n;
     d cancels, so g_n is taken for a 1 D dipole."""

@@ -202,8 +202,7 @@ def task_dynamics(sc: Scenario, writer: RunWriter):
 def task_rates(sc: Scenario, writer: RunWriter):
     modes = extract_modes(sc.n_modes, sc.geometry, sc.material, sc.emitter)
     adiab = adiabatic_rates(modes, sc.emitter)
-    [fermi] = fermi_rate(sc.emitter.omega0, [sc.geometry], sc.material,
-                         sc.emitter, n_max=max(60, sc.n_modes))
+    [fermi] = fermi_rate(sc.emitter.omega0, [sc.geometry], sc.material, sc.emitter)
     broad = broadened_rate(modes, sc.emitter)
     writer.csv(
         "rates.csv",
@@ -412,7 +411,7 @@ def figure_suite(sc: Scenario, writer: RunWriter):
     summary["gamma_ratio"] = _check(adiab.enhancement, "gamma_ratio")
     summary["lifetime_ns"] = _check(lifetime_ns, "lifetime_ns")
 
-    fermi = fermi_rate(wk_emitter.omega0, geos_wk, material, wk_emitter, n_max=40)
+    fermi = fermi_rate(wk_emitter.omega0, geos_wk, material, wk_emitter)
     sweep = [[h, adiabatic_rates(modes, wk_emitter).enhancement, f]
              for h, modes, f in zip(h_wk, modes_by_h, fermi)]
     writer.csv("fig6b.csv", ["h_nm", "gamma_ratio_adiabatic", "gamma_ratio_fermi"],

@@ -13,9 +13,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import UnsupportedOrderError
 from .medium import EmitterSpec, MaterialModel
-from .mie import DEFAULT_N_MAX, green_rr_sweep
+from .mie import green_rr_sweep
 from .constants import HBAR_C_EV_NM
+from .specfun import N_ORDER_MAX
 
 
 @dataclass(frozen=True)
@@ -79,19 +81,29 @@ def purcell_factors(modes, emitter: EmitterSpec) -> WeakCouplingReport:
 
 
 def fermi_rate(omega0: float, geometries, material: MaterialModel,
-               emitter: EmitterSpec, n_max: int = DEFAULT_N_MAX) -> np.ndarray:
+               emitter: EmitterSpec) -> np.ndarray:
     """Golden-rule enhancement gamma_tot/gamma0 = 1 + eta (6 pi/k_b) Im G^rr
     from the exact Mie Green function, one per emitter position around one
     sphere: entry i belongs to geometries[i].
 
-    The geometries share R and eps_b, so every position comes from one
-    green_rr_sweep call (one B_n build); each entry is bitwise what that
-    geometry alone gives.
+    Every entry is summed to the order its closest emitter needs (rho = max
+    R/r_d): the smallest n with quasi-static term ratio t_n/t_1 = ((n+1)/2)^2
+    rho^(2n-2) <= 1e-14, at most N_ORDER_MAX.  A sum whose last term exceeds
+    1e-13 sum_n |Im t_n| raises UnsupportedOrderError (gaps below about R/11).
+    The geometries share R and eps_b, so all come from one green_rr_sweep call.
     """
     geometries = list(geometries)
-    total = np.sum(green_rr_sweep(omega0, geometries, material, n_max), axis=-1)
+    rho = max(g.radius / g.r_d for g in geometries)
+    n_max = next((n for n in range(1, N_ORDER_MAX)
+                  if ((n + 1) / 2) ** 2 * rho ** (2 * n - 2) <= 1e-14), N_ORDER_MAX)
+    terms = green_rr_sweep(omega0, geometries, material, n_max)
+    for geometry, row in zip(geometries, np.abs(terms.imag)):
+        if row[-1] > 1e-13 * np.sum(row):
+            raise UnsupportedOrderError(
+                f"golden-rule Green sum at h = {geometry.h:g} nm has not converged "
+                f"by order {n_max}: last term / sum = {row[-1] / np.sum(row):.1e}")
     kb = geometries[0].n_b * omega0 / HBAR_C_EV_NM
-    return 1.0 + emitter.eta * 6 * math.pi / kb * total.imag
+    return 1.0 + emitter.eta * 6 * math.pi / kb * np.sum(terms, axis=-1).imag
 
 
 def broadened_rate(modes, emitter: EmitterSpec) -> np.ndarray:

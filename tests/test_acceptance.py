@@ -111,7 +111,7 @@ def criterion_3_weak_coupling():
     geo = Geometry.from_surface_distance(8.0, 5.0)
     from plasmon_cqed.weak import adiabatic_rates, fermi_rate
 
-    [fermi] = fermi_rate(omega0, [geo], silver(), em, n_max=40)
+    [fermi] = fermi_rate(omega0, [geo], silver(), em)
     modes = extract_modes(20, geo, silver(), em)
     adiab = adiabatic_rates(modes, em).enhancement
 

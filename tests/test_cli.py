@@ -143,6 +143,19 @@ class TestCliExitCodes:
         with open(os.path.join(out, "modes.json")) as fh:
             assert len(json.load(fh)["modes"]) == 90
 
+    def test_unconverged_green_sum_exit_3(self, tmp_path, capsys):
+        # below a gap of about R/11 the golden-rule sum does not converge
+        # within the order cap
+        cfg = base_config(task="rates")
+        cfg["geometry"]["h_nm"] = 0.5
+        cfg["emitter"] = {"omega0_ev": 1.8505104238, "tau0_ns": 50.0, "eta": 0.9}
+        out = str(tmp_path / "out")
+        assert main(["run", write_config(tmp_path, cfg), "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure in task 'rates'" in err
+        assert "h = 0.5 nm" in err
+        assert glob.glob(os.path.join(out, "rates*")) == []
+
     def test_invalid_json_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
+import scalar_oracle as oracle
 from conftest import synthetic_modes
 from plasmon_cqed.constants import HBAR_C_EV_NM
 from plasmon_cqed.coupling import ModeParams, extract_modes
+from plasmon_cqed.errors import UnsupportedOrderError
 from plasmon_cqed.heff import build_fano, build_standard, evolve
 from plasmon_cqed.medium import EmitterSpec, Geometry
-from plasmon_cqed.mie import green_rr_quasistatic
+from plasmon_cqed.mie import green_rr_quasistatic, green_rr_terms
+from plasmon_cqed.specfun import N_ORDER_MAX
 from plasmon_cqed.weak import (
     adiabatic_rates,
     broadened_rate,
@@ -101,8 +104,7 @@ class TestFermi:
 
     def test_weak_coupling_trio_consistency(self, ag, weak_emitter):
         geo = Geometry.from_surface_distance(8.0, 5.0)
-        [fermi] = fermi_rate(weak_emitter.omega0, [geo], ag, weak_emitter,
-                             n_max=40)
+        [fermi] = fermi_rate(weak_emitter.omega0, [geo], ag, weak_emitter)
         modes = extract_modes(20, geo, ag, weak_emitter)
         adiab = adiabatic_rates(modes, weak_emitter).enhancement
         assert abs(fermi - adiab) / fermi < 0.05
@@ -125,15 +127,41 @@ class TestFermi:
             pytest.approx(1.0, abs=1e-9)
 
     def test_sweep_rows_equal_one_geometry_calls(self, ag, weak_emitter):
-        # the figure suite's distance sweep, one green_rr_sweep call
+        # the figure suite's distance sweep, one green_rr_sweep call summed to
+        # the order that its closest emitter (h = 2 nm) sets
         geos = [Geometry.from_surface_distance(8.0, h)
                 for h in (2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 14.0, 20.0)]
-        sweep = fermi_rate(weak_emitter.omega0, geos, ag, weak_emitter, n_max=40)
+        omega0 = weak_emitter.omega0
+        sweep = fermi_rate(omega0, geos, ag, weak_emitter)
         assert sweep.shape == (len(geos),)
+        rho = max(g.radius / g.r_d for g in geos)
+        order = next(n for n in range(1, N_ORDER_MAX)
+                     if ((n + 1) / 2) ** 2 * rho ** (2 * n - 2) <= 1e-14)
         for geo, rate in zip(geos, sweep):
-            [alone] = fermi_rate(weak_emitter.omega0, [geo], ag, weak_emitter,
-                                 n_max=40)
-            assert rate == alone
+            terms = green_rr_terms(omega0, geo, ag, order)
+            kb = geo.n_b * omega0 / HBAR_C_EV_NM
+            total = np.sum(terms)
+            assert rate == 1.0 + weak_emitter.eta * 6 * math.pi / kb * total.imag
+            # a farther emitter alone stops at its own, lower order
+            [alone] = fermi_rate(omega0, [geo], ag, weak_emitter)
+            assert alone == pytest.approx(rate, rel=1e-13)
+
+    @pytest.mark.parametrize("rho", [0.29, 0.62, 0.8, 0.89, 0.91])
+    def test_sum_matches_the_oracle_at_the_order_cap(self, ag, weak_emitter, rho):
+        # a fixed n_max = 30 was 7.6e-5 low at rho = 0.8
+        geo = Geometry(radius=8.0, eps_b=1.0, r_d=8.0 / rho)
+        omega0 = weak_emitter.omega0
+        terms = oracle.green_terms(omega0, geo, ag, N_ORDER_MAX)
+        kb = geo.n_b * omega0 / HBAR_C_EV_NM
+        expected = 1.0 + weak_emitter.eta * 6 * math.pi / kb * np.sum(terms).imag
+        [rate] = fermi_rate(omega0, [geo], ag, weak_emitter)
+        assert rate == pytest.approx(expected, rel=1e-12)
+
+    def test_unconverged_sum_raises_naming_the_gap(self, ag, weak_emitter):
+        # at h = 0.5 nm (below R/11) the series is still 2% short at order 200
+        geos = [Geometry.from_surface_distance(8.0, h) for h in (5.0, 0.5)]
+        with pytest.raises(UnsupportedOrderError, match="h = 0.5 nm"):
+            fermi_rate(weak_emitter.omega0, geos, ag, weak_emitter)
 
 
 class TestBroadened:
