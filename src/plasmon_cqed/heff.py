@@ -151,10 +151,6 @@ class AmplitudeState:
     c_e: complex
     c_n: np.ndarray
 
-    @property
-    def norm_sq(self) -> float:
-        return float(abs(self.c_e) ** 2 + np.sum(np.abs(self.c_n) ** 2))
-
 
 def _time_grid(times) -> np.ndarray:
     """times as a float array, if it is a finite, nonnegative, nondecreasing
@@ -167,10 +163,11 @@ def _time_grid(times) -> np.ndarray:
     return times
 
 
-def evolve(h: EffectiveHamiltonian, psi0, times) -> list[AmplitudeState]:
-    """Spectral propagation psi(t) = sum_m eta_m |Pi_m^R> e^{-i lambda_m t}.
+def _amplitudes(h: EffectiveHamiltonian, psi0, times) -> np.ndarray:
+    """(len(times), N+1) stack of psi(t_k), columns in the order c_e, c_n.
 
-    Exact for the rational spectrum (no time-stepping error).  Where the
+    Spectral propagation psi(t) = sum_m eta_m |Pi_m^R> e^{-i lambda_m t}:
+    exact for the rational spectrum (no time-stepping error).  Where the
     eigenbasis is near defective (an exceptional point, see BIORTHO_FLOOR) it
     takes exact expm steps instead.  Both routes take the same time grids
     (see _time_grid).
@@ -181,12 +178,20 @@ def evolve(h: EffectiveHamiltonian, psi0, times) -> list[AmplitudeState]:
         dressed = eigendecompose(h)
         eta = dressed.left.conj().T @ psi0
         phases = np.exp(-1j * np.outer(times, dressed.eigenvalues))
-        traj = (phases * eta[None, :]) @ dressed.right.T
+        return (phases * eta[None, :]) @ dressed.right.T
     except NearDefectiveError:
-        traj = _propagate(-1j * h.matrix, psi0, times)
+        return _propagate(-1j * h.matrix, psi0, times)
+
+
+def evolve(h: EffectiveHamiltonian, psi0, times) -> list[AmplitudeState]:
+    """psi(t) at each time as an AmplitudeState: the amplitude stack of
+    _amplitudes (spectral, or exact expm steps at exceptional points), packed
+    one state per time."""
+    traj = _amplitudes(h, psi0, times)
     c_n = traj[:, 1:].copy()
     return [AmplitudeState(t=t, c_e=c_e, c_n=row) for t, c_e, row
-            in zip(times.tolist(), traj[:, 0].tolist(), c_n)]
+            in zip(np.asarray(times, dtype=float).tolist(),
+                   traj[:, 0].tolist(), c_n)]
 
 
 def _propagate(generator: np.ndarray, v0: np.ndarray, times) -> np.ndarray:

@@ -21,8 +21,9 @@ sector indices whose row or column of rho(0) is nonzero):
     rho_k0(t) = W rho_k0(0)[S]         (coherences with |g,0>; rho_0k conjugate)
     rho_00(t) = tr rho(0) - tr rho_1(t)
 
-Only W is propagated.  evolve_master checks this form on the d x d factors
-and takes -i H_eff = A[1:, 1:], A = -i H_S - sum c+c / 2.
+Only W is propagated.  _master_states (the stack behind evolve_master)
+checks this form on the d x d factors and takes -i H_eff = A[1:, 1:],
+A = -i H_S - sum c+c / 2.
 """
 
 from __future__ import annotations
@@ -195,13 +196,6 @@ class DensityMatrix:
     def validate(self) -> None:
         _validate_states(self.rho[None])
 
-    def population(self, index: int) -> float:
-        return float(np.real(self.rho[index, index]))
-
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.rho)))
-
 
 def pure_state(space: StateSpace, index: int) -> DensityMatrix:
     rho = np.zeros((space.dim, space.dim), dtype=complex)
@@ -271,16 +265,17 @@ def _sector_states(gen: np.ndarray, rho: np.ndarray, times) -> np.ndarray:
     return out
 
 
-def evolve_master(liouvillian: Liouvillian, rho0: DensityMatrix,
-                  times) -> list[DensityMatrix]:
-    """Propagate the master equation exactly to the requested times.
+def _master_states(liouvillian: Liouvillian, rho0: DensityMatrix,
+                   times) -> np.ndarray:
+    """(len(times), d, d) stack of rho(t_k): the master equation propagated
+    exactly from rho0.
 
     By sectors (module docstring): the columns S of U(t_k) = expm(-i H_eff t_k)
     that rho0 touches (pure_state: one; the ground state: none) come from
     exact expm steps (heff._propagate), so there is no time-stepping error,
     also where H_eff is defective (exceptional points).  The sector form is
-    checked on the d x d factors (_sector_generator), and every returned
-    state is validated, in one stacked pass.
+    checked on the d x d factors (_sector_generator), and every state of the
+    stack is validated, in one stacked pass.
     """
     rho0.validate()
     dim = rho0.rho.shape[0]
@@ -291,6 +286,14 @@ def evolve_master(liouvillian: Liouvillian, rho0: DensityMatrix,
     # the propagated columns are freed before the validation pass
     rhos = _sector_states(gen, rho0.rho, times)
     _validate_states(rhos)
+    return rhos
+
+
+def evolve_master(liouvillian: Liouvillian, rho0: DensityMatrix,
+                  times) -> list[DensityMatrix]:
+    """rho(t) at each time as a DensityMatrix: the validated state stack of
+    _master_states (exact sector propagation), packed one state per time."""
+    rhos = _master_states(liouvillian, rho0, times)
     return [DensityMatrix(rho=r, t=float(t)) for r, t in zip(rhos, times)]
 
 
@@ -314,9 +317,8 @@ def single_excitation_projection(state: DensityMatrix) -> np.ndarray:
     return state.rho[1:, 1:]
 
 
-def _heff_deviation(states, amps) -> float:
-    """max |rho_1(t) - psi(t) psi(t)+| of master-equation states and H_eff amplitudes."""
-    blocks = np.array([single_excitation_projection(s) for s in states])
-    psi = np.array([[a.c_e, *a.c_n] for a in amps])
+def _heff_deviation(blocks: np.ndarray, psi: np.ndarray) -> float:
+    """max |rho_1(t) - psi(t) psi(t)+| of a (k, N+1, N+1) stack of
+    single-excitation blocks and the (k, N+1) H_eff amplitude stack."""
     return float(np.max(np.abs(
         blocks - psi[:, :, None] * psi[:, None, :].conj()), initial=0.0))

@@ -248,7 +248,7 @@ def criterion_7_route_equivalence():
                 worst_pop = max(worst_pop, float(np.max(np.abs(
                     single_excitation_projection(s)
                     - np.outer(psi, psi.conj())))))
-                worst_trace = max(worst_trace, abs(s.trace - 1.0))
+                worst_trace = max(worst_trace, abs(np.trace(s.rho).real - 1.0))
                 worst_pos = max(worst_pos, -float(np.min(
                     np.linalg.eigvalsh(0.5 * (s.rho + s.rho.conj().T)))))
 

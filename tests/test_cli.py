@@ -156,6 +156,21 @@ class TestCliExitCodes:
         assert "h = 0.5 nm" in err
         assert glob.glob(os.path.join(out, "rates*")) == []
 
+    def test_refused_green_sum_fits_no_modes(self, tmp_path, monkeypatch):
+        # the golden-rule sum does not depend on the modes, so a refused gap
+        # exits before any mode is fitted
+        import plasmon_cqed.tasks as tasks
+
+        def no_fit(*a, **k):
+            pytest.fail("extract_modes ran before the Green sum was refused")
+
+        monkeypatch.setattr(tasks, "extract_modes", no_fit)
+        cfg = base_config(task="rates", n_modes=150)
+        cfg["geometry"]["h_nm"] = 0.5
+        cfg["emitter"] = {"omega0_ev": 1.8505104238, "tau0_ns": 50.0, "eta": 0.9}
+        out = str(tmp_path / "out")
+        assert main(["run", write_config(tmp_path, cfg), "--out", out]) == 3
+
     def test_invalid_json_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -320,6 +335,25 @@ class TestTasks:
         with open(os.path.join(out, "lindblad.json")) as fh:
             payload = json.load(fh)
         assert payload["max_population_deviation"] < 1e-6
+
+    @pytest.mark.parametrize("task", ["lindblad", "dynamics"])
+    def test_task_builds_no_per_time_states(self, tmp_path, monkeypatch, task):
+        # the tasks read the trajectory stacks: the one initial DensityMatrix
+        # is the only per-state object they build
+        from plasmon_cqed.heff import AmplitudeState
+        from plasmon_cqed.lindblad import DensityMatrix
+
+        built = {AmplitudeState: 0, DensityMatrix: 0}
+        for cls in built:
+            def counted(self, *a, _cls=cls, _init=cls.__init__, **k):
+                built[_cls] += 1
+                _init(self, *a, **k)
+            monkeypatch.setattr(cls, "__init__", counted)
+        out = str(tmp_path / "out")
+        assert main(["run", write_config(tmp_path, base_config(task=task)),
+                     "--out", out]) == 0
+        assert built[AmplitudeState] == 0
+        assert built[DensityMatrix] <= 1
 
     def test_lindblad_task_takes_every_mode(self, tmp_path):
         cfg = base_config(task="lindblad")

@@ -13,10 +13,12 @@ from plasmon_cqed.errors import (
     ContractViolationError,
     IncompleteModesError,
     InvalidArgumentError,
+    NearDefectiveError,
     SingularityError,
 )
 from plasmon_cqed.heff import (
     EffectiveHamiltonian,
+    _amplitudes,
     _propagate,
     amplitude_response,
     build_fano,
@@ -169,9 +171,30 @@ class TestEvolve:
         ham = build_standard(synthetic_modes(rng, 5), emitter)
         psi0 = np.zeros(6, complex)
         psi0[0] = 1
-        norms = [s.norm_sq for s in
+        norms = [abs(s.c_e) ** 2 + np.sum(np.abs(s.c_n) ** 2) for s in
                  evolve(ham, psi0, np.linspace(0, 400, 100))]
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
+
+    @pytest.mark.parametrize("route", ["eigen", "exceptional"])
+    def test_states_pack_the_amplitude_stack(self, emitter, route):
+        # a generic H_eff takes the eigen-expansion; g = (Gamma - gamma0)/4
+        # at zero detuning is an exceptional point (expm route)
+        if route == "eigen":
+            modes = synthetic_modes(np.random.default_rng(37), 5)
+        else:
+            modes = [single_mode(gamma=0.1, g=(0.1 - 0.012) / 4)]
+        ham = build_standard(modes, emitter)
+        if route == "exceptional":
+            with pytest.raises(NearDefectiveError):
+                eigendecompose(ham)
+        psi0 = np.zeros(len(modes) + 1, complex)
+        psi0[0] = 1
+        times = np.linspace(0.0, 400.0, 57)
+        stack = _amplitudes(ham, psi0, times)
+        states = evolve(ham, psi0, times)
+        assert [s.t for s in states] == times.tolist()
+        assert np.array([s.c_e for s in states]).tobytes() == stack[:, 0].tobytes()
+        assert np.array([s.c_n for s in states]).tobytes() == stack[:, 1:].tobytes()
 
     @pytest.mark.parametrize("times", [[0.0, 2.0, 1.0], [-1.0, 0.0, 1.0],
                                        [0.0, np.nan], [[0.0, 1.0]]])

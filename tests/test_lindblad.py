@@ -25,6 +25,7 @@ from plasmon_cqed.heff import (
 )
 from plasmon_cqed.lindblad import (
     DensityMatrix,
+    _master_states,
     _validate_states,
     build_dissipators,
     build_liouvillian,
@@ -282,8 +283,8 @@ class TestEvolveMaster:
         times = np.linspace(0, 80.0, 9)
         states = evolve_master(liou, pure_state(space, 2), times)
         for t, s in zip(times, states):
-            assert s.population(2) == pytest.approx(math.exp(-0.04 * t),
-                                                    rel=1e-6)
+            assert s.rho[2, 2].real == pytest.approx(math.exp(-0.04 * t),
+                                                     rel=1e-6)
 
     def test_ground_population_monotone(self, emitter):
         rng = np.random.default_rng(23)
@@ -294,7 +295,7 @@ class TestEvolveMaster:
         liou = build_liouvillian(h_s, dis, space)
         states = evolve_master(liou, pure_state(space, 1),
                                np.linspace(0, 300, 60))
-        ground = [s.population(0) for s in states]
+        ground = [s.rho[0, 0].real for s in states]
         assert all(b >= a - 1e-9 for a, b in zip(ground, ground[1:]))
 
     @pytest.mark.parametrize("times", GRIDS.values(), ids=GRIDS.keys())
@@ -324,6 +325,18 @@ class TestEvolveMaster:
             np.testing.assert_allclose(np.array([s.rho for s in states]),
                                        expm_master(liou, rho0.rho, times),
                                        rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_states_pack_the_state_stack(self, emitter, kind):
+        # a pure state, and a full-rank one with |g,0> coherences
+        _, _, space, liou = liouvillian_for(kind, 3, emitter, [3, 11])
+        times = GRIDS["nonuniform"]
+        for rho0 in (pure_state(space, 1),
+                     mixed_state(np.random.default_rng(61), space.dim)):
+            stack = _master_states(liou, rho0, times)
+            states = evolve_master(liou, rho0, times)
+            assert [s.t for s in states] == times.tolist()
+            assert np.array([s.rho for s in states]).tobytes() == stack.tobytes()
 
     @pytest.mark.parametrize("grid", GRIDS)
     @pytest.mark.parametrize("kind", KINDS)
@@ -510,7 +523,7 @@ class TestEquivalence:
             psi = np.concatenate(([a.c_e], a.c_n))
             np.testing.assert_allclose(single_excitation_projection(s),
                                        np.outer(psi, psi.conj()), atol=1e-6)
-            assert s.trace == pytest.approx(1.0, abs=1e-9)
+            assert np.trace(s.rho).real == pytest.approx(1.0, abs=1e-9)
             evals = np.linalg.eigvalsh(s.rho)
             assert float(np.min(evals)) > -1e-9
             assert float(np.max(np.abs(s.rho - s.rho.conj().T))) < 1e-12
