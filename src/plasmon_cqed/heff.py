@@ -187,11 +187,11 @@ def evolve(h: EffectiveHamiltonian, psi0, times) -> list[AmplitudeState]:
     """psi(t) at each time as an AmplitudeState: the amplitude stack of
     _amplitudes (spectral, or exact expm steps at exceptional points), packed
     one state per time."""
+    times = _time_grid(times)
     traj = _amplitudes(h, psi0, times)
     c_n = traj[:, 1:].copy()
     return [AmplitudeState(t=t, c_e=c_e, c_n=row) for t, c_e, row
-            in zip(np.asarray(times, dtype=float).tolist(),
-                   traj[:, 0].tolist(), c_n)]
+            in zip(times.tolist(), traj[:, 0].tolist(), c_n)]
 
 
 def _propagate(generator: np.ndarray, v0: np.ndarray, times) -> np.ndarray:

@@ -200,10 +200,9 @@ def task_dynamics(sc: Scenario, writer: RunWriter):
 
 
 def task_rates(sc: Scenario, writer: RunWriter):
-    # the golden-rule sum needs no modes and may refuse the gap: sum it first
-    [fermi] = fermi_rate(sc.emitter.omega0, [sc.geometry], sc.material, sc.emitter)
     modes = extract_modes(sc.n_modes, sc.geometry, sc.material, sc.emitter)
     adiab = adiabatic_rates(modes, sc.emitter)
+    [fermi] = fermi_rate(sc.emitter.omega0, [sc.geometry], sc.material, sc.emitter)
     broad = broadened_rate(modes, sc.emitter)
     writer.csv(
         "rates.csv",

@@ -156,21 +156,6 @@ class TestCliExitCodes:
         assert "h = 0.5 nm" in err
         assert glob.glob(os.path.join(out, "rates*")) == []
 
-    def test_refused_green_sum_fits_no_modes(self, tmp_path, monkeypatch):
-        # the golden-rule sum does not depend on the modes, so a refused gap
-        # exits before any mode is fitted
-        import plasmon_cqed.tasks as tasks
-
-        def no_fit(*a, **k):
-            pytest.fail("extract_modes ran before the Green sum was refused")
-
-        monkeypatch.setattr(tasks, "extract_modes", no_fit)
-        cfg = base_config(task="rates", n_modes=150)
-        cfg["geometry"]["h_nm"] = 0.5
-        cfg["emitter"] = {"omega0_ev": 1.8505104238, "tau0_ns": 50.0, "eta": 0.9}
-        out = str(tmp_path / "out")
-        assert main(["run", write_config(tmp_path, cfg), "--out", out]) == 3
-
     def test_invalid_json_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
