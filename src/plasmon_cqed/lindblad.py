@@ -10,20 +10,20 @@ the standard Lindblad form D[c]rho = c rho c+ - {c+c, rho}/2 with c = sqrt(rate)
 which is what is assembled below.
 
 The master equation is kept as its factors (Liouvillian); no (N+2)^2 x
-(N+2)^2 superoperator is formed.  Every channel maps the single-excitation
-block onto |g,0> and annihilates |g,0>, so the jumps c rho c+ only feed
-|g,0><g,0| (the no-jump/jump split of Dalibard, Castin & Molmer, PRL 68, 580
-(1992)), and the rest evolves under A = -i H_eff alone.  With W = U[:, S] the
-columns of U = expm(-i H_eff t), of side N+1, that rho(0) touches (S: the
-sector indices whose row or column of rho(0) is nonzero):
+(N+2)^2 superoperator is formed.  Each channel is c = |g,0><v_c|, kept as
+its row v_c with v_c[0] = 0: c annihilates |g,0>, so the jumps c rho c+
+only feed |g,0><g,0| (the no-jump/jump split of Dalibard, Castin & Molmer,
+PRL 68, 580 (1992)), and the rest evolves under A = -i H_eff alone.  With
+W = U[:, S] the columns of U = expm(-i H_eff t), of side N+1, that rho(0)
+touches (S: the sector indices whose row or column of rho(0) is nonzero):
 
     rho_1(t)  = W rho_1(0)[S, S] W+    (single-excitation block)
     rho_k0(t) = W rho_k0(0)[S]         (coherences with |g,0>; rho_0k conjugate)
     rho_00(t) = tr rho(0) - tr rho_1(t)
 
 Only W is propagated.  _master_states (the stack behind evolve_master)
-checks this form on the d x d factors and takes -i H_eff = A[1:, 1:],
-A = -i H_S - sum c+c / 2.
+checks this form on H_S and the rows and takes -i H_eff = A[1:, 1:],
+A = -i H_S - V+V / 2 with V the (C, d) stack of rows (sum_c c+c = V+V).
 """
 
 from __future__ import annotations
@@ -40,18 +40,15 @@ from .medium import EmitterSpec
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-9
 POSITIVITY_FLOOR = -1e-9
-GENERATOR_TOL = 1e-12  # off-sector entries of H_S or a channel, relative to its max
+GENERATOR_TOL = 1e-12  # off-sector entries of H_S or the rows, relative to its max
 DISSIPATOR_KINDS = ("standard", "fano_radiative", "fano_full")
 
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Operators of the truncated emitter + N-plasmon sector."""
+    """The truncated emitter + N-plasmon sector |g,0>, |e,0>, |g,1_n>."""
 
     n_modes: int
-    sigma_ge: np.ndarray
-    sigma_eg: np.ndarray
-    lowering: tuple  # a_n, n = 1..N
 
     @property
     def dim(self) -> int:
@@ -59,22 +56,19 @@ class StateSpace:
 
 
 def build_state_space(n_modes: int) -> StateSpace:
-    """Sector-restricted sigma and a_n matrices, each |g,0> times a basis bra:
-    a_n |g,1_m> = delta_nm |g,0>, sigma_ge |e,0> = |g,0>."""
     if n_modes < 0:
         raise InvalidArgumentError("n_modes must be >= 0")
-    basis = np.eye(n_modes + 2, dtype=complex)
-    sigma_ge = np.outer(basis[0], basis[1])
-    return StateSpace(n_modes=n_modes, sigma_ge=sigma_ge, sigma_eg=sigma_ge.conj().T,
-                      lowering=tuple(np.outer(basis[0], b) for b in basis[2:]))
+    return StateSpace(n_modes=n_modes)
 
 
 @dataclass(frozen=True)
 class DissipatorSpec:
-    """Collapse channels c_k (rates folded in as amplitudes) for one of the
-    three master equations, and the emitter whose frequency sets the frame."""
+    """Collapse channels c = |g,0><v_c| (rates folded in as amplitudes) for
+    one of the three master equations, as the (C, d) stack of their rows v_c,
+    and the emitter whose frequency sets the frame."""
 
-    channels: tuple  # (label, matrix)
+    labels: tuple          # one name per channel
+    channels: np.ndarray   # (C, d) rows v_c
     emitter: EmitterSpec
 
 
@@ -86,7 +80,8 @@ def _require_rate(value, label):
 
 def build_dissipators(kind: str, modes, emitter: EmitterSpec,
                       space: StateSpace) -> DissipatorSpec:
-    """Collapse channels for the standard, Fano-radiative or full-Fano kinds.
+    """Collapse channels for the standard, Fano-radiative or full-Fano kinds,
+    as rows: sigma_ge = |g,0><e,0| is e_1 and a_n = |g,0><g,1_n| is e_{n+1}.
 
     standard:        sqrt(gamma0) sigma_ge and sqrt(Gamma_n) a_n.
     fano_radiative:  collective c_n = sqrt(gamma0n_rad) sigma_ge + sqrt(Gamma_n_rad) a_n,
@@ -106,40 +101,42 @@ def build_dissipators(kind: str, modes, emitter: EmitterSpec,
         raise InvalidArgumentError(f"unknown dissipator kind {kind!r}")
     if len(modes) != space.n_modes:
         raise InvalidArgumentError("mode count does not match state space")
+    basis = np.eye(space.dim, dtype=complex)
+    sigma, lowering = basis[1], basis[2:]
     channels = []
     if kind == "standard":
         g0 = _require_rate(emitter.gamma0, "gamma0")
-        channels.append(("emitter", math.sqrt(g0) * space.sigma_ge))
-        for mode, a in zip(modes, space.lowering):
+        channels.append(("emitter", math.sqrt(g0) * sigma))
+        for mode, a in zip(modes, lowering):
             g = _require_rate(mode.gamma_n, f"Gamma_{mode.n}")
             channels.append((f"lsp{mode.n}", math.sqrt(g) * a))
     else:
         gamma0n_total = 0.0
-        for mode, a in zip(modes, space.lowering):
+        for mode, a in zip(modes, lowering):
             g_rad = _require_rate(mode.gamma_rad, f"Gamma_{mode.n}^rad")
             alpha = mode.alpha if mode.alpha is not None else 0.0
             # signed emitter-bath amplitude: alpha*g = +-sqrt(gamma0n_rad * Gamma_rad)
             zeta = alpha * mode.g / math.sqrt(g_rad) if g_rad > 0 else 0.0
             gamma0n_total += zeta**2
-            channels.append(
-                (f"collective{mode.n}",
-                 zeta * space.sigma_ge + math.sqrt(g_rad) * a)
-            )
+            channels.append((f"collective{mode.n}",
+                             zeta * sigma + math.sqrt(g_rad) * a))
         rest = emitter.gamma0_rad - gamma0n_total
         if rest < -1e-9 * max(emitter.gamma0_rad, 1e-300):
             raise InvalidRateError(
                 "per-mode gamma0n_rad weights exceed the free-space radiative rate")
         if rest > 0:
-            channels.append(("emitter_rad_rest", math.sqrt(rest) * space.sigma_ge))
+            channels.append(("emitter_rad_rest", math.sqrt(rest) * sigma))
         if kind == "fano_full":
-            for mode, a in zip(modes, space.lowering):
+            for mode, a in zip(modes, lowering):
                 g_nr = _require_rate(mode.gamma_nr or 0.0, f"Gamma_{mode.n}^nr")
                 if g_nr > 0:
                     channels.append((f"nonrad{mode.n}", math.sqrt(g_nr) * a))
             if emitter.gamma0_nr > 0:
                 channels.append(
-                    ("emitter_nr", math.sqrt(emitter.gamma0_nr) * space.sigma_ge))
-    return DissipatorSpec(channels=tuple(channels), emitter=emitter)
+                    ("emitter_nr", math.sqrt(emitter.gamma0_nr) * sigma))
+    rows = np.array([row for _, row in channels], dtype=complex)
+    return DissipatorSpec(labels=tuple(label for label, _ in channels),
+                          channels=rows.reshape(-1, space.dim), emitter=emitter)
 
 
 def build_system_hamiltonian(modes, emitter: EmitterSpec,
@@ -167,11 +164,15 @@ class Liouvillian:
     (d^2, d^2) on column-stacked vec(rho), a matrix never formed here."""
 
     h_s: np.ndarray       # (d, d) hermitian system Hamiltonian
-    channels: np.ndarray  # (C, d, d) stacked collapse operators
+    channels: np.ndarray  # (C, d) rows v_c of the channels c = |g,0><v_c|
 
     def __post_init__(self):
         if np.max(np.abs(self.h_s - self.h_s.conj().T)) > HERMITICITY_TOL:
             raise ContractViolationError("system Hamiltonian must be hermitian")
+        if self.channels.ndim != 2 or self.channels.shape[1] != self.h_s.shape[0]:
+            raise ContractViolationError(
+                f"channels of shape {self.channels.shape} are not rows of "
+                f"length {self.h_s.shape[0]}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -181,9 +182,9 @@ class Liouvillian:
 def build_liouvillian(h_s: np.ndarray, dissipators: DissipatorSpec,
                       space: StateSpace) -> Liouvillian:
     """The master equation of H_S and the dissipators' collapse channels."""
-    chans = np.array([c for _, c in dissipators.channels],
-                     dtype=complex).reshape(-1, space.dim, space.dim)
-    return Liouvillian(h_s=np.asarray(h_s, dtype=complex), channels=chans)
+    del space  # the channel rows already have its dimension
+    return Liouvillian(h_s=np.asarray(h_s, dtype=complex),
+                       channels=dissipators.channels)
 
 
 @dataclass(frozen=True)
@@ -227,23 +228,20 @@ def _validate_states(rhos: np.ndarray) -> None:
         raise
 
 
-def _sector_generator(h_s: np.ndarray, chans: np.ndarray) -> np.ndarray:
-    """-i H_eff = A[1:, 1:] with A = -i H_S - (1/2) sum c+c, for the (d, d)
-    H_S and a (C, d, d) stack of collapse channels.
+def _sector_generator(h_s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """-i H_eff = A[1:, 1:] with A = -i H_S - (1/2) V+V, for the (d, d) H_S
+    and the (C, d) rows V of the channels c = |g,0><v_c|.
 
     Raises ContractViolationError unless H_S has a zero row and column 0 and
-    every channel is nonzero only in row 0 and zero in column 0: the form the
-    sector propagation is exact for, trace-preserving by construction."""
+    every v_c[0] = 0, so that c annihilates |g,0>: the form the sector
+    propagation is exact for, trace-preserving by construction."""
     mag = np.abs(h_s)
     if max(mag[0].max(), mag[:, 0].max()) > GENERATOR_TOL * mag.max():
         raise ContractViolationError(
             "system Hamiltonian couples |g,0> to the single-excitation sector")
-    mag = np.abs(chans)
-    stray = max(mag[:, 1:].max(initial=0.0), mag[:, :, 0].max(initial=0.0))
-    if stray > GENERATOR_TOL * mag.max(initial=0.0):
-        raise ContractViolationError(
-            "collapse channel does not map the sector onto |g,0>")
-    rows = chans.reshape(-1, h_s.shape[0])  # sum_c c+c = rows+ rows
+    mag = np.abs(rows)
+    if mag[:, 0].max(initial=0.0) > GENERATOR_TOL * mag.max(initial=0.0):
+        raise ContractViolationError("collapse channel does not annihilate |g,0>")
     return (-1j * h_s - 0.5 * (rows.conj().T @ rows))[1:, 1:]
 
 
@@ -274,8 +272,8 @@ def _master_states(liouvillian: Liouvillian, rho0: DensityMatrix,
     that rho0 touches (pure_state: one; the ground state: none) come from
     exact expm steps (heff._propagate), so there is no time-stepping error,
     also where H_eff is defective (exceptional points).  The sector form is
-    checked on the d x d factors (_sector_generator), and every state of the
-    stack is validated, in one stacked pass.
+    checked on H_S and the channel rows (_sector_generator), and every state
+    of the stack is validated, in one stacked pass.
     """
     rho0.validate()
     dim = rho0.rho.shape[0]
@@ -305,11 +303,8 @@ def effective_hamiltonian_from_lindblad(h_s: np.ndarray,
     Reproduces the standard matrix for the standard kind and the Fano
     matrices (leaky off-diagonals) for the collective kinds.
     """
-    h_s = np.asarray(h_s, dtype=complex)
-    chans = np.array([c for _, c in dissipators.channels],
-                     dtype=complex).reshape((-1,) + h_s.shape)
-    return EffectiveHamiltonian(matrix=1j * _sector_generator(h_s, chans),
-                                emitter=dissipators.emitter)
+    gen = _sector_generator(np.asarray(h_s, dtype=complex), dissipators.channels)
+    return EffectiveHamiltonian(matrix=1j * gen, emitter=dissipators.emitter)
 
 
 def single_excitation_projection(state: DensityMatrix) -> np.ndarray:

@@ -318,15 +318,15 @@ def check_gauge_invariance() -> CheckResult:
 def check_dissipator_expansion() -> CheckResult:
     # Eq-style collective dissipator equals emitter + LSP + cross terms
     rng = np.random.default_rng(29)
-    space = build_state_space(1)
+    sge, a = (np.outer(np.eye(3)[0], b) for b in np.eye(3)[1:])  # sigma_ge, a_1
+    seg = sge.T
     g0n, grad = 0.004, 0.06
-    c = math.sqrt(g0n) * space.sigma_ge + math.sqrt(grad) * space.lowering[0]
+    c = math.sqrt(g0n) * sge + math.sqrt(grad) * a
     rho = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     rho = 0.5 * (rho + rho.conj().T)
     combined = dissipator_action(c, rho)
-    d_emit = dissipator_action(math.sqrt(g0n) * space.sigma_ge, rho)
-    d_lsp = dissipator_action(math.sqrt(grad) * space.lowering[0], rho)
-    a, sge, seg = space.lowering[0], space.sigma_ge, space.sigma_eg
+    d_emit = dissipator_action(math.sqrt(g0n) * sge, rho)
+    d_lsp = dissipator_action(math.sqrt(grad) * a, rho)
     cross = -0.5 * math.sqrt(g0n * grad) * (
         seg @ a @ rho + rho @ seg @ a - 2 * a @ rho @ seg
         + a.conj().T @ sge @ rho + rho @ a.conj().T @ sge
@@ -392,7 +392,8 @@ def check_lindblad_brute_force() -> CheckResult:
             d = space.dim
             units = np.eye(d * d).reshape(-1, d, d).transpose(0, 2, 1)
             images = -1j * (h_s @ units - units @ h_s) + sum(
-                dissipator_action(c, units) for _, c in dis.channels)
+                dissipator_action(np.outer(np.eye(d)[0], v), units)
+                for v in dis.channels)  # c = |g,0><v|
             # column k of L is vec(images[k])
             dense = images.transpose(0, 2, 1).reshape(d * d, d * d).T
             m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

@@ -40,11 +40,12 @@ def dense_liouvillian(liouvillian):
 
     L = I (x) A + conj(A) (x) I + sum_c conj(c) (x) c with A = -i H_S - K/2 and
     K = sum_c c+c, since vec(X rho Y) = (Y^T (x) X) vec(rho).  Both channel
-    sums are single contractions over the stacked channels.
+    sums are single contractions over the stacked dense channels
+    c = |g,0><v_c|, formed here from the Liouvillian's rows v_c.
     """
-    chans = liouvillian.channels
     dim = liouvillian.h_s.shape[0]
     eye = np.eye(dim)
+    chans = np.einsum("i,cj->cij", eye[0], liouvillian.channels)
     a = -1j * liouvillian.h_s \
         - 0.5 * np.tensordot(chans.conj(), chans, axes=([0, 1], [0, 1]))
     # [j, l, i, k] = sum_c conj(c_jl) c_ik -> kron row j*d + i, column l*d + k
