@@ -174,7 +174,8 @@ def fit_lorentzians(ns, grids, values) -> list:
     in one batch: row i of values (F, P) on row i of grids, mode ns[i].
 
     Entry i of the result is fit i's ModeParams, or the FitFailureError of a
-    fit that failed.  Residuals are normalized by each spectrum's peak, so
+    fit that failed, also of one whose omega_n lies outside its grid row (it
+    never saw its resonance).  Residuals are normalized by each spectrum's peak, so
     the stopping rules are scale-free.  Each grid needs at least
     MIN_GRID_POINTS strictly ascending points, and ns, grids and values must
     match row for row; otherwise InvalidArgumentError is raised.
@@ -201,6 +202,11 @@ def fit_lorentzians(ns, grids, values) -> list:
     rms = np.sqrt(2.0 * cost / values.shape[1]) * scale[live] \
         / np.sqrt(np.mean(values[live] ** 2, axis=-1))
     for i, k in enumerate(live):
+        if errors[i] is None and not grids[k, 0] <= theta[i, 0] <= grids[k, -1]:
+            errors[i] = FitFailureError(
+                f"fitted omega_n = {theta[i, 0]:.6g} eV outside its window "
+                f"{grids[k, 0]:.6g}-{grids[k, -1]:.6g} eV",
+                best_params=theta[i].copy(), best_cost=cost[i])
         fits[k] = errors[i] if errors[i] is not None else ModeParams(
             n=int(ns[k]), omega_n=float(theta[i, 0]),
             gamma_n=float(np.exp(theta[i, 1])), g=float(g[i]),
@@ -332,7 +338,9 @@ def fit_fano_rate(grid, values, n: int, geometry: Geometry, emitter: EmitterSpec
 
     Lossless mode (frozen is None): fits {omega_n, Gamma_rad, g} with
     Gamma_nr pinned to zero.  Both signs of g are tried, as a batch of two
-    fits, so the asymmetry orientation comes out of the data.  Lossy mode:
+    fits, so the asymmetry orientation comes out of the data; an omega_n
+    outside the grid raises FitFailureError, as the grid never saw the
+    resonance.  Lossy mode:
     freezes {omega_n, Gamma_rad, g} from the lossless pre-fit and fits
     Gamma_nr alone.
     """
@@ -369,6 +377,11 @@ def fit_fano_rate(grid, values, n: int, geometry: Geometry, emitter: EmitterSpec
             raise FitFailureError("Fano fit failed from both sign branches")
         best = min(converged, key=lambda i: costs[i])
         wn, gamma_rad = float(theta[best, 0]), math.exp(theta[best, 1])
+        if not grid[0] <= wn <= grid[-1]:
+            raise FitFailureError(
+                f"Fano fit of LSP_{n} at h={geometry.h:g} nm put omega_n = "
+                f"{wn:.6g} eV outside the grid {grid[0]:.6g}-{grid[-1]:.6g} eV",
+                best_params=theta[best].copy(), best_cost=costs[best])
         g_signed = g_unit * float(theta[best, 2])
         gamma_nr = 0.0
     else:

@@ -30,7 +30,8 @@ class NoResonanceError(PlasmonCqedError, ValueError):
 
 
 class FitFailureError(PlasmonCqedError, RuntimeError):
-    """Nonlinear fit did not converge; carries the best iterate found."""
+    """Nonlinear fit did not converge, or its resonance lies off its grid;
+    carries the best iterate found."""
 
     def __init__(self, message, best_params=None, best_cost=None):
         super().__init__(message)

@@ -156,6 +156,39 @@ class TestCliExitCodes:
         assert "h = 0.5 nm" in err
         assert glob.glob(os.path.join(out, "rates*")) == []
 
+    def test_fano_resonance_off_the_grid_exit_3(self, tmp_path, capsys):
+        # the lossless LSP_1 optimum, 3.037 eV, lies above a 2.10-2.60 eV
+        # grid: no Gamma_rad, q_F or F_rad is reported from such a fit
+        cfg = base_config(task="fano", n_modes=1, omega_grid={
+            "min_ev": 2.10, "max_ev": 2.60, "points": 401})
+        cfg["material"] = {"kind": "drude", "eps_inf": 5.0, "omega_p_ev": 8.5,
+                           "gamma_p_ev": 0.151}
+        cfg["geometry"] = {"radius_nm": 36.3, "eps_b": 1.0, "h_nm": 4.0}
+        out = str(tmp_path / "out")
+        assert main(["run", write_config(tmp_path, cfg), "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure in task 'fano'" in err
+        assert "LSP_1 at h=4 nm" in err and "outside the grid" in err
+        assert glob.glob(os.path.join(out, "fano*")) == []
+
+    def test_mode_window_missing_its_peak_exit_3(self, tmp_path, capsys):
+        # low-loss metal in a dense background: the quasi-static window of
+        # LSP_2 (2.2598-2.3049 eV) lies above the retarded peak, and the
+        # fit would settle on the tail at 2.2345 eV; LSP_1's leaky wings are
+        # clamped with a warning first
+        cfg = base_config(n_modes=2)
+        cfg["material"] = {"kind": "drude", "eps_inf": 5.56, "omega_p_ev": 7.76,
+                           "gamma_p_ev": 0.00058}
+        cfg["geometry"] = {"radius_nm": 24.6, "eps_b": 4.0, "h_nm": 1.04}
+        out = str(tmp_path / "out")
+        with pytest.warns(UserWarning, match="negative wings"):
+            code = main(["run", write_config(tmp_path, cfg), "--out", out])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure in task 'fit'" in err
+        assert "LSP_2 at h=1.04 nm" in err
+        assert glob.glob(os.path.join(out, "modes*")) == []
+
     def test_invalid_json_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
