@@ -175,8 +175,8 @@ def fit_lorentzians(ns, grids, values) -> list:
 
     Entry i of the result is fit i's ModeParams, or the FitFailureError of a
     fit that failed, also of one whose omega_n lies outside its grid row (it
-    never saw its resonance).  Residuals are normalized by each spectrum's peak, so
-    the stopping rules are scale-free.  Each grid needs at least
+    never saw its resonance).  Residuals are normalized by each spectrum's
+    peak, so the stopping rules are scale-free.  Each grid needs at least
     MIN_GRID_POINTS strictly ascending points, and ns, grids and values must
     match row for row; otherwise InvalidArgumentError is raised.
     """
