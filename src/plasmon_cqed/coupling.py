@@ -233,7 +233,7 @@ def extract_mode_sweep(n_modes: int, geometries, material: MaterialModel,
     evaluates every (mode, distance) spectrum, each window point at its own
     mode's order, with the sphere's factor built once over all windows.
     All the spectra are then fitted in one fit_lorentzians batch.  Every
-    failed fit is collected and reported with its h.
+    failed fit is collected and reported with its h and its own reason.
     """
     if n_modes < 1:
         raise InvalidArgumentError("n_modes must be >= 1")
@@ -254,7 +254,8 @@ def extract_mode_sweep(n_modes: int, geometries, material: MaterialModel,
                 for i, (n, fit) in enumerate(zip(ns, fits))
                 if isinstance(fit, FitFailureError)]
     if failures:
-        failed = ", ".join(f"LSP_{n} at h={h:g} nm" for n, h, _ in failures)
+        failed = ", ".join(f"LSP_{n} at h={h:g} nm ({exc})"
+                           for n, h, exc in failures)
         raise FitFailureError(f"mode fits failed for {failed}",
                               best_params=[exc for *_, exc in failures])
     return [fits[i::len(geometries)] for i in range(len(geometries))]

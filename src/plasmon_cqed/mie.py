@@ -192,9 +192,11 @@ def green_rr_sweep(omega, geometries, material: MaterialModel,
 
     Terms whose Hankel factors overflow the double range (deep quasi-static
     territory: small k_b R, large n) are replaced element by element by the
-    closed-form polarizability term of that row's geometry, which is exact
-    there to the size of the retardation corrections already far below the
-    geometric decay of the series.
+    closed-form polarizability term of that row's geometry, an approximation:
+    on silver at 2.6 eV (fallback from n = 107 at R = 8 nm to n = 152 at
+    R = 80 nm) it is 1.6e-5 (R = 8 nm) to 8e-4 (R = 80 nm) relative from
+    mpmath's exact term.  The golden-rule sums that weak.fermi_rate accepts
+    stay within 6.4e-13 of mpmath: the fallback tail weighs little there.
     """
     if n_max < 1:
         raise InvalidArgumentError("n_max must be >= 1")

@@ -47,29 +47,16 @@ _MILLER_SEED = 1e-280
 
 
 def _integer_order(n) -> int:
-    """n as a Python int (numpy integers included), so products of orders
-    stay exact; a non-integer order raises InvalidArgumentError."""
+    """n as a Python int (numpy integers included); a non-integer order
+    raises InvalidArgumentError."""
     try:
         return operator.index(n)
     except TypeError:
         raise InvalidArgumentError(f"order must be an integer, got {n!r}") from None
 
 
-def double_factorial(n: int) -> int:
-    """n!! with the conventions (-1)!! = 0!! = 1, exact for any order."""
-    n = _integer_order(n)
-    if n < -1:
-        raise InvalidArgumentError(f"double factorial undefined for n={n}")
-    out = 1
-    k = n
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
-
-
 def log_double_factorial(n: int) -> float:
-    """log(n!!), overflow-safe companion used for large-order prefactors."""
+    """log(n!!), (-1)!! = 0!! = 1, overflow-safe for large-order prefactors."""
     n = _integer_order(n)
     if n < -1:
         raise InvalidArgumentError(f"double factorial undefined for n={n}")

@@ -3,11 +3,14 @@
 Every check recomputes its expected value through a route that does not share
 code with the path being validated: direct power series, Wronskian and
 recurrence identities, finite differences, quadrature, matrix inverses,
-adaptive integration, and brute-force operator algebra.
+adaptive integration, and brute-force operator algebra.  The tests use the
+same routes (series_jn, wronskian, channel_matrix, dense_liouvillian,
+expm_master) instead of copies of their own.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -55,7 +58,7 @@ from .mie import (
     radial_mode_fractions,
 )
 from .specfun import (
-    double_factorial,
+    log_double_factorial,
     riccati_ladders,
     spherical_jn_ladder,
     spherical_yn_ladder,
@@ -69,14 +72,26 @@ class CheckResult:
     detail: str
 
 
-def _series_jn_oracle(n, z):
-    # independent: plain partial sum (60 terms) of the defining power series
-    total = 0.0 + 0.0j
-    for k in range(60):
-        num = (-z * z / 2.0) ** k
-        den = math.factorial(k) * double_factorial(2 * n + 2 * k + 1)
-        total += num / den
-    return z**n * total
+def series_jn(n, z) -> complex:
+    """j_n(z) by its defining power series, summed until a term drops below
+    1e-17 of the sum."""
+    if z == 0:
+        return 1.0 + 0.0j if n == 0 else 0.0 + 0.0j
+    log_lead = n * cmath.log(z) - log_double_factorial(2 * n + 1)
+    if log_lead.real < -745.0:
+        return 0.0 + 0.0j
+    # z^n/(2n+1)!! as a running product: exp of the log form loses
+    # |n log z| eps in its leading term
+    lead = 1.0 + 0.0j
+    for k in range(1, n + 1):
+        lead *= z / (2 * k + 1)
+    total = term = 1.0 + 0.0j
+    for k in range(1, 200):
+        term *= -0.5 * z * z / (k * (2 * n + 2 * k + 1))
+        total += term
+        if abs(term) < 1e-17 * abs(total):
+            break
+    return lead * total
 
 
 def check_bessel_series() -> CheckResult:
@@ -84,13 +99,22 @@ def check_bessel_series() -> CheckResult:
     for n, z in [(0, 1.0 + 0.0j), (5, 2.0 + 0.5j), (3, 1e-4 + 0j),
                  (12, 7.0 - 0.4j), (2, 0.3 + 2.0j)]:
         ours = spherical_jn_ladder(n, z)[n]
-        ref = _series_jn_oracle(n, z)
+        ref = series_jn(n, z)
         worst = max(worst, abs(ours - ref) / max(abs(ref), 1e-300))
     return CheckResult("bessel-series", worst < 1e-10, f"max rel err {worst:.2e}")
 
 
+def wronskian(n: int, z: complex) -> complex:
+    """z^2 (j_n y'_n - j'_n y_n), exactly 1 for n >= 1; the derivatives by
+    the recurrence f'_n = f_(n-1) - (n+1)/z f_n."""
+    j = spherical_jn_ladder(n + 1, z)
+    y = spherical_yn_ladder(n + 1, z)
+    jp = j[n - 1] - (n + 1) / z * j[n]
+    yp = y[n - 1] - (n + 1) / z * y[n]
+    return z * z * (j[n] * yp - jp * y[n])
+
+
 def check_wronskian() -> CheckResult:
-    # z^2 (j_n y'_n - j'_n y_n) = 1, derivatives by recurrence.
     # |Im z| stays moderate: the identity itself is exact but its floating
     # point conditioning degrades like e^(2 Im z).
     rng = np.random.default_rng(11)
@@ -99,12 +123,7 @@ def check_wronskian() -> CheckResult:
         re = 0.1 + 19.9 * rng.random()
         z = complex(re, 1.5 * (2 * rng.random() - 1))
         n = int(rng.integers(1, 21))
-        j = spherical_jn_ladder(n + 1, z)
-        y = spherical_yn_ladder(n + 1, z)
-        jp = j[n - 1] - (n + 1) / z * j[n]
-        yp = y[n - 1] - (n + 1) / z * y[n]
-        w = z * z * (j[n] * yp - jp * y[n])
-        worst = max(worst, abs(w - 1.0))
+        worst = max(worst, abs(wronskian(n, z) - 1.0))
     return CheckResult("wronskian", worst < 1e-8, f"max |W-1| {worst:.2e}")
 
 
@@ -315,10 +334,47 @@ def check_gauge_invariance() -> CheckResult:
     return CheckResult("gauge-invariance", worst < 1e-10, f"max dev {worst:.2e}")
 
 
+def channel_matrix(rows: np.ndarray) -> np.ndarray:
+    """The collapse operator c = |g,0><v| of a row v, or of each row of a
+    (C, d) stack, as d x d matrices."""
+    return np.einsum("i,...j->...ij", np.eye(rows.shape[-1])[0], rows)
+
+
+def dense_liouvillian(liouvillian) -> np.ndarray:
+    """L with d vec(rho)/dt = L vec(rho), column-stacked vec(rho):
+    L = I (x) A + conj(A) (x) I + sum_c conj(c) (x) c with A = -i H_S - K/2
+    and K = sum_c c+c, since vec(X rho Y) = (Y^T (x) X) vec(rho)."""
+    d = liouvillian.h_s.shape[0]
+    eye = np.eye(d)
+    chans = channel_matrix(liouvillian.channels)
+    a = -1j * liouvillian.h_s \
+        - 0.5 * np.tensordot(chans.conj(), chans, axes=([0, 1], [0, 1]))
+    # [j, l, i, k] = sum_c conj(c_jl) c_ik -> kron row j*d + i, column l*d + k
+    jumps = np.tensordot(chans.conj(), chans, axes=(0, 0))
+    return np.kron(eye, a) + np.kron(a.conj(), eye) \
+        + jumps.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def expm_master(liouvillian, rho0, times) -> np.ndarray:
+    """(len(times), d, d) states vec(rho_k) = expm(L (t_k - t_(k-1)))
+    vec(rho_(k-1)) from rho0 at t = 0, L = dense_liouvillian(liouvillian),
+    one expm per distinct step; not validated."""
+    from scipy.linalg import expm
+
+    dense, d = dense_liouvillian(liouvillian), liouvillian.h_s.shape[0]
+    vec, steps, out = np.asarray(rho0, dtype=complex).flatten(order="F"), {}, []
+    for dt in np.diff(np.asarray(times, dtype=float), prepend=0.0):
+        if dt not in steps:
+            steps[dt] = expm(dense * dt)
+        vec = steps[dt] @ vec
+        out.append(vec)
+    return np.reshape(out, (-1, d, d)).transpose(0, 2, 1)
+
+
 def check_dissipator_expansion() -> CheckResult:
     # Eq-style collective dissipator equals emitter + LSP + cross terms
     rng = np.random.default_rng(29)
-    sge, a = (np.outer(np.eye(3)[0], b) for b in np.eye(3)[1:])  # sigma_ge, a_1
+    sge, a = map(channel_matrix, np.eye(3)[1:])  # sigma_ge, a_1
     seg = sge.T
     g0n, grad = 0.004, 0.06
     c = math.sqrt(g0n) * sge + math.sqrt(grad) * a
@@ -375,10 +431,7 @@ def check_lindblad_equivalence() -> CheckResult:
 
 
 def check_lindblad_brute_force() -> CheckResult:
-    # L from its action on each basis matrix E_k (vec E_k = e_k), no kron
-    # algebra; expm(L t) from a full-rank rho0 with |g,0> coherences
-    from scipy.linalg import expm
-
+    # the dense L propagated by expm from a full-rank rho0 with |g,0> coherences
     rng = np.random.default_rng(41)
     em = EmitterSpec(omega0=2.5, d_eg=8.0, eta=0.7, gamma0=0.01)
     times = np.linspace(0.0, 150.0, 7)
@@ -388,21 +441,15 @@ def check_lindblad_brute_force() -> CheckResult:
             space = build_state_space(n_modes)
             modes = _fano_modes(rng, n_modes, em)
             h_s = build_system_hamiltonian(modes, em, space)
-            dis = build_dissipators(kind, modes, em, space)
+            liou = build_liouvillian(h_s, build_dissipators(kind, modes, em, space),
+                                     space)
             d = space.dim
-            units = np.eye(d * d).reshape(-1, d, d).transpose(0, 2, 1)
-            images = -1j * (h_s @ units - units @ h_s) + sum(
-                dissipator_action(np.outer(np.eye(d)[0], v), units)
-                for v in dis.channels)  # c = |g,0><v|
-            # column k of L is vec(images[k])
-            dense = images.transpose(0, 2, 1).reshape(d * d, d * d).T
             m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             rho0 = m @ m.conj().T / np.linalg.norm(m) ** 2
-            states = evolve_master(build_liouvillian(h_s, dis, space),
-                                   DensityMatrix(rho=rho0), times)
-            for t, s in zip(times, states):
-                ref = expm(dense * t) @ rho0.flatten(order="F")
-                worst = max(worst, float(np.max(np.abs(s.rho.flatten(order="F") - ref))))
+            states = evolve_master(liou, DensityMatrix(rho=rho0), times)
+            ref = expm_master(liou, rho0, times)
+            worst = max(worst, float(np.max(np.abs(
+                np.array([s.rho for s in states]) - ref))))
     return CheckResult("lindblad-brute-force", worst < 1e-12, f"max dev {worst:.2e}")
 
 

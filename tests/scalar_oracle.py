@@ -6,11 +6,11 @@ the package evaluates on whole arrays: the Miller downward recurrence started
 at m = max(n_max, |z|) + 32 with rescaling past 1e250 and normalisation
 against j_0/j_1, the upward y_n recurrence, and the closed-form quasi-static
 term wherever the Hankel factors overflow.  Below |z|^2 < 1e-6 (2 n_max + 3)
-the oracle sums the power series, an independent route: the package takes
-its Miller recurrence there, or the limiting form z^n/(2n+1)!! below
-|z|^2 < eps (2 n_max + 3).  B_n enters the Green terms as zeta_n(k_b R) B_n,
-built from logarithmic derivatives, times h_n(x)/x and h_n(x)/(x
-zeta_n(k_b R)), so no step passes through the subnormal range.  The array
+the oracle sums the power series (verify.series_jn), an independent route:
+the package takes its Miller recurrence there, or the limiting form
+z^n/(2n+1)!! below |z|^2 < eps (2 n_max + 3).  B_n enters the Green terms
+as zeta_n(k_b R) B_n, built from logarithmic derivatives, times h_n(x)/x and
+h_n(x)/(x zeta_n(k_b R)), so no step passes through the subnormal range.  The array
 code must reproduce it to rounding.
 
 Each function accepts an optional `branches` set and adds to it the name of
@@ -25,7 +25,7 @@ import numpy as np
 
 from plasmon_cqed.constants import HBAR_C_EV_NM
 from plasmon_cqed.medium import permittivity
-from plasmon_cqed.specfun import log_double_factorial
+from plasmon_cqed.verify import series_jn
 
 RESCALE_LIMIT = 1e250
 MILLER_BUFFER = 32
@@ -34,27 +34,6 @@ MILLER_BUFFER = 32
 def _note(branches, name):
     if branches is not None:
         branches.add(name)
-
-
-def series_jn(n, z):
-    if z == 0:
-        return 1.0 + 0.0j if n == 0 else 0.0 + 0.0j
-    log_lead = n * cmath.log(z) - log_double_factorial(2 * n + 1)
-    if log_lead.real < -745.0:
-        return 0.0 + 0.0j
-    # z^n/(2n+1)!! as a running product: exp of the log form loses
-    # |n log z| eps in its leading term
-    lead = 1.0 + 0.0j
-    for k in range(1, n + 1):
-        lead *= z / (2 * k + 1)
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    for k in range(1, 200):
-        term *= -0.5 * z * z / (k * (2 * n + 2 * k + 1))
-        total += term
-        if abs(term) < 1e-17 * abs(total):
-            break
-    return lead * total
 
 
 def jn_ladder(n_max, z, branches=None):

@@ -1,16 +1,10 @@
-"""Slow independent routes that the package's fast paths are checked against.
+"""Slow independent routes that the package's fast paths are checked against,
+beside those in plasmon_cqed.verify that `--verify` runs too.
 
-dense_liouvillian
-                the (N+2)^2 x (N+2)^2 superoperator of a lindblad.Liouvillian
-                on column-stacked vec(rho), assembled from Kronecker
-                products; the two master-equation oracles below run on it.
 rk45_master     the master equation integrated by adaptive Runge-Kutta 5(4)
-                (scipy solve_ivp), tolerances an order below the state
-                validation floors; checks lindblad.evolve_master.
-expm_master     the master equation propagated by expm(L dt) of the dense
-                Liouvillian on vec(rho), one step per grid interval;
-                checks the sector propagation of lindblad.evolve_master to
-                rounding.
+                (scipy solve_ivp) on verify.dense_liouvillian, tolerances an
+                order below the state validation floors; checks
+                lindblad.evolve_master.
 resolvent_loop  one np.linalg.solve per grid point; checks the closed-form
                 arrowhead resolvent of heff.amplitude_response, which must
                 agree with it to 1e-13 of each column's largest magnitude.
@@ -22,10 +16,10 @@ leastsq_fit     MINPACK's lmdif (Levenberg-Marquardt with a forward-difference
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 from scipy.optimize import leastsq
 
 from plasmon_cqed.errors import FitFailureError, SingularityError
+from plasmon_cqed.verify import dense_liouvillian
 
 RK_RTOL = 1e-10
 RK_ATOL = 1e-13
@@ -33,27 +27,6 @@ LEASTSQ_FTOL = 1e-12
 LEASTSQ_XTOL = 1e-12
 LEASTSQ_GTOL = 1e-10
 LEASTSQ_SUCCESS = (1, 2, 3, 4)  # one of the three tolerances was met
-
-
-def dense_liouvillian(liouvillian):
-    """L with d vec(rho)/dt = L vec(rho), column-stacked vectorization.
-
-    L = I (x) A + conj(A) (x) I + sum_c conj(c) (x) c with A = -i H_S - K/2 and
-    K = sum_c c+c, since vec(X rho Y) = (Y^T (x) X) vec(rho).  Both channel
-    sums are single contractions over the stacked dense channels
-    c = |g,0><v_c|, formed here from the Liouvillian's rows v_c.
-    """
-    dim = liouvillian.h_s.shape[0]
-    eye = np.eye(dim)
-    chans = np.einsum("i,cj->cij", eye[0], liouvillian.channels)
-    a = -1j * liouvillian.h_s \
-        - 0.5 * np.tensordot(chans.conj(), chans, axes=([0, 1], [0, 1]))
-    # [j, l, i, k] = sum_c conj(c_jl) c_ik -> kron row j*d + i, column l*d + k
-    jumps = np.tensordot(chans.conj(), chans, axes=(0, 0))
-    dense = np.kron(eye, a)
-    dense += np.kron(a.conj(), eye)
-    dense += jumps.transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
-    return dense
 
 
 def rk45_master(liouvillian, rho0, times):
@@ -70,24 +43,6 @@ def rk45_master(liouvillian, rho0, times):
     if not sol.success:
         raise RuntimeError(f"RK45 failed: {sol.message}")
     return sol.y.T.reshape(-1, dim, dim).transpose(0, 2, 1)
-
-
-def expm_master(liouvillian, rho0, times):
-    """(len(times), d, d) states vec(rho_k) = expm(L (t_k - t_{k-1})) vec(rho_{k-1})
-    from rho0 at t = 0, L = dense_liouvillian(liouvillian); not validated."""
-    times = np.asarray(times, dtype=float)
-    rho0 = np.asarray(rho0, dtype=complex)
-    dim = rho0.shape[0]
-    dense = dense_liouvillian(liouvillian)
-    steps = {}
-    vec = rho0.flatten(order="F")
-    out = np.empty((times.size, dim * dim), dtype=complex)
-    for k, dt in enumerate(np.diff(times, prepend=0.0)):
-        if dt not in steps:
-            steps[dt] = expm(dense * dt)
-        vec = steps[dt] @ vec
-        out[k] = vec
-    return out.reshape(-1, dim, dim).transpose(0, 2, 1)
 
 
 def resolvent_loop(h, grid):

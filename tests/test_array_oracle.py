@@ -4,12 +4,14 @@ j_n ladder and of high-order Green terms.  The distance sweep's rows are
 checked bitwise against one-geometry calls, and the per-order terms of mode
 windows against the sweep's columns."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle as oracle
+from mpmath_oracle import hn, jn, riccati_prime
 from plasmon_cqed.errors import InvalidArgumentError
 from plasmon_cqed.medium import Geometry, silver, wavenumbers
 from plasmon_cqed.mie import (
@@ -223,7 +225,6 @@ def test_sweep_rejects_a_second_sphere_or_none(other):
 
 
 def test_array_jn_against_mpmath():
-    mpmath = pytest.importorskip("mpmath")
     # a small element (the oracle's power-series region), real and complex
     # Miller elements, metal-interior values
     z = np.array([1e-3, 0.3, 2.0 + 0.5j, 7.0 - 0.4j, 0.12 + 1.3j, 0.4 + 2.5j,
@@ -233,13 +234,11 @@ def test_array_jn_against_mpmath():
         for i, zi in enumerate(z):
             zz = mpmath.mpc(zi)
             for n in (0, 1, 2, 5, 10, 20, 30):
-                ref = complex(mpmath.sqrt(mpmath.pi / (2 * zz))
-                              * mpmath.besselj(n + 0.5, zz))
+                ref = complex(jn(n, zz))
                 assert abs(ladder[i, n] - ref) <= REL_TOL * abs(ref), (zi, n)
 
 
 def test_green_terms_against_mpmath():
-    mpmath = pytest.importorskip("mpmath")
     # orders near and beyond the point where B_n leaves the normal double
     # range, where a directly formed B_n loses bits or underflows to zero
     cases = [(SUBNORMAL_EDGE[:3], SUBNORMAL_EDGE[3][0], (31, 63)),
@@ -248,17 +247,6 @@ def test_green_terms_against_mpmath():
              # eps_m near eps_b, k_m R in the oracle's power-series region
              (SERIES_LEAD[:3], SERIES_LEAD[3][0], (1, 10, SERIES_LEAD[4]))]
     material = silver()
-
-    def bessel(n, z, kind):
-        # j_n (kind "j") or h_n^(1) (kind "h") at z
-        root = mpmath.sqrt(mpmath.pi / (2 * z))
-        j = root * mpmath.besselj(n + 0.5, z)
-        return j if kind == "j" else j + 1j * root * mpmath.bessely(n + 0.5, z)
-
-    def riccati_prime(n, z, kind):
-        # psi_n' (kind "j") or zeta_n' (kind "h") = z f_(n-1) - n f_n
-        return z * bessel(n - 1, z, kind) - n * bessel(n, z, kind)
-
     with mpmath.workdps(40):
         for (radius, h, eps_b), w, orders in cases:
             geometry = Geometry.from_surface_distance(radius, h, eps_b)
@@ -267,12 +255,12 @@ def test_green_terms_against_mpmath():
             kb, km = mpmath.mpc(complex(wn.kb)), mpmath.mpc(complex(wn.km))
             zb, zm, x = kb * radius, km * radius, kb * geometry.r_d
             for n in orders:
-                b = (kb**2 * bessel(n, zb, "j") * riccati_prime(n, zm, "j")
-                     - km**2 * bessel(n, zm, "j") * riccati_prime(n, zb, "j")) / (
-                    km**2 * bessel(n, zm, "j") * riccati_prime(n, zb, "h")
-                    - kb**2 * bessel(n, zb, "h") * riccati_prime(n, zm, "j"))
+                b = (kb**2 * jn(n, zb) * riccati_prime(jn, n, zm)
+                     - km**2 * jn(n, zm) * riccati_prime(jn, n, zb)) / (
+                    km**2 * jn(n, zm) * riccati_prime(hn, n, zb)
+                    - kb**2 * hn(n, zb) * riccati_prime(jn, n, zm))
                 ref = complex(1j * kb / (4 * mpmath.pi) * n * (n + 1) * (2 * n + 1)
-                              * b * (bessel(n, x, "h") / x) ** 2)
+                              * b * (hn(n, x) / x) ** 2)
                 assert abs(terms[n - 1] - ref) <= REL_TOL * abs(ref), (radius, n)
 
 

@@ -11,7 +11,7 @@ import pytest
 from plasmon_cqed.cli import main
 from plasmon_cqed.errors import SchemaError
 from plasmon_cqed.output import validate_manifest
-from plasmon_cqed.scenario import parse_scenario
+from plasmon_cqed.scenario import GridSpec, parse_scenario
 
 
 def base_config(task="fit", **run_extra):
@@ -66,6 +66,20 @@ class TestSchema:
             parse_scenario(cfg)
         assert "run.task" in str(err.value)
 
+    def test_documented_defaults(self):
+        cfg = base_config()
+        del cfg["geometry"]["eps_b"], cfg["emitter"]["gamma0_nr_ev"]
+        for key in ("n_modes", "omega_grid", "time_grid"):
+            del cfg["run"][key]
+        sc = parse_scenario(cfg)
+        assert sc.geometry.eps_b == 1.0
+        assert sc.emitter.eta == 1.0
+        assert sc.n_modes == 6
+        assert sc.omega_grid == GridSpec(2.2, 3.2, 400)
+        assert sc.time_grid == GridSpec(0.0, 500.0, 400)
+        cfg["run"]["omega_grid"] = {"min_ev": 2.4, "max_ev": 3.2}
+        assert parse_scenario(cfg).omega_grid == GridSpec(2.4, 3.2, 200)
+
     def test_lifetime_emitter_accepted(self):
         cfg = base_config()
         cfg["emitter"] = {"omega0_ev": 1.85, "tau0_ns": 50.0, "eta": 0.9}
@@ -106,19 +120,44 @@ class TestCliExitCodes:
         ("material", {"table": [[2.0, -20.0, 0.5], [3.0, math.nan, 0.3]]},
          "material.table"),
         ("material", {"table": {"eV": [2.0, 3.0]}}, "material.table"),
+        ("emitter", [2.94, 24.5], "emitter"),
+        ("geometry", {"radius_nm": "8"}, "geometry.radius_nm"),
+        ("material", {"kind": "drude", "eps_inf": 6.0, "omega_p_ev": 7.9,
+                      "gamma_p_ev": -0.1}, "material.gamma_p_ev"),
+        ("run", {"n_modes": 2.5}, "run.n_modes"),
+        ("run", {"n_modes": 0}, "run.n_modes"),
+        ("run", {"omega_grid": {"min_ev": 2.4, "max_ev": 3.2, "points": 1}},
+         "run.omega_grid.points"),
+        ("run", {"omega_grid": {"min_ev": 2.4, "max_ev": 3.2, "points": True}},
+         "run.omega_grid.points"),
+        ("material", {}, "material"),
+        ("material", {"kind": "lorentz"}, "material.kind"),
+        ("geometry", {"eps_b": 0.5}, "geometry.eps_b"),
+        ("emitter", {"omega0_ev": 1.85, "tau0_ns": 50.0, "eta": 1.5},
+         "emitter.eta"),
+        ("emitter", {"omega0_ev": 1.85, "tau0_ns": 50.0}, "emitter.eta"),
+        ("emitter", {"omega0_ev": 2.94}, "emitter"),
+        ("run", {"omega_grid": {"min_ev": 2.4, "max_ev": 2.4}},
+         "run.omega_grid.max_ev"),
+        ("run", {"out_dir": 5}, "run.out_dir"),
     ], ids=["nan-radius", "inf-eps_b", "nan-eps_b", "huge-integer-h",
             "subnormal-tau0", "missing-file",
             "non-numeric-file", "one-row-table", "descending-table",
-            "nan-table", "object-table"])
+            "nan-table", "object-table", "list-emitter", "string-radius",
+            "negative-gamma_p", "fractional-n_modes", "zero-n_modes",
+            "one-point-grid", "boolean-points", "tabulated-without-data",
+            "unknown-material-kind", "eps_b-below-1", "eta-above-1",
+            "missing-eta", "emitter-without-form", "empty-grid-range",
+            "integer-out_dir"])
     def test_bad_value_exit_2_names_field(self, tmp_path, capsys, block,
                                           value, field):
         # JSON as Python writes it accepts NaN and Infinity; a material
         # file or table the constructors reject is a configuration error too
         (tmp_path / "words.txt").write_text("2.0 minus-ten 0.5\n")
         cfg = base_config()
-        if block == "geometry":  # geometry values edit the block
-            value = {**cfg["geometry"], **value}
-        elif block == "material":  # the others replace it
+        if block in ("geometry", "run"):  # geometry and run values edit
+            value = {**cfg[block], **value}  # the block, the others replace it
+        elif block == "material":  # a material tabulated unless given
             value = {"kind": "tabulated", **value}
             if "file" in value:
                 value["file"] = str(tmp_path / value["file"])
@@ -126,6 +165,13 @@ class TestCliExitCodes:
         out = str(tmp_path / "out")
         assert main(["run", write_config(tmp_path, cfg), "--out", out]) == 2
         assert field in capsys.readouterr().err
+
+    def test_missing_run_block_exit_2(self, tmp_path, capsys):
+        cfg = base_config()
+        del cfg["run"]
+        out = str(tmp_path / "out")
+        assert main(["run", write_config(tmp_path, cfg), "--out", out]) == 2
+        assert "run: missing required block" in capsys.readouterr().err
 
     @pytest.mark.parametrize("task", ["spectra", "fit"])
     def test_n_modes_beyond_the_order_cap_exit_2(self, tmp_path, capsys,
@@ -187,6 +233,7 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "numerical failure in task 'fit'" in err
         assert "LSP_2 at h=1.04 nm" in err
+        assert "outside its window" in err
         assert glob.glob(os.path.join(out, "modes*")) == []
 
     def test_invalid_json_exit_2(self, tmp_path):
@@ -205,6 +252,18 @@ class TestCliExitCodes:
         for w in widths:
             assert abs(w - 0.051) / 0.051 < 0.10
         assert validate_manifest(out) == []
+
+    def test_manifest_names_a_changed_output(self, tmp_path):
+        out = str(tmp_path / "out")
+        cfg = base_config(task="spectra")
+        assert main(["run", write_config(tmp_path, cfg), "--out", out]) == 0
+        path = os.path.join(out, "spectra.csv")
+        with open(path, "rb") as fh:
+            data = bytearray(fh.read())
+        data[-2] ^= 1  # one byte of the last value
+        with open(path, "wb") as fh:
+            fh.write(data)
+        assert validate_manifest(out) == ["spectra.csv"]
 
     def test_failure_removes_partial_outputs(self, tmp_path, monkeypatch):
         # force a numerical failure mid-task and confirm cleanup

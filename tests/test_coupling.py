@@ -177,7 +177,7 @@ class TestModeSweep:
                       for h in (2.0, 5.0, 10.0)]
         with pytest.raises(FitFailureError) as info:
             extract_mode_sweep(3, geometries, ag, strong_emitter)
-        assert str(info.value) == "mode fits failed for LSP_2 at h=5 nm"
+        assert str(info.value) == "mode fits failed for LSP_2 at h=5 nm (forced)"
         assert [str(exc) for exc in info.value.best_params] == ["forced"]
         assert len(seen) == 9  # the other fits still ran
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import synthetic_modes
-from slow_oracle import dense_liouvillian, expm_master, resolvent_loop, rk45_master
+from slow_oracle import resolvent_loop, rk45_master
 from plasmon_cqed.coupling import ModeParams
 from plasmon_cqed.errors import (
     ContractViolationError,
@@ -39,6 +39,7 @@ from plasmon_cqed.lindblad import (
     single_excitation_projection,
 )
 from plasmon_cqed.medium import EmitterSpec
+from plasmon_cqed.verify import channel_matrix, dense_liouvillian, expm_master
 
 
 @pytest.fixture
@@ -63,11 +64,6 @@ def mixed_state(rng, dim):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = m @ m.conj().T
     return DensityMatrix(rho=rho / np.trace(rho).real)
-
-
-def dense(row):
-    """The channel c = |g,0><row| as a matrix, for the dense oracles."""
-    return np.outer(np.eye(row.size)[0], row)
 
 
 def liouvillian_for(kind, n_modes, emitter, seed):
@@ -133,8 +129,8 @@ class TestDissipators:
         rng = np.random.default_rng(3)
         rho = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         rho = 0.5 * (rho + rho.conj().T)
-        total = sum(dissipator_action(dense(v), rho) for v in dis.channels)
-        sigma_ge = dense(np.eye(space.dim)[1])
+        total = sum(dissipator_action(channel_matrix(v), rho) for v in dis.channels)
+        sigma_ge = channel_matrix(np.eye(space.dim)[1])
         expect = dissipator_action(math.sqrt(emitter.gamma0_rad) * sigma_ge, rho)
         np.testing.assert_allclose(total, expect, atol=1e-12)
 
@@ -149,8 +145,8 @@ class TestDissipators:
         rng = np.random.default_rng(5)
         rho = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         rho = 0.5 * (rho + rho.conj().T)
-        coll = dissipator_action(dense(dis.channels[0]), rho)
-        a1 = dense(np.eye(space.dim)[2])
+        coll = dissipator_action(channel_matrix(dis.channels[0]), rho)
+        a1 = channel_matrix(np.eye(space.dim)[2])
         expect = dissipator_action(math.sqrt(0.04) * a1, rho)
         np.testing.assert_allclose(coll, expect, atol=1e-14)
 
@@ -246,7 +242,7 @@ class TestLiouvillian:
             + 1j * rng.standard_normal((space.dim,) * 2)
         rho = 0.5 * (rho + rho.conj().T)
         expect = -1j * (h_s @ rho - rho @ h_s) \
-            + sum(dissipator_action(dense(v), rho) for v in dis.channels)
+            + sum(dissipator_action(channel_matrix(v), rho) for v in dis.channels)
         np.testing.assert_allclose(dense_liouvillian(liou) @ rho.flatten(order="F"),
                                    expect.flatten(order="F"), rtol=0, atol=1e-14)
 
@@ -412,13 +408,20 @@ class TestEvolveMaster:
         with pytest.raises(InvalidArgumentError):
             evolve_master(liou, pure_state(space, 1), times)
 
+    def test_rejects_a_state_of_another_dimension(self, emitter):
+        # a valid state of side N + 3 on an N-mode (side N + 2) Liouvillian
+        *_, liou = liouvillian_for("standard", 2, emitter, 59)
+        with pytest.raises(ContractViolationError, match="5x5 state"):
+            evolve_master(liou, pure_state(build_state_space(3), 1),
+                          np.linspace(0.0, 10.0, 3))
+
     @pytest.mark.parametrize("channel", ["pump", "dephasing"])
     def test_rejects_channels_outside_the_sector(self, emitter, channel):
         h_s, dis, space, _ = liouvillian_for("standard", 2, emitter, 53)
         if channel == "pump":
             # a pump sigma_eg = |e,0><g,0| has no row form, and a dense
             # (C, d, d) stack is not a Liouvillian's channels
-            pump = dense(np.eye(space.dim)[1]).T
+            pump = channel_matrix(np.eye(space.dim)[1]).T
             with pytest.raises(ContractViolationError, match="not rows"):
                 Liouvillian(h_s=h_s, channels=np.array([0.1 * pump]))
             return

@@ -17,7 +17,7 @@ from plasmon_cqed.mie import (
     qs_resonance_frequency,
     radial_mode_fractions,
 )
-from plasmon_cqed.specfun import N_ORDER_MAX, double_factorial
+from plasmon_cqed.specfun import N_ORDER_MAX
 
 
 class TestMieCoefficients:
@@ -149,7 +149,8 @@ class TestQuasiStatic:
             mode = qs_mode_params(n, geo, ag)
             k0r = mode.omega_n / HBAR_C_EV_NM * geo.radius
             exact = mode.omega_res * (n + 1) * k0r ** (2 * n + 1) / (
-                n * double_factorial(2 * n - 1) * double_factorial(2 * n + 1))
+                n * math.prod(range(2 * n - 1, 0, -2))
+                * math.prod(range(2 * n + 1, 0, -2)))
             assert mode.gamma_rad == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize("eps_b", [1.0, 1.77])
