@@ -24,6 +24,10 @@ touches (S: the sector indices whose row or column of rho(0) is nonzero):
 Only W is propagated.  _master_states (the stack behind evolve_master)
 checks this form on H_S and the rows and takes -i H_eff = A[1:, 1:],
 A = -i H_S - V+V / 2 with V the (C, d) stack of rows (sum_c c+c = V+V).
+So rho(t) = P X(t) P+, P = diag(1, W), with the core X(t) rho(0)'s rows and
+columns {0} u S and rho_00(t) in its corner.  rho(0) is validated in full;
+each later state is hermitian with its trace by construction and positive
+exactly when its core, of side 1 + |S|, is (congruence).
 """
 
 from __future__ import annotations
@@ -189,13 +193,18 @@ def build_liouvillian(h_s: np.ndarray, dissipators: DissipatorSpec,
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, trace <= 1, positive-semidefinite state snapshot."""
+    """Hermitian, trace in [0, 1], positive-semidefinite state snapshot."""
 
     rho: np.ndarray
     t: float = 0.0
 
     def validate(self) -> None:
-        _validate_states(self.rho[None])
+        if np.max(np.abs(self.rho - self.rho.conj().T)) > HERMITICITY_TOL:
+            raise ContractViolationError("density matrix not hermitian")
+        trace = float(np.real(np.trace(self.rho)))
+        if not -TRACE_TOL <= trace <= 1.0 + TRACE_TOL:
+            raise ContractViolationError(f"trace {trace} outside [0, 1]")
+        _require_positive(self.rho[None])
 
 
 def pure_state(space: StateSpace, index: int) -> DensityMatrix:
@@ -204,28 +213,14 @@ def pure_state(space: StateSpace, index: int) -> DensityMatrix:
     return DensityMatrix(rho=rho)
 
 
-def _validate_states(rhos: np.ndarray) -> None:
-    """Hermiticity, trace in [0, 1] and positivity of a (k, d, d) stack; rho is
-    positive iff (rho + rho+)/2 + |POSITIVITY_FLOOR| I has a Cholesky factor."""
-    adjoint = np.conjugate(rhos).transpose(0, 2, 1)  # a copy, also for real rhos
-    if np.max(np.abs(rhos - adjoint), initial=0.0) > HERMITICITY_TOL:
-        raise ContractViolationError("density matrix not hermitian")
-    traces = np.real(np.trace(rhos, axis1=1, axis2=2))
-    bad = ~((traces >= -TRACE_TOL) & (traces <= 1.0 + TRACE_TOL))
-    if np.any(bad):
-        raise ContractViolationError(f"trace {float(traces[bad][0])} outside [0, 1]")
-    shifted = np.multiply(0.5, rhos + adjoint, out=adjoint)
-    shifted += abs(POSITIVITY_FLOOR) * np.eye(rhos.shape[-1])
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        for k, rho in enumerate(shifted):  # name the first state that fails
-            try:
-                np.linalg.cholesky(rho)
-            except np.linalg.LinAlgError:
-                raise ContractViolationError(
-                    f"density matrix {k} not positive semidefinite") from None
-        raise
+def _require_positive(stack: np.ndarray) -> None:
+    """Name the first matrix of a hermitian (k, n, n) stack whose lowest
+    eigenvalue lies below POSITIVITY_FLOOR (eigvalsh reads one triangle)."""
+    lowest = np.linalg.eigvalsh(stack)[:, 0]
+    bad = np.flatnonzero(~(lowest >= POSITIVITY_FLOOR))  # NaN fails too
+    if bad.size:
+        raise ContractViolationError(
+            f"density matrix {bad[0]} not positive semidefinite")
 
 
 def _sector_generator(h_s: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -247,7 +242,9 @@ def _sector_generator(h_s: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _sector_states(gen: np.ndarray, rho: np.ndarray, times) -> np.ndarray:
     """(k, d, d) states at the times from rho at t = 0, by the block formulas
-    of the module docstring on the columns W = U[:, S] that rho touches."""
+    of the module docstring on the columns W = U[:, S] that rho touches,
+    each checked on its core X(t); U is a contraction, so X(t) >= floor I
+    gives rho(t) >= floor I."""
     dim = rho.shape[0]
     touched = np.flatnonzero(np.any(rho[1:] != 0, axis=1)
                              | np.any(rho[:, 1:] != 0, axis=0))
@@ -260,6 +257,11 @@ def _sector_states(gen: np.ndarray, rho: np.ndarray, times) -> np.ndarray:
     out[:, 1:, 0] = cols @ rho[1 + touched, 0]
     out[:, 0, 1:] = out[:, 1:, 0].conj()
     out[:, 0, 0] = np.trace(rho) - np.trace(out[:, 1:, 1:], axis1=1, axis2=2)
+    core = np.r_[0, 1 + touched]
+    cores = np.empty((out.shape[0], core.size, core.size), dtype=complex)
+    cores[:] = rho[core[:, None], core]  # complex also for a real rho
+    cores[:, 0, 0] = out[:, 0, 0]
+    _require_positive(cores)
     return out
 
 
@@ -272,8 +274,8 @@ def _master_states(liouvillian: Liouvillian, rho0: DensityMatrix,
     that rho0 touches (pure_state: one; the ground state: none) come from
     exact expm steps (heff._propagate), so there is no time-stepping error,
     also where H_eff is defective (exceptional points).  The sector form is
-    checked on H_S and the channel rows (_sector_generator), and every state
-    of the stack is validated, in one stacked pass.
+    checked on H_S and the channel rows (_sector_generator).  rho0 is
+    validated in full, each later state on its core (_sector_states).
     """
     rho0.validate()
     dim = rho0.rho.shape[0]
@@ -281,16 +283,14 @@ def _master_states(liouvillian: Liouvillian, rho0: DensityMatrix,
         raise ContractViolationError(
             f"Liouvillian of shape {liouvillian.shape} for a {dim}x{dim} state")
     gen = _sector_generator(liouvillian.h_s, liouvillian.channels)
-    # the propagated columns are freed before the validation pass
-    rhos = _sector_states(gen, rho0.rho, times)
-    _validate_states(rhos)
-    return rhos
+    return _sector_states(gen, rho0.rho, times)
 
 
 def evolve_master(liouvillian: Liouvillian, rho0: DensityMatrix,
                   times) -> list[DensityMatrix]:
-    """rho(t) at each time as a DensityMatrix: the validated state stack of
-    _master_states (exact sector propagation), packed one state per time."""
+    """rho(t) at each time as a DensityMatrix: the state stack of
+    _master_states (exact sector propagation, each state checked on its
+    core), packed one state per time."""
     rhos = _master_states(liouvillian, rho0, times)
     return [DensityMatrix(rho=r, t=float(t)) for r, t in zip(rhos, times)]
 

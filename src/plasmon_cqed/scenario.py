@@ -51,10 +51,8 @@ def _number(block, path, key, *, required=True, default=None, positive=False,
     return value
 
 
-def _integer(block, path, key, *, required=True, default=None, minimum=None):
+def _integer(block, path, key, *, default, minimum=None):
     if key not in block:
-        if required:
-            raise SchemaError(f"{path}.{key}", "missing required value")
         return default
     value = block[key]
     if isinstance(value, bool) or not isinstance(value, int):
@@ -158,12 +156,10 @@ def _parse_emitter(block, geometry: Geometry) -> EmitterSpec:
 
 
 def _parse_grid(block, path, *, lo_key, hi_key, positive_lo,
-                default=None) -> GridSpec:
-    """A linspace grid block; positive_lo asks lo_key > 0 (frequencies),
-    otherwise lo_key >= 0 (times)."""
+                default) -> GridSpec:
+    """A linspace grid block, default where it is absent; positive_lo asks
+    lo_key > 0 (frequencies), otherwise lo_key >= 0 (times)."""
     if block is None:
-        if default is None:
-            raise SchemaError(path, "missing required block")
         return default
     block = _require_mapping(block, path)
     _check_keys(block, path, {lo_key, hi_key, "points"})
@@ -171,7 +167,7 @@ def _parse_grid(block, path, *, lo_key, hi_key, positive_lo,
     hi = _number(block, path, hi_key, positive=True)
     if hi <= lo:
         raise SchemaError(f"{path}.{hi_key}", "grid upper bound must exceed lower")
-    points = _integer(block, path, "points", required=False, default=200, minimum=2)
+    points = _integer(block, path, "points", default=200, minimum=2)
     return GridSpec(lo=lo, hi=hi, points=points)
 
 
@@ -190,7 +186,7 @@ def parse_scenario(data: dict) -> Scenario:
     task = run.get("task")
     if task not in TASKS:
         raise SchemaError("run.task", f"expected one of {TASKS}, got {task!r}")
-    n_modes = _integer(run, "run", "n_modes", required=False, default=6, minimum=1)
+    n_modes = _integer(run, "run", "n_modes", default=6, minimum=1)
     if n_modes > N_ORDER_MAX:  # the multipole order cap of the Bessel ladders
         raise SchemaError("run.n_modes", f"must be <= {N_ORDER_MAX}, got {n_modes}")
     omega_grid = _parse_grid(run.get("omega_grid"), "run.omega_grid",

@@ -27,7 +27,9 @@ from plasmon_cqed.lindblad import (
     DensityMatrix,
     Liouvillian,
     _master_states,
-    _validate_states,
+    _require_positive,
+    _sector_generator,
+    _sector_states,
     build_dissipators,
     build_liouvillian,
     build_state_space,
@@ -454,13 +456,11 @@ class TestEvolveMaster:
         (3.0, "outside"),
     ])
     def test_stacked_validation_names_the_failure(self, scale, message):
-        # a half-decayed state after the initial one, its ground population
-        # scaled: by i it is not hermitian, by -1 negative (trace 0), by 3
-        # the trace is 2
-        space = build_state_space(0)
+        # a half-decayed state, its ground population scaled: by i it is not
+        # hermitian, by -1 negative (trace 0), by 3 the trace is 2
         bad = np.diag([0.5 * scale, 0.5])
         with pytest.raises(ContractViolationError, match=message):
-            _validate_states(np.array([pure_state(space, 1).rho, bad]))
+            DensityMatrix(rho=bad).validate()
 
     def test_positivity_floor_boundary(self):
         # rotated states with lowest eigenvalue just above and just below
@@ -483,11 +483,49 @@ class TestEvolveMaster:
             return 0.5 * (rho + rho.conj().T)
 
         stack[123] = with_lowest(-0.9e-9)
-        _validate_states(stack)
+        _require_positive(stack)
         stack[321] = with_lowest(-1.1e-9)
         with pytest.raises(ContractViolationError,
                            match="density matrix 321 not positive"):
-            _validate_states(stack)
+            _require_positive(stack)
+
+    def test_core_check_rejects_an_amplified_trajectory(self, emitter):
+        # gain on the sector generator: W is no contraction, tr rho_1(t)
+        # exceeds tr rho(0) and rho_00(t) goes negative after the first step
+        h_s, dis, space, _ = liouvillian_for("standard", 1, emitter, 67)
+        gen = _sector_generator(h_s, dis.channels) + 0.05 * np.eye(2)
+        with pytest.raises(ContractViolationError,
+                           match="density matrix 1 not positive semidefinite"):
+            _sector_states(gen, pure_state(space, 1).rho,
+                           np.linspace(0.0, 300.0, 50))
+
+    @pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+    def test_real_initial_state(self, emitter):
+        # a real rho(0) with |g,0> coherences: the complex rho_00(t) must
+        # reach the core whole
+        *_, space, liou = liouvillian_for("fano_full", 2, emitter, 41)
+        psi = np.zeros(space.dim)
+        psi[:2] = math.sqrt(0.5)
+        rho0 = np.outer(psi, psi)
+        times = GRIDS["nonuniform"]
+        states = evolve_master(liou, DensityMatrix(rho=rho0), times)
+        np.testing.assert_allclose(np.array([s.rho for s in states]),
+                                   expm_master(liou, rho0, times),
+                                   rtol=0, atol=1e-12)
+
+    def test_validation_makes_no_stack_temporaries(self, emitter):
+        # each state is checked on its 2 x 2 core, not as a (k, d, d) stack
+        # (full-stack validation peaked at 222 MiB against a 63.5 MiB stack)
+        *_, space, liou = liouvillian_for("standard", 100, emitter, 79)
+        times = np.linspace(0.0, 300.0, 400)
+        _master_states(liou, pure_state(space, 1), times)
+        tracemalloc.start()
+        try:
+            stack = _master_states(liou, pure_state(space, 1), times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * stack.nbytes
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_validation_leaves_the_states_untouched(self, dtype):
