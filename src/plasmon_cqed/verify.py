@@ -335,19 +335,23 @@ def check_gauge_invariance() -> CheckResult:
 
 
 def channel_matrix(rows: np.ndarray) -> np.ndarray:
-    """The collapse operator c = |g,0><v| of a row v, or of each row of a
-    (C, d) stack, as d x d matrices."""
-    return np.einsum("i,...j->...ij", np.eye(rows.shape[-1])[0], rows)
+    """The collapse operator c = |g,0><(0, v)| of a sector row v, or of each
+    row of a (C, N+1) stack, as (N+2) x (N+2) matrices."""
+    d = rows.shape[-1] + 1
+    out = np.zeros(rows.shape[:-1] + (d, d), dtype=complex)
+    out[..., 0, 1:] = rows
+    return out
 
 
 def dense_liouvillian(liouvillian) -> np.ndarray:
     """L with d vec(rho)/dt = L vec(rho), column-stacked vec(rho):
-    L = I (x) A + conj(A) (x) I + sum_c conj(c) (x) c with A = -i H_S - K/2
-    and K = sum_c c+c, since vec(X rho Y) = (Y^T (x) X) vec(rho)."""
-    d = liouvillian.h_s.shape[0]
+    L = I (x) A + conj(A) (x) I + sum_c conj(c) (x) c with A = -i H - K/2,
+    H = diag(0, H_S) and K = sum_c c+c, since vec(X rho Y) = (Y^T (x) X)
+    vec(rho)."""
+    d = liouvillian.h_s.shape[0] + 1
     eye = np.eye(d)
     chans = channel_matrix(liouvillian.channels)
-    a = -1j * liouvillian.h_s \
+    a = -1j * np.pad(liouvillian.h_s, (1, 0)) \
         - 0.5 * np.tensordot(chans.conj(), chans, axes=([0, 1], [0, 1]))
     # [j, l, i, k] = sum_c conj(c_jl) c_ik -> kron row j*d + i, column l*d + k
     jumps = np.tensordot(chans.conj(), chans, axes=(0, 0))
@@ -361,7 +365,7 @@ def expm_master(liouvillian, rho0, times) -> np.ndarray:
     one expm per distinct step; not validated."""
     from scipy.linalg import expm
 
-    dense, d = dense_liouvillian(liouvillian), liouvillian.h_s.shape[0]
+    dense, d = dense_liouvillian(liouvillian), liouvillian.h_s.shape[0] + 1
     vec, steps, out = np.asarray(rho0, dtype=complex).flatten(order="F"), {}, []
     for dt in np.diff(np.asarray(times, dtype=float), prepend=0.0):
         if dt not in steps:
@@ -374,7 +378,7 @@ def expm_master(liouvillian, rho0, times) -> np.ndarray:
 def check_dissipator_expansion() -> CheckResult:
     # Eq-style collective dissipator equals emitter + LSP + cross terms
     rng = np.random.default_rng(29)
-    sge, a = map(channel_matrix, np.eye(3)[1:])  # sigma_ge, a_1
+    sge, a = map(channel_matrix, np.eye(2))  # sigma_ge, a_1
     seg = sge.T
     g0n, grad = 0.004, 0.06
     c = math.sqrt(g0n) * sge + math.sqrt(grad) * a

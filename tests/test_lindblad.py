@@ -84,9 +84,10 @@ class TestStateSpace:
 
 @pytest.mark.parametrize("n_modes", range(9))
 def test_system_hamiltonian_is_the_operator_sum(emitter, n_modes):
-    # bitwise, signed zeros included, against sum Delta_n a+a +
-    # g_n (sigma_eg a_n + a+ sigma_ge) from sigma_ge = |g,0><e,0| and
-    # a_n = |g,0><g,1_n|; one mode sits on resonance and is uncoupled
+    # bitwise, signed zeros included, against the sector block of
+    # sum Delta_n a+a + g_n (sigma_eg a_n + a+ sigma_ge) from
+    # sigma_ge = |g,0><e,0| and a_n = |g,0><g,1_n|, whose |g,0> row and
+    # column are zero; one mode sits on resonance and is uncoupled
     modes = synthetic_modes(np.random.default_rng(n_modes), n_modes)
     if modes:
         modes[0] = dataclasses.replace(modes[0], omega_n=emitter.omega0, g=0.0)
@@ -99,11 +100,12 @@ def test_system_hamiltonian_is_the_operator_sum(emitter, n_modes):
         ad = a.conj().T
         expect += mode.detuning(emitter) * (ad @ a)
         expect += mode.g * (sigma_ge.conj().T @ a + ad @ sigma_ge)
+    assert not expect[0].any() and not expect[:, 0].any()
     h = build_system_hamiltonian(modes, emitter, space)
     for part in (np.real, np.imag):
-        np.testing.assert_array_equal(part(h), part(expect))
+        np.testing.assert_array_equal(part(h), part(expect[1:, 1:]))
         np.testing.assert_array_equal(np.signbit(part(h)),
-                                      np.signbit(part(expect)))
+                                      np.signbit(part(expect[1:, 1:])))
 
 
 class TestDissipators:
@@ -132,7 +134,7 @@ class TestDissipators:
         rho = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         rho = 0.5 * (rho + rho.conj().T)
         total = sum(dissipator_action(channel_matrix(v), rho) for v in dis.channels)
-        sigma_ge = channel_matrix(np.eye(space.dim)[1])
+        sigma_ge = channel_matrix(np.eye(space.n_modes + 1)[0])
         expect = dissipator_action(math.sqrt(emitter.gamma0_rad) * sigma_ge, rho)
         np.testing.assert_allclose(total, expect, atol=1e-12)
 
@@ -148,7 +150,7 @@ class TestDissipators:
         rho = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         rho = 0.5 * (rho + rho.conj().T)
         coll = dissipator_action(channel_matrix(dis.channels[0]), rho)
-        a1 = channel_matrix(np.eye(space.dim)[2])
+        a1 = channel_matrix(np.eye(space.n_modes + 1)[1])
         expect = dissipator_action(math.sqrt(0.04) * a1, rho)
         np.testing.assert_allclose(coll, expect, atol=1e-14)
 
@@ -159,10 +161,12 @@ class TestLiouvillian:
         space = build_state_space(2)
         modes = synthetic_modes(rng, 2)
         dis = build_dissipators("standard", modes, emitter, space)
-        h_bad = np.zeros((4, 4), complex)
+        h_bad = np.zeros((3, 3), complex)
         h_bad[1, 2] = 1.0  # not hermitian
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ContractViolationError, match="hermitian"):
             build_liouvillian(h_bad, dis, space)
+        with pytest.raises(ContractViolationError, match="hermitian"):
+            effective_hamiltonian_from_lindblad(h_bad, dis)
 
     def test_unitary_limit_spectrum_imaginary(self, emitter):
         rng = np.random.default_rng(13)
@@ -170,7 +174,7 @@ class TestLiouvillian:
         modes = synthetic_modes(rng, 2)
         dis = build_dissipators("standard", modes, emitter, space)
         empty = dataclasses.replace(dis, labels=(),
-                                    channels=np.zeros((0, space.dim), complex))
+                                    channels=np.zeros((0, space.n_modes + 1), complex))
         h_s = build_system_hamiltonian(modes, emitter, space)
         liou = dense_liouvillian(build_liouvillian(h_s, empty, space))
         lam = np.linalg.eigvals(liou)
@@ -243,7 +247,8 @@ class TestLiouvillian:
         rho = rng.standard_normal((space.dim,) * 2) \
             + 1j * rng.standard_normal((space.dim,) * 2)
         rho = 0.5 * (rho + rho.conj().T)
-        expect = -1j * (h_s @ rho - rho @ h_s) \
+        h = np.pad(h_s, (1, 0))  # diag(0, H_S)
+        expect = -1j * (h @ rho - rho @ h) \
             + sum(dissipator_action(channel_matrix(v), rho) for v in dis.channels)
         np.testing.assert_allclose(dense_liouvillian(liou) @ rho.flatten(order="F"),
                                    expect.flatten(order="F"), rtol=0, atol=1e-14)
@@ -264,7 +269,7 @@ class TestEvolveMaster:
         space = build_state_space(1)
         modes = [ModeParams(n=1, omega_n=2.5, gamma_n=0.04, g=0.0)]
         dis = build_dissipators("standard", modes, emitter, space)
-        h_s = np.zeros((3, 3), complex)
+        h_s = np.zeros((2, 2), complex)
         liou = build_liouvillian(h_s, dis, space)
         times = np.linspace(0, 80.0, 9)
         states = evolve_master(liou, pure_state(space, 2), times)
@@ -423,31 +428,32 @@ class TestEvolveMaster:
         if channel == "pump":
             # a pump sigma_eg = |e,0><g,0| has no row form, and a dense
             # (C, d, d) stack is not a Liouvillian's channels
-            pump = channel_matrix(np.eye(space.dim)[1]).T
+            pump = channel_matrix(np.eye(space.n_modes + 1)[0]).T
             with pytest.raises(ContractViolationError, match="not rows"):
                 Liouvillian(h_s=h_s, channels=np.array([0.1 * pump]))
             return
-        # the ground-state dephasing |g,0><g,0| is a row with a nonzero
-        # |g,0> entry: its jump does not annihilate |g,0>
-        row = 0.1 * np.eye(space.dim, dtype=complex)[0]
+        # the ground-state dephasing |g,0><g,0| needs a |g,0> entry, which
+        # only a full-space (C, N+2) row stack has: refused as rows of the
+        # wrong length by both consumers of the factors
+        rows = np.vstack((np.pad(dis.channels, ((0, 0), (1, 0))),
+                          0.1 * np.eye(space.dim)[0]))
         extra = dataclasses.replace(dis, labels=dis.labels + (channel,),
-                                    channels=np.vstack((dis.channels, row)))
-        liou = build_liouvillian(h_s, extra, space)
-        with pytest.raises(ContractViolationError, match="collapse channel"):
-            evolve_master(liou, pure_state(space, 1), [0.0, 1.0])
-        with pytest.raises(ContractViolationError, match="collapse channel"):
+                                    channels=rows)
+        with pytest.raises(ContractViolationError, match="not rows of length 3"):
+            build_liouvillian(h_s, extra, space)
+        with pytest.raises(ContractViolationError, match="not rows of length 3"):
             effective_hamiltonian_from_lindblad(h_s, extra)
 
     def test_rejects_ground_sector_coupling(self, emitter):
         # a coherent drive between |g,0> and |e,0> is hermitian and keeps the
-        # trace, but mixes the ground state into the sector dynamics
+        # trace, but needs the full-space (N+2)-sided H_S, whose side the
+        # sector rows do not have
         h_s, dis, space, _ = liouvillian_for("fano_full", 2, emitter, 59)
-        driven = h_s.copy()
+        driven = np.pad(h_s, (1, 0))
         driven[0, 1] = driven[1, 0] = 0.01
-        liou = build_liouvillian(driven, dis, space)
-        with pytest.raises(ContractViolationError, match="couples"):
-            evolve_master(liou, pure_state(space, 1), [0.0, 1.0])
-        with pytest.raises(ContractViolationError, match="couples"):
+        with pytest.raises(ContractViolationError, match="not rows of length 4"):
+            build_liouvillian(driven, dis, space)
+        with pytest.raises(ContractViolationError, match="not rows of length 4"):
             effective_hamiltonian_from_lindblad(driven, dis)
 
     @pytest.mark.parametrize("scale, message", [
