@@ -64,11 +64,15 @@ def _band_orders(lo, width: int) -> np.ndarray:
 
 
 def _sphere_ladders(wn: Wavenumbers, radius: float, lo, width: int):
-    """The sphere's side of B_n at each frequency of wn for the orders
-    n = lo+1..lo+width-1 (lo per frequency or one for all), each of shape
-    (..., width - 1): psi_n, psi_n' and zeta_n at k_b R, and the logarithmic
-    derivatives D_n = psi_n'/psi_n at k_m R and G_n = zeta_n'/zeta_n at
-    k_b R."""
+    """The sphere's side of B_n = num / (zeta_n den) at each frequency of wn
+    for the orders n = lo+1..lo+width-1 (lo per frequency or one for all),
+    each of shape (..., width - 1): zeta_n at k_b R and
+
+        num = k_b D_n psi_n - k_m psi_n',   den = k_m G_n - k_b D_n,
+
+    with psi_n, psi_n' at k_b R and the logarithmic derivatives
+    D_n = psi_n'/psi_n at k_m R and G_n = zeta_n'/zeta_n at k_b R, so no
+    product of two small ladder values is formed."""
     orders = _band_orders(lo, width)
     z_b, z_m = wn.kb * radius, wn.km * radius
     j_b = _jn_band(z_b, lo, width)
@@ -77,26 +81,21 @@ def _sphere_ladders(wn: Wavenumbers, radius: float, lo, width: int):
     psi_b, psip_b = _riccati_pair(z_b, j_b[..., :-1], j_b[..., 1:], orders)
     zeta_b, zetap_b = _riccati_pair(z_b, h_b[..., :-1], h_b[..., 1:], orders)
     psi_m, psip_m = _riccati_pair(z_m, j_m[..., :-1], j_m[..., 1:], orders)
-    return psi_b, psip_b, zeta_b, psip_m / psi_m, zetap_b / zeta_b
+    d_m, g_b = psip_m / psi_m, zetap_b / zeta_b
+    kb, km = _column(wn.kb), _column(wn.km)
+    return zeta_b, kb * d_m * psi_b - km * psip_b, km * g_b - kb * d_m
 
 
 def mie_coefficients(n: int, omega: float, geometry: Geometry,
                      material: MaterialModel) -> complex:
     """Exact TM Mie coefficient B_n of the scattered-field expansion (the one
-    a radial dipole excites),
-
-    B_n = (k_b D_n psi_n - k_m psi_n') / (zeta_n (k_m G_n - k_b D_n)),
-
-    with psi_n, zeta_n at k_b R and the logarithmic derivatives of
-    _sphere_ladders, so no product of two small ladder values is formed.
-    """
+    a radial dipole excites), num / (zeta_n den) from _sphere_ladders."""
     if n < 1:
         raise InvalidArgumentError("Mie order starts at n=1")
     wn = wavenumbers(geometry, material, omega)
-    psi, psip, zeta, d_m, g_b = (
+    zeta, num, den = (
         complex(v[0]) for v in _sphere_ladders(wn, geometry.radius, n - 1, 2))
-    kb, km = complex(wn.kb), complex(wn.km)
-    return (kb * d_m * psi - km * psip) / (zeta * (km * g_b - kb * d_m))
+    return num / (zeta * den)
 
 
 @dataclass(frozen=True)
@@ -139,12 +138,11 @@ def _green_terms(omega, lo, width: int, geometries,
     wn = wavenumbers(geometries[0], material, omega)
     lo = np.broadcast_to(lo, omega.shape)
     orders = _band_orders(lo, width).astype(float)
-    kb, km = _column(wn.kb), _column(wn.km)
+    kb = _column(wn.kb)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        psi, psip, zeta, d_m, g_b = _sphere_ladders(
-            wn, geometries[0].radius, lo, width)
+        zeta, num, den = _sphere_ladders(wn, geometries[0].radius, lo, width)
         sphere = (1j * kb / (4 * math.pi)) * orders * (orders + 1) \
-            * (2 * orders + 1) * (kb * d_m * psi - km * psip) / (km * g_b - kb * d_m)
+            * (2 * orders + 1) * num / den
     terms = np.empty((len(geometries),) + sphere.shape, dtype=complex)
     step = max(1, _HANKEL_BLOCK_POINTS // max(omega.size, 1))
     for first in range(0, len(geometries), step):
