@@ -38,8 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command != "run":  # pragma: no cover - argparse enforces this
-        return EXIT_SCHEMA
     try:
         scenario = load_scenario(args.config)
     except SchemaError as exc:

@@ -65,10 +65,13 @@ class MaterialModel:
         return cls.tabulated(rows)
 
     def lossless(self) -> "MaterialModel":
-        """Drude copy with gamma_p = 0 (radiation-only studies)."""
-        if self.kind != "drude":
-            raise InvalidArgumentError("lossless() only defined for Drude models")
-        return MaterialModel.drude(self.eps_inf, self.omega_p, 0.0)
+        """Copy without absorption (radiation-only studies): a Drude model
+        with gamma_p = 0, or the table with its Im eps column zeroed."""
+        if self.kind == "drude":
+            return MaterialModel.drude(self.eps_inf, self.omega_p, 0.0)
+        table = self.table.copy()
+        table[:, 2] = 0.0
+        return MaterialModel.tabulated(table)
 
 
 def silver() -> MaterialModel:

@@ -481,13 +481,15 @@ def run_scenario(sc: Scenario, out_dir: str | None = None):
     import time
 
     target = out_dir or sc.out_dir
-    writer = RunWriter(target)
-    runner = TASK_RUNNERS.get(sc.task)
-    if runner is None:
-        raise SchemaError("run.task", f"unknown task {sc.task!r}")
+    try:
+        writer = RunWriter(target)
+    except OSError as exc:
+        raise SchemaError("--out" if out_dir else "run.out_dir",
+                          f"cannot create output directory {target!r}: "
+                          f"{exc.strerror}") from exc
     start = time.perf_counter()
     try:
-        runner(sc, writer)
+        TASK_RUNNERS[sc.task](sc, writer)
     except Exception:
         writer.discard_all()
         raise

@@ -11,7 +11,8 @@ import pytest
 from plasmon_cqed.cli import main
 from plasmon_cqed.errors import SchemaError
 from plasmon_cqed.output import validate_manifest
-from plasmon_cqed.scenario import GridSpec, parse_scenario
+from plasmon_cqed.scenario import TASKS, GridSpec, parse_scenario
+from plasmon_cqed.tasks import TASK_RUNNERS
 
 
 def base_config(task="fit", **run_extra):
@@ -37,6 +38,14 @@ def write_config(tmp_path, cfg, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def drude_silver_table():
+    """Drude silver of base_config sampled every 0.01 eV over 1.0-4.5 eV, as
+    rows (hbar omega eV, Re eps, Im eps)."""
+    w = np.linspace(1.0, 4.5, 351)
+    eps = 6.0 - 7.90**2 / (w**2 + 1j * 0.051 * w)
+    return np.column_stack([w, eps.real, eps.imag]).tolist()
 
 
 class TestSchema:
@@ -65,6 +74,9 @@ class TestSchema:
         with pytest.raises(SchemaError) as err:
             parse_scenario(cfg)
         assert "run.task" in str(err.value)
+
+    def test_every_task_has_a_runner(self):
+        assert set(TASKS) == set(TASK_RUNNERS)
 
     def test_documented_defaults(self):
         cfg = base_config()
@@ -235,6 +247,22 @@ class TestCliExitCodes:
         assert "LSP_2 at h=1.04 nm" in err
         assert "outside its window" in err
         assert glob.glob(os.path.join(out, "modes*")) == []
+
+    @pytest.mark.parametrize("via", ["--out", "run.out_dir"])
+    def test_unusable_output_directory_exit_2(self, tmp_path, capsys, via):
+        # a directory cannot be made below a regular file
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        target = str(blocker / "out")
+        cfg = base_config(task="spectra", out_dir=target)
+        argv = ["run", write_config(tmp_path, cfg)]
+        if via == "--out":
+            cfg["run"]["out_dir"] = str(tmp_path / "unused")
+            argv = ["run", write_config(tmp_path, cfg), "--out", target]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {via}: cannot create output directory" in err
+        assert "Traceback" not in err
 
     def test_invalid_json_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -446,6 +474,42 @@ class TestTasks:
             payload = json.load(fh)
         assert payload["n_modes"] == 12
         assert payload["max_population_deviation"] <= 1e-6
+
+    @pytest.mark.parametrize("task", ["spectra", "fit", "dressed", "dynamics",
+                                      "rates", "lindblad"])
+    def test_tabulated_material_tasks(self, tmp_path, capsys, task):
+        # as documented: the coupling table runs, the tasks that need the
+        # quasi-static mode model refuse a table
+        cfg = base_config(task=task)
+        cfg["material"] = {"kind": "tabulated", "table": drude_silver_table()}
+        out = str(tmp_path / "out")
+        code = main(["run", write_config(tmp_path, cfg), "--out", out])
+        if task == "spectra":
+            assert code == 0
+            return
+        assert code == 3
+        assert "quasi-static closed forms assume a Drude metal" in \
+            capsys.readouterr().err
+
+    def test_fano_task_on_a_tabulated_material(self, tmp_path):
+        # the lossless counterpart of a table is the table with Im eps = 0;
+        # silver tabulated every 0.01 eV gives the Drude scalars
+        with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "configs", "fano_r50.json")) as fh:
+            cfg = json.load(fh)
+        payloads = {}
+        for kind in ("drude", "tabulated"):
+            if kind == "tabulated":
+                cfg["material"] = {"kind": "tabulated",
+                                   "table": drude_silver_table()}
+            out = str(tmp_path / kind)
+            assert main(["run", write_config(tmp_path, cfg), "--out", out]) == 0
+            with open(os.path.join(out, "fano.json")) as fh:
+                payloads[kind] = json.load(fh)
+        for key in ("omega1_ev", "gamma1_rad_ev", "q_fano", "f_rad",
+                    "gamma1_nr_ev", "f_p"):
+            assert payloads["tabulated"][key] == pytest.approx(
+                payloads["drude"][key], rel=5e-3), key
 
     def test_weak_coupling_lindblad_passes(self, tmp_path):
         # weakly coupled emitter over a window long after its decay: an
