@@ -119,10 +119,10 @@ class DressedSet:
         return np.abs(self.right.T) ** 2
 
 
-def eigendecompose(h: EffectiveHamiltonian | np.ndarray) -> DressedSet:
+def eigendecompose(h: EffectiveHamiltonian) -> DressedSet:
     """All eigenpairs of the dense complex matrix, sorted by real part,
     normalized so <Pi_L|Pi_R> = 1 with left vectors from the symmetric gauge."""
-    matrix = h.matrix if isinstance(h, EffectiveHamiltonian) else np.asarray(h)
+    matrix = h.matrix
     if not np.all(np.isfinite(matrix)):
         raise InvalidArgumentError("Hamiltonian has non-finite entries")
     try:
@@ -242,16 +242,14 @@ def _propagate(generator: np.ndarray, v0: np.ndarray, times) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolarizationSpectrum:
-    grid: np.ndarray          # absolute hbar*omega, eV
     values: np.ndarray
 
 
 def polarization_spectrum(h: EffectiveHamiltonian, grid) -> PolarizationSpectrum:
     """Near-field polarization spectrum for an initially excited emitter,
     P(w) = |C_e(w)|^2 by the closed-form resolvent of amplitude_response."""
-    grid = np.asarray(grid, dtype=float)
     values = np.abs(amplitude_response(h, grid)[:, 0]) ** 2
-    return PolarizationSpectrum(grid=grid, values=values)
+    return PolarizationSpectrum(values=values)
 
 
 def polarization_integral(h: EffectiveHamiltonian) -> float:
@@ -306,7 +304,6 @@ def amplitude_response(h: EffectiveHamiltonian, grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RadiatedSpectrum:
-    grid: np.ndarray
     p_rad: np.ndarray
     lsp1_population: np.ndarray   # |C_1(w)|^2 far-field proxy
     gamma_rad: np.ndarray         # frequency-dependent radiative rate, eV
@@ -328,8 +325,7 @@ def radiated_spectrum(h: EffectiveHamiltonian, grid, geometry: Geometry,
         * (1.0 + 4.0 * np.abs(alpha_eff) ** 2 / geometry.r_d**6)
     p_rad = g_rad * p_of_w / (2.0 * math.pi)
     lsp1 = np.abs(amps[:, 1]) ** 2 if h.n_modes >= 1 else np.zeros_like(grid)
-    return RadiatedSpectrum(grid=grid, p_rad=p_rad, lsp1_population=lsp1,
-                            gamma_rad=g_rad)
+    return RadiatedSpectrum(p_rad=p_rad, lsp1_population=lsp1, gamma_rad=g_rad)
 
 
 def flip_coupling_gauge(h: EffectiveHamiltonian, signs) -> EffectiveHamiltonian:
