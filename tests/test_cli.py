@@ -269,6 +269,11 @@ class TestCliExitCodes:
         path.write_text("{not json")
         assert main(["run", str(path)]) == 2
 
+    def test_unreadable_config_exit_2(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path / "missing.json")]) == 2
+        assert "configuration error: <config>: cannot read" in \
+            capsys.readouterr().err
+
     def test_fit_task_end_to_end(self, tmp_path):
         out = str(tmp_path / "out")
         code = main(["run", write_config(tmp_path, base_config()), "--out", out])

@@ -21,7 +21,7 @@ from plasmon_cqed.coupling import (
     rate_spectrum_lsp,
 )
 from plasmon_cqed.errors import FitFailureError, InvalidArgumentError
-from plasmon_cqed.medium import EmitterSpec, Geometry, radiative_rate
+from plasmon_cqed.medium import EmitterSpec, Geometry, radiative_rate, silver
 from plasmon_cqed.mie import green_rr_terms, radial_mode_fractions
 from plasmon_cqed.weak import fano_adiabatic
 
@@ -390,3 +390,28 @@ class TestSpectrumIO:
         grid = np.linspace(2.0, 3.0, 60)
         with pytest.raises(FitFailureError):
             fit_one(grid, np.zeros(60))
+
+
+GRID = np.linspace(2.2, 3.1, 60)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda geo, em: extract_mode_sweep(0, [geo], silver(), em),
+     InvalidArgumentError, "n_modes must be >= 1"),
+    (lambda geo, em: fit_fano_rate(GRID[:49], np.ones(49), 1, geo, em),
+     InvalidArgumentError, "matching grid of >= 50 points"),
+    (lambda geo, em: fit_fano_rate(GRID, np.ones(59), 1, geo, em),
+     InvalidArgumentError, "matching grid of >= 50 points"),
+    (lambda geo, em: fit_fano_rate(GRID, np.zeros(60), 1, geo, em),
+     FitFailureError, "rate spectrum is identically zero"),
+    (lambda geo, em: fit_fano_rate(
+        GRID, np.ones(60), 1, geo, em,
+        frozen=ModeParams(n=1, omega_n=2.6, gamma_n=0.3, g=1e-4)),
+     InvalidArgumentError, "frozen mode must carry gamma_rad"),
+], ids=["no-modes", "short-grid", "mismatched-grid", "zero-spectrum",
+        "frozen-without-gamma-rad"])
+def test_rejects_invalid_input(call, error, message):
+    geometry = Geometry.from_surface_distance(50.0, 30.0)
+    emitter = EmitterSpec.from_dipole(2.6, 1.0)
+    with pytest.raises(error, match=message):
+        call(geometry, emitter)

@@ -426,3 +426,26 @@ class TestFanoContinuity:
         # halving alpha roughly halves the deviation
         assert deviations[1] / deviations[0] == pytest.approx(0.5, abs=0.2)
         assert deviations[2] / deviations[1] == pytest.approx(0.5, abs=0.2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda em: build_standard([single_mode(gamma=0.0)], em),
+     "mode 1 has non-positive width"),
+    (lambda em: build_fano([single_mode(gamma_rad=0.05, alpha=0.1)], em,
+                           "lossy"),
+     "unknown Fano variant 'lossy'"),
+    (lambda em: build_standard([], em), "at least one mode required"),
+    (lambda em: eigendecompose(
+        build_standard([single_mode(omega_n=math.nan)], em)),
+     "Hamiltonian has non-finite entries"),
+    (lambda em: amplitude_response(
+        build_standard([single_mode(omega_n=math.nan)], em), [2.7]),
+     "Hamiltonian has non-finite entries"),
+    (lambda em: flip_coupling_gauge(build_standard([single_mode()], em),
+                                    [1.0, -1.0]),
+     "one sign per mode required"),
+], ids=["zero-width", "unknown-variant", "no-modes", "nan-eigendecompose",
+        "nan-amplitude-response", "sign-count"])
+def test_rejects_invalid_input(emitter, call, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        call(emitter)

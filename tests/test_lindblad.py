@@ -635,3 +635,23 @@ class TestDensityMatrix:
         space = build_state_space(5)
         assert space.dim**2 == 49
         assert space.n_modes + 1 == 6
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda em: build_state_space(-1), InvalidArgumentError,
+     "n_modes must be >= 0"),
+    (lambda em: build_dissipators("dephasing", [], em, build_state_space(0)),
+     InvalidArgumentError, "unknown dissipator kind 'dephasing'"),
+    (lambda em: build_dissipators("standard", [], em, build_state_space(1)),
+     InvalidArgumentError, "mode count does not match state space"),
+    # gamma0n_rad = (alpha g)^2 / Gamma_rad = 0.25 eV > gamma0_rad = 7 meV
+    (lambda em: build_dissipators(
+        "fano_radiative",
+        [ModeParams(n=1, omega_n=2.5, gamma_n=0.05, g=0.01, gamma_rad=0.04,
+                    gamma_nr=0.01, alpha=10.0)],
+        em, build_state_space(1)),
+     InvalidRateError, "weights exceed the free-space radiative rate"),
+], ids=["negative-n-modes", "unknown-kind", "mode-count", "excess-weight"])
+def test_rejects_invalid_input(emitter, call, error, message):
+    with pytest.raises(error, match=message):
+        call(emitter)

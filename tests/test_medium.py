@@ -11,6 +11,7 @@ from plasmon_cqed.medium import (
     EmitterSpec,
     Geometry,
     MaterialModel,
+    dipole_from_radiative_rate,
     permittivity,
     radiative_rate,
     silver,
@@ -162,3 +163,34 @@ class TestGeometry:
     def test_vacuum_background_floor(self):
         with pytest.raises(InvalidArgumentError):
             Geometry(radius=8.0, eps_b=0.5, r_d=10.0)
+
+
+def test_lossless_table_zeroes_its_absorption():
+    rows = [(2.0, -5.0, 0.3), (3.0, -1.0, 0.5)]
+    lossless = MaterialModel.tabulated(rows).lossless()
+    np.testing.assert_array_equal(lossless.table,
+                                  [(2.0, -5.0, 0.0), (3.0, -1.0, 0.0)])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: MaterialModel(kind="lorentz"), "unknown material kind 'lorentz'"),
+    (lambda: MaterialModel.drude(6.0, 0.0, 0.05), "Drude omega_p must be > 0"),
+    (lambda: MaterialModel.drude(6.0, 7.9, -0.01), "Drude gamma_p must be >= 0"),
+    (lambda: MaterialModel.tabulated([(2.0, -5.0, 0.3), (3.0, -1.0, -0.1)]),
+     r"table Im\(eps\) must be >= 0"),
+    (lambda: Geometry.from_surface_distance(0.0, 2.0), "radius must be > 0"),
+    (lambda: dipole_from_radiative_rate(-1e-9, 2.5), "gamma_rad must be >= 0"),
+    (lambda: EmitterSpec(omega0=0.0, d_eg=1.0, eta=1.0, gamma0=0.01),
+     "omega0 must be > 0"),
+    (lambda: EmitterSpec(omega0=2.5, d_eg=-1.0, eta=1.0, gamma0=0.01),
+     "d_eg must be >= 0"),
+    (lambda: EmitterSpec(omega0=2.5, d_eg=1.0, eta=1.0, gamma0=-0.01),
+     "gamma0 must be >= 0"),
+    (lambda: EmitterSpec.from_lifetime(2.5, 0.0, 0.9), "tau0 must be > 0"),
+    (lambda: EmitterSpec.from_dipole(2.5, 1.0, -0.01),
+     "gamma0_nr must be >= 0"),
+], ids=["unknown-kind", "omega-p", "gamma-p", "table-gain", "radius",
+        "gamma-rad", "omega0", "d-eg", "gamma0", "tau0", "gamma0-nr"])
+def test_rejects_invalid_input(call, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        call()

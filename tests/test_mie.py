@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from plasmon_cqed.constants import HBAR_C_EV_NM
-from plasmon_cqed.errors import NoResonanceError
-from plasmon_cqed.medium import Geometry, MaterialModel
+from plasmon_cqed.errors import InvalidArgumentError, NoResonanceError
+from plasmon_cqed.medium import Geometry, MaterialModel, silver
 from plasmon_cqed.mie import (
     green_rr_quasistatic,
     green_rr_scattered,
+    green_rr_sweep,
     green_rr_terms,
     mie_coefficients,
     qs_coupling_strength,
@@ -217,3 +218,20 @@ class TestGreenQuasistatic:
         exact = green_rr_scattered(w, small_geometry, ag, 1).per_mode[0]
         approx = green_rr_quasistatic(w, small_geometry, ag, 1)
         assert abs(approx.imag - exact.imag) / abs(exact.imag) < 0.15
+
+
+GEOMETRY = Geometry.from_surface_distance(8.0, 2.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mie_coefficients(0, 2.9, GEOMETRY, silver()),
+     "Mie order starts at n=1"),
+    (lambda: qs_polarizability(0, 2.9, GEOMETRY, silver()),
+     "multipole order starts at n=1"),
+    (lambda: green_rr_sweep(2.9, [GEOMETRY], silver(), 0),
+     "n_max must be >= 1"),
+    (lambda: radial_mode_fractions(5, [1.0, 0.0]), "k_b r_d must be > 0"),
+], ids=["mie-order", "qs-order", "n-max", "zero-distance"])
+def test_rejects_invalid_input(call, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        call()
