@@ -10,16 +10,15 @@ the standard Lindblad form D[c]rho = c rho c+ - {c+c, rho}/2 with c = sqrt(rate)
 which is what is assembled below.
 
 The master equation is kept as its factors (Liouvillian), both on the
-single-excitation sector {|e,0>, |g,1_n>} of side N+1, emitter at index 0
-as in H_eff; no (N+2)^2 x (N+2)^2 superoperator is formed.  H_S is the
-(N+1)-sided sector block (its |g,0> row and column are zero), and each
-channel is c = |g,0><(0, v_c)|, kept as its sector row v_c.  c annihilates
-|g,0>, so the jumps c rho c+ only feed |g,0><g,0| (the no-jump/jump split of
-Dalibard, Castin & Molmer, PRL 68, 580 (1992)), and the rest evolves under
--i H_eff = -i H_S - V+V / 2 alone, V the (C, N+1) stack of rows
-(sum_c c+c = diag(0, V+V)).  With W = U[:, S] the columns of U = expm(-i H_eff t)
-that rho(0) touches (S: the sector indices whose row or column of rho(0)
-is nonzero):
+single-excitation sector {|e,0>, |g,1_n>} of side N+1, emitter at index 0 as
+in H_eff; no (N+2)^2 x (N+2)^2 superoperator is formed.  H_S does not touch
+|g,0>, so only its sector block is stored, and each channel
+c = |g,0><(0, v_c)| is kept as its sector row v_c.  c annihilates |g,0>, so
+the jumps c rho c+ only feed |g,0><g,0| (the no-jump/jump split of Dalibard,
+Castin & Molmer, PRL 68, 580 (1992)), and the rest evolves under
+-i H_eff = -i H_S - V+V / 2 alone, V the (C, N+1) stack of rows.  With
+W = U[:, S] the columns of U = expm(-i H_eff t) that rho(0) touches (S: the
+sector indices whose row or column of rho(0) is nonzero):
 
     rho_1(t)  = W rho_1(0)[S, S] W+    (single-excitation block)
     rho_k0(t) = W rho_k0(0)[S]         (coherences with |g,0>; rho_0k conjugate)
