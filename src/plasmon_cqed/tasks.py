@@ -477,7 +477,8 @@ TASK_RUNNERS = {
 
 def run_scenario(sc: Scenario, out_dir: str | None = None):
     """Execute the scenario task, manifest everything written, and return the
-    manifest path.  Partial outputs are removed on failure."""
+    RunWriter.  Partial outputs are removed on failure; an output directory
+    that cannot be created is a SchemaError naming --out or run.out_dir."""
     import time
 
     target = out_dir or sc.out_dir
