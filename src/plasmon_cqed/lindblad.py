@@ -176,6 +176,9 @@ class Liouvillian:
     channels: np.ndarray  # (C, N+1) sector rows v_c
 
     def __post_init__(self):
+        if self.h_s.ndim != 2 or self.h_s.shape[0] != self.h_s.shape[1]:
+            raise ContractViolationError(
+                f"system Hamiltonian of shape {self.h_s.shape} is not square")
         if np.max(np.abs(self.h_s - self.h_s.conj().T)) > HERMITICITY_TOL:
             raise ContractViolationError("system Hamiltonian must be hermitian")
         if self.channels.ndim != 2 or self.channels.shape[1] != self.h_s.shape[0]:

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .coupling import MIN_GRID_POINTS
 from .errors import SchemaError
 from .medium import EmitterSpec, Geometry, MaterialModel
 from .specfun import N_ORDER_MAX
@@ -171,6 +172,18 @@ def _parse_grid(block, path, *, lo_key, hi_key, positive_lo,
     return GridSpec(lo=lo, hi=hi, points=points)
 
 
+def _check_task_grid(task, grid: GridSpec, material: MaterialModel) -> None:
+    """The fano fit's point floor, and a table that covers run.omega_grid
+    for the tasks that evaluate on that grid itself."""
+    if task == "fano" and grid.points < MIN_GRID_POINTS:
+        raise SchemaError("run.omega_grid.points", f"the fano fit needs >= "
+                          f"{MIN_GRID_POINTS} points, got {grid.points}")
+    table = material.table if task in ("spectra", "fano") else None
+    if table is not None and not table[0, 0] <= grid.lo < grid.hi <= table[-1, 0]:
+        raise SchemaError("run.omega_grid", f"{grid.lo}-{grid.hi} eV is outside "
+                          f"the material table's {table[0, 0]}-{table[-1, 0]} eV")
+
+
 def parse_scenario(data: dict) -> Scenario:
     data = _require_mapping(data, "<root>")
     _check_keys(data, "<root>", {"material", "geometry", "emitter", "run"})
@@ -195,6 +208,7 @@ def parse_scenario(data: dict) -> Scenario:
     time_grid = _parse_grid(run.get("time_grid"), "run.time_grid",
                             lo_key="min_fs", hi_key="max_fs", positive_lo=False,
                             default=GridSpec(0.0, 500.0, 400))
+    _check_task_grid(task, omega_grid, material)
     out_dir = run.get("out_dir", "out")
     if not isinstance(out_dir, str):
         raise SchemaError("run.out_dir", "expected a string path")

@@ -7,23 +7,22 @@ arguments, and each element reads out its own band of orders lo..lo+width-1
 (lo per element), shape z.shape + (width,).  The public ladders read out
 every order 0..n_max; a Green term of one multipole reads out only n-1 and n,
 so the mode windows of a sweep, each at its own order, share one recurrence.
-The rules are applied element by element, with n the top of the element's
-band, so a recurrence value does not depend on the element's neighbours or
-on the orders they read out:
 
 - j_n uses the Miller downward recurrence (Gautschi, SIAM Rev. 9, 24
-  (1967)).  Each element starts it at its own m = max(n, |z|) + 32, is
-  rescaled by 1e-250 whenever it passes 1e250, and is normalized against
-  j_0 or j_1, whichever is farther from a zero.  Where |z|^2 < eps (2 n + 3)
-  the limiting form z^n/(2n+1)!! (DLMF 10.52.1) is j_n to rounding, and
-  there it replaces the recurrence, which overflows below |z| ~ 1e-56;
-  j_n(0) = delta_n0.
-- y_n uses the plain upward recurrence, which is stable in that direction;
-  it overflows to inf at tiny |z| and high order, and callers decide what
-  that means.
+  (1967)), started by each element at its own m = max(n, |z|) + 32, n the
+  top of its band, and normalized against j_0 or j_1, whichever is farther
+  from a zero; j_n(0) = delta_n0.
+- y_n uses the plain upward recurrence, which is stable in that direction.
 
-Both recurrences keep three rows in flight and store only the rows of each
-element's band; a rescale applies to the stored rows as well.
+Both keep three rows in flight and store only the rows of each element's
+band.  A value past 1e250 (less at tiny |z|, so that the next step's growth
+stays below 1e300) is scaled by a power of two into range, and the event is
+recorded (Amos, ACM TOMS 12, 265 (1986)).  A band is therefore a mantissa and
+an exponent: the scalar 0 where nothing was rescaled or underflowed, so the
+mantissas are plain doubles, and otherwise an integer per value, with every
+mantissa's modulus in [0.5, 1).  Power-of-two scaling changes no bit of a
+normal double, so such a value does not depend on the element's neighbours,
+and the ladders hold at every order for |z| down to 1e-300.
 
 Orders are capped at N_ORDER_MAX = 200; the golden-rule Green sum of
 weak.fermi_rate needs 176 at R = 12 nm, h = 1.5 nm (R/r_d = 8/9).
@@ -41,7 +40,7 @@ from .errors import InvalidArgumentError, SingularityError, UnsupportedOrderErro
 N_ORDER_MAX = 200
 
 _RESCALE_LIMIT = 1e250
-_RESCALE_FACTOR = 1e-250
+_HEADROOM = 1e300
 _MILLER_BUFFER = 32
 _MILLER_SEED = 1e-280
 
@@ -115,76 +114,120 @@ def _band_rows(lo: np.ndarray, width: int) -> dict:
     return rows
 
 
-def _miller_band(z: np.ndarray, lo: np.ndarray, width: int) -> np.ndarray:
+def _ldexp(x, e):
+    """x 2^e, each part scaled by np.ldexp: exact within the double range,
+    where forming 2.0**e itself would overflow beyond |e| = 1023."""
+    if np.iscomplexobj(x):
+        return np.ldexp(x.real, e) + 1j * np.ldexp(x.imag, e)
+    return np.ldexp(x, e)
+
+
+def _split(m, e=0):
+    """m 2^e as (mantissa, exponent), each mantissa's modulus in [0.5, 1)."""
+    _, k = np.frexp(np.abs(m))
+    return _ldexp(m, -k), e + k
+
+
+def _values(m, e):
+    """A (mantissa, exponent) band as doubles, zero or inf beyond their
+    range; the scalar exponent 0 marks plain doubles already."""
+    return _ldexp(m, e) if np.ndim(e) else m
+
+
+def _rescaling(top: int, smallest: float, log_start: float, orders):
+    """(limit, steps): values past limit are rescaled, and no value of at
+    most exp(log_start) can pass it in the first steps, which grow it by at
+    most (2k+1)/|z| + 1 each, k in orders, |z| >= smallest.  The limit is
+    1e250, or lower where one step at order top could carry it past 1e300."""
+    limit = min(_RESCALE_LIMIT, _HEADROOM / ((2 * top + 1) / smallest + 1))
+    growth = np.cumsum(np.log((2 * orders + 1) / smallest + 1))
+    return limit, int(np.searchsorted(growth, math.log(limit) - log_start,
+                                      side="right"))
+
+
+def _rescale(x, other, limit, cut, sign, events):
+    """Scale the elements of x past limit, and other's with them, by 2^-s
+    into [0.5, 1), or below limit/2 if that is lower; record (cut,
+    elements, sign s)."""
+    big = np.abs(x) > limit
+    if np.any(big):
+        s = np.frexp(np.abs(x[big]))[1] - min(0, np.frexp(limit)[1] - 1)
+        x[big], other[big] = _ldexp(x[big], -s), _ldexp(other[big], -s)
+        events.append((cut, big, sign * s))
+
+
+def _exponents(lo, width: int, events) -> np.ndarray:
+    """Exponents of the band rows, shape (width, points), from rescale events
+    (cut, elements, shift): every row of order >= cut carries the shift."""
+    orders = lo + np.arange(width)[:, None]
+    e = np.zeros(orders.shape, dtype=int)
+    for cut, big, shift in events:
+        e[:, big] += np.where(orders[:, big] >= cut, shift, 0)
+    return e
+
+
+def _miller_band(z: np.ndarray, lo: np.ndarray, width: int):
+    """(mantissa, exponent) band of j_n, shape (width, points), at z != 0."""
     # each column starts at its own m = max(top of its band, |z|) + buffer;
     # the rows in flight stay exactly zero until the recurrence reaches it
     starts = np.maximum(lo + (width - 1), np.abs(z).astype(int)) + _MILLER_BUFFER
     top = int(starts.max())
     seeds = {int(m): starts == m for m in np.unique(starts)}
-    # |f_{k-1}| <= ((2k+1)/|z| + 1) max_{j>=k} |f_j|, so no column can pass
-    # the rescale limit before that product, taken from the top at the
-    # smallest |z|, exceeds limit/seed; the test is skipped until then
-    growth = np.cumsum(np.log((2 * np.arange(top, 0, -1) + 1)
-                              / np.min(np.abs(z)) + 1))
-    first_test = top - int(np.searchsorted(
-        growth, math.log(_RESCALE_LIMIT) - math.log(_MILLER_SEED),
-        side="right"))
+    # |f_{k-1}| <= ((2k+1)/|z| + 1) max_{j>=k} |f_j|: the rescale test waits
+    # until that bound from the seed could pass the limit
+    limit, skip = _rescaling(top, float(np.min(np.abs(z))),
+                             math.log(_MILLER_SEED), np.arange(top, 0, -1))
     rows = _band_rows(lo, width)
     out = np.zeros((width, z.size), dtype=z.dtype)
     above = np.zeros(z.size, dtype=z.dtype)  # f_{k+1}
     f = np.zeros(z.size, dtype=z.dtype)  # f_k
     f[seeds.pop(top)] = _MILLER_SEED
+    events = []
     for k in range(top, 0, -1):
         below = (2 * k + 1) / z * f - above
         if k - 1 in seeds:
             below[seeds[k - 1]] = _MILLER_SEED
-        if k <= first_test:
-            big = np.abs(below) > _RESCALE_LIMIT
-            if np.any(big):
-                # every row from k-1 up: the two in flight and the
-                # column's stored band rows
-                below[big] *= _RESCALE_FACTOR
-                f[big] *= _RESCALE_FACTOR
-                out[:, big] *= _RESCALE_FACTOR
+        if k <= top - skip:  # stored rows keep their scale and record it
+            _rescale(below, f, limit, k, -1, events)
         for row, run in rows.get(k - 1, ()):
             out[row, run] = below[run]
         above, f = f, below
     sin, cos = np.sin(z), np.cos(z)
-    j0 = sin / z
-    j1 = sin / z**2 - cos / z
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # j_1's closed form overflows at tiny |z|, where j_0 is the anchor
+        j0, j1 = sin / z, sin / z**2 - cos / z
     # normalize against whichever anchor (f = f_0, above = f_1) is farther
     # from a zero
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(np.abs(f) >= np.abs(above), j0 / f, j1 / above)
-    return out * scale
+    first = np.abs(f) >= np.abs(above)
+    anchor, value = np.where(first, f, above), np.where(first, j0, j1)
+    if not events:
+        band = out * (value / anchor)
+        if np.all(np.abs(band) >= np.finfo(float).tiny):  # no underflow
+            return band, 0
+    anchor, shift = _split(anchor)
+    return _split(out * (value / anchor), _exponents(lo, width, events) - shift)
 
 
-def _jn_band(z, lo, width: int) -> np.ndarray:
-    """j_lo..j_{lo+width-1} at every element of z, shape z.shape + (width,);
-    lo is one order or an order per element (broadcast against z).  Elements
-    with |z|^2 < eps (2 hi + 3), hi the top of their band, take the limiting
-    form z^n/(2n+1)!!, the others the Miller recurrence."""
+def _jn_band(z, lo, width: int):
+    """j_lo..j_{lo+width-1} at every element of z as (mantissa, exponent),
+    the mantissa of shape z.shape + (width,); lo is one order or an order
+    per element (broadcast against z)."""
     z, flat, lo = _band_arguments(z, lo, width)
-    orders = lo + np.arange(width)[:, None]
-    limit = np.abs(flat) ** 2 < np.finfo(float).eps * (2 * orders[-1] + 3)
-    out = np.empty((width, flat.size), dtype=flat.dtype)
-    if np.any(limit):
-        # in complex log space (z < 0 too), so huge orders underflow to zero
-        w, n = flat[limit], orders[:, limit]
-        log_df = np.array([log_double_factorial(2 * m + 1)
-                           for m in range(int(n.max()) + 1)])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lead = np.exp(n * np.log(w.astype(complex)) - log_df[n])
-        out[:, limit] = np.where(w == 0, n == 0,
-                                 lead if np.iscomplexobj(w) else lead.real)
-    if not np.all(limit):
-        out[:, ~limit] = _miller_band(flat[~limit], lo[~limit], width)
-    return _order_major(out, z.shape)
+    live = flat != 0
+    if flat.size and np.all(live):
+        band, e = _miller_band(flat, lo, width)
+    else:  # j_n(0) = delta_n0
+        band = (lo + np.arange(width)[:, None] == 0).astype(flat.dtype)
+        e = np.zeros(band.shape, dtype=int)
+        if np.any(live):
+            band[:, live], e[:, live] = _miller_band(flat[live], lo[live], width)
+    return _order_major(band, z.shape), \
+        _order_major(e, z.shape) if np.ndim(e) else 0
 
 
-def _yn_band(z, lo, width: int) -> np.ndarray:
+def _yn_band(z, lo, width: int):
     """y_lo..y_{lo+width-1} by upward recurrence (stable for y) at every
-    element of z, shape z.shape + (width,); lo as in _jn_band."""
+    element of z as (mantissa, exponent), as _jn_band gives j_n."""
     z, flat, lo = _band_arguments(z, lo, width)
     if np.any(z == 0):
         raise SingularityError("y_n singular at z=0")
@@ -192,40 +235,69 @@ def _yn_band(z, lo, width: int) -> np.ndarray:
     rows = _band_rows(lo, width)
     out = np.empty((width, flat.size), dtype=flat.dtype)
     sin, cos = np.sin(flat), np.cos(flat)
-    below = -cos / flat  # y_0
-    y = -cos / flat**2 - sin / flat if top >= 1 else below  # y_1
+    y = below = -cos / flat  # y_0
+    events = []
+    if top >= 1:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            y = -cos / flat**2 - sin / flat  # y_1
+        tiny = ~np.isfinite(y)  # |z| below about 1e-154
+        if np.any(tiny):  # y_0 split, and y_1 = (y_0 - sin z)/z beside it
+            below[tiny], shift = _split(below[tiny])
+            y[tiny] = (below[tiny] - _ldexp(sin[tiny], -shift)) / flat[tiny]
+            events.append((0, tiny, shift))
+    # |y_k| <= ((2k-1)/|z| + 1) max(|y_{k-1}|, |y_{k-2}|): the rescale test
+    # waits until that bound from the larger start could pass the limit
+    limit, skip = _rescaling(
+        top, float(np.min(np.abs(flat), initial=np.inf)),
+        math.log(max(np.max(np.abs(below), initial=1.0),
+                     np.max(np.abs(y), initial=1.0))), np.arange(top))
     for k in range(top + 1):
         if k >= 2:  # y_k from y_{k-1} and y_{k-2}
             below, y = y, (2 * k - 1) / flat * y - below
+        if k > skip:
+            _rescale(y, below, limit, k, 1, events)
         for row, run in rows.get(k, ()):
             out[row, run] = (y if k else below)[run]
-    return _order_major(out, z.shape)
+    band, e = _split(out, _exponents(lo, width, events)) if events else (out, 0)
+    return _order_major(band, z.shape), \
+        _order_major(e, z.shape) if np.ndim(e) else 0
 
 
 def spherical_jn_ladder(n_max: int, z) -> np.ndarray:
     """j_0(z)..j_nmax(z) at every element of z, shape z.shape + (n_max + 1,),
-    float64 for real z and complex128 otherwise.
-
-    Each element takes the limiting form or the Miller recurrence by its own
-    |z|, exactly as a scalar evaluation would.
-    """
+    float64 for real z and complex128 otherwise; zero where j_n lies below
+    the double range."""
     _check_order(n_max)
-    return _jn_band(z, 0, n_max + 1)
+    return _values(*_jn_band(z, 0, n_max + 1))
 
 
 def spherical_yn_ladder(n_max: int, z) -> np.ndarray:
     """y_0(z)..y_nmax(z) by upward recurrence (stable for y), element-wise
     over z, shape z.shape + (n_max + 1,), float64 for real z and complex128
-    otherwise."""
+    otherwise; inf where y_n lies beyond the double range."""
     _check_order(n_max)
-    return _yn_band(z, 0, n_max + 1)
+    return _values(*_yn_band(z, 0, n_max + 1))
 
 
-def _riccati_pair(z, lower: np.ndarray, f: np.ndarray, orders):
-    """(z f_n, z f_{n-1} - n f_n) from f_n and f_{n-1} at the orders n,
-    with z broadcast along the order axis."""
-    z = np.asarray(z)[..., None]
-    return z * f, z * lower - orders * f
+def _riccati_band(z, band, orders):
+    """(z f_n, z f_{n-1} - n f_n, exponent) at the orders n from a
+    (mantissa, exponent) band of f_{n-1}, f_n, in the exponent of f_n, with
+    z broadcast along the order axis."""
+    (f, e), z = band, np.asarray(z)[..., None]
+    lower, f = f[..., :-1], f[..., 1:]
+    if np.ndim(e):
+        lower, e = _ldexp(lower, e[..., :-1] - e[..., 1:]), e[..., 1:]
+    return z * f, z * lower - orders * f, e
+
+
+def _hankel(j, y):
+    """h_n^(1) = j_n + i y_n from (mantissa, exponent) bands of j_n and y_n,
+    both parts brought to the larger exponent."""
+    (j, e_j), (y, e_y) = j, y
+    if not (np.ndim(e_j) or np.ndim(e_y)):
+        return j + 1j * y, 0
+    e = np.maximum(e_j, e_y)
+    return _ldexp(j, e_j - e) + 1j * _ldexp(y, e_y - e), e
 
 
 def riccati_ladders(n_max: int, z):
@@ -235,15 +307,18 @@ def riccati_ladders(n_max: int, z):
 
     psi_n = z j_n, zeta_n = z h_n^(1); derivatives use
     psi'_n = z j_{n-1} - n j_n with j_{-1} = cos(z)/z (and h_{-1} = e^{iz}/z).
-    zeta_n is singular at z = 0, which raises SingularityError.
+    Each is formed from the bands' mantissas before its exponent is applied,
+    so it is finite wherever its own value is.  zeta_n is singular at z = 0,
+    which raises SingularityError.
     """
     z = _check_arguments(z)
-    j = spherical_jn_ladder(n_max, z)
-    h = j + 1j * spherical_yn_ladder(n_max, z)
-    orders = np.arange(n_max + 1)
-
-    def lower(f, f_minus1):
-        return np.concatenate((f_minus1[..., None], f[..., :-1]), axis=-1)
-
-    return _riccati_pair(z, lower(j, np.cos(z) / z), j, orders) \
-        + _riccati_pair(z, lower(h, np.exp(1j * z) / z), h, orders)
+    _check_order(n_max)
+    j = _jn_band(z, 0, n_max + 1)
+    h = _hankel(j, _yn_band(z, 0, n_max + 1))
+    out = ()
+    for (f, e), f_minus1 in ((j, np.cos(z) / z), (h, np.exp(1j * z) / z)):
+        e = np.pad(e, [(0, 0)] * z.ndim + [(1, 0)]) if np.ndim(e) else 0
+        *pair, e = _riccati_band(z, (np.concatenate(
+            (f_minus1[..., None], f), axis=-1), e), np.arange(n_max + 1))
+        out += tuple(_values(v, e) for v in pair)
+    return out

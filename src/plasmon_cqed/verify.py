@@ -10,7 +10,6 @@ expm_master) instead of copies of their own.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -58,7 +57,6 @@ from .mie import (
     radial_mode_fractions,
 )
 from .specfun import (
-    log_double_factorial,
     riccati_ladders,
     spherical_jn_ladder,
     spherical_yn_ladder,
@@ -72,26 +70,28 @@ class CheckResult:
     detail: str
 
 
-def series_jn(n, z) -> complex:
-    """j_n(z) by its defining power series, summed until a term drops below
-    1e-17 of the sum."""
+def series_jn(n_max, z) -> list:
+    """j_0(z)..j_nmax(z), each by its defining power series summed until a
+    term drops below 1e-17 of the sum, in the arithmetic of z (a float, a
+    complex or an mpmath number)."""
     if z == 0:
-        return 1.0 + 0.0j if n == 0 else 0.0 + 0.0j
-    log_lead = n * cmath.log(z) - log_double_factorial(2 * n + 1)
-    if log_lead.real < -745.0:
-        return 0.0 + 0.0j
+        return [1.0 + 0.0j] + [0.0j] * n_max
+    values = []
     # z^n/(2n+1)!! as a running product: exp of the log form loses
     # |n log z| eps in its leading term
     lead = 1.0 + 0.0j
-    for k in range(1, n + 1):
-        lead *= z / (2 * k + 1)
-    total = term = 1.0 + 0.0j
-    for k in range(1, 200):
-        term *= -0.5 * z * z / (k * (2 * n + 2 * k + 1))
-        total += term
-        if abs(term) < 1e-17 * abs(total):
-            break
-    return lead * total
+    step = -0.5 * z * z
+    for n in range(n_max + 1):
+        if n:
+            lead *= z / (2 * n + 1)
+        total = term = 1.0 + 0.0j
+        for k in range(1, 200):
+            term *= step / (k * (2 * n + 2 * k + 1))
+            total += term
+            if abs(term) < 1e-17 * abs(total):
+                break
+        values.append(lead * total)
+    return values
 
 
 def check_bessel_series() -> CheckResult:
@@ -99,7 +99,7 @@ def check_bessel_series() -> CheckResult:
     for n, z in [(0, 1.0 + 0.0j), (5, 2.0 + 0.5j), (3, 1e-4 + 0j),
                  (12, 7.0 - 0.4j), (2, 0.3 + 2.0j)]:
         ours = spherical_jn_ladder(n, z)[n]
-        ref = series_jn(n, z)
+        ref = series_jn(n, z)[n]
         worst = max(worst, abs(ours - ref) / max(abs(ref), 1e-300))
     return CheckResult("bessel-series", worst < 1e-10, f"max rel err {worst:.2e}")
 
@@ -198,6 +198,26 @@ def check_green_quasistatic() -> CheckResult:
     approx = green_rr_quasistatic(w, geo, silver(), 1)
     rel = abs(approx.imag - exact.imag) / abs(exact.imag)
     return CheckResult("green-quasistatic", rel < 0.15, f"Im rel dev {rel:.3f}")
+
+
+def check_green_high_order() -> CheckResult:
+    """Exact Green terms at n = 100..200, beyond the double range of the
+    Hankel factors, within the leading retardation correction (k_b r_d)^2/n
+    of the quasi-static term (n+1)^2 alpha_n / (4 pi k_b^2 r_d^(2n+4)),
+    alpha_n = n(eps_m - eps_b)/(n eps_m + (n+1) eps_b) R^(2n+1)."""
+    n, w = np.arange(100, 201), np.array([[2.0], [2.6], [3.4]])
+    kb, eps_m = w / HBAR_C_EV_NM, permittivity(silver(), w)
+    worst = 0.0
+    for radius, h in ((8.0, 2.0), (8.0, 20.0), (50.0, 5.0)):
+        geo = Geometry.from_surface_distance(radius, h)
+        exact = green_rr_terms(w[:, 0], geo, silver(), 200)[:, 99:]
+        qs = (n + 1) ** 2 * n * (eps_m - geo.eps_b) / (
+            n * eps_m + (n + 1) * geo.eps_b) * (radius / geo.r_d) ** (2 * n + 1) \
+            / (4 * math.pi * kb**2 * geo.r_d**3)
+        gap = np.abs(exact - qs) / np.abs(qs) * n / (kb * geo.r_d) ** 2
+        worst = max(worst, float(np.max(np.where(np.isfinite(gap), gap, np.inf))))
+    return CheckResult("green-high-order", worst <= 1.0,
+                       f"max gap {worst:.2f} of (k_b r_d)^2/n")
 
 
 def _random_modes(seed, n_modes):
@@ -476,6 +496,7 @@ ALL_CHECKS = (
     check_qs_resonance,
     check_qs_mie_agreement,
     check_green_quasistatic,
+    check_green_high_order,
     check_lorentzian_roundtrip,
     check_fano_roundtrip,
     check_secular,

@@ -4,6 +4,8 @@ j_n ladder and of high-order Green terms.  The distance sweep's rows are
 checked bitwise against one-geometry calls, and the per-order terms of mode
 windows against the sweep's columns."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -16,29 +18,32 @@ from plasmon_cqed.errors import InvalidArgumentError
 from plasmon_cqed.medium import Geometry, silver, wavenumbers
 from plasmon_cqed.mie import (
     _green_mode_terms,
-    _green_term_quasistatic,
     green_rr_scattered,
     green_rr_sweep,
     green_rr_terms,
 )
 from plasmon_cqed.specfun import (
+    N_ORDER_MAX,
+    _jn_band,
     riccati_ladders,
     spherical_jn_ladder,
     spherical_yn_ladder,
 )
 
 REL_TOL = 1e-12
-# (radius nm, h nm, eps_b, n_max) whose Green evaluation takes each rule of
-# the oracle; at "series" the package's Miller recurrence meets the oracle's
-# power series
+# (radius nm, h nm, eps_b, n_max) whose Green evaluation at 2.8 eV reaches
+# each route: the oracle's power series, where the package's Miller
+# recurrence meets it; a Miller recurrence of the package that rescales; and
+# orders whose zeta_n(k_b R) lies beyond the double range, where the
+# package's exponents carry the terms
 BRANCH_CASES = {
     "series": (0.05, 1.0, 1.0, 10),
     "rescale": (2.0, 1.0, 1.0, 120),
-    "fallback": (8.0, 20.0, 1.0, 120),
+    "beyond-range": (8.0, 20.0, 1.0, 120),
 }
-# (radius nm, h values nm, eps_b, n_max below and at or above the first order
-# whose zeta_n(k_b R) overflows at 2.2, 2.8 and 3.4 eV)
-FALLBACK_SWEEP = (8.0, [1.0, 5.0, 2.0, 20.0], 1.0, (100, 120))
+# (radius nm, h values nm, eps_b, n_max) past the first order whose
+# zeta_n(k_b R) overflows the double range at 2.2, 2.8 and 3.4 eV
+BEYOND_RANGE_SWEEP = (8.0, [1.0, 5.0, 2.0, 20.0], 1.0, 120)
 # found by hypothesis: B_63 sits at the edge of the normal double range, where
 # products of two small ladder values drop into the subnormal range
 SUBNORMAL_EDGE = (6.464677658766367, 1.0, 1.994140625, [3.8767312363072803], 63)
@@ -65,10 +70,16 @@ def assert_matches(values, reference):
 @pytest.mark.parametrize("branch", sorted(BRANCH_CASES))
 def test_branch_case_reaches_its_rule(branch):
     radius, h, eps_b, n_max = BRANCH_CASES[branch]
+    geometry = Geometry.from_surface_distance(radius, h, eps_b)
     taken = set()
+    oracle.green_terms(2.8, geometry, silver(), n_max, taken)
+    wn = wavenumbers(geometry, silver(), 2.8)
+    arguments = (wn.kb * radius, wn.km * radius, wn.kb * geometry.r_d)
+    if any(np.ndim(_jn_band(z, 0, n_max + 1)[1]) for z in arguments):
+        taken.add("rescale")
     with np.errstate(over="ignore", invalid="ignore"):
-        oracle.green_terms(2.8, Geometry.from_surface_distance(radius, h, eps_b),
-                           silver(), n_max, taken)
+        if not np.all(np.isfinite(riccati_ladders(n_max, arguments[0])[2])):
+            taken.add("beyond-range")
     assert branch in taken
 
 
@@ -88,7 +99,7 @@ def _branch_example(branch):
 )
 @_branch_example("series")
 @_branch_example("rescale")
-@_branch_example("fallback")
+@_branch_example("beyond-range")
 @example(radius=SUBNORMAL_EDGE[0], h=SUBNORMAL_EDGE[1], eps_b=SUBNORMAL_EDGE[2],
          omegas=SUBNORMAL_EDGE[3], n_max=SUBNORMAL_EDGE[4])
 @example(radius=SERIES_LEAD[0], h=SERIES_LEAD[1], eps_b=SERIES_LEAD[2],
@@ -109,28 +120,12 @@ def test_array_paths_match_scalar_oracle(radius, h, eps_b, omegas, n_max):
                 assert_matches(y[i], oracle.yn_ladder(n_max, zi))
                 for got, ref in zip(ladders, oracle.riccati_ladders(n_max, zi)):
                     assert_matches(got[i], ref)
-        terms = green_rr_terms(omega, geometry, material, n_max)
-        for i, w in enumerate(omega):
-            reference = oracle.green_terms(w, geometry, material, n_max)
-            assert_matches(terms[i], reference)
-            assert_matches(green_rr_scattered(w, geometry, material, n_max).per_mode,
-                           reference)
-
-
-def test_sweep_fallback_orders_are_set_by_the_sphere():
-    # zeta_n(k_b R) overflows before h_n(k_b r_d) for every r_d > R, so all
-    # rows of a sweep take the quasi-static fallback from the same order on,
-    # each with its own r_d
-    radius, hs, eps_b, (below, above) = FALLBACK_SWEEP
-    for n_max, expected in ((below, False), (above, True)):
-        for h in hs:
-            taken = set()
-            with np.errstate(over="ignore", invalid="ignore"):
-                for w in (2.2, 2.8, 3.4):
-                    oracle.green_terms(
-                        w, Geometry.from_surface_distance(radius, h, eps_b),
-                        silver(), n_max, taken)
-            assert ("fallback" in taken) == expected, (h, n_max)
+    terms = green_rr_terms(omega, geometry, material, n_max)
+    for i, w in enumerate(omega):
+        reference = oracle.green_terms(w, geometry, material, n_max)
+        assert_matches(terms[i], reference)
+        assert_matches(green_rr_scattered(w, geometry, material, n_max).per_mode,
+                       reference)
 
 
 @given(
@@ -142,8 +137,9 @@ def test_sweep_fallback_orders_are_set_by_the_sphere():
                     max_size=3),
     n_max=st.integers(min_value=1, max_value=150),
 )
-@example(radius=FALLBACK_SWEEP[0], hs=FALLBACK_SWEEP[1], eps_b=FALLBACK_SWEEP[2],
-         omegas=[2.2, 2.8, 3.4], n_max=FALLBACK_SWEEP[3][1])
+@example(radius=BEYOND_RANGE_SWEEP[0], hs=BEYOND_RANGE_SWEEP[1],
+         eps_b=BEYOND_RANGE_SWEEP[2], omegas=[2.2, 2.8, 3.4],
+         n_max=BEYOND_RANGE_SWEEP[3])
 # found by hypothesis: one frequency and one order make each row a single
 # element, where numpy's complex product skips the fused multiply-add that
 # larger arrays use
@@ -165,17 +161,16 @@ def test_sweep_rows_match_one_geometry_calls(radius, hs, eps_b, omegas, n_max):
     for row, geometry in zip(sweep, geometries):
         assert np.array_equal(row, green_rr_terms(omega, geometry, material,
                                                   n_max))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, w in enumerate(omega):
-                assert_matches(row[i], oracle.green_terms(w, geometry, material,
-                                                          n_max))
+        for i, w in enumerate(omega):
+            assert_matches(row[i], oracle.green_terms(w, geometry, material,
+                                                      n_max))
 
 
 # (radius nm, h values nm, windows as (order, lo eV, hi eV)) for the
 # per-order terms: the fit windows of the first modes at R = 8, 20 and 50 nm,
 # a tiny sphere whose k_b R and k_m R lie in the oracle's power-series
 # region (the package takes Miller there), and orders past the first whose
-# zeta_n(k_b R) overflows, where terms take the fallback
+# zeta_n(k_b R) overflows the double range
 MODE_CASES = {
     "r8": (8.0, [1.0, 2.0, 5.0, 10.0, 20.0], [(n, 2.5 + 0.02 * n, 3.4)
                                               for n in range(1, 26)]),
@@ -184,8 +179,8 @@ MODE_CASES = {
                                       (3, 2.7, 3.3), (4, 2.8, 3.4)]),
     "series": (0.05, [1.0, 0.3], [(1, 2.5, 3.4), (3, 2.6, 3.4),
                                   (10, 2.9, 3.6)]),
-    "fallback": (8.0, [20.0, 1.0], [(1, 2.2, 3.4), (100, 2.8, 3.5),
-                                    (120, 2.8, 3.5)]),
+    "beyond-range": (8.0, [20.0, 1.0], [(1, 2.2, 3.4), (100, 2.8, 3.5),
+                                        (120, 2.8, 3.5)]),
 }
 
 
@@ -206,10 +201,11 @@ def test_mode_terms_equal_sweep_columns(case):
     # the oracle's power-series region
     series = np.abs(wn.km * radius) ** 2 < 1e-6 * (2 * ns[:, None] + 3)
     assert np.any(series) == (case == "series")
-    fallback = _green_term_quasistatic(
-        np.broadcast_to(ns[:, None], grids.shape).astype(float), grids,
-        geometries[0], material)
-    assert np.any(terms[0] == fallback) == (case == "fallback")
+    with np.errstate(over="ignore", invalid="ignore"):
+        zeta = riccati_ladders(int(ns.max()), wn.kb * radius)[2]
+    beyond = [not np.all(np.isfinite(zeta[m, :, n])) for m, n in enumerate(ns)]
+    assert any(beyond) == (case == "beyond-range")
+    assert np.all(np.isfinite(terms))
 
 
 @pytest.mark.parametrize("other", [
@@ -245,7 +241,10 @@ def test_green_terms_against_mpmath():
              ((4.17, 6.96, 1.14), 1.45, (45, 53, 91)),
              ((0.17, 23.5, 1.01), 1.19, (37, 45)),
              # eps_m near eps_b, k_m R in the oracle's power-series region
-             (SERIES_LEAD[:3], SERIES_LEAD[3][0], (1, 10, SERIES_LEAD[4]))]
+             (SERIES_LEAD[:3], SERIES_LEAD[3][0], (1, 10, SERIES_LEAD[4])),
+             # zeta_n(k_b R) and h_n(k_b r_d) beyond the double range
+             *[((r, h, 1.0), 2.6, (100, 150, 200)) for r, h in
+               ((8.0, 1.0), (8.0, 20.0), (50.0, 5.0), (80.0, 1.0), (80.0, 20.0))]]
     material = silver()
     with mpmath.workdps(40):
         for (radius, h, eps_b), w, orders in cases:
@@ -262,6 +261,15 @@ def test_green_terms_against_mpmath():
                 ref = complex(1j * kb / (4 * mpmath.pi) * n * (n + 1) * (2 * n + 1)
                               * b * (hn(n, x) / x) ** 2)
                 assert abs(terms[n - 1] - ref) <= REL_TOL * abs(ref), (radius, n)
+
+
+@pytest.mark.parametrize("h", [1.0, 20.0])
+def test_terms_are_finite_at_every_radius(h):
+    # every order up to the cap, from R = 1e-300 nm to k_b R ~ 5
+    for radius in np.logspace(-300, math.log10(300.0), 31):
+        geometry = Geometry.from_surface_distance(radius, h)
+        assert np.all(np.isfinite(green_rr_terms(
+            np.array([2.0, 2.6, 3.4]), geometry, silver(), N_ORDER_MAX))), radius
 
 
 def test_ladder_shapes_follow_the_argument():

@@ -193,6 +193,21 @@ class TestCliExitCodes:
         assert main(["run", write_config(tmp_path, cfg), "--out", out]) == 2
         assert "run.n_modes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task, points, rows, field", [
+        ("fano", 20, slice(None), "run.omega_grid.points"),
+        ("spectra", 200, slice(100, 250), "run.omega_grid"),
+        ("fano", 200, slice(100, 250), "run.omega_grid"),
+    ], ids=["fano-below-50-points", "spectra-off-table", "fano-off-table"])
+    def test_task_grid_exit_2(self, tmp_path, capsys, task, points, rows, field):
+        # decided by the scenario alone, before any Green work; the table
+        # rows 100-249 span 2.0-3.49 eV, above the grid's lower end
+        cfg = base_config(task=task, omega_grid={"min_ev": 1.5, "max_ev": 3.0,
+                                                 "points": points})
+        cfg["material"] = {"kind": "tabulated", "table": drude_silver_table()[rows]}
+        out = str(tmp_path / "out")
+        assert main(["run", write_config(tmp_path, cfg), "--out", out]) == 2
+        assert f"configuration error: {field}:" in capsys.readouterr().err
+
     def test_fit_task_at_high_mode_count(self, tmp_path):
         # the quasi-static window estimate overflowed from n = 85 (exit 1)
         out = str(tmp_path / "out")

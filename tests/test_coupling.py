@@ -211,8 +211,8 @@ class TestModeSweep:
             [False, True] + [False] * 8
         assert all(z.shape == (20, 201) for z, _ in bands["j"][:2])
         # real arguments give real ladders: only the k_m R band is complex
-        assert [np.iscomplexobj(b) for _, b in bands["j"] + bands["y"]] == \
-            [False, True] + [False] * 17
+        assert [np.iscomplexobj(b) for _, (b, _) in bands["j"] + bands["y"]] \
+            == [False, True] + [False] * 17
 
     def test_rejects_empty_sweep_and_second_sphere(self, ag, strong_emitter):
         with pytest.raises(InvalidArgumentError):

@@ -4,7 +4,8 @@ Every dataclass field in src/ is read somewhere: a field that no code reads
 as an attribute, in the package, its tests, its scripts or its benchmark, is
 public surface that neither production code nor an independent oracle uses.
 The scan is by name: a field counts as read if `.name` is loaded anywhere in
-those trees.
+those trees, but outside src/ not as `self.name`, which reads an attribute of
+the test or benchmark class itself.
 
 Every public module-level function and class in src/ is referenced in src/
 outside its own definition, so no public surface serves only tests, scripts
@@ -51,10 +52,14 @@ def dataclass_fields():
 
 
 def attribute_reads():
-    """Every attribute name loaded anywhere in the reader trees."""
+    """Every attribute name loaded anywhere in the reader trees, except
+    reads of `self.<name>` outside src/: those are the reader's own
+    attributes, never a field of the package's dataclasses."""
     return {node.attr for top in READERS for _, tree in _trees(top)
             for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and (top == "src" or not (isinstance(node.value, ast.Name)
+                                      and node.value.id == "self"))}
 
 
 def test_every_dataclass_field_is_read():

@@ -651,7 +651,10 @@ class TestDensityMatrix:
                     gamma_nr=0.01, alpha=10.0)],
         em, build_state_space(1)),
      InvalidRateError, "weights exceed the free-space radiative rate"),
-], ids=["negative-n-modes", "unknown-kind", "mode-count", "excess-weight"])
+    (lambda em: Liouvillian(h_s=np.zeros((3, 4)), channels=np.zeros((1, 4))),
+     ContractViolationError, r"shape \(3, 4\) is not square"),
+], ids=["negative-n-modes", "unknown-kind", "mode-count", "excess-weight",
+        "non-square-hs"])
 def test_rejects_invalid_input(emitter, call, error, message):
     with pytest.raises(error, match=message):
         call(emitter)

@@ -170,35 +170,33 @@ def test_per_element_bands_equal_ladder_slices():
     # one call, each element reading its own orders lo..lo+1, against the
     # public ladder of that element alone up to n_max = lo + 1: a small
     # Miller element, Miller elements rescaled many times at high order, a
-    # metal-interior argument, orders that do not ascend, an element (3e-8j,
-    # orders 5..6) that takes the limiting form by its top order, where a
-    # test at the bottom order of each band would send the band and its
-    # ladder different ways, and z = 0 and 1e-60 (Miller alone gives NaN at
-    # 1e-60)
+    # metal-interior argument, orders that do not ascend, a tiny element
+    # (3e-8j, orders 5..6), and z = 0 and 1e-60
     z = np.array([1e-4 + 1e-5j, 0.05 + 0.01j, 0.3, 2.0 + 0.5j, 0.12 + 1.3j,
                   25.0 + 3.0j, 0.05 + 0.01j, 7.0, 3e-8j, 0.0, 1e-60])
     lo = np.array([3, 150, 118, 0, 40, 12, 2, 60, 5, 0, 1])
-    j = specfun._jn_band(z, lo, 2)
-    assert np.all(np.isfinite(j))
+    m, e = specfun._jn_band(z, lo, 2)
+    assert np.all(np.isfinite(m)) and np.all(m[e != 0] != 0)
+    j = specfun._values(m, e)
     with np.errstate(over="ignore", invalid="ignore"):
-        y = specfun._yn_band(z[:-2], lo[:-2], 2)  # y_n is singular at z = 0
+        y = specfun._values(*specfun._yn_band(z[:-2], lo[:-2], 2))
         for i, (zi, n) in enumerate(zip(z, lo)):
             np.testing.assert_array_equal(
                 j[i], spherical_jn_ladder(n + 1, zi)[n:])
-            if i < len(y):
+            if i < len(y):  # y_n is singular at z = 0
                 np.testing.assert_array_equal(
                     y[i], spherical_yn_ladder(n + 1, zi)[n:])
     np.testing.assert_array_equal(j[-2], [1.0, 0.0])
     # element 1 passes the rescale limit below its band, after its rows are
-    # stored: rescaled with them they underflow to 0 as j_150(0.05) does;
-    # left unscaled they would read 1e250 times too large, about 1e-265
-    assert np.all(j[1] == 0)
+    # stored: its mantissas stay in range and the exponents carry j_150(0.05)
+    # ~ 1e-510, which underflows to 0 as a double
+    assert np.all(j[1] == 0) and np.all(e[1] < -1600)
 
 
 def test_small_arguments_against_mpmath():
     # |z| from 1e-300 to 3e-2 at three phases, through a ladder ending at n
-    # and the full-cap ladder: both sides of the limiting-form threshold
-    # |z|^2 = eps (2 n + 3), and values that underflow
+    # and the full-cap ladder: Miller recurrences that rescale at every step
+    # near 1e-300 and at a few steps near 3e-2, and values that underflow
     orders = (0, 1, 2, 5, 13, 40, 100, 200)
     tiny = np.finfo(float).tiny
     with mpmath.workdps(30):
@@ -219,7 +217,7 @@ def test_small_arguments_against_mpmath():
 @pytest.mark.parametrize("z, dtype", [
     (0.7, np.float64),
     ([0.3, 2.0, 25.0], np.float64),
-    (1e-9, np.float64),  # the limiting form
+    (1e-9, np.float64),  # a Miller recurrence that rescales
     (-1e-9, np.float64),
     (np.float32(1.5), np.float64),
     (2, np.float64),
