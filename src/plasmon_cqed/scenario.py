@@ -12,8 +12,8 @@ import numpy as np
 from .coupling import MIN_GRID_POINTS
 from .errors import SchemaError
 from .medium import EmitterSpec, Geometry, MaterialModel
-from .specfun import N_ORDER_MAX
 
+MAX_N_MODES = 200  # bounds a run's cost: fits, H_eff and Lindblad grow with it
 TASKS = ("spectra", "fit", "dressed", "dynamics", "rates", "fano", "lindblad",
          "figure-suite")
 
@@ -200,8 +200,8 @@ def parse_scenario(data: dict) -> Scenario:
     if task not in TASKS:
         raise SchemaError("run.task", f"expected one of {TASKS}, got {task!r}")
     n_modes = _integer(run, "run", "n_modes", default=6, minimum=1)
-    if n_modes > N_ORDER_MAX:  # the multipole order cap of the Bessel ladders
-        raise SchemaError("run.n_modes", f"must be <= {N_ORDER_MAX}, got {n_modes}")
+    if n_modes > MAX_N_MODES:
+        raise SchemaError("run.n_modes", f"must be <= {MAX_N_MODES}, got {n_modes}")
     omega_grid = _parse_grid(run.get("omega_grid"), "run.omega_grid",
                              lo_key="min_ev", hi_key="max_ev", positive_lo=True,
                              default=GridSpec(2.2, 3.2, 400))

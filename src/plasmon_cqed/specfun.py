@@ -16,16 +16,18 @@ so the mode windows of a sweep, each at its own order, share one recurrence.
 
 Both keep three rows in flight and store only the rows of each element's
 band.  A value past 1e250 (less at tiny |z|, so that the next step's growth
-stays below 1e300) is scaled by a power of two into range, and the event is
-recorded (Amos, ACM TOMS 12, 265 (1986)).  A band is therefore a mantissa and
-an exponent: the scalar 0 where nothing was rescaled or underflowed, so the
-mantissas are plain doubles, and otherwise an integer per value, with every
-mantissa's modulus in [0.5, 1).  Power-of-two scaling changes no bit of a
-normal double, so such a value does not depend on the element's neighbours,
-and the ladders hold at every order for |z| down to 1e-300.
+stays below 1e300) is scaled by a power of two into range, and the shift is
+added to the element's running exponent, which a stored row keeps (Amos, ACM
+TOMS 12, 265 (1986)).  A band is therefore a mantissa and an exponent: the
+scalar 0 where nothing was rescaled or underflowed, so the mantissas are
+plain doubles, and otherwise an integer per value, with every mantissa's
+modulus in [0.5, 1).  Power-of-two scaling changes no bit of a normal double,
+so such a value does not depend on the element's neighbours, and the ladders
+hold at every order for |z| down to 1e-300.
 
-Orders are capped at N_ORDER_MAX = 200; the golden-rule Green sum of
-weak.fermi_rate needs 176 at R = 12 nm, h = 1.5 nm (R/r_d = 8/9).
+Orders are capped at N_ORDER_MAX = 2000, a bound on the cost of a call (one
+recurrence step per order), not on accuracy; weak.fermi_rate needs 1,849
+orders at R = 80 nm, h = 1 nm.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, SingularityError, UnsupportedOrderError
 
-N_ORDER_MAX = 200
+N_ORDER_MAX = 2000
 
 _RESCALE_LIMIT = 1e250
 _HEADROOM = 1e300
@@ -145,29 +147,20 @@ def _rescaling(top: int, smallest: float, log_start: float, orders):
                                       side="right"))
 
 
-def _rescale(x, other, limit, cut, sign, events):
+def _rescale(x, other, limit, e):
     """Scale the elements of x past limit, and other's with them, by 2^-s
-    into [0.5, 1), or below limit/2 if that is lower; record (cut,
-    elements, sign s)."""
+    into [0.5, 1), or below limit/2 if that is lower; add s to their running
+    exponents e."""
     big = np.abs(x) > limit
     if np.any(big):
         s = np.frexp(np.abs(x[big]))[1] - min(0, np.frexp(limit)[1] - 1)
         x[big], other[big] = _ldexp(x[big], -s), _ldexp(other[big], -s)
-        events.append((cut, big, sign * s))
-
-
-def _exponents(lo, width: int, events) -> np.ndarray:
-    """Exponents of the band rows, shape (width, points), from rescale events
-    (cut, elements, shift): every row of order >= cut carries the shift."""
-    orders = lo + np.arange(width)[:, None]
-    e = np.zeros(orders.shape, dtype=int)
-    for cut, big, shift in events:
-        e[:, big] += np.where(orders[:, big] >= cut, shift, 0)
-    return e
+        e[big] += s
 
 
 def _miller_band(z: np.ndarray, lo: np.ndarray, width: int):
-    """(mantissa, exponent) band of j_n, shape (width, points), at z != 0."""
+    """(mantissa, exponent) band of j_n, shape (width, points), at z != 0: a
+    row's running exponent as stored, less the anchor's."""
     # each column starts at its own m = max(top of its band, |z|) + buffer;
     # the rows in flight stay exactly zero until the recurrence reaches it
     starts = np.maximum(lo + (width - 1), np.abs(z).astype(int)) + _MILLER_BUFFER
@@ -179,18 +172,19 @@ def _miller_band(z: np.ndarray, lo: np.ndarray, width: int):
                              math.log(_MILLER_SEED), np.arange(top, 0, -1))
     rows = _band_rows(lo, width)
     out = np.zeros((width, z.size), dtype=z.dtype)
+    stored = np.zeros(out.shape, dtype=int)  # e of each stored row
     above = np.zeros(z.size, dtype=z.dtype)  # f_{k+1}
     f = np.zeros(z.size, dtype=z.dtype)  # f_k
     f[seeds.pop(top)] = _MILLER_SEED
-    events = []
+    e = np.zeros(z.size, dtype=int)  # f_k's true value is f_k 2^e
     for k in range(top, 0, -1):
         below = (2 * k + 1) / z * f - above
         if k - 1 in seeds:
             below[seeds[k - 1]] = _MILLER_SEED
-        if k <= top - skip:  # stored rows keep their scale and record it
-            _rescale(below, f, limit, k, -1, events)
+        if k <= top - skip:  # stored rows keep their scale
+            _rescale(below, f, limit, e)
         for row, run in rows.get(k - 1, ()):
-            out[row, run] = below[run]
+            out[row, run], stored[row, run] = below[run], e[run]
         above, f = f, below
     sin, cos = np.sin(z), np.cos(z)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -200,12 +194,12 @@ def _miller_band(z: np.ndarray, lo: np.ndarray, width: int):
     # from a zero
     first = np.abs(f) >= np.abs(above)
     anchor, value = np.where(first, f, above), np.where(first, j0, j1)
-    if not events:
+    if not e.any():
         band = out * (value / anchor)
         if np.all(np.abs(band) >= np.finfo(float).tiny):  # no underflow
             return band, 0
     anchor, shift = _split(anchor)
-    return _split(out * (value / anchor), _exponents(lo, width, events) - shift)
+    return _split(out * (value / anchor), stored - e - shift)
 
 
 def _jn_band(z, lo, width: int):
@@ -227,24 +221,25 @@ def _jn_band(z, lo, width: int):
 
 def _yn_band(z, lo, width: int):
     """y_lo..y_{lo+width-1} by upward recurrence (stable for y) at every
-    element of z as (mantissa, exponent), as _jn_band gives j_n."""
+    element of z as (mantissa, exponent), as _jn_band gives j_n: a row's
+    running exponent as stored."""
     z, flat, lo = _band_arguments(z, lo, width)
     if np.any(z == 0):
         raise SingularityError("y_n singular at z=0")
     top = int(lo.max(initial=0)) + width - 1
     rows = _band_rows(lo, width)
     out = np.empty((width, flat.size), dtype=flat.dtype)
+    stored = np.empty(out.shape, dtype=int)  # e of each stored row
     sin, cos = np.sin(flat), np.cos(flat)
     y = below = -cos / flat  # y_0
-    events = []
+    e = np.zeros(flat.size, dtype=int)  # y_k's true value is y_k 2^e
     if top >= 1:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             y = -cos / flat**2 - sin / flat  # y_1
         tiny = ~np.isfinite(y)  # |z| below about 1e-154
         if np.any(tiny):  # y_0 split, and y_1 = (y_0 - sin z)/z beside it
-            below[tiny], shift = _split(below[tiny])
-            y[tiny] = (below[tiny] - _ldexp(sin[tiny], -shift)) / flat[tiny]
-            events.append((0, tiny, shift))
+            below[tiny], e[tiny] = _split(below[tiny])
+            y[tiny] = (below[tiny] - _ldexp(sin[tiny], -e[tiny])) / flat[tiny]
     # |y_k| <= ((2k-1)/|z| + 1) max(|y_{k-1}|, |y_{k-2}|): the rescale test
     # waits until that bound from the larger start could pass the limit
     limit, skip = _rescaling(
@@ -255,10 +250,10 @@ def _yn_band(z, lo, width: int):
         if k >= 2:  # y_k from y_{k-1} and y_{k-2}
             below, y = y, (2 * k - 1) / flat * y - below
         if k > skip:
-            _rescale(y, below, limit, k, 1, events)
+            _rescale(y, below, limit, e)
         for row, run in rows.get(k, ()):
-            out[row, run] = (y if k else below)[run]
-    band, e = _split(out, _exponents(lo, width, events)) if events else (out, 0)
+            out[row, run], stored[row, run] = (y if k else below)[run], e[run]
+    band, e = _split(out, stored) if e.any() else (out, 0)
     return _order_major(band, z.shape), \
         _order_major(e, z.shape) if np.ndim(e) else 0
 

@@ -89,7 +89,7 @@ def fermi_rate(omega0: float, geometries, material: MaterialModel,
     Every entry is summed to the order its closest emitter needs (rho = max
     R/r_d): the smallest n with quasi-static term ratio t_n/t_1 = ((n+1)/2)^2
     rho^(2n-2) <= 1e-14, at most N_ORDER_MAX.  A sum whose last term exceeds
-    1e-13 sum_n |Im t_n| raises UnsupportedOrderError (gaps below about R/11).
+    1e-13 sum_n |Im t_n| raises UnsupportedOrderError (gaps below about R/86).
     The geometries share R and eps_b, so all come from one green_rr_sweep call.
     """
     geometries = list(geometries)

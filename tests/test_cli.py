@@ -216,17 +216,32 @@ class TestCliExitCodes:
         with open(os.path.join(out, "modes.json")) as fh:
             assert len(json.load(fh)["modes"]) == 90
 
+    def test_small_gap_rates_exit_0(self, tmp_path):
+        # R = 40 nm at h = 3 nm: the golden-rule sum runs to 293 orders
+        from plasmon_cqed.weak import fermi_rate
+
+        cfg = base_config(task="rates")
+        cfg["geometry"].update(radius_nm=40.0, h_nm=3.0)
+        cfg["emitter"] = {"omega0_ev": 1.8505104238, "tau0_ns": 50.0, "eta": 0.9}
+        out = str(tmp_path / "out")
+        assert main(["run", write_config(tmp_path, cfg), "--out", out]) == 0
+        with open(os.path.join(out, "rates.json")) as fh:
+            payload = json.load(fh)
+        sc = parse_scenario(cfg)
+        assert payload["enhancement_fermi"] == fermi_rate(
+            sc.emitter.omega0, [sc.geometry], sc.material, sc.emitter)[0]
+
     def test_unconverged_green_sum_exit_3(self, tmp_path, capsys):
-        # below a gap of about R/11 the golden-rule sum does not converge
+        # below a gap of about R/86 the golden-rule sum does not converge
         # within the order cap
         cfg = base_config(task="rates")
-        cfg["geometry"]["h_nm"] = 0.5
+        cfg["geometry"]["h_nm"] = 0.05
         cfg["emitter"] = {"omega0_ev": 1.8505104238, "tau0_ns": 50.0, "eta": 0.9}
         out = str(tmp_path / "out")
         assert main(["run", write_config(tmp_path, cfg), "--out", out]) == 3
         err = capsys.readouterr().err
         assert "numerical failure in task 'rates'" in err
-        assert "h = 0.5 nm" in err
+        assert "h = 0.05 nm" in err
         assert glob.glob(os.path.join(out, "rates*")) == []
 
     def test_fano_resonance_off_the_grid_exit_3(self, tmp_path, capsys):

@@ -75,7 +75,7 @@ class TestSphericalBessel:
 
     def test_order_cap(self):
         with pytest.raises(UnsupportedOrderError):
-            spherical_jn_ladder(201, 1.0)
+            spherical_jn_ladder(specfun.N_ORDER_MAX + 1, 1.0)
 
     def test_nan_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -195,15 +195,15 @@ def test_per_element_bands_equal_ladder_slices():
 
 def test_small_arguments_against_mpmath():
     # |z| from 1e-300 to 3e-2 at three phases, through a ladder ending at n
-    # and the full-cap ladder: Miller recurrences that rescale at every step
-    # near 1e-300 and at a few steps near 3e-2, and values that underflow
+    # and one ending at order 200: Miller recurrences that rescale at every
+    # step near 1e-300 and at a few steps near 3e-2, and values that underflow
     orders = (0, 1, 2, 5, 13, 40, 100, 200)
     tiny = np.finfo(float).tiny
     with mpmath.workdps(30):
         for r in np.logspace(-300, math.log10(3e-2), 40):
             for phase in (0.0, 0.3, -1.2):
                 z = r * cmath.exp(1j * phase)
-                full = spherical_jn_ladder(specfun.N_ORDER_MAX, z)
+                full = spherical_jn_ladder(orders[-1], z)
                 zz = mpmath.mpc(z)
                 for n in orders:
                     ref = complex(mp_ref.jn(n, zz))
@@ -252,6 +252,19 @@ def test_real_yn_against_mpmath():
 
 def test_band_orders_are_checked():
     with pytest.raises(UnsupportedOrderError):
-        specfun._jn_band([1.0, 2.0], [10, 200], 2)
+        specfun._jn_band([1.0, 2.0], [10, specfun.N_ORDER_MAX], 2)
     with pytest.raises(InvalidArgumentError):
         specfun._yn_band([1.0, 2.0], [-1, 3], 2)
+
+
+def test_yn_band_below_the_double_range():
+    # |z| below about 1e-154, where y_1 overflows: the band starts from y_0's
+    # split, and its exponents carry y_n ~ (2n-1)!!/z^(n+1) far past 1e308
+    z = np.array([1e-160, 1e-200 * cmath.exp(0.3j), 1e-300])
+    m, e = specfun._yn_band(z, 0, 41)
+    with mpmath.workdps(40):
+        for i, zi in enumerate(z):
+            for n in (0, 1, 2, 5, 40):
+                ref = mp_ref.yn(n, mpmath.mpc(zi))
+                got = mpmath.mpc(m[i, n]) * mpmath.mpf(2) ** int(e[i, n])
+                assert abs(got - ref) <= 1e-12 * abs(ref), (zi, n)

@@ -157,10 +157,24 @@ class TestFermi:
         [rate] = fermi_rate(omega0, [geo], ag, weak_emitter)
         assert rate == pytest.approx(expected, rel=1e-12)
 
+    def test_small_gap_sum_matches_the_oracle(self, ag, weak_emitter):
+        # R = 40 nm at h = 3 nm (R/r_d = 40/43) sums past the old 200-order cap
+        geo = Geometry.from_surface_distance(40.0, 3.0)
+        rho = geo.radius / geo.r_d
+        order = next(n for n in range(1, N_ORDER_MAX)
+                     if ((n + 1) / 2) ** 2 * rho ** (2 * n - 2) <= 1e-14)
+        assert order > 200
+        omega0 = weak_emitter.omega0
+        terms = oracle.green_terms(omega0, geo, ag, order)
+        kb = geo.n_b * omega0 / HBAR_C_EV_NM
+        expected = 1.0 + weak_emitter.eta * 6 * math.pi / kb * np.sum(terms).imag
+        [rate] = fermi_rate(omega0, [geo], ag, weak_emitter)
+        assert rate == pytest.approx(expected, rel=1e-12)
+
     def test_unconverged_sum_raises_naming_the_gap(self, ag, weak_emitter):
-        # at h = 0.5 nm (below R/11) the series is still 2% short at order 200
-        geos = [Geometry.from_surface_distance(8.0, h) for h in (5.0, 0.5)]
-        with pytest.raises(UnsupportedOrderError, match="h = 0.5 nm"):
+        # h = 0.05 nm (below R/86) needs about 3,800 orders, past the cap
+        geos = [Geometry.from_surface_distance(8.0, h) for h in (5.0, 0.05)]
+        with pytest.raises(UnsupportedOrderError, match="h = 0.05 nm"):
             fermi_rate(weak_emitter.omega0, geos, ag, weak_emitter)
 
 
