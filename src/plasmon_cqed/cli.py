@@ -9,6 +9,7 @@ field path), 3 numerical failure (message names the failing stage).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__
@@ -21,7 +22,9 @@ EXIT_SCHEMA = 2
 EXIT_NUMERICAL = 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="plasmon-cqed",
         description="Emitter-nanoparticle effective-Hamiltonian simulator",

@@ -2,7 +2,9 @@
 
 CSV convention: '#'-prefixed header comments carrying units, decimal point,
 UTF-8, fixed %.12g formatting so identical scenarios produce byte-identical
-files.
+files.  Each file is formatted in memory and written in one call; the writers
+return the SHA-256 of the bytes written, which the manifest records without
+reading the files back (`validate_manifest` does read them).
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 def _row_template(types) -> str:
@@ -22,30 +26,46 @@ def _row_template(types) -> str:
         else "%.12g" for t in types) + "\n"
 
 
-def write_csv(path, columns, rows, comments=()) -> None:
-    """columns: list of names; rows: iterable of equal-length sequences.
+def _write(path, text: str) -> str:
+    """Write text as UTF-8 in one call; return the SHA-256 of its bytes."""
+    data = text.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
-    Each row is formatted by one template per distinct sequence of value
-    types, in practice one per file.
+
+def write_csv(path, columns, rows, comments=()) -> str:
+    """columns: list of names; rows: a 2-D float array, or an iterable of
+    equal-length sequences.  Returns the SHA-256 of the bytes written.
+
+    A float array (dtype kind "f") is formatted by one all-float template
+    applied once to all of its values.  Any other rows are formatted one by
+    one, by one template per distinct sequence of value types (in practice
+    one per file), so str and Python int values keep their own formats.  Both
+    paths give the bytes of per-value formatting.
     """
-    templates = {}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
+    parts = [f"# {line}\n" for line in comments]
+    parts.append(",".join(columns) + "\n")
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+        nrows, ncols = rows.shape
+        parts.append(_row_template((float,) * ncols) * nrows
+                     % tuple(rows.ravel().tolist()))
+    else:
+        templates = {}
         for row in rows:
             row = tuple(row)
             types = tuple(map(type, row))
             template = templates.get(types)
             if template is None:
                 template = templates[types] = _row_template(types)
-            fh.write(template % row)
+            parts.append(template % row)
+    return _write(path, "".join(parts))
 
 
-def write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=True)
-        fh.write("\n")
+def write_json(path, payload) -> str:
+    """Sorted, indented JSON plus a newline; returns the SHA-256 written."""
+    return _write(path, json.dumps(payload, indent=2, sort_keys=True,
+                                   allow_nan=True) + "\n")
 
 
 def sha256_file(path) -> str:
@@ -59,10 +79,11 @@ def sha256_file(path) -> str:
 @dataclass
 class RunWriter:
     """Tracks files written by a run: checksums for the manifest, cleanup of
-    partial outputs on failure."""
+    partial outputs on failure.  `files` maps each file name to the SHA-256
+    of the bytes written to it."""
 
     out_dir: str
-    files: list = field(default_factory=list)
+    files: dict = field(default_factory=dict)
     assumptions: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -73,14 +94,12 @@ class RunWriter:
 
     def csv(self, name, columns, rows, comments=()) -> str:
         p = self.path(name)
-        write_csv(p, columns, rows, comments)
-        self.files.append(name)
+        self.files[name] = write_csv(p, columns, rows, comments)
         return p
 
     def json(self, name, payload) -> str:
         p = self.path(name)
-        write_json(p, payload)
-        self.files.append(name)
+        self.files[name] = write_json(p, payload)
         return p
 
     def note(self, text: str) -> None:
@@ -100,8 +119,7 @@ class RunWriter:
             "wall_clock_s": round(wall_clock_s, 3),
             "scenario": scenario_raw,
             "assumptions": self.assumptions,
-            "outputs": {name: sha256_file(self.path(name))
-                        for name in sorted(self.files)},
+            "outputs": self.files,
         }
         p = self.path("run_manifest.json")
         write_json(p, payload)

@@ -174,11 +174,12 @@ def task_dressed(sc: Scenario, writer: RunWriter):
                comments=["dressed states: lambda_m = omega_m - i gamma_m/2",
                          "weight_m0_sq is |m0|^2 in the biorthogonal gauge"])
     writer.csv("polarization.csv", ["omega_ev", "p"],
-               list(zip(grid, pol.values)),
+               np.column_stack((grid, pol.values)),
                comments=["near-field polarization spectrum"])
     writer.csv("radiated.csv",
                ["omega_ev", "p_rad", "lsp1_population", "gamma_rad_ev"],
-               list(zip(grid, rad.p_rad, rad.lsp1_population, rad.gamma_rad)),
+               np.column_stack((grid, rad.p_rad, rad.lsp1_population,
+                                rad.gamma_rad)),
                comments=["far-field power and |C_1(w)|^2 proxy"])
     payload = {"n_states": len(dressed.eigenvalues), **scalars}
     writer.json("dressed.json", payload)
@@ -274,8 +275,7 @@ def task_fano(sc: Scenario, writer: RunWriter):
         "fano_rate.csv",
         ["omega_ev", "lambda_nm", "rate_lossless", "fit_lossless",
          "rate_lossy", "fit_lossy"],
-        [[w, 2 * math.pi * HBAR_C_EV_NM / w] + [c[i] for c in columns]
-         for i, w in enumerate(grid)],
+        np.column_stack((grid, 2 * math.pi * HBAR_C_EV_NM / grid, *columns)),
         comments=["normalized decay rate into LSP_1 and its Fano fits"])
     writer.json("fano.json", payload)
     return payload
@@ -378,12 +378,13 @@ def figure_suite(sc: Scenario, writer: RunWriter):
     _, pol, rad, scalars = _dressed_spectra(modes25, sc_emitter, grid_pol,
                                             geometry, material)
     writer.csv("fig4b.csv", ["omega_ev", "p", "p_normalized"],
-               list(zip(grid_pol, pol.values, pol.values / pol.values.max())),
+               np.column_stack((grid_pol, pol.values,
+                                pol.values / pol.values.max())),
                comments=["polarization spectrum, omega0 = 2.94 eV, N = 25"])
     writer.csv("fig5.csv",
                ["omega_ev", "p_rad_normalized", "lsp1_population_normalized"],
-               list(zip(grid_pol, rad.p_rad / rad.p_rad.max(),
-                        rad.lsp1_population / rad.lsp1_population.max())),
+               np.column_stack((grid_pol, rad.p_rad / rad.p_rad.max(),
+                                rad.lsp1_population / rad.lsp1_population.max())),
                comments=["far-field power and LSP_1 population proxy"])
     summary["splitting_mev"] = _check(scalars["splitting_ev"] * 1e3,
                                       "splitting_mev")
@@ -404,7 +405,7 @@ def figure_suite(sc: Scenario, writer: RunWriter):
     amps = _amplitudes(build_standard(modes_wk, wk_emitter), psi0,
                        times_ns * 1e-9 / HBAR_EV_S)
     pops = np.abs(amps[:, 0]) ** 2
-    writer.csv("fig6a.csv", ["t_ns", "pop_e"], list(zip(times_ns, pops)),
+    writer.csv("fig6a.csv", ["t_ns", "pop_e"], np.column_stack((times_ns, pops)),
                comments=["excited-state dynamics, R=8 nm, h=5 nm"])
     slope = np.polyfit(times_ns[pops > 1e-12] * 1e-9 / HBAR_EV_S,
                        np.log(pops[pops > 1e-12]), 1)[0]
@@ -437,10 +438,8 @@ def figure_suite(sc: Scenario, writer: RunWriter):
         ["omega_ev", "lambda_nm",
          "h30_lossless_rate", "h30_lossless_fit", "h30_lossy_rate", "h30_lossy_fit",
          "h15_lossless_rate", "h15_lossless_fit", "h15_lossy_rate", "h15_lossy_fit"],
-        [[w, 2 * math.pi * HBAR_C_EV_NM / w]
-         + [c[i] for c in fig9_cols[30.0]]
-         + [c[i] for c in fig9_cols[15.0]]
-         for i, w in enumerate(grid_f)],
+        np.column_stack((grid_f, 2 * math.pi * HBAR_C_EV_NM / grid_f,
+                         *fig9_cols[30.0], *fig9_cols[15.0])),
         comments=["normalized LSP_1 decay rate and Fano fits, R=50 nm"])
 
     summary["q_fano"] = _check(results[30.0]["q_fano"], "q_fano")

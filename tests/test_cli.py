@@ -345,6 +345,30 @@ class TestCliExitCodes:
         assert leftovers == []
 
 
+class TestParserReuse:
+    def test_each_call_parses_afresh(self, tmp_path, capsys):
+        from plasmon_cqed import __version__, cli
+
+        config = write_config(tmp_path, base_config(task="spectra"))
+        bad = base_config(task="spectra")
+        bad["geometry"]["radius_nm"] = -3.0
+        bad_config = write_config(tmp_path, bad, name="bad.json")
+        out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert main(["run", config, "--out", out_a]) == 0
+        assert main(["run", bad_config]) == 2
+        assert "geometry.radius_nm" in capsys.readouterr().err
+        assert main(["run", config, "--out", out_b]) == 0
+        assert f"wrote 1 files to {out_b}" in capsys.readouterr().out
+        assert sorted(os.listdir(out_a)) == sorted(os.listdir(out_b))
+        assert validate_manifest(out_b) == []
+        assert cli.build_parser() is cli.build_parser()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as done:
+                main(["--version"])
+            assert done.value.code == 0
+            assert capsys.readouterr().out.strip() == __version__
+
+
 class TestVerifyFlag:
     def test_every_check_passes_before_the_task(self, tmp_path, capsys):
         from plasmon_cqed.verify import ALL_CHECKS

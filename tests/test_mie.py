@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from plasmon_cqed.constants import HBAR_C_EV_NM
-from plasmon_cqed.errors import InvalidArgumentError, NoResonanceError
+from plasmon_cqed.errors import (
+    InvalidArgumentError,
+    NoResonanceError,
+    UnsupportedOrderError,
+)
 from plasmon_cqed.medium import Geometry, MaterialModel, silver
 from plasmon_cqed.mie import (
     green_rr_quasistatic,
@@ -194,6 +198,13 @@ class TestQuasiStatic:
             assert all(math.isfinite(v) for v in (
                 mode.omega_n, mode.omega_res, mode.gamma_rad, mode.gamma_n, g))
             assert mode.gamma_n >= ag.gamma_p and g >= 0.0
+
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_polarizability_order_beyond_the_double_range(self, ag, n):
+        # R^(2n+1) = 50^(2n+1) overflows a double from n = 91
+        geo = Geometry.from_surface_distance(50.0, 2.0)
+        with pytest.raises(UnsupportedOrderError, match=f"n={n}, R=50.0 nm"):
+            qs_polarizability(n, 2.9, geo, ag)
 
 
 class TestGreenQuasistatic:
