@@ -257,17 +257,11 @@ def qs_polarizability(n: int, omega, geometry: Geometry,
     element-wise over omega.
 
     Any frequency on the pole |n eps_m + (n+1) eps_b| < 1e-12 raises
-    SingularDenominatorError; an order at which R^(2n+1) overflows a double
-    (from n = 91 at R = 50 nm) raises UnsupportedOrderError.
+    SingularDenominatorError; an order at which alpha_qs leaves the double
+    range (from n = 89-90 at R = 50 nm) raises UnsupportedOrderError.
     """
     if n < 1:
         raise InvalidArgumentError("multipole order starts at n=1")
-    try:
-        volume = math.pow(geometry.radius, 2 * n + 1)
-    except OverflowError:
-        raise UnsupportedOrderError(
-            f"R^(2n+1) leaves the double range at n={n}, "
-            f"R={geometry.radius} nm") from None
     # alpha_n/R^(2n+1) = n(eps_m - eps_b)/(n eps_m + (n+1) eps_b)
     eps_m = permittivity(material, omega)
     num, den = n * (eps_m - geometry.eps_b), n * eps_m + (n + 1) * geometry.eps_b
@@ -276,7 +270,13 @@ def qs_polarizability(n: int, omega, geometry: Geometry,
         raise SingularDenominatorError(
             f"quasi-static pole at n={n}, omega={np.extract(on_pole, omega)[0]} eV "
             "(lossless on-resonance)")
-    alpha_qs = num * volume / den
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            alpha_qs = num * math.pow(geometry.radius, 2 * n + 1) / den
+    except (OverflowError, FloatingPointError):
+        raise UnsupportedOrderError(
+            f"alpha_qs leaves the double range at n={n}, "
+            f"R={geometry.radius} nm") from None
     corr = _radiative_prefactor(n, geometry.n_b * omega / HBAR_C_EV_NM)
     alpha_eff = alpha_qs / (1.0 - 1j * corr * alpha_qs)
     return alpha_qs, alpha_eff

@@ -1,10 +1,11 @@
 """Deterministic CSV/JSON artifact writers and the run manifest.
 
 CSV convention: '#'-prefixed header comments carrying units, decimal point,
-UTF-8, fixed %.12g formatting so identical scenarios produce byte-identical
-files.  Each file is formatted in memory and written in one call; the writers
-return the SHA-256 of the bytes written, which the manifest records without
-reading the files back (`validate_manifest` does read them).
+UTF-8; each column holds str values or numbers throughout, written by one
+template (%s, or %.12g, exact for integers below 1e12) so identical scenarios
+produce byte-identical files.  Each file is formatted in memory and written
+in one call; the writers return the SHA-256 of the bytes written, which the
+manifest records without reading the files back (`validate_manifest` does).
 """
 
 from __future__ import annotations
@@ -17,15 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _row_template(types) -> str:
-    """%-template of one CSV line for values of these types: str as is, Python
-    int (not bool) exactly, anything else as a float at %.12g."""
-    return ",".join(
-        "%s" if issubclass(t, str)
-        else "%d" if issubclass(t, int) and not issubclass(t, bool)
-        else "%.12g" for t in types) + "\n"
-
-
 def _write(path, text: str) -> str:
     """Write text as UTF-8 in one call; return the SHA-256 of its bytes."""
     data = text.encode("utf-8")
@@ -35,30 +27,23 @@ def _write(path, text: str) -> str:
 
 
 def write_csv(path, columns, rows, comments=()) -> str:
-    """columns: list of names; rows: a 2-D float array, or an iterable of
+    """columns: list of names; rows: a 2-D array, or a sequence of
     equal-length sequences.  Returns the SHA-256 of the bytes written.
 
-    A float array (dtype kind "f") is formatted by one all-float template
-    applied once to all of its values.  Any other rows are formatted one by
-    one, by one template per distinct sequence of value types (in practice
-    one per file), so str and Python int values keep their own formats.  Both
-    paths give the bytes of per-value formatting.
+    The first row's value types give the line template: %s for a str, %.12g
+    for a number (an integer below 1e12 comes out as %d writes it).  One %
+    operation applies it to every value, so a str in a number column raises
+    TypeError.
     """
+    if isinstance(rows, np.ndarray):
+        first, values = rows[:1].tolist(), rows.ravel().tolist()
+    else:
+        first, values = rows[:1], [v for row in rows for v in row]
+    template = ",".join("%s" if isinstance(v, str) else "%.12g"
+                        for row in first for v in row) + "\n"
     parts = [f"# {line}\n" for line in comments]
     parts.append(",".join(columns) + "\n")
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-        nrows, ncols = rows.shape
-        parts.append(_row_template((float,) * ncols) * nrows
-                     % tuple(rows.ravel().tolist()))
-    else:
-        templates = {}
-        for row in rows:
-            row = tuple(row)
-            types = tuple(map(type, row))
-            template = templates.get(types)
-            if template is None:
-                template = templates[types] = _row_template(types)
-            parts.append(template % row)
+    parts.append(template * len(rows) % tuple(values))
     return _write(path, "".join(parts))
 
 
@@ -92,15 +77,11 @@ class RunWriter:
     def path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
 
-    def csv(self, name, columns, rows, comments=()) -> str:
-        p = self.path(name)
-        self.files[name] = write_csv(p, columns, rows, comments)
-        return p
+    def csv(self, name, columns, rows, comments=()) -> None:
+        self.files[name] = write_csv(self.path(name), columns, rows, comments)
 
-    def json(self, name, payload) -> str:
-        p = self.path(name)
-        self.files[name] = write_json(p, payload)
-        return p
+    def json(self, name, payload) -> None:
+        self.files[name] = write_json(self.path(name), payload)
 
     def note(self, text: str) -> None:
         self.assumptions.append(text)
@@ -127,12 +108,13 @@ class RunWriter:
 
 
 def validate_manifest(out_dir) -> list:
-    """Recompute checksums against run_manifest.json; returns mismatches."""
+    """Recompute checksums against run_manifest.json; returns the outputs
+    that are missing or differ."""
     with open(os.path.join(out_dir, "run_manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
     bad = []
     for name, digest in manifest["outputs"].items():
-        actual = sha256_file(os.path.join(out_dir, name))
-        if actual != digest:
+        path = os.path.join(out_dir, name)
+        if not os.path.isfile(path) or sha256_file(path) != digest:
             bad.append(name)
     return bad

@@ -162,15 +162,13 @@ def task_dressed(sc: Scenario, writer: RunWriter):
     grid = sc.omega_grid.build()
     dressed, pol, rad, scalars = _dressed_spectra(
         modes, sc.emitter, grid, sc.geometry, sc.material)
-    weight_table = dressed.weight_table()
     columns = ["m", "omega_abs_ev", "gamma_m_ev", "weight_m0_sq"] + \
         [f"weight_lsp{m.n}" for m in modes]
-    rows = []
-    for m in range(len(dressed.eigenvalues)):
-        rows.append([m + 1, sc.emitter.omega0 + dressed.frequencies[m],
-                     dressed.widths[m], abs(dressed.weights[m])]
-                    + list(weight_table[m, 1:]))
-    writer.csv("dressed.csv", columns, rows,
+    writer.csv("dressed.csv", columns,
+               np.column_stack((np.arange(1.0, len(dressed.eigenvalues) + 1),
+                                sc.emitter.omega0 + dressed.frequencies,
+                                dressed.widths, np.abs(dressed.weights),
+                                dressed.weight_table()[:, 1:])),
                comments=["dressed states: lambda_m = omega_m - i gamma_m/2",
                          "weight_m0_sq is |m0|^2 in the biorthogonal gauge"])
     writer.csv("polarization.csv", ["omega_ev", "p"],
@@ -351,7 +349,6 @@ def figure_suite(sc: Scenario, writer: RunWriter):
     writer.note("figure suite uses Drude silver regardless of scenario material")
     writer.note("coupling-spectra MNP radius assumed 8 nm (unstated in source)")
     writer.note(f"strong-coupling dipole calibrated to {STRONG_COUPLING_DIPOLE_D} D")
-    summary = {}
 
     # -- coupling spectra, small particle (R=8, h=2), n = 1..6
     geometry, sc_emitter = _strong_coupling_inputs()
@@ -386,11 +383,6 @@ def figure_suite(sc: Scenario, writer: RunWriter):
                np.column_stack((grid_pol, rad.p_rad / rad.p_rad.max(),
                                 rad.lsp1_population / rad.lsp1_population.max())),
                comments=["far-field power and LSP_1 population proxy"])
-    summary["splitting_mev"] = _check(scalars["splitting_ev"] * 1e3,
-                                      "splitting_mev")
-    summary["peak_separation_mev"] = _check(
-        scalars["polarization_peak_separation_ev"] * 1e3, "peak_separation_mev")
-    summary["c1_peak_ev"] = _check(scalars["c1_peak_ev"], "c1_peak_ev")
 
     # -- weak coupling: decay dynamics and distance sweep
     wk_emitter = _weak_coupling_emitter()
@@ -410,8 +402,6 @@ def figure_suite(sc: Scenario, writer: RunWriter):
     slope = np.polyfit(times_ns[pops > 1e-12] * 1e-9 / HBAR_EV_S,
                        np.log(pops[pops > 1e-12]), 1)[0]
     lifetime_ns = HBAR_EV_S / (-slope) / 1e-9
-    summary["gamma_ratio"] = _check(adiab.enhancement, "gamma_ratio")
-    summary["lifetime_ns"] = _check(lifetime_ns, "lifetime_ns")
 
     fermi = fermi_rate(wk_emitter.omega0, geos_wk, material, wk_emitter)
     sweep = [[h, adiabatic_rates(modes, wk_emitter).enhancement, f]
@@ -442,13 +432,20 @@ def figure_suite(sc: Scenario, writer: RunWriter):
                          *fig9_cols[30.0], *fig9_cols[15.0])),
         comments=["normalized LSP_1 decay rate and Fano fits, R=50 nm"])
 
-    summary["q_fano"] = _check(results[30.0]["q_fano"], "q_fano")
-    summary["f_rad_h30"] = _check(results[30.0]["f_rad"], "f_rad_h30")
-    summary["f_rad_h15"] = _check(results[15.0]["f_rad"], "f_rad_h15")
-    summary["gamma1_nr_mev"] = _check(results[30.0]["gamma1_nr_ev"] * 1e3,
-                                      "gamma1_nr_mev")
-    summary["f_p_h30"] = _check(results[30.0]["f_p"], "f_p_h30")
-    summary["f_p_h15"] = _check(results[15.0]["f_p"], "f_p_h15")
+    values = {
+        "splitting_mev": scalars["splitting_ev"] * 1e3,
+        "peak_separation_mev": scalars["polarization_peak_separation_ev"] * 1e3,
+        "c1_peak_ev": scalars["c1_peak_ev"],
+        "gamma_ratio": adiab.enhancement,
+        "lifetime_ns": lifetime_ns,
+        "q_fano": results[30.0]["q_fano"],
+        "f_rad_h30": results[30.0]["f_rad"],
+        "f_rad_h15": results[15.0]["f_rad"],
+        "gamma1_nr_mev": results[30.0]["gamma1_nr_ev"] * 1e3,
+        "f_p_h30": results[30.0]["f_p"],
+        "f_p_h15": results[15.0]["f_p"],
+    }
+    summary = {key: _check(value, key) for key, value in values.items()}
     summary["purcell_identity_residual"] = {
         "value": max(results[h]["purcell_identity_residual"] for h in results),
         "reference": 0.0,

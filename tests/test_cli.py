@@ -10,7 +10,7 @@ import pytest
 
 from plasmon_cqed.cli import main
 from plasmon_cqed.errors import SchemaError
-from plasmon_cqed.output import validate_manifest
+from plasmon_cqed.output import sha256_file, validate_manifest
 from plasmon_cqed.scenario import TASKS, GridSpec, parse_scenario
 from plasmon_cqed.tasks import TASK_RUNNERS
 
@@ -606,6 +606,70 @@ def test_shipped_config_runs(tmp_path, config):
     out = str(tmp_path / "out")
     assert main(["run", config, "--out", out]) == 0
     assert validate_manifest(out) == []
+
+
+# SHA-256 of every output of the shipped configs but run_manifest.json, whose
+# wall clock varies.  A change that moves an output updates its digest here
+# and says why in CHANGES.md.
+SHIPPED_OUTPUT_DIGESTS = {
+    "fano_r50.json": {
+        "fano.json":
+            "45fe4ae5d8a424b3b81652ab52c6026689576e45a71363a835c5763e588d2294",
+        "fano_rate.csv":
+            "730eacafcda7c6db590009171ef0afe6a8b13063b34607e13d2381f60b6700dd",
+    },
+    "figure_suite.json": {
+        "fig2.csv":
+            "9a289398ba23aa1312da819251cf58dbc4cb02fdd013e0c77819e15397678a01",
+        "fig3.csv":
+            "f0ec8019b034e3b466b92adde1b9d7ab162b9c743db292ce4857775349241b60",
+        "fig4b.csv":
+            "463ee3156267119c8da04bd432d432479274f5688bf56551517219b21eb62756",
+        "fig5.csv":
+            "21df0e17263f3e62c465142f45c3d7e63a0173a60e66aacf6568d6b2177a5297",
+        "fig6a.csv":
+            "72dea48bb21b3a3a492578e010a0934411a0b63c41375910a12b0111c757fed7",
+        "fig6b.csv":
+            "b02a567f396bad80a22f972084d81f103463a83ee5b5c1fb24a494819bc30dcf",
+        "fig8.csv":
+            "916a7b6e2df122b689a20eeeb53b41101db3028d69f7b661b9f85bb8636ff2df",
+        "fig9.csv":
+            "0f870be0b97006bb08bfc537f4706c65bcd5e4dac8c5b4ce094091f8227e2164",
+        "summary.json":
+            "39f59b1c0032f79464956d9e609933af33dbb9dddbe6dd9b687599902c991923",
+    },
+    "strong_coupling.json": {
+        "dressed.csv":
+            "c7f4eeab5430b1009153618319b443adb221fa52f8060a9a2239effe37ee2c8a",
+        "dressed.json":
+            "eaea4157e71fa59efab8ea9f5a72e53dd0b9b2532225ae5c7567e1735efbb5f0",
+        "modes.csv":
+            "f85291ab0f8312c4df1abbc938ec395e85235f51682731b373367b2b75bf6e93",
+        "modes.json":
+            "d4379cc6ff1dbe083b4f8884e706ea5e3a3a4d09f9bae9eddc1d2bd6da63711a",
+        "polarization.csv":
+            "e5b8cc82f9eb8325d9e332038ca31ada6d04c8bc6a2296758a1a57b0bf2098cc",
+        "radiated.csv":
+            "1126a18f48a6d54f26ac94ceb4c11b61439f20daaef41a50320d35d1560cf62b",
+    },
+    "weak_coupling.json": {
+        "rates.csv":
+            "5b3221e8c230551621864d1d5fcb7b7481c3da87a6984978305787d2fd68e606",
+        "rates.json":
+            "ffc7fc72235b75106b57a4293e507a60350f2e4bffb53a21045aa215e1e6105e",
+        "rates_summary.csv":
+            "9df2c0ef946f264b2d84a4cd1b9de39aab9c3f57e7cdb09adf5a05971a667ac1",
+    },
+}
+
+
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=os.path.basename)
+def test_shipped_config_outputs_keep_their_bytes(tmp_path, config):
+    out = tmp_path / "out"
+    assert main(["run", config, "--out", str(out)]) == 0
+    assert {name: sha256_file(out / name) for name in os.listdir(out)
+            if name != "run_manifest.json"} == \
+        SHIPPED_OUTPUT_DIGESTS[os.path.basename(config)]
 
 
 def test_cold_mode_fit_run_imports_no_minpack(tmp_path):

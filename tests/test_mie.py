@@ -199,12 +199,19 @@ class TestQuasiStatic:
                 mode.omega_n, mode.omega_res, mode.gamma_rad, mode.gamma_n, g))
             assert mode.gamma_n >= ag.gamma_p and g >= 0.0
 
-    @pytest.mark.parametrize("n", [100, 200])
+    @pytest.mark.parametrize("n", [90, 100, 200])
     def test_polarizability_order_beyond_the_double_range(self, ag, n):
-        # R^(2n+1) = 50^(2n+1) overflows a double from n = 91
+        # at R = 50 nm, alpha_qs overflows a double from n = 90 and
+        # R^(2n+1) = 50^(2n+1) from n = 91
         geo = Geometry.from_surface_distance(50.0, 2.0)
         with pytest.raises(UnsupportedOrderError, match=f"n={n}, R=50.0 nm"):
             qs_polarizability(n, 2.9, geo, ag)
+
+    def test_polarizability_finite_one_order_below_its_refusal(self, ag):
+        geo = Geometry.from_surface_distance(50.0, 2.0)
+        alpha_qs, alpha_eff = qs_polarizability(89, np.array([2.0, 2.9, 3.4]),
+                                                geo, ag)
+        assert np.all(np.isfinite(alpha_qs)) and np.all(np.isfinite(alpha_eff))
 
 
 class TestGreenQuasistatic:

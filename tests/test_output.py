@@ -23,18 +23,32 @@ def _fmt(value) -> str:
 
 
 def test_row_templates_write_the_bytes_of_per_value_formatting(tmp_path):
+    # the first row fixes each column as str or number; a number of any type
+    # is written at %.12g, which writes an integer below 1e12 exactly
     rows = [
         [1, True, np.int64(7), np.float64(0.1) + 0.2, "key", float("nan")],
-        [10**15, False, np.int32(-3), 1.0 / 3.0, "", float("inf")],
-        # same column, other types: each row takes its own template
-        ["text", 2.5, np.float32(0.1), -0.0, 7, -float("inf")],
-        (np.bool_(True), 123456789012345, 1e-300, np.nan, "x,y", 0),
+        [999999999999, False, np.int32(-3), 1.0 / 3.0, "", float("inf")],
+        [-5, np.bool_(True), np.float32(0.1), -0.0, "x,y", -float("inf")],
+        (0, 2.5, np.int64(123456789012), 1e-300, "text", 0),
     ]
     path = tmp_path / "rows.csv"
     write_csv(path, ["a", "b", "c", "d", "e", "f"], rows, comments=["note"])
     expected = "# note\na,b,c,d,e,f\n" + "".join(
         ",".join(_fmt(v) for v in row) + "\n" for row in rows)
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("columns", [[], ["a", "b"]], ids=["no-columns", "columns"])
+def test_zero_row_list_writes_the_header_alone(tmp_path, columns):
+    write_csv(tmp_path / "empty.csv", columns, [], comments=["note"])
+    assert (tmp_path / "empty.csv").read_bytes() == \
+        ("# note\n" + ",".join(columns) + "\n").encode("utf-8")
+
+
+def test_str_in_a_number_column_raises_and_writes_nothing(tmp_path):
+    with pytest.raises(TypeError):
+        write_csv(tmp_path / "mixed.csv", ["n", "x"], [[1, 0.5], ["a", 0.25]])
+    assert not (tmp_path / "mixed.csv").exists()
 
 
 SPECIAL_VALUES = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
@@ -96,3 +110,12 @@ def test_manifest_records_the_digests_of_the_bytes_written(tmp_path):
     writer.discard_all()
     assert sorted(os.listdir(tmp_path)) == ["run_manifest.json"]
     assert not writer.files
+
+
+def test_manifest_names_a_deleted_output(tmp_path):
+    writer = RunWriter(str(tmp_path))
+    writer.csv("a.csv", ["x"], np.linspace(0.0, 1.0, 5)[:, None])
+    writer.json("b.json", {"k": 1})
+    writer.manifest({}, "v", 0.0)
+    os.unlink(tmp_path / "a.csv")
+    assert validate_manifest(str(tmp_path)) == ["a.csv"]
