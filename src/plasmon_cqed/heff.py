@@ -320,7 +320,7 @@ def radiated_spectrum(h: EffectiveHamiltonian, grid, geometry: Geometry,
     grid = np.asarray(grid, dtype=float)
     amps = amplitude_response(h, grid)
     p_of_w = np.abs(amps[:, 0]) ** 2
-    _, alpha_eff = qs_polarizability(1, grid, geometry, material)
+    _, alpha_eff = qs_polarizability(grid, geometry, material)
     g_rad = radiative_rate(grid, h.emitter.d_eg, geometry.n_b) \
         * (1.0 + 4.0 * np.abs(alpha_eff) ** 2 / geometry.r_d**6)
     p_rad = g_rad * p_of_w / (2.0 * math.pi)

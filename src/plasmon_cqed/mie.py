@@ -1,6 +1,6 @@
 """Exact Mie coefficients, radial-radial Green tensor components, and the
-quasi-static closed forms (polarizabilities, resonances, radiative widths,
-analytic coupling strengths).
+quasi-static closed forms (the dipole polarizability, resonances, radiative
+widths, analytic coupling strengths).
 
 Only the radial-radial component matters here: the emitter dipole is radially
 oriented, so the M (TE) vector harmonics drop out and the scattered Green
@@ -21,12 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import DIPOLE_SQ_OVER_EPS0, HBAR_C_EV_NM
-from .errors import (
-    InvalidArgumentError,
-    NoResonanceError,
-    SingularDenominatorError,
-    UnsupportedOrderError,
-)
+from .errors import InvalidArgumentError, NoResonanceError, SingularDenominatorError
 from .medium import (
     Geometry,
     MaterialModel,
@@ -251,33 +246,21 @@ def _radiative_prefactor(n: int, x):
                   - log_double_factorial(2 * n - 1) - log_double_factorial(2 * n + 1))
 
 
-def qs_polarizability(n: int, omega, geometry: Geometry,
-                      material: MaterialModel):
-    """Quasi-static and effective (radiation-corrected) polarizabilities, nm^(2n+1),
-    element-wise over omega.
-
-    Any frequency on the pole |n eps_m + (n+1) eps_b| < 1e-12 raises
-    SingularDenominatorError; an order at which alpha_qs leaves the double
-    range (from n = 89-90 at R = 50 nm) raises UnsupportedOrderError.
-    """
-    if n < 1:
-        raise InvalidArgumentError("multipole order starts at n=1")
-    # alpha_n/R^(2n+1) = n(eps_m - eps_b)/(n eps_m + (n+1) eps_b)
+def qs_polarizability(omega, geometry: Geometry, material: MaterialModel):
+    """Quasi-static and radiation-corrected dipole polarizabilities (nm^3),
+    element-wise over omega: alpha_qs = (eps_m - eps_b)/(eps_m + 2 eps_b) R^3
+    and alpha_eff = alpha_qs/(1 - i (2/3) k_b^3 alpha_qs) (Bohren & Huffman
+    1983).  A frequency on the pole |eps_m + 2 eps_b| < 1e-12 raises
+    SingularDenominatorError."""
     eps_m = permittivity(material, omega)
-    num, den = n * (eps_m - geometry.eps_b), n * eps_m + (n + 1) * geometry.eps_b
+    num, den = eps_m - geometry.eps_b, eps_m + 2 * geometry.eps_b
     on_pole = np.abs(den) < 1e-12
     if np.any(on_pole):
         raise SingularDenominatorError(
-            f"quasi-static pole at n={n}, omega={np.extract(on_pole, omega)[0]} eV "
+            f"dipolar quasi-static pole at omega={np.extract(on_pole, omega)[0]} eV "
             "(lossless on-resonance)")
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            alpha_qs = num * math.pow(geometry.radius, 2 * n + 1) / den
-    except (OverflowError, FloatingPointError):
-        raise UnsupportedOrderError(
-            f"alpha_qs leaves the double range at n={n}, "
-            f"R={geometry.radius} nm") from None
-    corr = _radiative_prefactor(n, geometry.n_b * omega / HBAR_C_EV_NM)
+    alpha_qs = num * geometry.radius**3 / den
+    corr = _radiative_prefactor(1, geometry.n_b * omega / HBAR_C_EV_NM)
     alpha_eff = alpha_qs / (1.0 - 1j * corr * alpha_qs)
     return alpha_qs, alpha_eff
 
@@ -342,16 +325,14 @@ def qs_coupling_strength(mode: QuasiStaticMode, geometry: Geometry,
         * (geometry.radius / geometry.r_d) ** (mode.n + 0.5) / geometry.r_d ** 1.5
 
 
-def green_rr_quasistatic(omega: float, geometry: Geometry, material: MaterialModel,
-                         n_max: int) -> complex:
-    """First-order-resonance Green function built from the quasi-static
-    modes, sum_n g_n^2 L_n(omega) / (k0^2 d^2/eps0) with the Lorentzians L_n;
-    d cancels, so g_n is taken for a 1 D dipole."""
+def green_rr_quasistatic(omega: float, geometry: Geometry,
+                         material: MaterialModel) -> complex:
+    """Dipolar resonance Green function built from the quasi-static LSP_1,
+    g_1^2 L_1(omega) / (k0^2 d^2/eps0) with the Lorentzian L_1; d cancels, so
+    g_1 is taken for a 1 D dipole."""
     k0 = omega / HBAR_C_EV_NM
-    total = 0.0 + 0.0j
-    for n in range(1, n_max + 1):
-        mode = qs_mode_params(n, geometry, material)
-        dw = omega - mode.omega_n
-        lor = (-dw + 1j * mode.gamma_n / 2.0) / (dw**2 + (mode.gamma_n / 2.0) ** 2)
-        total += qs_coupling_strength(mode, geometry, 1.0) ** 2 * lor
-    return total / (k0**2 * DIPOLE_SQ_OVER_EPS0)
+    mode = qs_mode_params(1, geometry, material)
+    dw = omega - mode.omega_n
+    lor = (-dw + 1j * mode.gamma_n / 2.0) / (dw**2 + (mode.gamma_n / 2.0) ** 2)
+    return qs_coupling_strength(mode, geometry, 1.0) ** 2 * lor \
+        / (k0**2 * DIPOLE_SQ_OVER_EPS0)

@@ -27,7 +27,9 @@ hold at every order for |z| down to 1e-300.
 
 Orders are capped at N_ORDER_MAX = 2000, a bound on the cost of a call (one
 recurrence step per order), not on accuracy; weak.fermi_rate needs 1,849
-orders at R = 80 nm, h = 1 nm.
+orders at R = 80 nm, h = 1 nm.  Since the Miller recurrence starts above |z|
+too, the cap bounds the argument of j_n as well: |z| >= N_ORDER_MAX + 1
+raises UnsupportedOrderError, as an order above the cap does.
 """
 
 from __future__ import annotations
@@ -118,9 +120,14 @@ def _band_rows(lo: np.ndarray, width: int) -> dict:
 
 def _ldexp(x, e):
     """x 2^e, each part scaled by np.ldexp: exact within the double range,
-    where forming 2.0**e itself would overflow beyond |e| = 1023."""
+    where forming 2.0**e itself would overflow beyond |e| = 1023.  The two
+    parts are set, not summed as re + 1j im, so that an infinite part does
+    not turn its neighbour into nan."""
     if np.iscomplexobj(x):
-        return np.ldexp(x.real, e) + 1j * np.ldexp(x.imag, e)
+        re, im = np.ldexp(x.real, e), np.ldexp(x.imag, e)
+        out = np.empty(re.shape, dtype=x.dtype)
+        out.real, out.imag = re, im
+        return out
     return np.ldexp(x, e)
 
 
@@ -162,13 +169,19 @@ def _miller_band(z: np.ndarray, lo: np.ndarray, width: int):
     """(mantissa, exponent) band of j_n, shape (width, points), at z != 0: a
     row's running exponent as stored, less the anchor's."""
     # each column starts at its own m = max(top of its band, |z|) + buffer;
-    # the rows in flight stay exactly zero until the recurrence reaches it
-    starts = np.maximum(lo + (width - 1), np.abs(z).astype(int)) + _MILLER_BUFFER
+    # the rows in flight stay exactly zero until the recurrence reaches it.
+    # |z| is clipped above the cap before the cast, so that none wraps around
+    size = np.abs(z)
+    starts = np.maximum(lo + (width - 1), np.minimum(
+        size, N_ORDER_MAX + 1).astype(int)) + _MILLER_BUFFER
     top = int(starts.max())
+    if top > N_ORDER_MAX + _MILLER_BUFFER:
+        raise UnsupportedOrderError(f"Bessel argument |z|={size.max():.4g} "
+                                    f"exceeds the order cap {N_ORDER_MAX}")
     seeds = {int(m): starts == m for m in np.unique(starts)}
     # |f_{k-1}| <= ((2k+1)/|z| + 1) max_{j>=k} |f_j|: the rescale test waits
     # until that bound from the seed could pass the limit
-    limit, skip = _rescaling(top, float(np.min(np.abs(z))),
+    limit, skip = _rescaling(top, float(size.min()),
                              math.log(_MILLER_SEED), np.arange(top, 0, -1))
     rows = _band_rows(lo, width)
     out = np.zeros((width, z.size), dtype=z.dtype)

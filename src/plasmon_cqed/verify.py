@@ -184,7 +184,7 @@ def check_qs_mie_agreement() -> CheckResult:
     geo = Geometry.from_surface_distance(8.0, 2.0)
     w = 2.9
     b_exact = mie_coefficients(1, w, geo, silver())
-    alpha_qs, _ = qs_polarizability(1, w, geo, silver())
+    alpha_qs, _ = qs_polarizability(w, geo, silver())
     kb = w / HBAR_C_EV_NM
     b_qs = 1j * 2.0 * kb**3 * alpha_qs / 3.0
     rel = abs(b_exact - b_qs) / abs(b_exact)
@@ -195,7 +195,7 @@ def check_green_quasistatic() -> CheckResult:
     geo = Geometry.from_surface_distance(8.0, 2.0)
     w = 2.80
     exact = green_rr_terms(w, geo, silver(), 1)[0]
-    approx = green_rr_quasistatic(w, geo, silver(), 1)
+    approx = green_rr_quasistatic(w, geo, silver())
     rel = abs(approx.imag - exact.imag) / abs(exact.imag)
     return CheckResult("green-quasistatic", rel < 0.15, f"Im rel dev {rel:.3f}")
 

@@ -323,7 +323,7 @@ class TestSpectra:
         rad = radiated_spectrum(ham, grid, small_geometry, ag)
         loop = []
         for w in grid:
-            _, alpha_eff = qs_polarizability(1, float(w), small_geometry, ag)
+            _, alpha_eff = qs_polarizability(float(w), small_geometry, ag)
             loop.append(radiative_rate(float(w), strong_emitter.d_eg)
                         * (1.0 + 4.0 * abs(alpha_eff) ** 2
                            / small_geometry.r_d**6))

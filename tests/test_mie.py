@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from plasmon_cqed.constants import HBAR_C_EV_NM
-from plasmon_cqed.errors import (
-    InvalidArgumentError,
-    NoResonanceError,
-    UnsupportedOrderError,
-)
+from plasmon_cqed.errors import InvalidArgumentError, NoResonanceError
 from plasmon_cqed.medium import Geometry, MaterialModel, silver
 from plasmon_cqed.mie import (
     green_rr_quasistatic,
@@ -30,20 +26,11 @@ class TestMieCoefficients:
         geo = Geometry(radius=1e-3, eps_b=1.0, r_d=1.0)
         assert abs(mie_coefficients(1, 2.8, geo, ag)) < 1e-12
 
-    def test_quasistatic_agreement_small_sphere(self, ag, small_geometry):
-        # B_n ~ i (n+1) k_b^(2n+1) alpha_n / (n (2n-1)!!(2n+1)!!)
-        w = 2.9
-        b = mie_coefficients(1, w, small_geometry, ag)
-        alpha_qs, _ = qs_polarizability(1, w, small_geometry, ag)
-        kb = w / HBAR_C_EV_NM
-        b_qs = 1j * 2.0 / 3.0 * kb**3 * alpha_qs
-        assert abs(b - b_qs) / abs(b) < 0.05
-
     def test_retardation_breaks_quasistatic(self, ag):
         geo = Geometry.from_surface_distance(50.0, 5.0)
         w = 2.6
         b = mie_coefficients(1, w, geo, ag)
-        alpha_qs, _ = qs_polarizability(1, w, geo, ag)
+        alpha_qs, _ = qs_polarizability(w, geo, ag)
         kb = w / HBAR_C_EV_NM
         b_qs = 1j * 2.0 / 3.0 * kb**3 * alpha_qs
         assert abs(b - b_qs) / abs(b) > 0.20
@@ -99,7 +86,7 @@ class TestQuasiStatic:
     def test_index_matching_kills_polarizability(self):
         metal = MaterialModel.tabulated([(1.0, 1.0, 0.0), (3.0, 1.0, 0.0)])
         geo = Geometry(radius=8.0, eps_b=1.0, r_d=10.0)
-        alpha_qs, alpha_eff = qs_polarizability(1, 2.0, geo, metal)
+        alpha_qs, alpha_eff = qs_polarizability(2.0, geo, metal)
         assert alpha_qs == 0
         assert alpha_eff == 0
 
@@ -107,7 +94,7 @@ class TestQuasiStatic:
         metal = MaterialModel.drude(1.0, 5.0, 0.0)
         geo = Geometry(radius=8.0, eps_b=1.0, r_d=10.0)
         grid = np.linspace(2.5, 3.2, 2001)
-        mags = [abs(qs_polarizability(1, w, geo, metal)[0]) for w in grid]
+        mags = [abs(qs_polarizability(w, geo, metal)[0]) for w in grid]
         peak = grid[int(np.argmax(mags))]
         assert peak == pytest.approx(5.0 / math.sqrt(3.0), abs=2e-3)
 
@@ -162,7 +149,7 @@ class TestQuasiStatic:
         geo = Geometry.from_surface_distance(radius, 2.0, eps_b)
         mode = qs_mode_params(1, geo, ag)
         grid = np.linspace(mode.omega_n - 0.3, mode.omega_n + 0.3, 60001)
-        power = np.abs(qs_polarizability(1, grid, geo, ag)[1]) ** 2
+        power = np.abs(qs_polarizability(grid, geo, ag)[1]) ** 2
         above = grid[power >= 0.5 * power.max()]
         assert above[-1] - above[0] == pytest.approx(mode.gamma_n, rel=1e-2)
 
@@ -199,27 +186,13 @@ class TestQuasiStatic:
                 mode.omega_n, mode.omega_res, mode.gamma_rad, mode.gamma_n, g))
             assert mode.gamma_n >= ag.gamma_p and g >= 0.0
 
-    @pytest.mark.parametrize("n", [90, 100, 200])
-    def test_polarizability_order_beyond_the_double_range(self, ag, n):
-        # at R = 50 nm, alpha_qs overflows a double from n = 90 and
-        # R^(2n+1) = 50^(2n+1) from n = 91
-        geo = Geometry.from_surface_distance(50.0, 2.0)
-        with pytest.raises(UnsupportedOrderError, match=f"n={n}, R=50.0 nm"):
-            qs_polarizability(n, 2.9, geo, ag)
-
-    def test_polarizability_finite_one_order_below_its_refusal(self, ag):
-        geo = Geometry.from_surface_distance(50.0, 2.0)
-        alpha_qs, alpha_eff = qs_polarizability(89, np.array([2.0, 2.9, 3.4]),
-                                                geo, ag)
-        assert np.all(np.isfinite(alpha_qs)) and np.all(np.isfinite(alpha_eff))
-
 
 class TestGreenQuasistatic:
     def test_on_resonance_value(self, ag, small_geometry):
         from plasmon_cqed.constants import DIPOLE_SQ_OVER_EPS0
 
         mode = qs_mode_params(1, small_geometry, ag)
-        g_qs = green_rr_quasistatic(mode.omega_n, small_geometry, ag, 1)
+        g_qs = green_rr_quasistatic(mode.omega_n, small_geometry, ag)
         k0 = mode.omega_n / HBAR_C_EV_NM
         g = qs_coupling_strength(mode, small_geometry, 1.0)
         expected = g**2 * 2.0 / mode.gamma_n / (k0**2 * DIPOLE_SQ_OVER_EPS0)
@@ -233,12 +206,10 @@ GEOMETRY = Geometry.from_surface_distance(8.0, 2.0)
 @pytest.mark.parametrize("call, message", [
     (lambda: mie_coefficients(0, 2.9, GEOMETRY, silver()),
      "Mie order starts at n=1"),
-    (lambda: qs_polarizability(0, 2.9, GEOMETRY, silver()),
-     "multipole order starts at n=1"),
     (lambda: green_rr_sweep(2.9, [GEOMETRY], silver(), 0),
      "n_max must be >= 1"),
     (lambda: radial_mode_fractions(5, [1.0, 0.0]), "k_b r_d must be > 0"),
-], ids=["mie-order", "qs-order", "n-max", "zero-distance"])
+], ids=["mie-order", "n-max", "zero-distance"])
 def test_rejects_invalid_input(call, message):
     with pytest.raises(InvalidArgumentError, match=message):
         call()

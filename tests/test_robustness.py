@@ -109,3 +109,23 @@ def test_drawn_scenario_exits_cleanly(tmp_path, capsys, index):
     if task == "lindblad":
         with open(os.path.join(out, "lindblad.json"), encoding="utf-8") as fh:
             assert json.load(fh)["max_population_deviation"] <= 1e-6
+
+
+@pytest.mark.parametrize("radius", [500.0, 3000.0])
+@pytest.mark.parametrize("task", ["fit", "rates"])
+def test_large_sphere_exits_3_naming_its_task(tmp_path, capsys, task, radius):
+    # the quasi-static fit windows of such spheres reach k_b R of 1e4 (500 nm)
+    # to 1e21 (3000 nm), past the Bessel-argument cap; the Miller recurrence
+    # would otherwise start at that order
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                          "strong_coupling.json")
+    with open(config, encoding="utf-8") as fh:
+        scenario = json.load(fh)
+    scenario["geometry"]["radius_nm"] = radius
+    scenario["run"]["task"] = task
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    code = main(["run", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert f"numerical failure in task {task!r}" in err, err

@@ -77,6 +77,16 @@ class TestSphericalBessel:
         with pytest.raises(UnsupportedOrderError):
             spherical_jn_ladder(specfun.N_ORDER_MAX + 1, 1.0)
 
+    @pytest.mark.parametrize("z", [3000.0, 2500.0 + 10.0j, 1e20],
+                             ids=["real", "complex", "beyond-int64"])
+    def test_argument_cap(self, z):
+        # the Miller recurrence starts above |z|, so the cap on its cost
+        # bounds the argument too; an argument past 2**63 must not wrap
+        # around when cast to an order
+        with pytest.raises(UnsupportedOrderError, match="Bessel argument"):
+            spherical_jn_ladder(5, [1.0, z])
+        assert np.all(np.isfinite(spherical_jn_ladder(5, specfun.N_ORDER_MAX)))
+
     def test_nan_rejected(self):
         with pytest.raises(InvalidArgumentError):
             spherical_jn_ladder(1, complex(float("nan"), 0.0))
@@ -255,6 +265,24 @@ def test_band_orders_are_checked():
         specfun._jn_band([1.0, 2.0], [10, specfun.N_ORDER_MAX], 2)
     with pytest.raises(InvalidArgumentError):
         specfun._yn_band([1.0, 2.0], [-1, 3], 2)
+
+
+def test_complex_values_beyond_the_range_are_signed_infinities():
+    # y_n ~ -(2n-1)!!/z^(n+1) leaves the double range at 199 of these orders:
+    # each part of such a value is an infinity of the sign mpmath gives, not
+    # nan
+    z = np.array([1e-3 + 1e-3j, 0.5 + 0.1j])
+    with np.errstate(over="ignore"):
+        y = spherical_yn_ladder(200, z)
+        zeta = riccati_ladders(200, z)[2]
+    for values in (y, zeta):
+        assert not np.any(np.isnan(values.real) | np.isnan(values.imag))
+    beyond = np.argwhere(np.isinf(y))
+    assert len(beyond) == 199
+    for i, n in beyond:
+        ref = complex(mp_ref.yn(int(n), mpmath.mpc(z[i])))
+        assert np.sign(y[i, n].real) == np.sign(ref.real)
+        assert np.sign(y[i, n].imag) == np.sign(ref.imag)
 
 
 def test_yn_band_below_the_double_range():

@@ -61,7 +61,7 @@ class TestAdiabatic:
         mode = one_mode(qs.omega_n, qs.gamma_n,
                         qs_coupling_strength(qs, small_geometry, em.d_eg))
         direct = adiabatic_rates([mode], em).lamb_shift
-        g_qs = green_rr_quasistatic(em.omega0, small_geometry, ag, 1)
+        g_qs = green_rr_quasistatic(em.omega0, small_geometry, ag)
         kb = em.omega0 / HBAR_C_EV_NM
         from_green = -em.eta * (3 * math.pi / kb) * g_qs.real * em.gamma0
         assert from_green == pytest.approx(direct, rel=1e-10)
