@@ -10,10 +10,12 @@ Term n factorises as B_n(omega; R, eps_b, metal) times a Hankel factor of
 k_b r_d, and each mode's fit window depends on the sphere alone, so a
 distance sweep evaluates the terms of all its mode windows at once, each
 window point at its own order (extract_mode_sweep over
-mie._green_mode_terms: one B_n build, one ladder pass per distance), and
-then fits every (mode, distance) spectrum in one fit_lorentzians batch, the
-one Lorentzian fit entry point.  The single-mode rate spectra read their one
-order the same way.  The Lorentzian
+mie._green_mode_terms: one B_n build, one Hankel ladder pass per block of
+distances), and then fits every (mode, distance) spectrum in one
+fit_lorentzians batch, the one Lorentzian fit entry point.  A sweep whose
+modes are all absorption-dominated (quasi-static Gamma_rad <= gamma_p) fits
+51-point windows, a leaky or lossless one 201-point windows (mode_windows).
+The single-mode rate spectra read their one order the same way.  The Lorentzian
 |kappa|^2 = g^2 phi(omega; omega_n, Gamma_n) is linear in g^2, so each fit
 projects g^2 out and iterates on (omega_n, log Gamma_n) alone (variable
 projection: Golub & Pereyra, Inverse Problems 19, R1 (2003), with the
@@ -214,13 +216,35 @@ def fit_lorentzians(ns, grids, values) -> list:
     return fits
 
 
-def default_mode_window(n: int, geometry: Geometry,
-                        material: MaterialModel) -> np.ndarray:
-    """201-point fit window on the quasi-static resonance estimate, +- 5 widths."""
-    qs = qs_mode_params(n, geometry, material)
-    half = 5.0 * max(qs.gamma_n, 1e-3)
-    lo = max(0.05, qs.omega_n - half)
-    return np.linspace(lo, qs.omega_n + half, 201)
+def mode_windows(n_modes: int, geometry: Geometry,
+                 material: MaterialModel) -> np.ndarray:
+    """Fit windows of LSP_1..LSP_n_modes, shape (n_modes, points): row n-1
+    on mode n's quasi-static resonance estimate, +- 5 quasi-static widths
+    (at least +- 5 meV).
+
+    Where every mode is absorption-dominated (quasi-static Gamma_rad <=
+    gamma_p, the small-particle regime of the one-pole picture) each window
+    has MIN_GRID_POINTS + 1 = 51 points, a step of Gamma/5 with omega_n the
+    middle point; otherwise (large spheres, lossless metals) 201.  A width
+    that leaves the double range (spheres of about 1e10 nm and up) gives no
+    finite window and raises InvalidArgumentError naming the mode.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        qs = [qs_mode_params(n, geometry, material)
+              for n in range(1, n_modes + 1)]
+        absorbing = all(m.gamma_rad <= material.gamma_p for m in qs)
+        omega = np.array([m.omega_n for m in qs])
+        half = 5.0 * np.maximum([m.gamma_n for m in qs], 1e-3)
+        windows = np.linspace(np.maximum(0.05, omega - half), omega + half,
+                              MIN_GRID_POINTS + 1 if absorbing else 201,
+                              axis=-1)
+    bad = np.flatnonzero(~np.all(np.isfinite(windows), axis=-1))
+    if bad.size:
+        m = qs[bad[0]]
+        raise InvalidArgumentError(
+            f"LSP_{m.n} quasi-static width Gamma_n = {m.gamma_n:g} eV at "
+            f"R = {geometry.radius:g} nm gives no finite fit window")
+    return windows
 
 
 def extract_mode_sweep(n_modes: int, geometries, material: MaterialModel,
@@ -229,7 +253,8 @@ def extract_mode_sweep(n_modes: int, geometries, material: MaterialModel,
     position around one sphere; entry i holds the modes at geometries[i].
 
     Each window is auto-centered on the quasi-static resonance estimate,
-    which depends on the sphere alone.  One mie._green_mode_terms call
+    which depends on the sphere alone (mode_windows, which also picks the
+    sweep's one point count from its regime).  One mie._green_mode_terms call
     evaluates every (mode, distance) spectrum, each window point at its own
     mode's order, with the sphere's factor built once over all windows.
     All the spectra are then fitted in one fit_lorentzians batch.  Every
@@ -241,8 +266,7 @@ def extract_mode_sweep(n_modes: int, geometries, material: MaterialModel,
     if not geometries:
         raise InvalidArgumentError("a mode sweep needs at least one geometry")
     modes = np.arange(1, n_modes + 1)
-    grids = np.array([default_mode_window(n, geometries[0], material)
-                      for n in modes])
+    grids = mode_windows(n_modes, geometries[0], material)
     terms = _green_mode_terms(grids, modes[:, None], geometries, material)
     # rows mode by mode, each mode's distances in order
     ns = np.repeat(modes, len(geometries))

@@ -44,10 +44,12 @@ from .specfun import (
 DEFAULT_N_MAX = 30
 # points per Hankel ladder call of a distance sweep: a short grid takes every
 # distance in one call, where numpy's per-step call overhead dominates; the
-# mode windows of a sweep (several thousand points) take one distance at a
-# time, so the ladder's working set, and the peak memory, stay those of one
-# (the Green terms of 20 modes at 8 distances peak at 1.9 MB of traced
-# allocations this way, 6.9 MB with all distances in one call)
+# mode windows of a sweep (about 1,000 points per distance: 20 absorbing
+# modes of 51 points) take four distances per call, and those of a leaky
+# sweep (201 points per mode) one at a time, so the ladder's working set, and
+# the peak memory, stay bounded (the Green terms of 20 absorbing modes at 8
+# distances peak at 1.2 MB of traced allocations this way, 1.8 MB with all
+# distances in one call; at 201 points, 1.9 and 7.1 MB)
 _HANKEL_BLOCK_POINTS = 4096
 
 
@@ -301,7 +303,9 @@ class QuasiStaticMode:
 def qs_mode_params(n: int, geometry: Geometry,
                    material: MaterialModel) -> QuasiStaticMode:
     """Quasi-static resonance, residue scale and widths of LSP_n (Drude
-    metal), finite for every order up to the specfun cap."""
+    metal), finite for every order up to the specfun cap while gamma_rad
+    stays in the double range; past it (from n = 22 at R = 1e10 nm) the
+    radiative prefactor overflows and gamma_rad is inf."""
     n = _integer_order(n)
     omega_n = qs_resonance_frequency(n, material, geometry.eps_b)
     omega_res = (2 * n + 1) * geometry.eps_b * omega_n**3 / (n * material.omega_p**2)

@@ -622,43 +622,43 @@ SHIPPED_OUTPUT_DIGESTS = {
         "fig2.csv":
             "9a289398ba23aa1312da819251cf58dbc4cb02fdd013e0c77819e15397678a01",
         "fig3.csv":
-            "f0ec8019b034e3b466b92adde1b9d7ab162b9c743db292ce4857775349241b60",
+            "62d39de276ce388b7e29a6ee0bdd026fb04c4bcf57ccb5dcd07ef71f8be6926e",
         "fig4b.csv":
-            "463ee3156267119c8da04bd432d432479274f5688bf56551517219b21eb62756",
+            "005115da5c22b5480c1d3be9c1bcd578ad852c49b810f8a76a51573e606e19ea",
         "fig5.csv":
-            "21df0e17263f3e62c465142f45c3d7e63a0173a60e66aacf6568d6b2177a5297",
+            "27d09646d473c0fd2dfec3b06614898578e04a9bf6bace36a678b8ab8efdf794",
         "fig6a.csv":
-            "72dea48bb21b3a3a492578e010a0934411a0b63c41375910a12b0111c757fed7",
+            "5e9bf448a64a100550bf3b8d4d27f0d9a98487e0274be7e0be68e7ccd41c89f5",
         "fig6b.csv":
-            "b02a567f396bad80a22f972084d81f103463a83ee5b5c1fb24a494819bc30dcf",
+            "f4fcbc7cb4acc200960fb5d28e57672da888bc463fd1b013d79e406d4d6c5d3e",
         "fig8.csv":
             "916a7b6e2df122b689a20eeeb53b41101db3028d69f7b661b9f85bb8636ff2df",
         "fig9.csv":
             "0f870be0b97006bb08bfc537f4706c65bcd5e4dac8c5b4ce094091f8227e2164",
         "summary.json":
-            "39f59b1c0032f79464956d9e609933af33dbb9dddbe6dd9b687599902c991923",
+            "1d5bfd592bf3d026276c017f2da87250f2cc326dbfae911a25d1d1cd5dc54bdb",
     },
     "strong_coupling.json": {
         "dressed.csv":
-            "c7f4eeab5430b1009153618319b443adb221fa52f8060a9a2239effe37ee2c8a",
+            "e22a3296d1f3fdb182378d324eafc5f092b1b69e5cea7d6fa028985bd0990846",
         "dressed.json":
-            "eaea4157e71fa59efab8ea9f5a72e53dd0b9b2532225ae5c7567e1735efbb5f0",
+            "2a040a5deeee6debe64233f22173dffffbc67c8588e9b08dd1403d98d7a98007",
         "modes.csv":
-            "f85291ab0f8312c4df1abbc938ec395e85235f51682731b373367b2b75bf6e93",
+            "552d5cb8444adcf6e93cef91782879cf5eaeb2422dbd020388cf6faa2b01efab",
         "modes.json":
-            "d4379cc6ff1dbe083b4f8884e706ea5e3a3a4d09f9bae9eddc1d2bd6da63711a",
+            "485453c3e8a3bf9bf273b2e3c8fde3b96848961dd1aba1ec2e66006fd638eb0c",
         "polarization.csv":
-            "e5b8cc82f9eb8325d9e332038ca31ada6d04c8bc6a2296758a1a57b0bf2098cc",
+            "3738cfefc09cb00dfeb4fd1d45a75215fc481846a52debafc34b255eda5a6ca3",
         "radiated.csv":
-            "1126a18f48a6d54f26ac94ceb4c11b61439f20daaef41a50320d35d1560cf62b",
+            "89e114357a27dd16e16e26b0c038c50894fdeb0b89131591f0cce7e1e8e6f0ac",
     },
     "weak_coupling.json": {
         "rates.csv":
-            "5b3221e8c230551621864d1d5fcb7b7481c3da87a6984978305787d2fd68e606",
+            "5b14578cd81ad285cb4980a4495b83f53cddbab4ecc7a8bf06596cac92998f58",
         "rates.json":
-            "ffc7fc72235b75106b57a4293e507a60350f2e4bffb53a21045aa215e1e6105e",
+            "f450d6a762707614fb4efbd12ee02cddeb16a815981936caba12fc14c5882f1a",
         "rates_summary.csv":
-            "9df2c0ef946f264b2d84a4cd1b9de39aab9c3f57e7cdb09adf5a05971a667ac1",
+            "ab664c4e3d39d1abe5fd15a57107c329a53bfb3f8b8eb76c107372d463b805fd",
     },
 }
 

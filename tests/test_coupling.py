@@ -10,7 +10,6 @@ from plasmon_cqed import coupling, mie
 from plasmon_cqed.constants import HBAR_C_EV_NM
 from plasmon_cqed.coupling import (
     ModeParams,
-    default_mode_window,
     extract_mode_sweep,
     extract_modes,
     fano_rate_model,
@@ -18,11 +17,14 @@ from plasmon_cqed.coupling import (
     fit_lorentzians,
     kappa_spectra,
     lorentzian_kappa2,
+    mode_windows,
     rate_spectrum_lsp,
 )
 from plasmon_cqed.errors import FitFailureError, InvalidArgumentError
-from plasmon_cqed.medium import EmitterSpec, Geometry, radiative_rate, silver
-from plasmon_cqed.mie import green_rr_terms, radial_mode_fractions
+from plasmon_cqed.medium import (EmitterSpec, Geometry, MaterialModel,
+                                 radiative_rate, silver)
+from plasmon_cqed.mie import (green_rr_terms, qs_mode_params,
+                              radial_mode_fractions)
 from plasmon_cqed.weak import fano_adiabatic
 
 
@@ -155,8 +157,8 @@ class TestModeSweep:
         # and the table-by-table route over kappa_spectra
         assert sweep == [[fit_one(window, kappa_spectra(
             n, window, geo, ag, strong_emitter)[n - 1], n)
-            for n, window in ((n, default_mode_window(n, geo, ag))
-                              for n in range(1, 5))] for geo in geometries]
+            for n, window in enumerate(mode_windows(4, geo, ag), start=1)]
+            for geo in geometries]
 
     def test_failure_names_mode_and_distance(self, ag, strong_emitter,
                                              monkeypatch):
@@ -202,17 +204,69 @@ class TestModeSweep:
         monkeypatch.setattr(mie, "_yn_band", counted("y", mie._yn_band))
         geometries = [Geometry.from_surface_distance(8.0, h) for h in
                       (2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 14.0, 20.0)]
+        windows = mode_windows(20, geometries[0], ag)
         extract_mode_sweep(20, geometries, ag, weak_emitter)
         assert len(green_calls) == 1
-        assert green_calls[0][0].shape == (20, 201)
+        assert green_calls[0][0].shape == windows.shape
         # the metal-interior k_m R ladder (the only complex argument) once
-        # over all windows, k_b R once, and k_b r_d once per distance
+        # over all windows, k_b R once, and k_b r_d once per block of at most
+        # mie._HANKEL_BLOCK_POINTS points, whole distances at a time
+        per_call = max(1, mie._HANKEL_BLOCK_POINTS // windows.size)
+        blocks = [len(geometries[i:i + per_call])
+                  for i in range(0, len(geometries), per_call)]
         assert [np.iscomplexobj(z) for z, _ in bands["j"]] == \
-            [False, True] + [False] * 8
-        assert all(z.shape == (20, 201) for z, _ in bands["j"][:2])
+            [False, True] + [False] * len(blocks)
+        assert all(z.shape == windows.shape for z, _ in bands["j"][:2])
+        assert [z.shape for z, _ in bands["j"][2:]] == \
+            [(b,) + windows.shape for b in blocks]
         # real arguments give real ladders: only the k_m R band is complex
         assert [np.iscomplexobj(b) for _, (b, _) in bands["j"] + bands["y"]] \
-            == [False, True] + [False] * 17
+            == [False, True] + [False] * (2 * len(blocks) + 1)
+
+    @pytest.mark.parametrize("radius, gamma_p, points", [
+        (8.0, 0.051, 51), (50.0, 0.051, 201), (8.0, 0.0, 201)],
+        ids=["absorbing", "leaky", "lossless"])
+    def test_window_points_follow_the_regime(self, radius, gamma_p, points):
+        # 51 points only where every mode's quasi-static Gamma_rad <= gamma_p
+        metal = MaterialModel.drude(6.0, 7.90, gamma_p)
+        geo = Geometry.from_surface_distance(radius, 2.0)
+        windows = mode_windows(6, geo, metal)
+        assert windows.shape == (6, points)
+        for n, window in enumerate(windows, start=1):
+            qs = qs_mode_params(n, geo, metal)
+            half = 5.0 * max(qs.gamma_n, 1e-3)
+            assert window[0] == max(0.05, qs.omega_n - half)
+            assert window[-1] == qs.omega_n + half
+            assert np.all(np.diff(window) > 0)
+
+    @pytest.mark.parametrize("n_modes, h_values, emitter", [
+        (4, (1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 14.0, 18.0),
+         "strong_emitter"),
+        (25, (2.0,), "strong_emitter"),
+        (20, (2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 14.0, 20.0), "weak_emitter")],
+        ids=["fig3", "fig4", "fig6"])
+    def test_coarse_windows_match_201_point_fits(self, ag, request, n_modes,
+                                                 h_values, emitter):
+        # the figure suite's three sweeps, against fits on 201 points over
+        # the same window bounds
+        emitter = request.getfixturevalue(emitter)
+        geometries = [Geometry.from_surface_distance(8.0, h) for h in h_values]
+        windows = mode_windows(n_modes, geometries[0], ag)
+        assert windows.shape == (n_modes, 51)
+        fine = np.linspace(windows[:, 0], windows[:, -1], 201, axis=-1)
+        modes = np.arange(1, n_modes + 1)
+        terms = mie._green_mode_terms(fine, modes[:, None], geometries, ag)
+        values = coupling._kappa2(fine, terms, emitter)
+        slow = fit_lorentzians(np.tile(modes, len(geometries)),
+                               np.tile(fine, (len(geometries), 1)),
+                               values.reshape(-1, 201))
+        fast = [m for modes_at_h in extract_mode_sweep(
+            n_modes, geometries, ag, emitter) for m in modes_at_h]
+        assert [m.n for m in fast] == [m.n for m in slow]
+        for f, s in zip(fast, slow):
+            assert abs(f.omega_n - s.omega_n) <= 1e-6
+            assert abs(f.gamma_n - s.gamma_n) <= 5e-5 * s.gamma_n
+            assert abs(f.g - s.g) <= 5e-5 * s.g
 
     def test_rejects_empty_sweep_and_second_sphere(self, ag, strong_emitter):
         with pytest.raises(InvalidArgumentError):

@@ -12,9 +12,11 @@ import re
 import numpy as np
 import pytest
 
+from plasmon_cqed import coupling, mie
 from plasmon_cqed.cli import main
+from plasmon_cqed.errors import FitFailureError
 from plasmon_cqed.output import validate_manifest
-from plasmon_cqed.scenario import TASKS
+from plasmon_cqed.scenario import TASKS, load_scenario
 
 PROBE_TASKS = [t for t in TASKS if t != "figure-suite"]
 DRAWS = 49
@@ -111,12 +113,17 @@ def test_drawn_scenario_exits_cleanly(tmp_path, capsys, index):
             assert json.load(fh)["max_population_deviation"] <= 1e-6
 
 
-@pytest.mark.parametrize("radius", [500.0, 3000.0])
+# the first mode whose quasi-static width leaves the double range
+OVERFLOWING_MODE = {1e10: 22, 1e12: 17}
+
+
+@pytest.mark.parametrize("radius", [500.0, 3000.0, 1e10, 1e12])
 @pytest.mark.parametrize("task", ["fit", "rates"])
 def test_large_sphere_exits_3_naming_its_task(tmp_path, capsys, task, radius):
     # the quasi-static fit windows of such spheres reach k_b R of 1e4 (500 nm)
     # to 1e21 (3000 nm), past the Bessel-argument cap; the Miller recurrence
-    # would otherwise start at that order
+    # would otherwise start at that order.  From about 1e10 nm a width itself
+    # is inf, and the window builder refuses it, naming the mode
     config = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                           "strong_coupling.json")
     with open(config, encoding="utf-8") as fh:
@@ -129,3 +136,36 @@ def test_large_sphere_exits_3_naming_its_task(tmp_path, capsys, task, radius):
     err = capsys.readouterr().err
     assert code == 3, err
     assert f"numerical failure in task {task!r}" in err, err
+    if radius in OVERFLOWING_MODE:
+        assert f"LSP_{OVERFLOWING_MODE[radius]} quasi-static width Gamma_n = " \
+            "inf eV" in err, err
+
+
+# a leaky draw (seed 777, draw 74 of the probe, rounded): quasi-static
+# Gamma_rad is 48 gamma_p for LSP_1 and 18 gamma_p for LSP_2
+LEAKY_DRAW = {
+    "material": {"kind": "drude", "eps_inf": 3.28, "omega_p_ev": 7.62,
+                 "gamma_p_ev": 0.284},
+    "geometry": {"radius_nm": 90.6, "eps_b": 3.81, "h_nm": 14.5},
+    "emitter": {"omega0_ev": 3.36, "d_eg_debye": 3.45, "gamma0_nr_ev": 0.0105},
+    "run": {"task": "rates", "n_modes": 2, "out_dir": "out"},
+}
+
+
+@pytest.mark.filterwarnings("ignore:.*negative wings:UserWarning")
+def test_leaky_draw_keeps_201_point_windows(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(LEAKY_DRAW))
+    code = main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == 0, capsys.readouterr().err
+    sc = load_scenario(str(path))
+    windows = coupling.mode_windows(2, sc.geometry, sc.material)
+    assert windows.shape == (2, 201)
+    # 51 points over the same bounds would not do: LSP_2's fit fails
+    coarse = np.linspace(windows[:, 0], windows[:, -1], 51, axis=-1)
+    [terms] = mie._green_mode_terms(coarse, [[1], [2]], [sc.geometry],
+                                    sc.material)
+    fits = coupling.fit_lorentzians(
+        [1, 2], coarse, np.maximum(coupling._kappa2(coarse, terms, sc.emitter),
+                                   0.0))
+    assert isinstance(fits[1], FitFailureError)
