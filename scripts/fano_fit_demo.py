@@ -17,9 +17,11 @@ from plasmon_cqed.tasks import _fano_fit
 
 def main():
     grid = np.linspace(2.2, 3.1, 301)
-    for h in (30.0, 15.0):
-        _, fit = _fano_fit(silver(), 2.60,
-                           Geometry.from_surface_distance(50.0, h), grid)
+    h_values = (30.0, 15.0)
+    fits = _fano_fit(silver(), 2.60,
+                     [Geometry.from_surface_distance(50.0, h) for h in h_values],
+                     grid)
+    for h, (_, fit) in zip(h_values, fits):
         print(f"h = {h:.0f} nm:")
         print(f"  omega_1     = {fit['omega1_ev']:.4f} eV"
               f"  (lambda_1 = {2 * np.pi * HBAR_C_EV_NM / fit['omega1_ev']:.0f} nm)")

@@ -12,15 +12,20 @@ distance sweep evaluates the terms of all its mode windows at once, each
 window point at its own order (extract_mode_sweep over
 mie._green_mode_terms: one B_n build, one Hankel ladder pass per block of
 distances), and then fits every (mode, distance) spectrum in one
-fit_lorentzians batch, the one Lorentzian fit entry point.  A sweep whose
-modes are all absorption-dominated (quasi-static Gamma_rad <= gamma_p) fits
-51-point windows, a leaky or lossless one 201-point windows (mode_windows).
-The single-mode rate spectra read their one order the same way.  The Lorentzian
-|kappa|^2 = g^2 phi(omega; omega_n, Gamma_n) is linear in g^2, so each fit
-projects g^2 out and iterates on (omega_n, log Gamma_n) alone (variable
-projection: Golub & Pereyra, Inverse Problems 19, R1 (2003), with the
-Jacobian of Kaufman, BIT 15, 49 (1975)).  The Fano fits run in the same
-solver with analytic Jacobians.
+fit_lorentzians batch, the one Lorentzian fit entry point.  The two steps
+are separate (_green_table, _fit_table), so sweeps of fewer modes at a
+subset of the distances read the first rows of one table and share its fit
+batch.  A sweep whose modes are all absorption-dominated (quasi-static
+Gamma_rad <= gamma_p) fits 51-point windows, a leaky or lossless one
+201-point windows (mode_windows).  The single-mode rate spectra read their
+one order the same way, every distance around one sphere in one call.  The
+Lorentzian |kappa|^2 = g^2 phi(omega; omega_n, Gamma_n) is linear in g^2, so
+each fit projects g^2 out and iterates on (omega_n, log Gamma_n) alone
+(variable projection: Golub & Pereyra, Inverse Problems 19, R1 (2003), with
+the Jacobian of Kaufman, BIT 15, 49 (1975)).  The Fano fits run in the same
+solver with analytic Jacobians, batched like the Lorentzian ones: one
+fit_fano_rate call fits the rate spectra of every distance, both signs of g
+as two rows each in the lossless stage.
 """
 
 from __future__ import annotations
@@ -247,6 +252,60 @@ def mode_windows(n_modes: int, geometry: Geometry,
     return windows
 
 
+def _green_table(n_modes: int, geometries, material: MaterialModel):
+    """Fit windows of LSP_1..LSP_n_modes around one sphere (mode_windows)
+    and the Green term of every window point at its mode's order for each
+    geometry: (windows (n_modes, P), terms (len(geometries), n_modes, P)).
+
+    One mie._green_mode_terms call builds the sphere's factor once over all
+    windows.  The windows depend on the sphere alone, and each table row is
+    bitwise what that geometry alone gives, so the first rows of a table
+    serve every sweep of fewer modes at a subset of its distances.
+    """
+    if n_modes < 1:
+        raise InvalidArgumentError("n_modes must be >= 1")
+    geometries = list(geometries)
+    if not geometries:
+        raise InvalidArgumentError("a mode sweep needs at least one geometry")
+    windows = mode_windows(n_modes, geometries[0], material)
+    modes = np.arange(1, n_modes + 1)
+    return windows, _green_mode_terms(windows, modes[:, None], geometries,
+                                      material)
+
+
+def _fit_table(windows, terms, geometries, sweeps) -> list:
+    """Lorentzian fits of Green-table rows (_green_table) for several sweeps,
+    all in one fit_lorentzians batch.  Each sweep is (n_modes, picks,
+    emitter): the first n_modes windows at geometries[picks], coupled to
+    that emitter.
+
+    Entry s of the result holds sweep s's modes per distance, in picks
+    order.  Every failed fit is collected and reported with its h and its
+    own reason.
+    """
+    ns, hs, values, spans = [], [], [], []
+    for n_modes, picks, emitter in sweeps:
+        picks = list(picks)
+        spans.append((len(ns), len(picks), n_modes))
+        # rows mode by mode, each mode's distances in order
+        ns += [n for n in range(1, n_modes + 1) for _ in picks]
+        hs += [geometries[i].h for i in picks] * n_modes
+        values.append(_kappa2(windows[:n_modes], terms[picks, :n_modes],
+                              emitter).transpose(1, 0, 2).reshape(
+                                  n_modes * len(picks), -1))
+    fits = fit_lorentzians(ns, windows[np.subtract(ns, 1)],
+                           _clamp_leaky(ns, np.concatenate(values)))
+    failures = [(n, h, fit) for n, h, fit in zip(ns, hs, fits)
+                if isinstance(fit, FitFailureError)]
+    if failures:
+        failed = ", ".join(f"LSP_{n} at h={h:g} nm ({exc})"
+                           for n, h, exc in failures)
+        raise FitFailureError(f"mode fits failed for {failed}",
+                              best_params=[exc for *_, exc in failures])
+    return [[fits[first + i:first + n_modes * count:count]
+             for i in range(count)] for first, count, n_modes in spans]
+
+
 def extract_mode_sweep(n_modes: int, geometries, material: MaterialModel,
                        emitter: EmitterSpec) -> list[list[ModeParams]]:
     """Lorentzian-fit the first n_modes coupling spectra at each emitter
@@ -254,35 +313,17 @@ def extract_mode_sweep(n_modes: int, geometries, material: MaterialModel,
 
     Each window is auto-centered on the quasi-static resonance estimate,
     which depends on the sphere alone (mode_windows, which also picks the
-    sweep's one point count from its regime).  One mie._green_mode_terms call
-    evaluates every (mode, distance) spectrum, each window point at its own
-    mode's order, with the sphere's factor built once over all windows.
-    All the spectra are then fitted in one fit_lorentzians batch.  Every
-    failed fit is collected and reported with its h and its own reason.
+    sweep's one point count from its regime).  The sweep is the Green table
+    of the sphere (_green_table: one mie._green_mode_terms call, each window
+    point at its own mode's order) fitted for the emitter (_fit_table: one
+    fit_lorentzians batch).  Every failed fit is collected and reported with
+    its h and its own reason.
     """
-    if n_modes < 1:
-        raise InvalidArgumentError("n_modes must be >= 1")
     geometries = list(geometries)
-    if not geometries:
-        raise InvalidArgumentError("a mode sweep needs at least one geometry")
-    modes = np.arange(1, n_modes + 1)
-    grids = mode_windows(n_modes, geometries[0], material)
-    terms = _green_mode_terms(grids, modes[:, None], geometries, material)
-    # rows mode by mode, each mode's distances in order
-    ns = np.repeat(modes, len(geometries))
-    values = _kappa2(grids, terms, emitter).transpose(1, 0, 2).reshape(
-        len(ns), -1)
-    fits = fit_lorentzians(ns, np.repeat(grids, len(geometries), axis=0),
-                           _clamp_leaky(ns, values))
-    failures = [(n, geometries[i % len(geometries)].h, fit)
-                for i, (n, fit) in enumerate(zip(ns, fits))
-                if isinstance(fit, FitFailureError)]
-    if failures:
-        failed = ", ".join(f"LSP_{n} at h={h:g} nm ({exc})"
-                           for n, h, exc in failures)
-        raise FitFailureError(f"mode fits failed for {failed}",
-                              best_params=[exc for *_, exc in failures])
-    return [fits[i::len(geometries)] for i in range(len(geometries))]
+    windows, terms = _green_table(n_modes, geometries, material)
+    [sweep] = _fit_table(windows, terms, geometries,
+                         [(n_modes, range(len(geometries)), emitter)])
+    return sweep
 
 
 def extract_modes(n_modes: int, geometry: Geometry, material: MaterialModel,
@@ -292,18 +333,23 @@ def extract_modes(n_modes: int, geometry: Geometry, material: MaterialModel,
     return extract_mode_sweep(n_modes, [geometry], material, emitter)[0]
 
 
-def rate_spectrum_lsp(n: int, grid, geometry: Geometry,
+def rate_spectrum_lsp(n: int, grid, geometries,
                       material: MaterialModel) -> np.ndarray:
-    """Normalized decay rate into LSP_n, gamma_n(w0)/gamma0 = (6 pi/k_b) Im G_n.
+    """Normalized decay rate into LSP_n, gamma_n(w0)/gamma0 = (6 pi/k_b) Im G_n,
+    for emitters at several positions around one sphere: shape
+    (len(geometries), grid.size), row i at geometries[i].
 
     This is the per-mode golden-rule rate scanned over the emission frequency;
     for leaky modes it goes negative past the Fano dip (the free-space '1' of
-    the total rate keeps the sum positive).
+    the total rate keeps the sum positive).  All rows come from one
+    mie._green_mode_terms call, and each is bitwise what its geometry alone
+    gives.
     """
     grid = np.asarray(grid, dtype=float)
-    kb = geometry.n_b * grid / HBAR_C_EV_NM
-    [term] = _green_mode_terms(grid, n, [geometry], material)
-    return 6 * math.pi / kb * term.imag
+    geometries = list(geometries)
+    kb = geometries[0].n_b * grid / HBAR_C_EV_NM
+    return 6 * math.pi / kb * _green_mode_terms(grid, n, geometries,
+                                                material).imag
 
 
 def _free_space_rates(omega, n, geometry, emitter):
@@ -313,6 +359,14 @@ def _free_space_rates(omega, n, geometry, emitter):
     fractions = _radial_fractions(
         geometry.n_b * omega / HBAR_C_EV_NM * geometry.r_d, n - 1, 2)[..., 0]
     return g0_rad / emitter.eta, g0_rad * fractions
+
+
+def _free_space_rows(grid, n, geometries, emitter):
+    """_free_space_rates on the grid at each geometry: (gamma0, gamma0n_rad),
+    each of shape (len(geometries), grid.size)."""
+    rows = [_free_space_rates(grid, n, geometry, emitter)
+            for geometry in geometries]
+    return np.array([g0 for g0, _ in rows]), np.array([g0n for _, g0n in rows])
 
 
 def _fano_terms(grid, g0, g0n, omega_n, gamma_rad, g_signed, gamma_nr):
@@ -357,89 +411,142 @@ def fano_rate_model(grid, n: int, geometry: Geometry, emitter: EmitterSpec,
     return _fano_terms(grid, g0, g0n, omega_n, gamma_rad, g_signed, gamma_nr)[0]
 
 
-def fit_fano_rate(grid, values, n: int, geometry: Geometry, emitter: EmitterSpec,
-                  frozen: ModeParams | None = None) -> ModeParams:
-    """Fano fit of a normalized LSP_n rate spectrum.
+def fit_fano_rate(grid, values, n: int, geometries, emitter: EmitterSpec,
+                  frozen=None) -> list[ModeParams]:
+    """Fano fits of normalized LSP_n rate spectra, all in one batch: row i
+    of values (F, P) on the grid (P,), for an emitter at geometries[i].
 
     Lossless mode (frozen is None): fits {omega_n, Gamma_rad, g} with
-    Gamma_nr pinned to zero.  Both signs of g are tried, as a batch of two
-    fits, so the asymmetry orientation comes out of the data; an omega_n
-    outside the grid raises FitFailureError, as the grid never saw the
-    resonance.  Lossy mode:
-    freezes {omega_n, Gamma_rad, g} from the lossless pre-fit and fits
-    Gamma_nr alone.
+    Gamma_nr pinned to zero.  Both signs of g are tried, as two rows of the
+    batch, so the asymmetry orientation comes out of the data; an omega_n
+    outside the grid is a failure, as the grid never saw the resonance.
+    Lossy mode: frozen[i] is row i's lossless fit, whose {omega_n,
+    Gamma_rad, g} stay frozen while Gamma_nr alone is fitted.
+
+    Returns one ModeParams per row.  A failed row raises FitFailureError
+    naming LSP_n and h, for the first failing row in the caller's order.
     """
     grid = np.asarray(grid, dtype=float)
+    return _fano_fits(grid, values, n, geometries, emitter,
+                      _free_space_rows(grid, n, geometries, emitter), frozen)
+
+
+def _fano_fits(grid, values, n, geometries, emitter, rates, frozen=None):
+    """fit_fano_rate with the free-space rates (gamma0, gamma0n_rad) of each
+    row given (_free_space_rows), so a two-stage fit and its fitted curves
+    compute them once per distance.
+
+    Rows step in lockstep but do not interact (fitting.least_squares), so
+    each row's fit is bitwise its one-row fit.
+    """
     values = np.asarray(values, dtype=float)
-    if grid.size != values.size or grid.size < MIN_GRID_POINTS:
+    geometries = list(geometries)
+    if grid.ndim != 1 or values.ndim != 2 or values.shape[1] != grid.size \
+            or grid.size < MIN_GRID_POINTS:
         raise InvalidArgumentError(
             f"rate spectrum needs a matching grid of >= {MIN_GRID_POINTS} points")
-    scale = float(np.max(np.abs(values)))
-    if scale == 0:
-        raise FitFailureError("rate spectrum is identically zero")
-    g0, g0n = _free_space_rates(grid, n, geometry, emitter)
-    data = values / scale
+    if not geometries or len(geometries) != len(values) \
+            or (frozen is not None and len(frozen) != len(values)):
+        raise InvalidArgumentError(
+            "a Fano fit needs one or more rate spectra, each with its "
+            "geometry (and frozen mode)")
+    if frozen is not None and any(m.gamma_rad is None for m in frozen):
+        raise InvalidArgumentError("frozen mode must carry gamma_rad")
+    g0, g0n = rates
+    scale = np.max(np.abs(values), axis=-1)
+    live = np.flatnonzero(scale != 0)
+    data = values / np.where(scale != 0, scale, 1.0)[:, None]
+    # row -> (what went wrong, best iterate, its cost)
+    failed = {int(i): ("failed: rate spectrum is identically zero", None, None)
+              for i in np.flatnonzero(scale == 0)}
+    fitted = {}
 
     if frozen is None:
-        [i_peak], [width] = _peak_guesses(grid[None], np.abs(values)[None])
-        gamma_guess = max(width, 0.02)
+        # two batch rows per live spectrum, g < 0 first
+        row_of = np.repeat(live, 2)
+        peak, width = _peak_guesses(
+            np.broadcast_to(grid, (live.size, grid.size)), np.abs(values[live]))
+        gamma_guess = np.maximum(width, 0.02)
         # g = g_unit * u keeps the fitted u, like omega_n and log Gamma_rad, O(1)
-        g_unit = math.sqrt(abs(values[i_peak]) * g0[i_peak] * gamma_guess) / 2.0
+        g_unit = np.sqrt(np.abs(values[live, peak]) * g0[live, peak]
+                         * gamma_guess) / 2.0
+        unit = np.repeat(g_unit, 2)[:, None]
 
         def model(theta, rows):
-            gamma_rad = np.exp(theta[:, 1:2])
+            k, gamma_rad = row_of[rows], np.exp(theta[:, 1:2])
             f, (d_w, d_rad, d_g, _) = _fano_terms(
-                grid, g0, g0n, theta[:, :1], gamma_rad, g_unit * theta[:, 2:],
-                0.0)
-            return f / scale - data, np.stack(
-                (d_w, gamma_rad * d_rad, g_unit * d_g), axis=1) / scale
+                grid, g0[k], g0n[k], theta[:, :1], gamma_rad,
+                unit[rows] * theta[:, 2:], 0.0)
+            return f / scale[k, None] - data[k], np.stack(
+                (d_w, gamma_rad * d_rad, unit[rows] * d_g), axis=1) \
+                / scale[k, None, None]
 
-        theta0 = [[grid[i_peak], math.log(gamma_guess), sign]
-                  for sign in (-1.0, 1.0)]
-        theta, costs, errors = least_squares(model, theta0)
-        converged = [i for i, err in enumerate(errors) if err is None]
-        if not converged:
-            raise FitFailureError("Fano fit failed from both sign branches")
-        best = min(converged, key=lambda i: costs[i])
-        wn, gamma_rad = float(theta[best, 0]), math.exp(theta[best, 1])
-        if not grid[0] <= wn <= grid[-1]:
-            raise FitFailureError(
-                f"Fano fit of LSP_{n} at h={geometry.h:g} nm put omega_n = "
-                f"{wn:.6g} eV outside the grid {grid[0]:.6g}-{grid[-1]:.6g} eV",
-                best_params=theta[best].copy(), best_cost=costs[best])
-        g_signed = g_unit * float(theta[best, 2])
-        gamma_nr = 0.0
+        theta, costs, branch_errors = least_squares(model, np.reshape(
+            [[grid[p], math.log(w), sign]
+             for p, w in zip(peak, gamma_guess) for sign in (-1.0, 1.0)],
+            (-1, 3)))
+        for j, i in enumerate(live.tolist()):
+            converged = [r for r in (2 * j, 2 * j + 1)
+                         if branch_errors[r] is None]
+            if not converged:
+                failed[i] = ("failed from both sign branches ("
+                             + "; ".join(map(str, branch_errors[2 * j:2 * j + 2]))
+                             + ")", None, None)
+                continue
+            best = min(converged, key=lambda r: costs[r])
+            wn = float(theta[best, 0])
+            if not grid[0] <= wn <= grid[-1]:
+                failed[i] = (f"put omega_n = {wn:.6g} eV outside the grid "
+                             f"{grid[0]:.6g}-{grid[-1]:.6g} eV",
+                             theta[best].copy(), costs[best])
+                continue
+            fitted[i] = (wn, math.exp(theta[best, 1]),
+                         float(g_unit[j]) * float(theta[best, 2]), 0.0,
+                         costs[best])
     else:
-        if frozen.gamma_rad is None:
-            raise InvalidArgumentError("frozen mode must carry gamma_rad")
-        wn, gamma_rad = frozen.omega_n, frozen.gamma_rad
-        g_signed = frozen.g * (1.0 if frozen.alpha is None or frozen.alpha >= 0
-                               else -1.0)
+        # the frozen (omega_n, Gamma_rad, signed g) of each row
+        params = np.reshape([
+            [m.omega_n, m.gamma_rad,
+             m.g * (1.0 if m.alpha is None or m.alpha >= 0 else -1.0)]
+            for m in frozen], (-1, 3))
 
         def model(theta, rows):
-            gamma_nr = np.exp(theta)
-            f, (*_, d_nr) = _fano_terms(grid, g0, g0n, wn, gamma_rad, g_signed,
+            k, gamma_nr = live[rows], np.exp(theta)
+            f, (*_, d_nr) = _fano_terms(grid, g0[k], g0n[k], params[k, :1],
+                                        params[k, 1:2], params[k, 2:],
                                         gamma_nr)
-            return f / scale - data, (gamma_nr * d_nr)[:, None, :] / scale
+            return f / scale[k, None] - data[k], \
+                (gamma_nr * d_nr)[:, None, :] / scale[k, None, None]
 
-        theta, costs, [error] = least_squares(model, [[math.log(0.05)]])
-        if error is not None:
-            raise error
-        best = 0
-        gamma_nr = math.exp(theta[0, 0])
+        theta, costs, refit_errors = least_squares(
+            model, np.full((live.size, 1), math.log(0.05)))
+        for j, i in enumerate(live.tolist()):
+            error = refit_errors[j]
+            if error is not None:
+                failed[i] = (f"failed: {error}", error.best_params,
+                             error.best_cost)
+                continue
+            fitted[i] = (frozen[i].omega_n, frozen[i].gamma_rad,
+                         float(params[i, 2]), math.exp(theta[j, 0]), costs[j])
 
-    rms = math.sqrt(2.0 * costs[best] / grid.size) * scale \
-        / math.sqrt(float(np.mean(values**2)))
-    return ModeParams(
-        n=n,
-        omega_n=wn,
-        gamma_n=gamma_rad + gamma_nr,
-        g=abs(g_signed),
-        gamma_rad=gamma_rad,
-        gamma_nr=gamma_nr,
-        alpha=_fano_alpha(n, wn, gamma_rad, g_signed, geometry, emitter),
-        fit_residual=rms,
-    )
+    if failed:
+        i = min(failed)
+        what, best_params, best_cost = failed[i]
+        stage = "Fano fit" if frozen is None else "lossy Fano refit"
+        raise FitFailureError(
+            f"{stage} of LSP_{n} at h={geometries[i].h:g} nm {what}",
+            best_params=best_params, best_cost=best_cost)
+    modes = []
+    for i, geometry in enumerate(geometries):
+        wn, gamma_rad, g_signed, gamma_nr, cost = fitted[i]
+        rms = math.sqrt(2.0 * cost / grid.size) * float(scale[i]) \
+            / math.sqrt(float(np.mean(values[i] ** 2)))
+        modes.append(ModeParams(
+            n=n, omega_n=wn, gamma_n=gamma_rad + gamma_nr, g=abs(g_signed),
+            gamma_rad=gamma_rad, gamma_nr=gamma_nr,
+            alpha=_fano_alpha(n, wn, gamma_rad, g_signed, geometry, emitter),
+            fit_residual=rms))
+    return modes
 
 
 def with_fano_split(mode: ModeParams, geometry: Geometry,

@@ -15,10 +15,12 @@ import numpy as np
 from . import __version__
 from .constants import HBAR_C_EV_NM, HBAR_EV_FS, HBAR_EV_S
 from .coupling import (
-    extract_mode_sweep,
+    _fano_fits,
+    _fano_terms,
+    _fit_table,
+    _free_space_rows,
+    _green_table,
     extract_modes,
-    fit_fano_rate,
-    fano_rate_model,
     kappa_spectra,
     rate_spectrum_lsp,
 )
@@ -225,50 +227,63 @@ def task_rates(sc: Scenario, writer: RunWriter):
     return payload
 
 
-def _fano_fit(material: MaterialModel, omega0: float, geometry: Geometry, grid):
-    """Two-stage Fano fit of the LSP_1 rate on the grid: a lossless fit, then
-    a lossy refit of Gamma_nr with {omega_1, Gamma_rad, g} frozen.
+def _fano_fit(material: MaterialModel, omega0: float, geometries, grid):
+    """Two-stage Fano fits of the LSP_1 rate on the grid for emitters at
+    several positions around one sphere: a lossless fit, then a lossy refit
+    of Gamma_nr with {omega_1, Gamma_rad, g} frozen.
 
-    Returns the columns (lossless rate, its fit, lossy rate, its fit) and the
-    scalar report, including the Purcell identity F_p = Gamma_rad/Gamma F_rad.
+    Each stage fits every distance in one batch, on rate spectra from one
+    rate_spectrum_lsp call, and the free-space rates of each distance are
+    computed once for both stages and both fitted curves.  Entry i of the
+    result belongs to geometries[i]: the columns (lossless rate, its fit,
+    lossy rate, its fit) and the scalar report, including the Purcell
+    identity F_p = Gamma_rad/Gamma F_rad.
     """
-    emitter = EmitterSpec.from_dipole(omega0, 1.0, 0.0, geometry.n_b)
-    data_f = rate_spectrum_lsp(1, grid, geometry, material.lossless())
-    mode_f = fit_fano_rate(grid, data_f, 1, geometry, emitter)
-    data_l = rate_spectrum_lsp(1, grid, geometry, material)
-    mode_l = fit_fano_rate(grid, data_l, 1, geometry, emitter, frozen=mode_f)
-    sign = 1.0 if (mode_f.alpha or 0) >= 0 else -1.0
-    columns = (
-        data_f,
-        fano_rate_model(grid, 1, geometry, emitter, mode_f.omega_n,
-                        mode_f.gamma_rad, sign * mode_f.g),
-        data_l,
-        fano_rate_model(grid, 1, geometry, emitter, mode_l.omega_n,
-                        mode_l.gamma_rad, sign * mode_l.g, mode_l.gamma_nr),
-    )
-    # the lossy fit froze g and Gamma_rad; an emitter at omega_1 is on resonance
-    purcell = purcell_factors([mode_l], EmitterSpec.from_dipole(
-        mode_f.omega_n, emitter.d_eg, 0.0, geometry.n_b))
-    f_rad, f_p = float(purcell.purcell_rad[0]), float(purcell.purcell[0])
-    return columns, {
-        "omega1_ev": mode_f.omega_n,
-        "gamma1_rad_ev": mode_f.gamma_rad,
-        "g1_ev": mode_f.g,
-        "alpha1": mode_f.alpha,
-        "q_fano": 2.0 / mode_f.alpha,
-        "f_rad": f_rad,
-        "gamma1_nr_ev": mode_l.gamma_nr,
-        "f_p": f_p,
-        "purcell_identity_residual": abs(
-            f_p - mode_l.gamma_rad / mode_l.gamma_n * f_rad),
-        "fit_residual_lossless": mode_f.fit_residual,
-        "fit_residual_lossy": mode_l.fit_residual,
-    }
+    geometries = list(geometries)
+    emitter = EmitterSpec.from_dipole(omega0, 1.0, 0.0, geometries[0].n_b)
+    g0, g0n = rates = _free_space_rows(grid, 1, geometries, emitter)
+    data_f = rate_spectrum_lsp(1, grid, geometries, material.lossless())
+    modes_f = _fano_fits(grid, data_f, 1, geometries, emitter, rates)
+    data_l = rate_spectrum_lsp(1, grid, geometries, material)
+    modes_l = _fano_fits(grid, data_l, 1, geometries, emitter, rates, modes_f)
+    results = []
+    for i, (geometry, mode_f, mode_l) in enumerate(
+            zip(geometries, modes_f, modes_l)):
+        sign = 1.0 if (mode_f.alpha or 0) >= 0 else -1.0
+        columns = (
+            data_f[i],
+            _fano_terms(grid, g0[i], g0n[i], mode_f.omega_n, mode_f.gamma_rad,
+                        sign * mode_f.g, 0.0)[0],
+            data_l[i],
+            _fano_terms(grid, g0[i], g0n[i], mode_l.omega_n, mode_l.gamma_rad,
+                        sign * mode_l.g, mode_l.gamma_nr)[0],
+        )
+        # the lossy fit froze g and Gamma_rad; an emitter at omega_1 is on
+        # resonance
+        purcell = purcell_factors([mode_l], EmitterSpec.from_dipole(
+            mode_f.omega_n, emitter.d_eg, 0.0, geometry.n_b))
+        f_rad, f_p = float(purcell.purcell_rad[0]), float(purcell.purcell[0])
+        results.append((columns, {
+            "omega1_ev": mode_f.omega_n,
+            "gamma1_rad_ev": mode_f.gamma_rad,
+            "g1_ev": mode_f.g,
+            "alpha1": mode_f.alpha,
+            "q_fano": 2.0 / mode_f.alpha,
+            "f_rad": f_rad,
+            "gamma1_nr_ev": mode_l.gamma_nr,
+            "f_p": f_p,
+            "purcell_identity_residual": abs(
+                f_p - mode_l.gamma_rad / mode_l.gamma_n * f_rad),
+            "fit_residual_lossless": mode_f.fit_residual,
+            "fit_residual_lossy": mode_l.fit_residual,
+        }))
+    return results
 
 
 def task_fano(sc: Scenario, writer: RunWriter):
     grid = sc.omega_grid.build()
-    columns, payload = _fano_fit(sc.material, sc.emitter.omega0, sc.geometry, grid)
+    [(columns, payload)] = _fano_fit(sc.material, sc.emitter.omega0,
+                                     [sc.geometry], grid)
     writer.csv(
         "fano_rate.csv",
         ["omega_ev", "lambda_nm", "rate_lossless", "fit_lossless",
@@ -356,11 +371,21 @@ def figure_suite(sc: Scenario, writer: RunWriter):
                          geometry, material, sc_emitter,
                          ["coupling spectra, R=8 nm, h=2 nm"])
 
-    # -- coupling strength and mode width vs surface distance
+    # -- the R = 8 nm mode sweeps (fig3, the N = 25 strong-coupling modes,
+    # fig6) from one Green table and one fit batch: their windows are the
+    # first rows of the 25 windows of the sphere
     h_values = [1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 14.0, 18.0]
-    per_h = extract_mode_sweep(
-        4, [Geometry.from_surface_distance(8.0, h) for h in h_values],
-        material, sc_emitter)
+    wk_emitter = _weak_coupling_emitter()
+    h_wk = (2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 14.0, 20.0)
+    h_all = sorted(set(h_values) | set(h_wk))
+    geos_all = [Geometry.from_surface_distance(8.0, h) for h in h_all]
+    per_h, [modes25], modes_by_h = _fit_table(
+        *_green_table(25, geos_all, material), geos_all,
+        [(4, [h_all.index(h) for h in h_values], sc_emitter),
+         (25, [h_all.index(geometry.h)], sc_emitter),
+         (20, [h_all.index(h) for h in h_wk], wk_emitter)])
+
+    # -- coupling strength and mode width vs surface distance
     writer.csv(
         "fig3.csv",
         ["h_nm"] + [f"two_g_lsp{n}_mev" for n in range(1, 5)]
@@ -370,7 +395,6 @@ def figure_suite(sc: Scenario, writer: RunWriter):
         comments=["coupling strength 2*hbar*g_n and width vs surface distance"])
 
     # -- strong coupling: dressed states, polarization, far field
-    modes25 = extract_modes(25, geometry, material, sc_emitter)
     grid_pol = np.linspace(2.4, 3.4, 2001)
     _, pol, rad, scalars = _dressed_spectra(modes25, sc_emitter, grid_pol,
                                             geometry, material)
@@ -385,10 +409,7 @@ def figure_suite(sc: Scenario, writer: RunWriter):
                comments=["far-field power and LSP_1 population proxy"])
 
     # -- weak coupling: decay dynamics and distance sweep
-    wk_emitter = _weak_coupling_emitter()
-    h_wk = (2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 14.0, 20.0)
     geos_wk = [Geometry.from_surface_distance(8.0, h) for h in h_wk]
-    modes_by_h = extract_mode_sweep(20, geos_wk, material, wk_emitter)
     modes_wk = modes_by_h[h_wk.index(5.0)]
     adiab = adiabatic_rates(modes_wk, wk_emitter)
     times_ns = np.linspace(0.0, 8.0, 161)
@@ -417,12 +438,12 @@ def figure_suite(sc: Scenario, writer: RunWriter):
 
     # -- Fano fits at R=50 for h = 30 and h = 15
     grid_f = np.linspace(*FANO_FIT_WINDOW_EV, 301)
-    results = {}
-    fig9_cols = {}
-    for h in (30.0, 15.0):
-        fig9_cols[h], results[h] = _fano_fit(
-            material, sc_emitter.omega0, Geometry.from_surface_distance(50.0, h),
-            grid_f)
+    h_fano = (30.0, 15.0)
+    fano = _fano_fit(material, sc_emitter.omega0,
+                     [Geometry.from_surface_distance(50.0, h) for h in h_fano],
+                     grid_f)
+    fig9_cols = {h: columns for h, (columns, _) in zip(h_fano, fano)}
+    results = {h: report for h, (_, report) in zip(h_fano, fano)}
     writer.csv(
         "fig9.csv",
         ["omega_ev", "lambda_nm",

@@ -263,7 +263,7 @@ def check_fano_roundtrip() -> CheckResult:
         g = (1 if rng.random() < 0.5 else -1) * 10 ** (-4.3 + 0.6 * rng.random())
         grid = np.linspace(wn - 3 * grad, wn + 3 * grad, 201)
         data = fano_rate_model(grid, 1, geo, em, wn, grad, g)
-        fitted = fit_fano_rate(grid, data, 1, geo, em)
+        [fitted] = fit_fano_rate(grid, [data], 1, [geo], em)
         sign = 1.0 if fitted.alpha >= 0 else -1.0
         worst = max(worst,
                     abs(fitted.omega_n - wn) / wn,

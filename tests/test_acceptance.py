@@ -142,11 +142,11 @@ def criterion_4_fano_regime():
     for h in (30.0, 15.0):
         geo = Geometry.from_surface_distance(50.0, h)
         em = EmitterSpec.from_dipole(2.60, 1.0)
-        mode_free = fit_fano_rate(
-            grid, rate_spectrum_lsp(1, grid, geo, lossless), 1, geo, em)
-        mode_lossy = fit_fano_rate(
-            grid, rate_spectrum_lsp(1, grid, geo, ag), 1, geo, em,
-            frozen=mode_free)
+        [mode_free] = fit_fano_rate(
+            grid, rate_spectrum_lsp(1, grid, [geo], lossless), 1, [geo], em)
+        [mode_lossy] = fit_fano_rate(
+            grid, rate_spectrum_lsp(1, grid, [geo], ag), 1, [geo], em,
+            frozen=[mode_free])
         g0_res = radiative_rate(mode_free.omega_n, em.d_eg, geo.n_b)
         f_rad = 4 * mode_free.g**2 / (g0_res * mode_free.gamma_rad)
         gamma_tot = mode_lossy.gamma_rad + mode_lossy.gamma_nr
@@ -299,7 +299,7 @@ def criterion_8_fitter_roundtrip():
         g = (1 if rng.random() < 0.5 else -1) * 10 ** (-4.5 + rng.random())
         grid = np.linspace(wn - 3 * gamma_rad, wn + 3 * gamma_rad, 121)
         data = fano_rate_model(grid, 1, geo, em, wn, gamma_rad, g)
-        fitted = fit_fano_rate(grid, data, 1, geo, em)
+        [fitted] = fit_fano_rate(grid, [data], 1, [geo], em)
         sign = 1.0 if fitted.alpha >= 0 else -1.0
         worst_fano = max(worst_fano,
                          abs(fitted.omega_n - wn) / wn,

@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plasmon_cqed import coupling, mie
+from plasmon_cqed import coupling, fitting, mie
 from plasmon_cqed.constants import HBAR_C_EV_NM
 from plasmon_cqed.coupling import (
     ModeParams,
@@ -223,6 +224,15 @@ class TestModeSweep:
         assert [np.iscomplexobj(b) for _, (b, _) in bands["j"] + bands["y"]] \
             == [False, True] + [False] * (2 * len(blocks) + 1)
 
+    @pytest.mark.parametrize("n_modes", [4, 20])
+    def test_fewer_modes_take_the_first_windows(self, ag, small_geometry,
+                                                n_modes):
+        # the figure suite's R = 8 nm sweeps read the rows of one 25-window
+        # Green table
+        np.testing.assert_array_equal(
+            mode_windows(n_modes, small_geometry, ag),
+            mode_windows(25, small_geometry, ag)[:n_modes])
+
     @pytest.mark.parametrize("radius, gamma_p, points", [
         (8.0, 0.051, 51), (50.0, 0.051, 201), (8.0, 0.0, 201)],
         ids=["absorbing", "leaky", "lossless"])
@@ -309,7 +319,7 @@ class TestFanoFit:
         grid = np.linspace(2.2, 3.1, 301)
         kb = fano_geometry.n_b * grid / HBAR_C_EV_NM
         np.testing.assert_array_equal(
-            rate_spectrum_lsp(n, grid, fano_geometry, ag),
+            rate_spectrum_lsp(n, grid, [fano_geometry], ag)[0],
             6 * math.pi / kb * green_rr_terms(grid, fano_geometry, ag,
                                               n)[..., n - 1].imag)
         g0_rad = radiative_rate(grid, fano_emitter.d_eg, fano_geometry.n_b)
@@ -374,7 +384,8 @@ class TestFanoFit:
             grid = np.linspace(wn - 3 * grad, wn + 3 * grad, 161)
             data = fano_rate_model(grid, 1, fano_geometry, fano_emitter,
                                    wn, grad, g)
-            fitted = fit_fano_rate(grid, data, 1, fano_geometry, fano_emitter)
+            [fitted] = fit_fano_rate(grid, [data], 1, [fano_geometry],
+                                     fano_emitter)
             sign = 1.0 if fitted.alpha >= 0 else -1.0
             assert fitted.omega_n == pytest.approx(wn, rel=1e-6)
             assert fitted.gamma_rad == pytest.approx(grad, rel=1e-6)
@@ -384,11 +395,12 @@ class TestFanoFit:
                                             fano_emitter):
         grid = np.linspace(2.2, 3.1, 201)
         lossless = ag.lossless()
-        data_free = rate_spectrum_lsp(1, grid, fano_geometry, lossless)
-        mode_free = fit_fano_rate(grid, data_free, 1, fano_geometry, fano_emitter)
-        data_lossy = rate_spectrum_lsp(1, grid, fano_geometry, ag)
-        mode_lossy = fit_fano_rate(grid, data_lossy, 1, fano_geometry,
-                                   fano_emitter, frozen=mode_free)
+        data_free = rate_spectrum_lsp(1, grid, [fano_geometry], lossless)
+        [mode_free] = fit_fano_rate(grid, data_free, 1, [fano_geometry],
+                                    fano_emitter)
+        [data_lossy] = rate_spectrum_lsp(1, grid, [fano_geometry], ag)
+        [mode_lossy] = fit_fano_rate(grid, [data_lossy], 1, [fano_geometry],
+                                     fano_emitter, frozen=[mode_free])
         # evaluate the lossless-only model on the lossy data
         sign = 1.0 if mode_free.alpha >= 0 else -1.0
         resid_frozen = fano_rate_model(grid, 1, fano_geometry, fano_emitter,
@@ -401,8 +413,8 @@ class TestFanoFit:
     def test_fano_numbers_silver_r50(self, ag, fano_emitter):
         grid = np.linspace(2.2, 3.1, 201)
         geo = Geometry.from_surface_distance(50.0, 30.0)
-        data = rate_spectrum_lsp(1, grid, geo, ag.lossless())
-        mode = fit_fano_rate(grid, data, 1, geo, fano_emitter)
+        data = rate_spectrum_lsp(1, grid, [geo], ag.lossless())
+        [mode] = fit_fano_rate(grid, data, 1, [geo], fano_emitter)
         q_fano = 2.0 / mode.alpha
         assert q_fano == pytest.approx(-4.2, rel=0.15)
         assert mode.gamma_rad == pytest.approx(0.254, rel=0.10)
@@ -410,13 +422,94 @@ class TestFanoFit:
     def test_gamma_nr_silver_r50(self, ag, fano_emitter):
         grid = np.linspace(2.2, 3.1, 201)
         geo = Geometry.from_surface_distance(50.0, 30.0)
-        mode_free = fit_fano_rate(
-            grid, rate_spectrum_lsp(1, grid, geo, ag.lossless()), 1, geo,
+        [mode_free] = fit_fano_rate(
+            grid, rate_spectrum_lsp(1, grid, [geo], ag.lossless()), 1, [geo],
             fano_emitter)
-        mode_lossy = fit_fano_rate(
-            grid, rate_spectrum_lsp(1, grid, geo, ag), 1, geo, fano_emitter,
-            frozen=mode_free)
+        [mode_lossy] = fit_fano_rate(
+            grid, rate_spectrum_lsp(1, grid, [geo], ag), 1, [geo],
+            fano_emitter, frozen=[mode_free])
         assert mode_lossy.gamma_nr == pytest.approx(0.040, rel=0.25)
+
+
+class TestFanoBatch:
+    """The Fano fits of the figure suite (R = 50 nm, h = 30 and 15 nm, with
+    its emitter) and of configs/fano_r50.json (h = 30 nm, omega0 = 2.6 eV),
+    batched over distances."""
+
+    GRID = np.linspace(2.2, 3.1, 301)
+
+    @pytest.fixture
+    def geometries(self):
+        return [Geometry.from_surface_distance(50.0, h) for h in (30.0, 15.0)]
+
+    @pytest.mark.parametrize("omega0", [2.94, 2.60],
+                             ids=["figure-suite", "fano_r50"])
+    def test_rows_are_bitwise_one_row_fits(self, ag, geometries, omega0):
+        emitter = EmitterSpec.from_dipole(omega0, 1.0)
+        lossless = rate_spectrum_lsp(1, self.GRID, geometries, ag.lossless())
+        lossy = rate_spectrum_lsp(1, self.GRID, geometries, ag)
+        modes_f = fit_fano_rate(self.GRID, lossless, 1, geometries, emitter)
+        modes_l = fit_fano_rate(self.GRID, lossy, 1, geometries, emitter,
+                                frozen=modes_f)
+        for i, geo in enumerate(geometries):
+            [alone_f] = rate_spectrum_lsp(1, self.GRID, [geo], ag.lossless())
+            [alone_l] = rate_spectrum_lsp(1, self.GRID, [geo], ag)
+            np.testing.assert_array_equal(lossless[i], alone_f)
+            np.testing.assert_array_equal(lossy[i], alone_l)
+            [mode_f] = fit_fano_rate(self.GRID, [alone_f], 1, [geo], emitter)
+            [mode_l] = fit_fano_rate(self.GRID, [alone_l], 1, [geo], emitter,
+                                     frozen=[mode_f])
+            assert modes_f[i] == mode_f and modes_l[i] == mode_l
+
+    @pytest.fixture
+    def fano_data(self, ag, geometries):
+        # caller order h = 15 nm first: a failing batch names its first row
+        geometries = geometries[::-1]
+        emitter = EmitterSpec.from_dipole(2.94, 1.0)
+        lossless = rate_spectrum_lsp(1, self.GRID, geometries, ag.lossless())
+        return geometries, emitter, lossless, fit_fano_rate(
+            self.GRID, lossless, 1, geometries, emitter)
+
+    @pytest.mark.parametrize("frozen", [False, True],
+                             ids=["lossless", "lossy"])
+    def test_zero_spectrum_names_mode_and_distance(self, fano_data, frozen):
+        geometries, emitter, lossless, modes = fano_data
+        values = lossless.copy()
+        values[1] = 0.0
+        stage = "lossy Fano refit" if frozen else "Fano fit"
+        with pytest.raises(FitFailureError, match=(
+                f"^{stage} of LSP_1 at h=30 nm failed: "
+                "rate spectrum is identically zero$")):
+            fit_fano_rate(self.GRID, values, 1, geometries, emitter,
+                          frozen=modes if frozen else None)
+        values[0] = 0.0
+        with pytest.raises(FitFailureError, match="LSP_1 at h=15 nm"):
+            fit_fano_rate(self.GRID, values, 1, geometries, emitter,
+                          frozen=modes if frozen else None)
+
+    def test_both_branches_failing_names_mode_and_distance(
+            self, fano_data, monkeypatch):
+        geometries, emitter, lossless, _ = fano_data
+        monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
+        with pytest.raises(FitFailureError, match=(
+                r"^Fano fit of LSP_1 at h=15 nm failed from both sign "
+                r"branches \(least squares did not converge in 1 iterations"
+                r".*; least squares did not converge in 1 iterations.*\)$")) \
+                as info:
+            fit_fano_rate(self.GRID, lossless, 1, geometries, emitter)
+        assert info.value.best_params is None
+
+    def test_lossy_refit_failure_names_mode_and_distance(
+            self, ag, fano_data, monkeypatch):
+        geometries, emitter, _, modes = fano_data
+        lossy = rate_spectrum_lsp(1, self.GRID, geometries, ag)
+        monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
+        with pytest.raises(FitFailureError, match=(
+                "^lossy Fano refit of LSP_1 at h=15 nm failed: least squares "
+                "did not converge in 1 iterations")) as info:
+            fit_fano_rate(self.GRID, lossy, 1, geometries, emitter,
+                          frozen=modes)
+        assert info.value.best_params.shape == (1,)
 
 
 class TestFanoSplit:
@@ -452,20 +545,59 @@ GRID = np.linspace(2.2, 3.1, 60)
 @pytest.mark.parametrize("call, error, message", [
     (lambda geo, em: extract_mode_sweep(0, [geo], silver(), em),
      InvalidArgumentError, "n_modes must be >= 1"),
-    (lambda geo, em: fit_fano_rate(GRID[:49], np.ones(49), 1, geo, em),
+    (lambda geo, em: fit_fano_rate(GRID[:49], [np.ones(49)], 1, [geo], em),
      InvalidArgumentError, "matching grid of >= 50 points"),
-    (lambda geo, em: fit_fano_rate(GRID, np.ones(59), 1, geo, em),
+    (lambda geo, em: fit_fano_rate(GRID, [np.ones(59)], 1, [geo], em),
      InvalidArgumentError, "matching grid of >= 50 points"),
-    (lambda geo, em: fit_fano_rate(GRID, np.zeros(60), 1, geo, em),
+    (lambda geo, em: fit_fano_rate(GRID, [np.zeros(60)], 1, [geo], em),
      FitFailureError, "rate spectrum is identically zero"),
     (lambda geo, em: fit_fano_rate(
-        GRID, np.ones(60), 1, geo, em,
-        frozen=ModeParams(n=1, omega_n=2.6, gamma_n=0.3, g=1e-4)),
+        GRID, [np.ones(60)], 1, [geo], em,
+        frozen=[ModeParams(n=1, omega_n=2.6, gamma_n=0.3, g=1e-4)]),
      InvalidArgumentError, "frozen mode must carry gamma_rad"),
+    (lambda geo, em: fit_fano_rate(GRID, np.ones((2, 60)), 1, [geo], em),
+     InvalidArgumentError, "each with its geometry"),
+    (lambda geo, em: fit_fano_rate(GRID, np.ones((0, 60)), 1, [], em),
+     InvalidArgumentError, "one or more rate spectra"),
 ], ids=["no-modes", "short-grid", "mismatched-grid", "zero-spectrum",
-        "frozen-without-gamma-rad"])
+        "frozen-without-gamma-rad", "geometry-per-row", "empty-batch"])
 def test_rejects_invalid_input(call, error, message):
     geometry = Geometry.from_surface_distance(50.0, 30.0)
     emitter = EmitterSpec.from_dipole(2.6, 1.0)
     with pytest.raises(error, match=message):
         call(geometry, emitter)
+
+
+def test_figure_suite_runs_each_fit_stage_as_one_batch(tmp_path, monkeypatch):
+    from plasmon_cqed import cli, tasks
+
+    green, spectra, batches = [], [], []
+    mode_terms, rates, solve = (coupling._green_mode_terms,
+                                tasks.rate_spectrum_lsp, coupling.least_squares)
+
+    def counted_terms(omega, orders, geometries, material):
+        green.append(geometries[0].radius)
+        return mode_terms(omega, orders, geometries, material)
+
+    def counted_rates(n, grid, geometries, material):
+        spectra.append((material.gamma_p, len(geometries)))
+        return rates(n, grid, geometries, material)
+
+    def counted_solve(model, theta0):
+        batches.append(np.shape(theta0))
+        return solve(model, theta0)
+
+    monkeypatch.setattr(coupling, "_green_mode_terms", counted_terms)
+    monkeypatch.setattr(tasks, "rate_spectrum_lsp", counted_rates)
+    monkeypatch.setattr(coupling, "least_squares", counted_solve)
+    config = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "configs", "figure_suite.json")
+    assert cli.main(["run", config, "--out", str(tmp_path)]) == 0
+    # the three R = 8 nm sweeps share one Green table; the R = 50 nm rate
+    # spectra take one call per material, both distances in each
+    assert green.count(8.0) == 1
+    assert spectra == [(0.0, 2), (silver().gamma_p, 2)]
+    # fig3 (4 x 10), the N = 25 modes and fig6 (20 x 8) in one Lorentzian
+    # batch; two sign rows per distance in the lossless Fano batch, one per
+    # distance in the lossy one
+    assert batches == [(225, 2), (4, 3), (2, 1)]

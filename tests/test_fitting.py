@@ -160,24 +160,25 @@ def _oracle_fano(grid, values, n, geometry, emitter, frozen=None):
 
 @pytest.fixture(scope="module")
 def recorded_fits(tmp_path_factory):
-    """Every Lorentzian batch and Fano fit of the figure suite and of
+    """Every Lorentzian batch and Fano batch of the figure suite and of
     configs/fano_r50.json, with its inputs."""
     lorentz, fano = [], []
-    batch, single = coupling.fit_lorentzians, tasks.fit_fano_rate
+    lorentz_batch, fano_batch = coupling.fit_lorentzians, tasks._fano_fits
 
-    def record_batch(ns, grids, values):
-        fits = batch(ns, grids, values)
+    def record_lorentz(ns, grids, values):
+        fits = lorentz_batch(ns, grids, values)
         lorentz.append((np.array(grids), np.array(values), fits))
         return fits
 
-    def record_single(grid, values, *args, **kwargs):
-        mode = single(grid, values, *args, **kwargs)
-        fano.append(((grid, values) + args, kwargs, mode))
-        return mode
+    def record_fano(grid, values, n, geometries, emitter, rates, frozen=None):
+        modes = fano_batch(grid, values, n, geometries, emitter, rates, frozen)
+        fano.append((grid, np.array(values), n, list(geometries), emitter,
+                     frozen, modes))
+        return modes
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(coupling, "fit_lorentzians", record_batch)
-        mp.setattr(tasks, "fit_fano_rate", record_single)
+        mp.setattr(coupling, "fit_lorentzians", record_lorentz)
+        mp.setattr(tasks, "_fano_fits", record_fano)
         for config in ("figure_suite", "fano_r50"):
             out = tmp_path_factory.mktemp(config)
             assert cli.main(["run", os.path.join(ROOT, "configs", f"{config}.json"),
@@ -187,7 +188,8 @@ def recorded_fits(tmp_path_factory):
 
 def test_lorentzian_fits_match_minpack(recorded_fits):
     lorentz, _ = recorded_fits
-    assert sorted(len(fits) for *_, fits in lorentz) == [25, 40, 160]
+    # the figure suite's three R = 8 nm sweeps share one batch
+    assert sorted(len(fits) for *_, fits in lorentz) == [225]
     for grids, values, fits in lorentz:
         for grid, y, mode in zip(grids, values, fits):
             wn, gamma, g, cost = _oracle_lorentzian(grid, y)
@@ -199,15 +201,20 @@ def test_lorentzian_fits_match_minpack(recorded_fits):
 
 def test_fano_fits_match_minpack(recorded_fits):
     _, fano = recorded_fits
-    # fig9 at h = 30 and 15 nm, then fano_r50: a lossless fit and its refit each
-    assert [kwargs.get("frozen") is None for _, kwargs, _ in fano] \
-        == [True, False] * 3
-    for args, kwargs, mode in fano:
-        wn, gamma_rad, g, gamma_nr, cost = _oracle_fano(*args, **kwargs)
-        sign = 1.0 if mode.alpha >= 0 else -1.0
-        assert mode.omega_n == pytest.approx(wn, rel=ORACLE_RTOL, abs=0)
-        assert mode.gamma_n == pytest.approx(gamma_rad + gamma_nr,
-                                             rel=ORACLE_RTOL, abs=0)
-        assert sign * mode.g == pytest.approx(g, rel=ORACLE_RTOL, abs=0)
-        assert _cost_of(mode, args[1]) == pytest.approx(cost, rel=ORACLE_RTOL,
-                                                        abs=0)
+    # fig9 at h = 30 and 15 nm in one batch, then fano_r50: a lossless batch
+    # and its refit each
+    assert [(frozen is None, len(values))
+            for _, values, _, _, _, frozen, _ in fano] \
+        == [(True, 2), (False, 2), (True, 1), (False, 1)]
+    for grid, values, n, geometries, emitter, frozen, modes in fano:
+        for i, mode in enumerate(modes):
+            wn, gamma_rad, g, gamma_nr, cost = _oracle_fano(
+                grid, values[i], n, geometries[i], emitter,
+                frozen[i] if frozen is not None else None)
+            sign = 1.0 if mode.alpha >= 0 else -1.0
+            assert mode.omega_n == pytest.approx(wn, rel=ORACLE_RTOL, abs=0)
+            assert mode.gamma_n == pytest.approx(gamma_rad + gamma_nr,
+                                                 rel=ORACLE_RTOL, abs=0)
+            assert sign * mode.g == pytest.approx(g, rel=ORACLE_RTOL, abs=0)
+            assert _cost_of(mode, values[i]) == pytest.approx(
+                cost, rel=ORACLE_RTOL, abs=0)
