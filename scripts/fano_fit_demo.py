@@ -10,7 +10,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from plasmon_cqed import Geometry, silver
+from plasmon_cqed import EmitterSpec, Geometry, silver
 from plasmon_cqed.constants import HBAR_C_EV_NM
 from plasmon_cqed.tasks import _fano_fit
 
@@ -18,7 +18,7 @@ from plasmon_cqed.tasks import _fano_fit
 def main():
     grid = np.linspace(2.2, 3.1, 301)
     h_values = (30.0, 15.0)
-    fits = _fano_fit(silver(), 2.60,
+    fits = _fano_fit(silver(), EmitterSpec.from_dipole(2.60, 1.0),
                      [Geometry.from_surface_distance(50.0, h) for h in h_values],
                      grid)
     for h, (_, fit) in zip(h_values, fits):

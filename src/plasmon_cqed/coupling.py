@@ -10,15 +10,17 @@ Term n factorises as B_n(omega; R, eps_b, metal) times a Hankel factor of
 k_b r_d, and each mode's fit window depends on the sphere alone, so a
 distance sweep evaluates the terms of all its mode windows at once, each
 window point at its own order (extract_mode_sweep over
-mie._green_mode_terms: one B_n build, one Hankel ladder pass per block of
+mie._green_mode_table: one B_n build, one Hankel ladder pass per block of
 distances), and then fits every (mode, distance) spectrum in one
 fit_lorentzians batch, the one Lorentzian fit entry point.  The two steps
 are separate (_green_table, _fit_table), so sweeps of fewer modes at a
 subset of the distances read the first rows of one table and share its fit
-batch.  A sweep whose modes are all absorption-dominated (quasi-static
+batch, and the table holds at each distance only the windows its sweeps
+read.  A sweep whose modes are all absorption-dominated (quasi-static
 Gamma_rad <= gamma_p) fits 51-point windows, a leaky or lossless one
 201-point windows (mode_windows).  The single-mode rate spectra read their
-one order the same way, every distance around one sphere in one call.  The
+one order the same way, every distance around one sphere and both metals of
+a two-stage Fano fit in one call (_rate_spectra).  The
 Lorentzian |kappa|^2 = g^2 phi(omega; omega_n, Gamma_n) is linear in g^2, so
 each fit projects g^2 out and iterates on (omega_n, log Gamma_n) alone
 (variable projection: Golub & Pereyra, Inverse Problems 19, R1 (2003), with
@@ -41,8 +43,8 @@ from .constants import DIPOLE_SQ_OVER_EPS0, HBAR_C_EV_NM
 from .errors import FitFailureError, InvalidArgumentError
 from .fitting import least_squares
 from .medium import EmitterSpec, Geometry, MaterialModel, radiative_rate
-from .mie import (_green_mode_terms, _radial_fractions, green_rr_terms,
-                  qs_mode_params)
+from .mie import (_green_mode_table, _green_terms, _radial_fractions,
+                  green_rr_terms, qs_mode_params)
 # unused here; perfbench/tests/test_bench_tracing.py asserts that the tracer
 # swaps this binding, so it goes when that assertion does
 from .mie import green_rr_scattered  # noqa: F401
@@ -252,32 +254,37 @@ def mode_windows(n_modes: int, geometry: Geometry,
     return windows
 
 
-def _green_table(n_modes: int, geometries, material: MaterialModel):
-    """Fit windows of LSP_1..LSP_n_modes around one sphere (mode_windows)
-    and the Green term of every window point at its mode's order for each
-    geometry: (windows (n_modes, P), terms (len(geometries), n_modes, P)).
+def _green_table(geometries, material: MaterialModel, sweeps):
+    """Fit windows of the modes that sweeps read around one sphere, and the
+    Green terms each distance's sweeps read: (windows (M, P), terms), M the
+    largest n_modes of the sweeps (mode_windows) and terms[i] of shape
+    (rows_i, P), the first rows_i windows at geometries[i], rows_i the
+    largest n_modes among the sweeps that pick it (0 if none does).
 
-    One mie._green_mode_terms call builds the sphere's factor once over all
-    windows.  The windows depend on the sphere alone, and each table row is
-    bitwise what that geometry alone gives, so the first rows of a table
-    serve every sweep of fewer modes at a subset of its distances.
+    Sweeps are given as to _fit_table.  One mie._green_mode_table call builds
+    the sphere's factor once over all windows and runs the Hankel ladders
+    only where a sweep reads them.  The windows depend on the sphere alone,
+    and each entry is bitwise what that geometry alone gives.
     """
-    if n_modes < 1:
-        raise InvalidArgumentError("n_modes must be >= 1")
     geometries = list(geometries)
+    rows = [0] * len(geometries)
+    for n_modes, picks, _ in sweeps:
+        if n_modes < 1:
+            raise InvalidArgumentError("n_modes must be >= 1")
+        for i in picks:
+            rows[i] = max(rows[i], n_modes)
     if not geometries:
         raise InvalidArgumentError("a mode sweep needs at least one geometry")
-    windows = mode_windows(n_modes, geometries[0], material)
-    modes = np.arange(1, n_modes + 1)
-    return windows, _green_mode_terms(windows, modes[:, None], geometries,
-                                      material)
+    windows = mode_windows(max(rows), geometries[0], material)
+    return windows, _green_mode_table(windows, rows, geometries, material)
 
 
 def _fit_table(windows, terms, geometries, sweeps) -> list:
     """Lorentzian fits of Green-table rows (_green_table) for several sweeps,
     all in one fit_lorentzians batch.  Each sweep is (n_modes, picks,
     emitter): the first n_modes windows at geometries[picks], coupled to
-    that emitter.
+    that emitter.  A sweep that reads past a distance's table rows raises
+    InvalidArgumentError.
 
     Entry s of the result holds sweep s's modes per distance, in picks
     order.  Every failed fit is collected and reported with its h and its
@@ -286,11 +293,17 @@ def _fit_table(windows, terms, geometries, sweeps) -> list:
     ns, hs, values, spans = [], [], [], []
     for n_modes, picks, emitter in sweeps:
         picks = list(picks)
+        for i in picks:
+            if len(terms[i]) < n_modes:
+                raise InvalidArgumentError(
+                    f"the Green table holds {len(terms[i])} modes at "
+                    f"h={geometries[i].h:g} nm, not {n_modes}")
         spans.append((len(ns), len(picks), n_modes))
         # rows mode by mode, each mode's distances in order
         ns += [n for n in range(1, n_modes + 1) for _ in picks]
         hs += [geometries[i].h for i in picks] * n_modes
-        values.append(_kappa2(windows[:n_modes], terms[picks, :n_modes],
+        values.append(_kappa2(windows[:n_modes],
+                              np.array([terms[i][:n_modes] for i in picks]),
                               emitter).transpose(1, 0, 2).reshape(
                                   n_modes * len(picks), -1))
     fits = fit_lorentzians(ns, windows[np.subtract(ns, 1)],
@@ -314,15 +327,15 @@ def extract_mode_sweep(n_modes: int, geometries, material: MaterialModel,
     Each window is auto-centered on the quasi-static resonance estimate,
     which depends on the sphere alone (mode_windows, which also picks the
     sweep's one point count from its regime).  The sweep is the Green table
-    of the sphere (_green_table: one mie._green_mode_terms call, each window
+    of the sphere (_green_table: one mie._green_mode_table call, each window
     point at its own mode's order) fitted for the emitter (_fit_table: one
     fit_lorentzians batch).  Every failed fit is collected and reported with
     its h and its own reason.
     """
     geometries = list(geometries)
-    windows, terms = _green_table(n_modes, geometries, material)
-    [sweep] = _fit_table(windows, terms, geometries,
-                         [(n_modes, range(len(geometries)), emitter)])
+    sweeps = [(n_modes, range(len(geometries)), emitter)]
+    [sweep] = _fit_table(*_green_table(geometries, material, sweeps),
+                         geometries, sweeps)
     return sweep
 
 
@@ -342,14 +355,22 @@ def rate_spectrum_lsp(n: int, grid, geometries,
     This is the per-mode golden-rule rate scanned over the emission frequency;
     for leaky modes it goes negative past the Fano dip (the free-space '1' of
     the total rate keeps the sum positive).  All rows come from one
-    mie._green_mode_terms call, and each is bitwise what its geometry alone
-    gives.
+    mie._green_terms call, reading order n alone, and each is bitwise what
+    its geometry alone gives; _rate_spectra is the same for several metals.
     """
+    return _rate_spectra(n, grid, geometries, [material])[0]
+
+
+def _rate_spectra(n: int, grid, geometries, materials) -> np.ndarray:
+    """rate_spectrum_lsp for several metals of one sphere: shape
+    (len(materials), len(geometries), grid.size).  The metals share the k_b R
+    and k_b r_d ladders (mie._green_terms), and each metal's rows are
+    bitwise its rate_spectrum_lsp call."""
     grid = np.asarray(grid, dtype=float)
     geometries = list(geometries)
     kb = geometries[0].n_b * grid / HBAR_C_EV_NM
-    return 6 * math.pi / kb * _green_mode_terms(grid, n, geometries,
-                                                material).imag
+    return 6 * math.pi / kb * _green_terms(grid, n - 1, 2, geometries,
+                                           materials)[..., 0].imag
 
 
 def _free_space_rates(omega, n, geometry, emitter):
@@ -363,10 +384,14 @@ def _free_space_rates(omega, n, geometry, emitter):
 
 def _free_space_rows(grid, n, geometries, emitter):
     """_free_space_rates on the grid at each geometry: (gamma0, gamma0n_rad),
-    each of shape (len(geometries), grid.size)."""
-    rows = [_free_space_rates(grid, n, geometry, emitter)
-            for geometry in geometries]
-    return np.array([g0 for g0, _ in rows]), np.array([g0n for _, g0n in rows])
+    each of shape (len(geometries), grid.size), the multipole shares of all
+    rows from one ladder call; each row is bitwise its _free_space_rates."""
+    g0_rad = np.array([radiative_rate(grid, emitter.d_eg, geometry.n_b)
+                       for geometry in geometries])
+    fractions = _radial_fractions(np.array(
+        [geometry.n_b * grid / HBAR_C_EV_NM * geometry.r_d
+         for geometry in geometries]), n - 1, 2)[..., 0]
+    return g0_rad / emitter.eta, g0_rad * fractions
 
 
 def _fano_terms(grid, g0, g0n, omega_n, gamma_rad, g_signed, gamma_nr):
@@ -398,6 +423,20 @@ def _fano_alpha(n, omega_n, gamma_rad, g, geometry, emitter) -> float:
     return math.sqrt(g0n * gamma_rad) / g if g != 0 else 0.0
 
 
+def _fano_alphas(n, fits, geometries, emitter) -> list:
+    """_fano_alpha of several rows, fits[i] = (omega_n, Gamma_rad, signed g)
+    at geometries[i], the multipole shares of all rows from one ladder call;
+    each is bitwise its _fano_alpha (the free-space rate stays a Python
+    float: numpy's array power rounds omega^3 differently)."""
+    fractions = _radial_fractions(np.array(
+        [geometry.n_b * wn / HBAR_C_EV_NM * geometry.r_d
+         for (wn, _, _), geometry in zip(fits, geometries)]), n - 1, 2)[..., 0]
+    return [math.sqrt(radiative_rate(wn, emitter.d_eg, geometry.n_b) * share
+                      * gamma_rad) / g if g != 0 else 0.0
+            for (wn, gamma_rad, g), geometry, share
+            in zip(fits, geometries, fractions.tolist())]
+
+
 def fano_rate_model(grid, n: int, geometry: Geometry, emitter: EmitterSpec,
                     omega_n: float, gamma_rad: float, g_signed: float,
                     gamma_nr: float = 0.0) -> np.ndarray:
@@ -421,7 +460,9 @@ def fit_fano_rate(grid, values, n: int, geometries, emitter: EmitterSpec,
     batch, so the asymmetry orientation comes out of the data; an omega_n
     outside the grid is a failure, as the grid never saw the resonance.
     Lossy mode: frozen[i] is row i's lossless fit, whose {omega_n,
-    Gamma_rad, g} stay frozen while Gamma_nr alone is fitted.
+    Gamma_rad, g} stay frozen while Gamma_nr alone is fitted, so its alpha
+    carries over; a frozen mode without gamma_rad or alpha raises
+    InvalidArgumentError.
 
     Returns one ModeParams per row.  A failed row raises FitFailureError
     naming LSP_n and h, for the first failing row in the caller's order.
@@ -434,10 +475,13 @@ def fit_fano_rate(grid, values, n: int, geometries, emitter: EmitterSpec,
 def _fano_fits(grid, values, n, geometries, emitter, rates, frozen=None):
     """fit_fano_rate with the free-space rates (gamma0, gamma0n_rad) of each
     row given (_free_space_rows), so a two-stage fit and its fitted curves
-    compute them once per distance.
+    compute them once, for all distances in one ladder call.
 
     Rows step in lockstep but do not interact (fitting.least_squares), so
-    each row's fit is bitwise its one-row fit.
+    each row's fit is bitwise its one-row fit.  The lossless stage takes the
+    alphas of all rows from one ladder call (_fano_alphas); the lossy stage
+    copies each frozen alpha, which is bitwise what its frozen {omega_n,
+    Gamma_rad, signed g} give.
     """
     values = np.asarray(values, dtype=float)
     geometries = list(geometries)
@@ -450,8 +494,10 @@ def _fano_fits(grid, values, n, geometries, emitter, rates, frozen=None):
         raise InvalidArgumentError(
             "a Fano fit needs one or more rate spectra, each with its "
             "geometry (and frozen mode)")
-    if frozen is not None and any(m.gamma_rad is None for m in frozen):
-        raise InvalidArgumentError("frozen mode must carry gamma_rad")
+    if frozen is not None and any(m.gamma_rad is None or m.alpha is None
+                                  for m in frozen):
+        raise InvalidArgumentError(
+            "frozen mode must carry gamma_rad and alpha (a lossless Fano fit)")
     g0, g0n = rates
     scale = np.max(np.abs(values), axis=-1)
     live = np.flatnonzero(scale != 0)
@@ -506,8 +552,7 @@ def _fano_fits(grid, values, n, geometries, emitter, rates, frozen=None):
     else:
         # the frozen (omega_n, Gamma_rad, signed g) of each row
         params = np.reshape([
-            [m.omega_n, m.gamma_rad,
-             m.g * (1.0 if m.alpha is None or m.alpha >= 0 else -1.0)]
+            [m.omega_n, m.gamma_rad, m.g * (1.0 if m.alpha >= 0 else -1.0)]
             for m in frozen], (-1, 3))
 
         def model(theta, rows):
@@ -536,15 +581,18 @@ def _fano_fits(grid, values, n, geometries, emitter, rates, frozen=None):
         raise FitFailureError(
             f"{stage} of LSP_{n} at h={geometries[i].h:g} nm {what}",
             best_params=best_params, best_cost=best_cost)
+    # the lossy stage froze the lossless alpha's inputs, so it keeps alpha
+    alphas = _fano_alphas(n, [fitted[i][:3] for i in range(len(geometries))],
+                          geometries, emitter) if frozen is None \
+        else [m.alpha for m in frozen]
     modes = []
-    for i, geometry in enumerate(geometries):
+    for i, alpha in enumerate(alphas):
         wn, gamma_rad, g_signed, gamma_nr, cost = fitted[i]
         rms = math.sqrt(2.0 * cost / grid.size) * float(scale[i]) \
             / math.sqrt(float(np.mean(values[i] ** 2)))
         modes.append(ModeParams(
             n=n, omega_n=wn, gamma_n=gamma_rad + gamma_nr, g=abs(g_signed),
-            gamma_rad=gamma_rad, gamma_nr=gamma_nr,
-            alpha=_fano_alpha(n, wn, gamma_rad, g_signed, geometry, emitter),
+            gamma_rad=gamma_rad, gamma_nr=gamma_nr, alpha=alpha,
             fit_residual=rms))
     return modes
 

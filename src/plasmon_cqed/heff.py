@@ -317,6 +317,13 @@ def radiated_spectrum(h: EffectiveHamiltonian, grid, geometry: Geometry,
     gamma_rad(w) uses the dipolar-polarizability enhancement
     gamma0_rad(w) [1 + 4 |alpha_1^eff(w)|^2 / r_d^6].
     """
+    return _emission_spectra(h, grid, geometry, material)[1]
+
+
+def _emission_spectra(h: EffectiveHamiltonian, grid, geometry: Geometry,
+                      material: MaterialModel):
+    """(polarization_spectrum, radiated_spectrum) of h on the grid from one
+    amplitude_response, each bitwise what its public function gives."""
     grid = np.asarray(grid, dtype=float)
     amps = amplitude_response(h, grid)
     p_of_w = np.abs(amps[:, 0]) ** 2
@@ -325,7 +332,8 @@ def radiated_spectrum(h: EffectiveHamiltonian, grid, geometry: Geometry,
         * (1.0 + 4.0 * np.abs(alpha_eff) ** 2 / geometry.r_d**6)
     p_rad = g_rad * p_of_w / (2.0 * math.pi)
     lsp1 = np.abs(amps[:, 1]) ** 2 if h.n_modes >= 1 else np.zeros_like(grid)
-    return RadiatedSpectrum(p_rad=p_rad, lsp1_population=lsp1, gamma_rad=g_rad)
+    return PolarizationSpectrum(values=p_of_w), RadiatedSpectrum(
+        p_rad=p_rad, lsp1_population=lsp1, gamma_rad=g_rad)
 
 
 def flip_coupling_gauge(h: EffectiveHamiltonian, signs) -> EffectiveHamiltonian:

@@ -6,11 +6,13 @@ Only the radial-radial component matters here: the emitter dipole is radially
 oriented, so the M (TE) vector harmonics drop out and the scattered Green
 function reduces to a single sum over the B_n coefficients.  Each term is
 B_n(omega; R, eps_b, metal) times a Hankel factor of k_b r_d, so emitters at
-several distances from one sphere share one B_n build (green_rr_sweep).
-Terms are built from ladder bands (specfun): green_rr_sweep reads every
-order 1..n_max at each frequency, and _green_mode_terms reads one order per
-frequency, so the fit windows of several modes share one B_n build without
-each paying for the highest order.
+several distances from one sphere share one B_n build (green_rr_sweep), and
+metals of one sphere share its k_b R ladders and the Hankel factor
+(_green_terms).  Terms are built from ladder bands (specfun): green_rr_sweep
+reads every order 1..n_max at each frequency, and _green_mode_terms reads
+one order per frequency, so the fit windows of several modes share one B_n
+build without each paying for the highest order; _green_mode_table
+evaluates the Hankel factor only at the windows each distance reads.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .errors import InvalidArgumentError, NoResonanceError, SingularDenominatorE
 from .medium import (
     Geometry,
     MaterialModel,
-    Wavenumbers,
     permittivity,
     wavenumbers,
 )
@@ -49,7 +50,11 @@ DEFAULT_N_MAX = 30
 # sweep (201 points per mode) one at a time, so the ladder's working set, and
 # the peak memory, stay bounded (the Green terms of 20 absorbing modes at 8
 # distances peak at 1.2 MB of traced allocations this way, 1.8 MB with all
-# distances in one call; at 201 points, 1.9 and 7.1 MB)
+# distances in one call; at 201 points, 1.9 and 7.1 MB).  A Green table
+# blocks the distances of each window count apart: the figure suite's
+# R = 8 nm table takes its three 4-window distances (204 points each) in one
+# call, its seven 20-window ones four and three per call and its 25-window
+# one alone, 9,027 points in four calls
 _HANKEL_BLOCK_POINTS = 4096
 
 
@@ -64,28 +69,35 @@ def _band_orders(lo, width: int) -> np.ndarray:
     return np.asarray(lo)[..., None] + np.arange(1, width)
 
 
-def _sphere_ladders(wn: Wavenumbers, radius: float, lo, width: int):
-    """The sphere's side of B_n = num / (zeta_n den) at each frequency of wn
+def _sphere_ladders(kb, kms, radius: float, lo, width: int):
+    """The sphere's side of B_n = num / (zeta_n den) at each frequency of kb
     for the orders n = lo+1..lo+width-1 (lo per frequency or one for all),
-    each of shape (..., width - 1): zeta_n at k_b R and
+    for one or more metals (their k_m, kms), each of shape (..., width - 1):
+    zeta_n at k_b R, and per metal
 
         num = k_b D_n psi_n - k_m psi_n',   den = k_m G_n - k_b D_n,
 
     with psi_n, psi_n' at k_b R and the logarithmic derivatives
     D_n = psi_n'/psi_n at k_m R and G_n = zeta_n'/zeta_n at k_b R, so no
-    product of two small ladder values is formed.  zeta_n and num come as
-    (mantissa, exponent) pairs, den as plain doubles."""
+    product of two small ladder values is formed.  The k_b R ladders are
+    built once for all metals, the k_m R ladder once per metal.  Returns
+    (zeta_n, [(num, den) per metal]); zeta_n and num come as (mantissa,
+    exponent) pairs, den as plain doubles."""
     orders = _band_orders(lo, width)
-    z_b, z_m = wn.kb * radius, wn.km * radius
+    z_b = kb * radius
     j_b = _jn_band(z_b, lo, width)
     psi_b, psip_b, e_psi = _riccati_band(z_b, j_b, orders)
     zeta_b, zetap_b, e_zeta = _riccati_band(
         z_b, _hankel(j_b, _yn_band(z_b, lo, width)), orders)
-    psi_m, psip_m, _ = _riccati_band(z_m, _jn_band(z_m, lo, width), orders)
-    d_m, g_b = psip_m / psi_m, zetap_b / zeta_b
-    kb, km = _column(wn.kb), _column(wn.km)
-    return ((zeta_b, e_zeta), (kb * d_m * psi_b - km * psip_b, e_psi),
-            km * g_b - kb * d_m)
+    g_b, kb = zetap_b / zeta_b, _column(kb)
+    metals = []
+    for km in kms:
+        z_m = km * radius
+        psi_m, psip_m, _ = _riccati_band(z_m, _jn_band(z_m, lo, width), orders)
+        d_m, km = psip_m / psi_m, _column(km)
+        metals.append(((kb * d_m * psi_b - km * psip_b, e_psi),
+                       km * g_b - kb * d_m))
+    return (zeta_b, e_zeta), metals
 
 
 def mie_coefficients(n: int, omega: float, geometry: Geometry,
@@ -95,8 +107,8 @@ def mie_coefficients(n: int, omega: float, geometry: Geometry,
     if n < 1:
         raise InvalidArgumentError("Mie order starts at n=1")
     wn = wavenumbers(geometry, material, omega)
-    (zeta, e_zeta), (num, e_num), den = _sphere_ladders(
-        wn, geometry.radius, n - 1, 2)
+    (zeta, e_zeta), [((num, e_num), den)] = _sphere_ladders(
+        wn.kb, [wn.km], geometry.radius, n - 1, 2)
     return complex(_values(num / (zeta * den), e_num - e_zeta)[0])
 
 
@@ -108,45 +120,84 @@ class GreenExpansion:
     total: complex
 
 
-def _green_terms(omega, lo, width: int, geometries,
-                 material: MaterialModel) -> np.ndarray:
-    """Terms of orders n = lo+1..lo+width-1 of G_S^rr(r_d, r_d) at every
-    frequency of omega (lo per frequency or one for all), for emitters at
-    several r_d around one sphere: shape (len(geometries),) + omega.shape
-    + (width - 1,).  The formula is that of green_rr_sweep.
-
-    The sphere's factor is built once over all frequencies; the Hankel
-    ladders at k_b r_d run over blocks of distances of at most
-    _HANKEL_BLOCK_POINTS points, one distance at a time on larger grids.
-    """
+def _sphere_factors(omega, lo, width: int, geometries, materials):
+    """What the Green terms of emitters around one sphere share at every
+    frequency of omega, for the orders lo+1..lo+width-1 (lo per frequency
+    or one for all): (k_b, lo broadcast against omega, the prefactor
+    (i k_b/4pi) n(n+1)(2n+1), zeta_n(k_b R), [(num, den) per metal]), from
+    one _sphere_ladders call.  The geometries must share R and eps_b."""
     geometries = list(geometries)
     if len({(g.radius, g.eps_b) for g in geometries}) != 1:
         raise InvalidArgumentError(
             "a distance sweep needs one or more geometries sharing R and eps_b")
     omega = np.asarray(omega, dtype=float)
-    wn = wavenumbers(geometries[0], material, omega)
+    wns = [wavenumbers(geometries[0], material, omega) for material in materials]
+    kb = wns[0].kb
     lo = np.broadcast_to(lo, omega.shape)
     orders = _band_orders(lo, width).astype(float)
-    coef = (1j * _column(wn.kb) / (4 * math.pi)) * orders * (orders + 1) \
+    coef = (1j * _column(kb) / (4 * math.pi)) * orders * (orders + 1) \
         * (2 * orders + 1)
-    zeta, num, den = _sphere_ladders(wn, geometries[0].radius, lo, width)
-    terms = np.empty((len(geometries),) + den.shape, dtype=complex)
-    step = max(1, _HANKEL_BLOCK_POINTS // max(omega.size, 1))
-    for first in range(0, len(geometries), step):
-        block = geometries[first:first + step]
-        x = wn.kb * np.array([g.r_d for g in block]).reshape(
-            (-1,) + (1,) * omega.ndim)
+    return (kb, lo, coef) + _sphere_ladders(
+        kb, [wn.km for wn in wns], geometries[0].radius, lo, width)
+
+
+def _head(part, rows: int):
+    """The first rows entries of a (mantissa, exponent) part."""
+    m, e = part
+    return m[:rows], e[:rows] if np.ndim(e) else e
+
+
+def _distance_terms(factors, width: int, r_ds, rows=None) -> np.ndarray:
+    """Green terms at the emitter radii r_ds from the sphere's factors
+    (_sphere_factors), over the first rows entries of their frequency axis
+    (all with rows=None): shape (metals, len(r_ds)) + that part of
+    omega.shape + (width - 1,).
+
+    The Hankel ladders at k_b r_d run over blocks of distances of at most
+    _HANKEL_BLOCK_POINTS points, one distance at a time on larger grids, and
+    serve every metal.
+    """
+    kb, lo, coef, zeta, metals = factors
+    if rows is not None:
+        kb, lo, coef, zeta = kb[:rows], lo[:rows], coef[:rows], \
+            _head(zeta, rows)
+        metals = [(_head(num, rows), den[:rows]) for num, den in metals]
+    terms = np.empty((len(metals), len(r_ds)) + coef.shape, dtype=complex)
+    step = max(1, _HANKEL_BLOCK_POINTS // max(kb.size, 1))
+    for first in range(0, len(r_ds), step):
+        block = slice(first, first + step)
+        x = kb * np.array(r_ds[block]).reshape((-1,) + (1,) * kb.ndim)
         h, e_h = _hankel(_jn_band(x, lo, width), _yn_band(x, lo, width))
-        parts = (num, zeta, (h[..., 1:], e_h[..., 1:] if np.ndim(e_h) else 0))
-        if any(np.ndim(e) for _, e in parts):
+        parts = (zeta, (h[..., 1:], e_h[..., 1:] if np.ndim(e_h) else 0))
+        # every metal's num carries the exponent of the k_b R ladder
+        split = any(np.ndim(e) for _, e in parts + (metals[0][0],))
+        if split:
             # mantissas of one size, so that no product leaves the range
             parts = tuple(_split(*part) for part in parts)
-        (a, e_a), (b, e_b), (h, e_h) = parts
+        (b, e_b), (h, e_h) = parts
         x = _column(x)
-        terms[first:first + len(block)] = _values(
-            (coef * a / den)[None] * (h / x) * (h / (x * b[None])),
-            e_a + 2 * e_h - e_b)
+        h_x, h_xb = h / x, h / (x * b[None])
+        for k, (num, den) in enumerate(metals):
+            a, e_a = _split(*num) if split else num
+            terms[k, block] = _values((coef * a / den)[None] * h_x * h_xb,
+                                      e_a + 2 * e_h - e_b)
     return terms
+
+
+def _green_terms(omega, lo, width: int, geometries, materials) -> np.ndarray:
+    """Terms of orders n = lo+1..lo+width-1 of G_S^rr(r_d, r_d) at every
+    frequency of omega (lo per frequency or one for all), for emitters at
+    several r_d around one sphere of each metal of materials: shape
+    (len(materials), len(geometries)) + omega.shape + (width - 1,).  The
+    formula is that of green_rr_sweep.
+
+    The sphere's factor is built once over all frequencies, its k_b R
+    ladders once for all metals; the Hankel ladders at k_b r_d
+    (_distance_terms) serve every metal.  Each metal's terms are bitwise
+    what that metal alone gives: the products keep their one-metal shapes.
+    """
+    factors = _sphere_factors(omega, lo, width, geometries, materials)
+    return _distance_terms(factors, width, [g.r_d for g in geometries])
 
 
 def green_rr_sweep(omega, geometries, material: MaterialModel,
@@ -181,7 +232,7 @@ def green_rr_sweep(omega, geometries, material: MaterialModel,
     """
     if n_max < 1:
         raise InvalidArgumentError("n_max must be >= 1")
-    return _green_terms(omega, 0, n_max + 1, geometries, material)
+    return _green_terms(omega, 0, n_max + 1, geometries, [material])[0]
 
 
 def _green_mode_terms(omega, orders, geometries,
@@ -192,10 +243,39 @@ def _green_mode_terms(omega, orders, geometries,
 
     The ladders read out only n-1 and n, so the fit windows of several modes
     share one evaluation; each term is bitwise green_rr_sweep(omega,
-    geometries, material, n)[..., n-1] at that point.
+    geometries, material, n)[..., n-1] at that point.  This dense table is
+    the reference of _green_mode_table, which evaluates only the windows
+    each distance reads.
     """
     return _green_terms(omega, np.asarray(orders) - 1, 2, geometries,
-                        material)[..., 0]
+                        [material])[0, ..., 0]
+
+
+def _green_mode_table(windows, rows, geometries,
+                      material: MaterialModel) -> list:
+    """The fit windows of LSP_1..LSP_M (windows (M, P), row k at order
+    k + 1) read per distance: entry i holds the Green terms of the first
+    rows[i] windows for the emitter at geometries[i], shape (rows[i], P).
+
+    The sphere's factor is built once over all windows, and the Hankel
+    ladders run only over the windows a distance reads, the distances of one
+    row count together (_distance_terms), so a window no sweep reads there
+    is never evaluated and has no entry to read.  Every entry is bitwise the
+    _green_mode_terms(windows, orders, geometries, material) entry at that
+    (mode, distance).
+    """
+    windows = np.asarray(windows, dtype=float)
+    geometries = list(geometries)
+    factors = _sphere_factors(windows, np.arange(len(windows))[:, None], 2,
+                              geometries, [material])
+    table = [windows[:0].astype(complex)] * len(geometries)
+    for count in sorted(set(rows) - {0}):
+        picks = [i for i, r in enumerate(rows) if r == count]
+        terms = _distance_terms(factors, 2, [geometries[i].r_d for i in picks],
+                                count)
+        for i, term in zip(picks, terms[0, ..., 0]):
+            table[i] = term
+    return table
 
 
 def green_rr_terms(omega, geometry: Geometry, material: MaterialModel,

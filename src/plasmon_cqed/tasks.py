@@ -20,17 +20,16 @@ from .coupling import (
     _fit_table,
     _free_space_rows,
     _green_table,
+    _rate_spectra,
     extract_modes,
     kappa_spectra,
-    rate_spectrum_lsp,
 )
 from .errors import SchemaError
 from .heff import (
     _amplitudes,
+    _emission_spectra,
     build_standard,
     eigendecompose,
-    polarization_spectrum,
-    radiated_spectrum,
 )
 from .lindblad import (
     _heff_deviation,
@@ -139,14 +138,13 @@ def _spectrum_peaks(values):
 
 def _dressed_spectra(modes, emitter, grid, geometry, material):
     """Standard H_eff of the modes, its dressed set, the polarization and
-    radiated spectra on the grid, and the scalars read off them: the
-    splitting of the two states with the largest emitter weight, the
-    separation of the two highest polarization peaks (0 with fewer than two)
-    and the |C_1(w)|^2 peak."""
+    radiated spectra on the grid (both from one resolvent evaluation), and
+    the scalars read off them: the splitting of the two states with the
+    largest emitter weight, the separation of the two highest polarization
+    peaks (0 with fewer than two) and the |C_1(w)|^2 peak."""
     ham = build_standard(modes, emitter)
     dressed = eigendecompose(ham)
-    pol = polarization_spectrum(ham, grid)
-    rad = radiated_spectrum(ham, grid, geometry, material)
+    pol, rad = _emission_spectra(ham, grid, geometry, material)
     m1, m2 = np.argsort(-np.abs(dressed.weights))[:2]
     peaks = _spectrum_peaks(pol.values)
     scalars = {
@@ -227,25 +225,33 @@ def task_rates(sc: Scenario, writer: RunWriter):
     return payload
 
 
-def _fano_fit(material: MaterialModel, omega0: float, geometries, grid):
+def _fano_fit(material: MaterialModel, emitter: EmitterSpec, geometries,
+              grid):
     """Two-stage Fano fits of the LSP_1 rate on the grid for emitters at
     several positions around one sphere: a lossless fit, then a lossy refit
     of Gamma_nr with {omega_1, Gamma_rad, g} frozen.
 
-    Each stage fits every distance in one batch, on rate spectra from one
-    rate_spectrum_lsp call, and the free-space rates of each distance are
-    computed once for both stages and both fitted curves.  Entry i of the
-    result belongs to geometries[i]: the columns (lossless rate, its fit,
-    lossy rate, its fit) and the scalar report, including the Purcell
-    identity F_p = Gamma_rad/Gamma F_rad.
+    Each stage fits every distance in one batch.  The rate spectra of both
+    metals come from one _rate_spectra call, which builds the k_b ladders
+    once for both; the free-space rates of all distances come from one
+    ladder call, shared by both stages and both fitted curves, and the
+    lossless alphas of all distances from one more.  Entry i of the result
+    belongs to geometries[i]: the columns (lossless rate, its fit, lossy
+    rate, its fit) and the scalar report, including the Purcell identity
+    F_p = Gamma_rad/Gamma F_rad.
+
+    The fits use a 1 D dipole of quantum yield 1 at the emitter's omega0:
+    gamma0 and gamma0n_rad scale as d^2 and g as d, so the rate spectra,
+    their fits, q and the Purcell factors do not depend on d, and g1 is
+    reported for the emitter's own dipole.  Its quantum yield is not used.
     """
     geometries = list(geometries)
-    emitter = EmitterSpec.from_dipole(omega0, 1.0, 0.0, geometries[0].n_b)
-    g0, g0n = rates = _free_space_rows(grid, 1, geometries, emitter)
-    data_f = rate_spectrum_lsp(1, grid, geometries, material.lossless())
-    modes_f = _fano_fits(grid, data_f, 1, geometries, emitter, rates)
-    data_l = rate_spectrum_lsp(1, grid, geometries, material)
-    modes_l = _fano_fits(grid, data_l, 1, geometries, emitter, rates, modes_f)
+    unit = EmitterSpec.from_dipole(emitter.omega0, 1.0, 0.0, geometries[0].n_b)
+    g0, g0n = rates = _free_space_rows(grid, 1, geometries, unit)
+    data_f, data_l = _rate_spectra(1, grid, geometries,
+                                   [material.lossless(), material])
+    modes_f = _fano_fits(grid, data_f, 1, geometries, unit, rates)
+    modes_l = _fano_fits(grid, data_l, 1, geometries, unit, rates, modes_f)
     results = []
     for i, (geometry, mode_f, mode_l) in enumerate(
             zip(geometries, modes_f, modes_l)):
@@ -261,12 +267,12 @@ def _fano_fit(material: MaterialModel, omega0: float, geometries, grid):
         # the lossy fit froze g and Gamma_rad; an emitter at omega_1 is on
         # resonance
         purcell = purcell_factors([mode_l], EmitterSpec.from_dipole(
-            mode_f.omega_n, emitter.d_eg, 0.0, geometry.n_b))
+            mode_f.omega_n, unit.d_eg, 0.0, geometry.n_b))
         f_rad, f_p = float(purcell.purcell_rad[0]), float(purcell.purcell[0])
         results.append((columns, {
             "omega1_ev": mode_f.omega_n,
             "gamma1_rad_ev": mode_f.gamma_rad,
-            "g1_ev": mode_f.g,
+            "g1_ev": emitter.d_eg * mode_f.g,
             "alpha1": mode_f.alpha,
             "q_fano": 2.0 / mode_f.alpha,
             "f_rad": f_rad,
@@ -282,8 +288,8 @@ def _fano_fit(material: MaterialModel, omega0: float, geometries, grid):
 
 def task_fano(sc: Scenario, writer: RunWriter):
     grid = sc.omega_grid.build()
-    [(columns, payload)] = _fano_fit(sc.material, sc.emitter.omega0,
-                                     [sc.geometry], grid)
+    [(columns, payload)] = _fano_fit(sc.material, sc.emitter, [sc.geometry],
+                                     grid)
     writer.csv(
         "fano_rate.csv",
         ["omega_ev", "lambda_nm", "rate_lossless", "fit_lossless",
@@ -379,11 +385,11 @@ def figure_suite(sc: Scenario, writer: RunWriter):
     h_wk = (2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 14.0, 20.0)
     h_all = sorted(set(h_values) | set(h_wk))
     geos_all = [Geometry.from_surface_distance(8.0, h) for h in h_all]
+    sweeps = [(4, [h_all.index(h) for h in h_values], sc_emitter),
+              (25, [h_all.index(geometry.h)], sc_emitter),
+              (20, [h_all.index(h) for h in h_wk], wk_emitter)]
     per_h, [modes25], modes_by_h = _fit_table(
-        *_green_table(25, geos_all, material), geos_all,
-        [(4, [h_all.index(h) for h in h_values], sc_emitter),
-         (25, [h_all.index(geometry.h)], sc_emitter),
-         (20, [h_all.index(h) for h in h_wk], wk_emitter)])
+        *_green_table(geos_all, material, sweeps), geos_all, sweeps)
 
     # -- coupling strength and mode width vs surface distance
     writer.csv(
@@ -439,7 +445,7 @@ def figure_suite(sc: Scenario, writer: RunWriter):
     # -- Fano fits at R=50 for h = 30 and h = 15
     grid_f = np.linspace(*FANO_FIT_WINDOW_EV, 301)
     h_fano = (30.0, 15.0)
-    fano = _fano_fit(material, sc_emitter.omega0,
+    fano = _fano_fit(material, sc_emitter,
                      [Geometry.from_surface_distance(50.0, h) for h in h_fano],
                      grid_f)
     fig9_cols = {h: columns for h, (columns, _) in zip(h_fano, fano)}

@@ -338,7 +338,7 @@ class TestCliExitCodes:
 
         cfg = base_config(task="dressed")
         out = str(tmp_path / "out")
-        monkeypatch.setattr(tasks, "polarization_spectrum", boom)
+        monkeypatch.setattr(tasks, "_emission_spectra", boom)
         code = main(["run", write_config(tmp_path, cfg), "--out", out])
         assert code == 3
         leftovers = [f for f in os.listdir(out)] if os.path.isdir(out) else []
@@ -569,6 +569,25 @@ class TestTasks:
                     "gamma1_nr_ev", "f_p"):
             assert payloads["tabulated"][key] == pytest.approx(
                 payloads["drude"][key], rel=5e-3), key
+
+    def test_fano_g1_is_the_configured_dipoles(self, tmp_path):
+        # the Fano model does not depend on d (gamma0 and gamma0n scale as
+        # d^2, g as d): the fits are those of a 1 D dipole, and g1 scales
+        with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "configs", "fano_r50.json")) as fh:
+            cfg = json.load(fh)
+        payloads = {}
+        for d in (1.0, 4.0):
+            cfg["emitter"]["d_eg_debye"] = d
+            out = str(tmp_path / f"d{d:g}")
+            assert main(["run", write_config(tmp_path, cfg), "--out", out]) == 0
+            with open(os.path.join(out, "fano.json")) as fh:
+                payloads[d] = json.load(fh)
+        one, four = payloads[1.0], payloads[4.0]
+        assert four["g1_ev"] == pytest.approx(4.0 * one["g1_ev"], rel=1e-12)
+        assert four.keys() == one.keys()
+        for key in one.keys() - {"g1_ev"}:
+            assert four[key] == pytest.approx(one[key], rel=1e-12), key
 
     def test_weak_coupling_lindblad_passes(self, tmp_path):
         # weakly coupled emitter over a window long after its decay: an

@@ -28,6 +28,9 @@ from plasmon_cqed.mie import (green_rr_terms, qs_mode_params,
                               radial_mode_fractions)
 from plasmon_cqed.weak import fano_adiabatic
 
+FIGURE_SUITE = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "configs", "figure_suite.json")
+
 
 def fit_one(grid, values, n=1):
     """The one-spectrum batch of fit_lorentzians; a failed fit raises."""
@@ -188,11 +191,11 @@ class TestModeSweep:
                                             monkeypatch):
         # the figure suite's weak-coupling sweep: 20 modes at 8 distances
         green_calls, bands = [], {"j": [], "y": []}
-        mode_terms = coupling._green_mode_terms
+        mode_table = coupling._green_mode_table
 
-        def counted_terms(*args):
+        def counted_table(*args):
             green_calls.append(args)
-            return mode_terms(*args)
+            return mode_table(*args)
 
         def counted(kind, band):
             def wrapped(z, lo, width):
@@ -200,7 +203,7 @@ class TestModeSweep:
                 return bands[kind][-1][1]
             return wrapped
 
-        monkeypatch.setattr(coupling, "_green_mode_terms", counted_terms)
+        monkeypatch.setattr(coupling, "_green_mode_table", counted_table)
         monkeypatch.setattr(mie, "_jn_band", counted("j", mie._jn_band))
         monkeypatch.setattr(mie, "_yn_band", counted("y", mie._yn_band))
         geometries = [Geometry.from_surface_distance(8.0, h) for h in
@@ -277,6 +280,58 @@ class TestModeSweep:
             assert abs(f.omega_n - s.omega_n) <= 1e-6
             assert abs(f.gamma_n - s.gamma_n) <= 5e-5 * s.gamma_n
             assert abs(f.g - s.g) <= 5e-5 * s.g
+
+    def test_unevaluated_entries_cannot_be_read(self, ag, strong_emitter):
+        # h = 1 nm holds the 4 modes its sweep reads, h = 2 nm 20, and
+        # h = 3 nm, which no sweep picks, none
+        geometries = [Geometry.from_surface_distance(8.0, h)
+                      for h in (1.0, 2.0, 3.0)]
+        windows, terms = coupling._green_table(
+            geometries, ag, [(4, [0], strong_emitter),
+                             (20, [1], strong_emitter)])
+        assert windows.shape == (20, 51)
+        assert [t.shape for t in terms] == [(4, 51), (20, 51), (0, 51)]
+        with pytest.raises(IndexError):
+            terms[0][4]
+        with pytest.raises(IndexError):
+            terms[2][0]
+        with pytest.raises(InvalidArgumentError, match=(
+                "^the Green table holds 4 modes at h=1 nm, not 5$")):
+            coupling._fit_table(windows, terms, geometries,
+                                [(5, [0], strong_emitter)])
+        with pytest.raises(InvalidArgumentError, match="holds 0 modes"):
+            coupling._fit_table(windows, terms, geometries,
+                                [(1, [2], strong_emitter)])
+
+    def test_figure_suite_table_is_the_dense_table(self, tmp_path,
+                                                   monkeypatch):
+        # every entry of the figure suite's R = 8 nm table bitwise the dense
+        # per-order term at its (mode, h); each distance holds the modes of
+        # the sweeps that pick it
+        from plasmon_cqed import cli, tasks
+
+        tables, green_table = [], tasks._green_table
+
+        def captured(geometries, material, sweeps):
+            tables.append((geometries, material, sweeps,
+                           green_table(geometries, material, sweeps)))
+            return tables[-1][-1]
+
+        monkeypatch.setattr(tasks, "_green_table", captured)
+        assert cli.main(["run", FIGURE_SUITE, "--out", str(tmp_path)]) == 0
+        [(geometries, material, sweeps, (windows, terms))] = tables
+        assert [g.h for g in geometries] == [1.0, 1.5, 2.0, 3.0, 4.0, 5.0,
+                                             7.0, 10.0, 14.0, 18.0, 20.0]
+        assert [len(t) for t in terms] == [
+            max([n for n, picks, _ in sweeps if i in picks], default=0)
+            for i in range(len(geometries))]
+        assert [len(t) for t in terms] == [4, 4, 25, 20, 20, 20, 20, 20, 20,
+                                           4, 20]
+        dense = mie._green_mode_terms(
+            windows, np.arange(1, len(windows) + 1)[:, None], geometries,
+            material)
+        for row, term in zip(dense, terms):
+            np.testing.assert_array_equal(term, row[:len(term)])
 
     def test_rejects_empty_sweep_and_second_sphere(self, ag, strong_emitter):
         with pytest.raises(InvalidArgumentError):
@@ -461,6 +516,67 @@ class TestFanoBatch:
                                      frozen=[mode_f])
             assert modes_f[i] == mode_f and modes_l[i] == mode_l
 
+    @pytest.mark.parametrize("hs", [(30.0, 15.0), (30.0,)],
+                             ids=["figure-suite", "fano_r50"])
+    def test_metals_share_ladders_bitwise(self, ag, hs):
+        # the two-metal rows against one-metal calls and against the
+        # all-orders column of each metal
+        geometries = [Geometry.from_surface_distance(50.0, h) for h in hs]
+        metals = [ag.lossless(), ag]
+        both = coupling._rate_spectra(1, self.GRID, geometries, metals)
+        assert both.shape == (2, len(hs), self.GRID.size)
+        kb = self.GRID / HBAR_C_EV_NM
+        for rows, metal in zip(both, metals):
+            np.testing.assert_array_equal(
+                rows, rate_spectrum_lsp(1, self.GRID, geometries, metal))
+            for row, geo in zip(rows, geometries):
+                np.testing.assert_array_equal(
+                    row, 6 * math.pi / kb * green_rr_terms(
+                        self.GRID, geo, metal, 1)[..., 0].imag)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_free_space_rows_are_bitwise_rates(self, n):
+        geometries = [Geometry.from_surface_distance(50.0, 30.0),
+                      Geometry.from_surface_distance(50.0, 15.0),
+                      Geometry.from_surface_distance(20.0, 4.0, 2.25)]
+        emitter = EmitterSpec.from_lifetime(2.6, 20.0, 0.7)
+        g0, g0n = coupling._free_space_rows(self.GRID, n, geometries, emitter)
+        for i, geo in enumerate(geometries):
+            one_g0, one_g0n = coupling._free_space_rates(self.GRID, n, geo,
+                                                         emitter)
+            np.testing.assert_array_equal(g0[i], one_g0)
+            np.testing.assert_array_equal(g0n[i], one_g0n)
+
+    def test_alphas_are_bitwise_fano_alpha(self, ag, geometries):
+        # both stages of a two-distance fit (the lossy one copies the frozen
+        # alpha), then random rows: other spheres and backgrounds, a higher
+        # order, zero coupling
+        emitter = EmitterSpec.from_dipole(2.94, 1.0)
+        rates = coupling._free_space_rows(self.GRID, 1, geometries, emitter)
+        modes_f = coupling._fano_fits(
+            self.GRID, rate_spectrum_lsp(1, self.GRID, geometries,
+                                         ag.lossless()),
+            1, geometries, emitter, rates)
+        modes_l = coupling._fano_fits(
+            self.GRID, rate_spectrum_lsp(1, self.GRID, geometries, ag), 1,
+            geometries, emitter, rates, modes_f)
+        for geo, mode_f, mode_l in zip(geometries, modes_f, modes_l):
+            sign = 1.0 if mode_f.alpha >= 0 else -1.0
+            for mode in (mode_f, mode_l):
+                assert mode.alpha == coupling._fano_alpha(
+                    1, mode.omega_n, mode.gamma_rad, sign * mode.g, geo,
+                    emitter)
+        rng = np.random.default_rng(35)
+        geos = [Geometry.from_surface_distance(*rng.uniform(
+            (5.0, 0.5, 1.0), (80.0, 40.0, 3.0)).tolist()) for _ in range(40)]
+        fits = [tuple(rng.uniform((1.5, 1e-3, -1e-3),
+                                  (3.5, 0.3, 1e-3)).tolist()) for _ in geos]
+        fits[0] = fits[0][:2] + (0.0,)
+        for n in (1, 3):
+            assert coupling._fano_alphas(n, fits, geos, emitter) == [
+                coupling._fano_alpha(n, *fit, geo, emitter)
+                for fit, geo in zip(fits, geos)]
+
     @pytest.fixture
     def fano_data(self, ag, geometries):
         # caller order h = 15 nm first: a failing batch names its first row
@@ -555,12 +671,18 @@ GRID = np.linspace(2.2, 3.1, 60)
         GRID, [np.ones(60)], 1, [geo], em,
         frozen=[ModeParams(n=1, omega_n=2.6, gamma_n=0.3, g=1e-4)]),
      InvalidArgumentError, "frozen mode must carry gamma_rad"),
+    (lambda geo, em: fit_fano_rate(
+        GRID, [np.ones(60)], 1, [geo], em,
+        frozen=[ModeParams(n=1, omega_n=2.6, gamma_n=0.3, g=1e-4,
+                           gamma_rad=0.3, gamma_nr=0.0)]),
+     InvalidArgumentError, "frozen mode must carry gamma_rad and alpha"),
     (lambda geo, em: fit_fano_rate(GRID, np.ones((2, 60)), 1, [geo], em),
      InvalidArgumentError, "each with its geometry"),
     (lambda geo, em: fit_fano_rate(GRID, np.ones((0, 60)), 1, [], em),
      InvalidArgumentError, "one or more rate spectra"),
 ], ids=["no-modes", "short-grid", "mismatched-grid", "zero-spectrum",
-        "frozen-without-gamma-rad", "geometry-per-row", "empty-batch"])
+        "frozen-without-gamma-rad", "frozen-without-alpha", "geometry-per-row",
+        "empty-batch"])
 def test_rejects_invalid_input(call, error, message):
     geometry = Geometry.from_surface_distance(50.0, 30.0)
     emitter = EmitterSpec.from_dipole(2.6, 1.0)
@@ -572,32 +694,87 @@ def test_figure_suite_runs_each_fit_stage_as_one_batch(tmp_path, monkeypatch):
     from plasmon_cqed import cli, tasks
 
     green, spectra, batches = [], [], []
-    mode_terms, rates, solve = (coupling._green_mode_terms,
-                                tasks.rate_spectrum_lsp, coupling.least_squares)
+    mode_table, rates, solve = (coupling._green_mode_table,
+                                tasks._rate_spectra, coupling.least_squares)
 
-    def counted_terms(omega, orders, geometries, material):
+    def counted_table(windows, rows, geometries, material):
         green.append(geometries[0].radius)
-        return mode_terms(omega, orders, geometries, material)
+        return mode_table(windows, rows, geometries, material)
 
-    def counted_rates(n, grid, geometries, material):
-        spectra.append((material.gamma_p, len(geometries)))
-        return rates(n, grid, geometries, material)
+    def counted_rates(n, grid, geometries, materials):
+        spectra.append(([m.gamma_p for m in materials], len(geometries)))
+        return rates(n, grid, geometries, materials)
 
     def counted_solve(model, theta0):
         batches.append(np.shape(theta0))
         return solve(model, theta0)
 
-    monkeypatch.setattr(coupling, "_green_mode_terms", counted_terms)
-    monkeypatch.setattr(tasks, "rate_spectrum_lsp", counted_rates)
+    monkeypatch.setattr(coupling, "_green_mode_table", counted_table)
+    monkeypatch.setattr(tasks, "_rate_spectra", counted_rates)
     monkeypatch.setattr(coupling, "least_squares", counted_solve)
-    config = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "configs", "figure_suite.json")
-    assert cli.main(["run", config, "--out", str(tmp_path)]) == 0
+    assert cli.main(["run", FIGURE_SUITE, "--out", str(tmp_path)]) == 0
     # the three R = 8 nm sweeps share one Green table; the R = 50 nm rate
-    # spectra take one call per material, both distances in each
+    # spectra of both materials come from one call, both distances in it
     assert green.count(8.0) == 1
-    assert spectra == [(0.0, 2), (silver().gamma_p, 2)]
+    assert spectra == [([0.0, silver().gamma_p], 2)]
     # fig3 (4 x 10), the N = 25 modes and fig6 (20 x 8) in one Lorentzian
     # batch; two sign rows per distance in the lossless Fano batch, one per
     # distance in the lossy one
     assert batches == [(225, 2), (4, 3), (2, 1)]
+
+
+def test_figure_suite_evaluates_each_ladder_once_where_read(tmp_path,
+                                                            monkeypatch):
+    from plasmon_cqed import cli, heff, specfun, tasks
+
+    calls, stage = [], [None]  # the task steps entered, the innermost one
+    yn_calls, jn_calls, millers, resolvents = [], [], [], []
+
+    def counted(function, record):
+        def wrapped(*args):
+            record(args)
+            return function(*args)
+        return wrapped
+
+    def in_stage(name, function):
+        def wrapped(*args):
+            outer, stage[0] = stage[0], (name, len(calls))
+            calls.append(name)
+            try:
+                return function(*args)
+            finally:
+                stage[0] = outer
+        return wrapped
+
+    def stages(name):
+        return [(name, i) for i, entered in enumerate(calls) if entered == name]
+
+    monkeypatch.setattr(mie, "_yn_band", counted(mie._yn_band, lambda a: (
+        yn_calls.append((stage[0], np.shape(a[0]))))))
+    monkeypatch.setattr(mie, "_jn_band", counted(mie._jn_band, lambda a: (
+        jn_calls.append((stage[0], np.iscomplexobj(a[0]))))))
+    monkeypatch.setattr(specfun, "_miller_band", counted(
+        specfun._miller_band, lambda a: millers.append(stage[0])))
+    monkeypatch.setattr(heff, "amplitude_response", counted(
+        heff.amplitude_response, lambda a: resolvents.append(stage[0])))
+    for name in ("_green_table", "_fano_fit", "_fano_fits", "_dressed_spectra"):
+        monkeypatch.setattr(tasks, name, in_stage(name, getattr(tasks, name)))
+    assert cli.main(["run", FIGURE_SUITE, "--out", str(tmp_path)]) == 0
+    # the R = 8 nm table: one k_b R ladder over the 25 windows, then Hankel
+    # ladders over the 177 (mode, h) windows of 51 points that the sweeps
+    # read, not over all 25 x 11
+    [table] = stages("_green_table")
+    shapes = [shape for s, shape in yn_calls if s == table]
+    assert (shapes[0], sum(math.prod(shape) for shape in shapes[1:])) \
+        == ((25, 51), 177 * 51)
+    # the Fano rate spectra: one k_b R and one k_b r_d ladder serve both
+    # metals, and each metal builds its own k_m R ladder
+    [fano] = stages("_fano_fit")
+    assert ([shape for s, shape in yn_calls if s == fano],
+            [is_complex for s, is_complex in jn_calls if s == fano].count(True)) \
+        == ([(301,), (2, 301)], 2)
+    # the lossless alphas of both distances take one Miller call, and the
+    # lossy stage copies them
+    assert [millers.count(s) for s in stages("_fano_fits")] == [1, 0]
+    # one resolvent evaluation for the polarization and radiated spectra
+    assert [resolvents.count(s) for s in stages("_dressed_spectra")] == [1]

@@ -19,6 +19,7 @@ from plasmon_cqed.errors import (
 from plasmon_cqed.heff import (
     EffectiveHamiltonian,
     _amplitudes,
+    _emission_spectra,
     _propagate,
     amplitude_response,
     build_fano,
@@ -35,7 +36,8 @@ from plasmon_cqed.lindblad import (
     build_system_hamiltonian,
     effective_hamiltonian_from_lindblad,
 )
-from plasmon_cqed.medium import EmitterSpec
+from plasmon_cqed.medium import EmitterSpec, radiative_rate
+from plasmon_cqed.mie import qs_polarizability
 
 
 @pytest.fixture
@@ -300,6 +302,32 @@ class TestSpectra:
         assert np.all(rad.p_rad >= 0)
         assert grid[int(np.argmax(rad.lsp1_population))] == pytest.approx(
             2.79, abs=0.03)
+
+    def test_one_resolvent_gives_both_public_spectra(self, ag, small_geometry,
+                                                     strong_emitter):
+        # the dressed task's pair, bitwise each public function's spectrum;
+        # the radiated one also against its formula on the resolvent
+        from plasmon_cqed.coupling import extract_modes
+
+        modes = extract_modes(6, small_geometry, ag, strong_emitter)
+        ham = build_standard(modes, strong_emitter)
+        grid = np.linspace(2.4, 3.4, 2001)
+        pol, rad = _emission_spectra(ham, grid, small_geometry, ag)
+        np.testing.assert_array_equal(pol.values,
+                                      polarization_spectrum(ham, grid).values)
+        public = radiated_spectrum(ham, grid, small_geometry, ag)
+        amps = amplitude_response(ham, grid)
+        g_rad = radiative_rate(grid, strong_emitter.d_eg,
+                               small_geometry.n_b) * (1.0 + 4.0 * np.abs(
+                                   qs_polarizability(grid, small_geometry,
+                                                     ag)[1]) ** 2
+                                   / small_geometry.r_d**6)
+        for field, value in (
+                ("p_rad", g_rad * np.abs(amps[:, 0]) ** 2 / (2.0 * math.pi)),
+                ("lsp1_population", np.abs(amps[:, 1]) ** 2),
+                ("gamma_rad", g_rad)):
+            np.testing.assert_array_equal(getattr(rad, field), value)
+            np.testing.assert_array_equal(getattr(public, field), value)
 
     def test_uncoupled_radiated_reduces_to_free_lorentzian(self, ag,
                                                            small_geometry):
